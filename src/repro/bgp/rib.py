@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
 
+from .aspath import AsPath
 from .attributes import PathAttribute
 from .constants import AttrTypeCode, Origin
 from .peer import Neighbor
@@ -90,7 +91,44 @@ class RouteView:
     def peer_address(self) -> int:
         return self.source.peer_address if self.source is not None else 0
 
-    # -- provenance -----------------------------------------------------
+    # -- reads the shared speaker pipeline needs ------------------------
+
+    def as_path(self) -> AsPath:
+        attribute = self.attribute(AttrTypeCode.AS_PATH)
+        return attribute.as_path() if attribute is not None else AsPath()
+
+    def path_contains(self, asn: int) -> bool:
+        """Loop detection: does ``asn`` appear anywhere in the AS path?"""
+        return self.as_path().contains(asn)
+
+    def originator_id(self) -> Optional[int]:
+        attribute = self.attribute(AttrTypeCode.ORIGINATOR_ID)
+        return attribute.as_u32() if attribute is not None else None
+
+    def cluster_list(self) -> Tuple[int, ...]:
+        attribute = self.attribute(AttrTypeCode.CLUSTER_LIST)
+        return attribute.as_cluster_list() if attribute is not None else ()
+
+    def communities(self):
+        """The COMMUNITIES values (empty when the attribute is absent)."""
+        attribute = self.attribute(AttrTypeCode.COMMUNITIES)
+        return attribute.as_communities() if attribute is not None else ()
+
+    # -- identity -------------------------------------------------------
+
+    def attrs_key(self):
+        """Hashable identity of this route's attribute set.
+
+        Keys the speaker's encode and export-mechanics caches.  Vendor
+        route classes override it with cheaper keys (the interned
+        attribute set itself, the eattr list's memoised key).
+        """
+        return tuple(
+            sorted(
+                (int(attr.type_code), attr.flags, bytes(attr.value))
+                for attr in self.attribute_list()
+            )
+        )
 
     def story_key(self):
         """Hashable identity of this route's *content* (peer + attrs).
@@ -98,19 +136,9 @@ class RouteView:
         The provenance flap/oscillation detector compares successive
         best routes by this key: two routes with the same learning peer
         and byte-identical attribute sets are the same path, however
-        many times the object was rebuilt.  Vendor route classes
-        override this with cheaper keys (interned attribute sets,
-        eattr-list cache keys).
+        many times the object was rebuilt.
         """
-        return (
-            self.peer_address(),
-            tuple(
-                sorted(
-                    (int(attr.type_code), attr.flags, bytes(attr.value))
-                    for attr in self.attribute_list()
-                )
-            ),
-        )
+        return (self.peer_address(), self.attrs_key())
 
 
 class AdjRibIn(Generic[R]):

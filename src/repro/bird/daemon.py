@@ -1,811 +1,52 @@
 """PyBIRD: a BIRD-flavoured BGP daemon.
 
-Distinctive internals (mirroring what the paper leaned on in BIRD):
+The RFC 4271 machine is :class:`repro.bgp.speaker.BgpSpeaker`; this
+module supplies the BIRD *representation* behind its host contract
+(mirroring what the paper leaned on in BIRD):
 
-* attributes live in flexible, wire-shaped :class:`EattrList`s;
-* validated ROAs sit in a **hash table** (:class:`HashRoaTable`) — one
-  probe per candidate length;
+* attributes live in flexible, wire-shaped :class:`EattrList`s, which
+  extensions and the export path mutate in place — hence copy-on-hit
+  in the mechanics cache and no decoded-object sharing across a batch
+  while a BGP_RECEIVE_MESSAGE extension is attached;
+* validated ROAs sit in a **hash table**
+  (:class:`~repro.bgp.roa.HashRoaTable`) — one probe per candidate
+  length, which is the speaker's default ``_validate_origin``;
 * route objects parse attribute bytes lazily.
-
-The daemon is transport agnostic: a harness registers a ``send_fn`` per
-neighbor and feeds received bytes to :meth:`receive_raw`; both the
-discrete-event simulator and the asyncio transport drive it this way.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import Counter
-from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..bgp.attributes import (
     PathAttribute,
     make_as_path,
     make_cluster_list,
     make_next_hop,
-    make_origin,
     make_originator_id,
 )
-from ..bgp.aspath import AsPath
-from ..bgp.constants import (
-    AttrTypeCode,
-    Origin,
-    RouteOriginValidity,
-    WellKnownCommunity,
-)
-from ..bgp.decision import (
-    DecisionConfig,
-    best_route,
-    best_route_explained,
-    compare_routes,
-    compare_routes_explain,
-)
-from ..bgp.messages import (
-    BgpMessage,
-    RouteRefreshMessage,
-    UpdateMessage,
-    split_stream,
-)
+from ..bgp.constants import AttrTypeCode
 from ..bgp.peer import Neighbor
-from ..bgp.policy import FilterChain
-from ..bgp.prefix import Prefix, format_ipv4, parse_ipv4
-from ..bgp.rib import AdjRibIn, AdjRibOut, LocRib
-from ..bgp.roa import HashRoaTable, RoaTable
-from ..core.context import ExecutionContext
-from ..core.insertion_points import InsertionPoint
-from ..core.manifest import Manifest
-from ..core.vmm import VirtualMachineManager, VmmConfig
-from ..core.abi import FILTER_ACCEPT, FILTER_REJECT
-from ..igp.spf import UNREACHABLE, IgpView
-from ..telemetry import Profiler, ProvenanceTracker
+from ..bgp.speaker import BgpSpeaker
 from .eattrs import EattrList
 from .rib import BirdRoute
 from .xbgp_glue import BirdHost
 
 __all__ = ["BirdDaemon"]
 
-#: Attribute codes PyBIRD knows how to put on the wire natively.  Codes
-#: outside this set stay in the RIB but are *not* encoded — an
-#: extension at BGP_ENCODE_MESSAGE must write them (the GeoLoc design
-#: of Fig. 2).
-NATIVE_ENCODABLE = frozenset(
-    {
-        AttrTypeCode.ORIGIN,
-        AttrTypeCode.AS_PATH,
-        AttrTypeCode.NEXT_HOP,
-        AttrTypeCode.MULTI_EXIT_DISC,
-        AttrTypeCode.LOCAL_PREF,
-        AttrTypeCode.ATOMIC_AGGREGATE,
-        AttrTypeCode.AGGREGATOR,
-        AttrTypeCode.COMMUNITIES,
-        AttrTypeCode.ORIGINATOR_ID,
-        AttrTypeCode.CLUSTER_LIST,
-        AttrTypeCode.LARGE_COMMUNITIES,
-    }
-)
 
-_LOCAL_SOURCE = 0  # pseudo peer address for locally originated routes
-
-
-class BirdDaemon:
+class BirdDaemon(BgpSpeaker):
     """One PyBIRD router instance."""
 
     implementation = "bird"
-
-    def __init__(
-        self,
-        asn: int,
-        router_id: str,
-        local_address: Optional[str] = None,
-        route_reflector: Optional[str] = None,
-        cluster_id: Optional[str] = None,
-        always_compare_med: bool = False,
-        nexthop_self: bool = True,
-        roa_table: Optional[RoaTable] = None,
-        igp: Optional[IgpView] = None,
-        xtra: Optional[Dict[str, bytes]] = None,
-        vmm_config: Optional[VmmConfig] = None,
-        hot_path: bool = True,
-        provenance: bool = False,
-        profiling: bool = False,
-    ):
-        if route_reflector not in (None, "native", "extension"):
-            raise ValueError(f"bad route_reflector mode {route_reflector!r}")
-        #: Enables daemon-level hot-path shortcuts (marshalling caches,
-        #: export-side encode cache, empty-insertion-point skips).  Off
-        #: only for the ablation benchmark's legacy arm.
-        self.hot_path = hot_path
-        self.asn = asn
-        self.router_id = parse_ipv4(router_id)
-        self.local_address = parse_ipv4(local_address or router_id)
-        self.route_reflector = route_reflector
-        self.cluster_id = parse_ipv4(cluster_id) if cluster_id else self.router_id
-        self.always_compare_med = always_compare_med
-        self.nexthop_self = nexthop_self
-        #: BIRD-style: validated ROAs in a hash table.
-        self.roa_table = roa_table if roa_table is not None else None
-        self.igp = igp
-        self.xtra: Dict[str, bytes] = dict(xtra or {})
-
-        self.neighbors: Dict[int, Neighbor] = {}
-        self._send_fns: Dict[int, Callable[[bytes], None]] = {}
-        self._established: Dict[int, bool] = {}
-        self._rx_buffers: Dict[int, bytearray] = {}
-
-        self.adj_rib_in: AdjRibIn[BirdRoute] = AdjRibIn()
-        self.loc_rib: LocRib[BirdRoute] = LocRib()
-        self.adj_rib_out: AdjRibOut[BirdRoute] = AdjRibOut()
-        self._local_routes: Dict[Prefix, BirdRoute] = {}
-
-        self.import_chain = FilterChain()
-        self.export_chain = FilterChain()
-
-        self.validity_counters: Counter = Counter()
-        self.stats: Counter = Counter()
-        self._log: List[str] = []
-        #: Export-side encode cache: (eattrs cache_key, session type,
-        #: rr_client) -> encoded attribute blob.  See _encode_attributes.
-        self._encode_cache: Dict[tuple, bytes] = {}
-        #: Export-mechanics cache: (eattrs cache_key, session type,
-        #: source-is-eBGP, nexthop_self) -> rewritten eattr list.  Each
-        #: hit hands out a copy (eattr lists are mutable).  See
-        #: _apply_export_mechanics.
-        self._mechanics_cache: Dict[tuple, object] = {}
-
-        self.host = BirdHost(self)
-        self.vmm = VirtualMachineManager(self.host, vmm_config)
-
-        #: The provenance tracker, or None when provenance is off.
-        self.provenance: Optional[ProvenanceTracker] = None
-        if provenance:
-            self.enable_provenance()
-
-        #: The profiler, or None when profiling is off.
-        self.profiler: Optional[Profiler] = None
-        if profiling:
-            self.enable_profiling()
-
-    # -- provenance --------------------------------------------------------
-
-    def enable_provenance(
-        self, tracker: Optional[ProvenanceTracker] = None
-    ) -> ProvenanceTracker:
-        """Turn on per-route provenance and causal tracing.
-
-        Installs the tracker on the host glue (VMM + helper hooks) and
-        on the Loc-RIB (best-path observer), then rebinds the VMM's
-        insertion-point chains: provenance disqualifies the single-code
-        fast-path closures, so they must be rebuilt either way the
-        toggle goes.
-        """
-        if tracker is None:
-            tracker = ProvenanceTracker(
-                router=format_ipv4(self.router_id),
-                implementation=self.implementation,
-            )
-        self.provenance = tracker
-        self.host.provenance = tracker
-        self.loc_rib.on_change = tracker.rib_changed
-        self.vmm.rebind_all()
-        return tracker
-
-    def disable_provenance(self) -> None:
-        self.provenance = None
-        self.host.provenance = None
-        self.loc_rib.on_change = None
-        self.vmm.rebind_all()
-
-    # -- profiling ---------------------------------------------------------
-
-    def enable_profiling(self, profiler: Optional[Profiler] = None) -> Profiler:
-        """Turn on phase + PC-level profiling (daemon phases and VM
-        hotspots both).  Mirrors the provenance toggle: profiling
-        disqualifies the single-code fast-path closures, so the VMM
-        rebinds its chains either way the toggle goes."""
-        if profiler is None:
-            profiler = Profiler(
-                router=format_ipv4(self.router_id),
-                implementation=self.implementation,
-            )
-        self.profiler = profiler
-        self.vmm.enable_profiling(profiler)
-        return profiler
-
-    def disable_profiling(self) -> None:
-        self.profiler = None
-        self.vmm.disable_profiling()
-
-    # -- wiring ------------------------------------------------------------
-
-    def add_neighbor(
-        self,
-        peer_address: str,
-        peer_asn: int,
-        send_fn: Callable[[bytes], None],
-        rr_client: bool = False,
-    ) -> Neighbor:
-        """Configure a neighbor and its outgoing-bytes callback."""
-        neighbor = Neighbor.build(
-            peer_address,
-            peer_asn,
-            local_address="0.0.0.0",
-            local_asn=self.asn,
-            rr_client=rr_client,
-        )
-        neighbor.local_address = self.local_address
-        neighbor.local_router_id = self.router_id
-        neighbor.cluster_id = self.cluster_id
-        self.neighbors[neighbor.peer_address] = neighbor
-        self._send_fns[neighbor.peer_address] = send_fn
-        self._established[neighbor.peer_address] = False
-        self._rx_buffers[neighbor.peer_address] = bytearray()
-        return neighbor
-
-    def session_up(self, peer_address: str) -> None:
-        """Mark the session Established and send the full table."""
-        address = parse_ipv4(peer_address)
-        neighbor = self.neighbors[address]
-        neighbor.established = True
-        self._established[address] = True
-        for prefix in list(self.loc_rib.prefixes()):
-            self._export_prefix(prefix, only_peers=[address])
-        self._send_update(address, UpdateMessage.end_of_rib())
-
-    def session_down(self, peer_address: str) -> None:
-        address = parse_ipv4(peer_address)
-        self._established[address] = False
-        self.neighbors[address].established = False
-        dropped = self.adj_rib_in.drop_peer(address)
-        self.adj_rib_out.drop_peer(address)
-        for route in dropped:
-            self._run_decision(route.prefix)
-
-    def attach_program(self, program) -> None:
-        self.vmm.attach_program(program)
-
-    def attach_manifest(self, manifest: Manifest) -> None:
-        self.vmm.attach_program(manifest.load())
-
-    def log(self, message: str) -> None:
-        self._log.append(message)
-        if len(self._log) > 10_000:
-            del self._log[:5_000]
-
-    @property
-    def log_messages(self) -> List[str]:
-        return list(self._log)
-
-    @property
-    def telemetry(self):
-        """The VMM's telemetry facade (None when disabled)."""
-        return self.vmm.telemetry
-
-    def update_telemetry_gauges(self) -> None:
-        """Refresh session and RIB-size gauges on the telemetry registry.
-
-        Called before every export (harness snapshot, ``xbgp stats``) so
-        scrapes see current control-plane state alongside the VMM's
-        execution counters.
-        """
-        telemetry = self.vmm.telemetry
-        if telemetry is None:
-            return
-        registry = telemetry.registry
-        impl = self.implementation
-        registry.gauge(
-            "xbgp_sessions", "configured BGP sessions", implementation=impl
-        ).set(len(self.neighbors))
-        registry.gauge(
-            "xbgp_sessions_established",
-            "sessions in Established state",
-            implementation=impl,
-        ).set(sum(1 for up in self._established.values() if up))
-        for rib_name, rib in (
-            ("adj_rib_in", self.adj_rib_in),
-            ("loc_rib", self.loc_rib),
-            ("adj_rib_out", self.adj_rib_out),
-        ):
-            registry.gauge(
-                "xbgp_rib_routes", "routes per RIB", implementation=impl, rib=rib_name
-            ).set(len(rib))
-
-    def igp_metric(self, address: int) -> int:
-        if self.igp is None:
-            return 0
-        return self.igp.metric_to(address)
-
-    # -- local origination ----------------------------------------------------
-
-    def originate(
-        self,
-        prefix: Prefix,
-        next_hop: Optional[int] = None,
-        attributes: Optional[Sequence[PathAttribute]] = None,
-    ) -> None:
-        """Install a locally-originated route and advertise it."""
-        if attributes is None:
-            attributes = [
-                make_origin(Origin.IGP),
-                make_as_path(AsPath()),
-                make_next_hop(next_hop if next_hop else self.local_address),
-            ]
-        prov = self.provenance
-        if prov is not None:
-            # Root a fresh trace here: everything this origination
-            # triggers — local decision, exports, and the processing on
-            # every router the advert reaches — hangs off this span.
-            prov.begin_update(None, kind="originate", prefix=str(prefix))
-        try:
-            route = BirdRoute(prefix, None, EattrList.from_wire(attributes))
-            self._local_routes[prefix] = route
-            self._run_decision(prefix)
-        finally:
-            if prov is not None:
-                prov.end_update()
-
-    def withdraw_local(self, prefix: Prefix) -> None:
-        if self._local_routes.pop(prefix, None) is not None:
-            self._run_decision(prefix)
-
-    # -- receive path ------------------------------------------------------------
-
-    def receive_raw(
-        self, peer_address: str, data: bytes, parent=None
-    ) -> None:
-        """Feed raw TCP bytes from a peer (reassembles messages).
-
-        ``parent`` is an optional (trace, span) ref the transport
-        shipped with the bytes; the UPDATE span opened while processing
-        them adopts it, extending the sender's causal trace here.
-        """
-        prov = self.provenance
-        if prov is not None:
-            prov.pending_parent = parent
-        try:
-            address = parse_ipv4(peer_address)
-            buffer = self._rx_buffers[address]
-            buffer.extend(data)
-            for message in split_stream(buffer):
-                self.receive_message(peer_address, message)
-        finally:
-            if prov is not None:
-                prov.pending_parent = None
-
-    def receive_message(self, peer_address: str, message: BgpMessage) -> None:
-        address = parse_ipv4(peer_address)
-        neighbor = self.neighbors.get(address)
-        if neighbor is None:
-            self.stats["unknown_peer"] += 1
-            return
-        self.stats["messages_received"] += 1
-        if isinstance(message, UpdateMessage):
-            self._process_update(neighbor, message)
-        elif isinstance(message, RouteRefreshMessage):
-            self._process_route_refresh(neighbor)
-
-    def _process_update(self, neighbor: Neighbor, update: UpdateMessage) -> None:
-        if update.is_end_of_rib():
-            self.stats["eor_received"] += 1
-            return
-
-        prov = self.provenance
-        if prov is not None:
-            prov.begin_update(
-                neighbor,
-                prefixes=len(update.nlri),
-                withdrawn=len(update.withdrawn),
-            )
-        try:
-            self._process_update_body(neighbor, update)
-        finally:
-            if prov is not None:
-                prov.end_update()
-
-    def _process_update_body(self, neighbor: Neighbor, update: UpdateMessage) -> None:
-        prov = self.provenance
-        prof = self.profiler
-        if prof is not None:
-            started = perf_counter()
-            eattrs = EattrList.from_wire(update.attributes)
-            prof.phase("decode", perf_counter() - started)
-        else:
-            eattrs = EattrList.from_wire(update.attributes)
-
-        # Insertion point 1: BGP_RECEIVE_MESSAGE — extension code may
-        # rewrite the UPDATE's attributes before import processing.
-        # With nothing attached the chain reduces to the no-op default,
-        # so the hot path skips context construction and re-encoding.
-        if not self.hot_path or self.vmm.active(InsertionPoint.BGP_RECEIVE_MESSAGE):
-            started = perf_counter() if prof is not None else 0.0
-            ctx = ExecutionContext(
-                self.host,
-                InsertionPoint.BGP_RECEIVE_MESSAGE,
-                neighbor=neighbor,
-                route=eattrs,
-                message=update.encode(),
-            )
-            self.vmm.run(ctx, lambda: 0)
-            if prof is not None:
-                prof.phase("bgp_receive_message", perf_counter() - started)
-
-        dirty: List[Prefix] = []
-        for prefix in update.withdrawn:
-            if self.adj_rib_in.withdraw(neighbor.peer_address, prefix) is not None:
-                dirty.append(prefix)
-                if prov is not None:
-                    prov.record_withdraw(prefix, neighbor)
-
-        if update.nlri:
-            for prefix in update.nlri:
-                if prof is not None:
-                    started = perf_counter()
-                    imported = self._import_route(neighbor, prefix, eattrs)
-                    prof.phase("bgp_inbound_filter", perf_counter() - started)
-                else:
-                    imported = self._import_route(neighbor, prefix, eattrs)
-                if imported:
-                    dirty.append(prefix)
-
-        for prefix in dirty:
-            self._run_decision(prefix)
-
-    def process_update_batch(
-        self, neighbor: Neighbor, updates: Sequence[UpdateMessage]
-    ) -> None:
-        """Import a vector of UPDATEs from one peer, amortizing the
-        per-message costs of the sequential path (see the FRR twin,
-        :meth:`repro.frr.daemon.FrrDaemon.process_update_batch`):
-        eattr decode memoized per distinct raw attribute wire, the
-        BGP_INBOUND_FILTER dispatch bound once per batch, decisions
-        (and the bulk encode-cache hits behind them) run once per dirty
-        prefix at batch end.  Final RIB state is identical to the
-        sequential path; transient downstream traffic collapses.
-        """
-        prov = self.provenance
-        prof = self.profiler
-        receive_hot = self.hot_path and not self.vmm.active(
-            InsertionPoint.BGP_RECEIVE_MESSAGE
-        )
-        import_run = self.vmm.runner(InsertionPoint.BGP_INBOUND_FILTER)
-        # A BGP_RECEIVE_MESSAGE extension may rewrite the decoded eattr
-        # list in place, so the decode memo is only sound when that
-        # point is empty.
-        attr_memo: Optional[Dict[bytes, EattrList]] = {} if receive_hot else None
-        dirty: Dict[Prefix, None] = {}  # ordered set
-        if prov is not None:
-            prov.begin_update(
-                neighbor,
-                kind="batch",
-                prefixes=sum(len(u.nlri) for u in updates),
-                withdrawn=sum(len(u.withdrawn) for u in updates),
-            )
-        try:
-            for update in updates:
-                self.stats["messages_received"] += 1
-                if update.is_end_of_rib():
-                    self.stats["eor_received"] += 1
-                    continue
-
-                started = perf_counter() if prof is not None else 0.0
-                wire = update._attrs_wire
-                if attr_memo is not None and wire is not None:
-                    eattrs = attr_memo.get(wire)
-                    if eattrs is None:
-                        eattrs = EattrList.from_wire(update.attributes)
-                        attr_memo[wire] = eattrs
-                else:
-                    eattrs = EattrList.from_wire(update.attributes)
-                if prof is not None:
-                    prof.phase("decode", perf_counter() - started)
-
-                if not receive_hot:
-                    started = perf_counter() if prof is not None else 0.0
-                    ctx = ExecutionContext(
-                        self.host,
-                        InsertionPoint.BGP_RECEIVE_MESSAGE,
-                        neighbor=neighbor,
-                        route=eattrs,
-                        message=update.encode(),
-                    )
-                    self.vmm.run(ctx, lambda: 0)
-                    if prof is not None:
-                        prof.phase("bgp_receive_message", perf_counter() - started)
-
-                for prefix in update.withdrawn:
-                    if self.adj_rib_in.withdraw(neighbor.peer_address, prefix) is not None:
-                        dirty[prefix] = None
-                        if prov is not None:
-                            prov.record_withdraw(prefix, neighbor)
-
-                for prefix in update.nlri:
-                    started = perf_counter() if prof is not None else 0.0
-                    imported = self._import_route(
-                        neighbor, prefix, eattrs, run=import_run
-                    )
-                    if prof is not None:
-                        prof.phase("bgp_inbound_filter", perf_counter() - started)
-                    if imported:
-                        dirty[prefix] = None
-
-            # Bulk export: decisions during a batch defer their sends
-            # into per-peer buffers, flushed as coalesced multi-NLRI
-            # UPDATEs (same attribute blob -> one message).
-            self._bulk_adv = {}
-            self._bulk_wd = {}
-            try:
-                for prefix in dirty:
-                    self._run_decision(prefix)
-            finally:
-                self._flush_bulk_export()
-        finally:
-            if prov is not None:
-                prov.end_update()
-
-    def _import_route(
-        self, neighbor: Neighbor, prefix: Prefix, eattrs: EattrList, run=None
-    ) -> bool:
-        """Run import processing for one NLRI; returns True if RIB changed."""
-        prov = self.provenance
-        if prov is not None:
-            prov.begin_route(prefix, neighbor)
-        route = BirdRoute(prefix, neighbor, eattrs)
-
-        # Mandatory RFC 4271 sanity: AS-path loop detection.
-        if neighbor.is_ebgp() and route.as_path().contains(self.asn):
-            self.stats["loop_rejected"] += 1
-            if prov is not None:
-                prov.record_filter(prefix, "loop_rejected")
-            return self._treat_as_withdraw(neighbor, prefix)
-
-        # Insertion point 2: BGP_INBOUND_FILTER.
-        ctx = ExecutionContext(
-            self.host,
-            InsertionPoint.BGP_INBOUND_FILTER,
-            neighbor=neighbor,
-            route=route,
-            prefix=prefix,
-        )
-        if run is None:
-            run = self.vmm.run
-        verdict = run(ctx, lambda: self._native_import(ctx))
-        route = ctx.route  # may have been rewritten copy-on-write
-
-        if verdict == FILTER_REJECT:
-            self.stats["import_rejected"] += 1
-            if prov is not None:
-                prov.record_filter(prefix, "import_rejected")
-            return self._treat_as_withdraw(neighbor, prefix)
-
-        # Native origin validation (BIRD style: one hash probe chain).
-        # Validity is recorded, never used to discard — §3.4 methodology.
-        if self.roa_table is not None and neighbor.is_ebgp():
-            validity = self.roa_table.validate(prefix, route.origin_asn())
-            route.validity = validity
-            self.validity_counters[RouteOriginValidity(validity).name] += 1
-
-        self.adj_rib_in.update(neighbor.peer_address, route)
-        return True
-
-    def _native_import(self, ctx: ExecutionContext) -> int:
-        """PyBIRD's native import processing (the VMM default)."""
-        route: BirdRoute = ctx.route
-        neighbor = ctx.neighbor
-
-        # Native route-reflection import checks (RFC 4456 §8) only when
-        # the host implements RR itself.
-        if self.route_reflector == "native" and neighbor.is_ibgp():
-            originator = route.attribute(AttrTypeCode.ORIGINATOR_ID)
-            if originator is not None and originator.as_u32() == self.router_id:
-                return FILTER_REJECT
-            cluster_list = route.attribute(AttrTypeCode.CLUSTER_LIST)
-            if cluster_list is not None and self.cluster_id in cluster_list.as_cluster_list():
-                return FILTER_REJECT
-
-        filtered = self.import_chain.evaluate(route, neighbor)
-        if filtered is None:
-            return FILTER_REJECT
-        ctx.route = filtered
-        return FILTER_ACCEPT
-
-    def _treat_as_withdraw(self, neighbor: Neighbor, prefix: Prefix) -> bool:
-        return self.adj_rib_in.withdraw(neighbor.peer_address, prefix) is not None
-
-    def _process_route_refresh(self, neighbor: Neighbor) -> None:
-        """RFC 2918: resend our full Adj-RIB-Out for this peer."""
-        self.stats["route_refresh_received"] += 1
-        for prefix in list(self.loc_rib.prefixes()):
-            self._export_prefix(prefix, only_peers=[neighbor.peer_address])
-        self._send_update(neighbor.peer_address, UpdateMessage.end_of_rib())
-
-    # -- decision process -----------------------------------------------------------
-
-    def _decision_config(self) -> DecisionConfig:
-        metric = self.igp.metric_to if self.igp is not None else None
-        return DecisionConfig(
-            always_compare_med=self.always_compare_med, igp_metric=metric
-        )
-
-    def _select_best(self, candidates: List[BirdRoute]) -> Optional[BirdRoute]:
-        if not candidates:
-            return None
-        config = self._decision_config()
-        prov = self.provenance
-        if self.vmm.attached_codes(InsertionPoint.BGP_DECISION):
-            best = candidates[0]
-            for candidate in candidates[1:]:
-                ctx = ExecutionContext(
-                    self.host,
-                    InsertionPoint.BGP_DECISION,
-                    route=candidate,
-                    best_route=best,
-                    prefix=candidate.prefix,
-                )
-                if prov is None:
-                    native = (
-                        lambda c=candidate, b=best: 1
-                        if compare_routes(c, b, config) < 0
-                        else 2
-                    )
-                    if self.vmm.run(ctx, native) == 1:
-                        best = candidate
-                    continue
-                # When explaining, the native default notes which RFC
-                # 4271 ladder step decided — absent that note, the
-                # verdict came from the extension chain.
-                step_note: Dict[str, str] = {}
-                def native(c=candidate, b=best, note=step_note):
-                    verdict, step = compare_routes_explain(c, b, config)
-                    note["step"] = step
-                    return 1 if verdict < 0 else 2
-                picked_new = self.vmm.run(ctx, native) == 1
-                winner, loser = (
-                    (candidate, best) if picked_new else (best, candidate)
-                )
-                prov.record_elimination(
-                    candidate.prefix,
-                    step_note.get("step", "extension"),
-                    loser,
-                    winner,
-                    by="native" if "step" in step_note else "extension",
-                )
-                if picked_new:
-                    best = candidate
-            return best
-        if prov is not None:
-            if len(candidates) == 1:
-                prov.record_elimination(
-                    candidates[0].prefix, "only_candidate", None, candidates[0]
-                )
-                return candidates[0]
-            prefix = candidates[0].prefix
-            return best_route_explained(
-                candidates,
-                config,
-                on_step=lambda step, eliminated, kept: prov.record_elimination(
-                    prefix, step, eliminated, kept
-                ),
-            )
-        return best_route(candidates, config)
-
-    def _run_decision(self, prefix: Prefix) -> None:
-        candidates = self.adj_rib_in.candidates(prefix)
-        local = self._local_routes.get(prefix)
-        if local is not None:
-            candidates.append(local)
-        prov = self.provenance
-        phase = prov.begin_phase("decision", prefix) if prov is not None else None
-        prof = self.profiler
-        if prof is not None:
-            started = perf_counter()
-            best = self._select_best(candidates)
-            prof.phase("bgp_decision", perf_counter() - started)
-        else:
-            best = self._select_best(candidates)
-        previous = self.loc_rib.lookup(prefix)
-        if best is previous:
-            if phase is not None:
-                prov.end_phase(phase, changed=False)
-            return
-        if best is None:
-            self.loc_rib.remove(prefix)
-        else:
-            self.loc_rib.install(best)
-        if phase is not None:
-            prov.end_phase(phase, changed=True)
-        self._export_prefix(prefix)
-
-    # -- export path ------------------------------------------------------------------
-
-    def _export_prefix(self, prefix: Prefix, only_peers: Optional[List[int]] = None) -> None:
-        prov = self.provenance
-        phase = prov.begin_phase("export", prefix) if prov is not None else None
-        best = self.loc_rib.lookup(prefix)
-        peers = only_peers if only_peers is not None else list(self.neighbors)
-        for address in peers:
-            if not self._established.get(address):
-                continue
-            neighbor = self.neighbors[address]
-            if best is None:
-                self._withdraw_from(neighbor, prefix)
-                continue
-            if best.source is not None and best.source.peer_address == address:
-                # Never advertise a route back to the peer it came from.
-                self._withdraw_from(neighbor, prefix)
-                continue
-            prof = self.profiler
-            if prof is not None:
-                started = perf_counter()
-                export_route = self._export_filter(best, neighbor)
-                prof.phase("bgp_outbound_filter", perf_counter() - started)
-            else:
-                export_route = self._export_filter(best, neighbor)
-            if export_route is None:
-                if prov is not None:
-                    prov.record_export(prefix, address, "suppress")
-                self._withdraw_from(neighbor, prefix)
-                continue
-            export_route = self._apply_export_mechanics(export_route, neighbor)
-            self.adj_rib_out.advertise(address, export_route)
-            self._send_route(neighbor, export_route)
-            if prov is not None:
-                prov.record_export(prefix, address, "advertise")
-        if phase is not None:
-            prov.end_phase(phase)
-
-    def _export_filter(self, route: BirdRoute, neighbor: Neighbor) -> Optional[BirdRoute]:
-        """Insertion point 4: BGP_OUTBOUND_FILTER around native export."""
-        ctx = ExecutionContext(
-            self.host,
-            InsertionPoint.BGP_OUTBOUND_FILTER,
-            neighbor=neighbor,
-            route=route,
-            prefix=route.prefix,
-        )
-        verdict = self.vmm.run(ctx, lambda: self._native_export(ctx))
-        if verdict == FILTER_REJECT:
-            self.stats["export_rejected"] += 1
-            return None
-        return ctx.route
-
-    def _native_export(self, ctx: ExecutionContext) -> int:
-        route: BirdRoute = ctx.route
-        neighbor = ctx.neighbor
-        source = route.source
-
-        if source is not None and source.is_ibgp() and neighbor.is_ibgp():
-            if self.route_reflector == "native":
-                # Reflect client routes to everyone, non-client routes
-                # to clients only (RFC 4456 §6).
-                if not (source.rr_client or neighbor.rr_client):
-                    return FILTER_REJECT
-                reflected = self._stamp_reflection(route)
-                ctx.route = reflected
-                route = reflected
-            elif self.route_reflector == "extension":
-                # Host is RR-unaware: relaxed split horizon; the
-                # extension outbound code is responsible for loop
-                # prevention and attribute stamping.
-                pass
-            else:
-                return FILTER_REJECT  # classic iBGP split horizon
-
-        communities = route.attribute(AttrTypeCode.COMMUNITIES)
-        if communities is not None:
-            values = communities.as_communities()
-            if WellKnownCommunity.NO_ADVERTISE in values:
-                return FILTER_REJECT
-            if WellKnownCommunity.NO_EXPORT in values and neighbor.is_ebgp():
-                return FILTER_REJECT
-
-        filtered = self.export_chain.evaluate(route, neighbor)
-        if filtered is None:
-            return FILTER_REJECT
-        ctx.route = filtered
-        return FILTER_ACCEPT
+    route_class = BirdRoute
+    host_class = BirdHost
+
+    def _decode_attrs(self, attributes: Sequence[PathAttribute]) -> EattrList:
+        return EattrList.from_wire(attributes)
 
     def _stamp_reflection(self, route: BirdRoute) -> BirdRoute:
-        """Native RFC 4456 attribute stamping (ORIGINATOR_ID, CLUSTER_LIST)."""
         eattrs = route.eattrs.copy()
         if AttrTypeCode.ORIGINATOR_ID not in eattrs:
             originator = route.source.peer_router_id if route.source else self.router_id
@@ -822,39 +63,9 @@ class BirdDaemon:
         eattrs.ea_set(attr.type_code, attr.flags, attr.value)
         return route.with_eattrs(eattrs)
 
-    def _apply_export_mechanics(self, route: BirdRoute, neighbor: Neighbor) -> BirdRoute:
-        """AS-path prepend / next-hop / LOCAL_PREF handling per session type.
-
-        The rewrite is a pure function of (attribute set, session type,
-        whether the source is eBGP, nexthop_self); heavy attribute
-        sharing means it repeats across thousands of routes, so the hot
-        path memoises the rewritten eattr list and each route gets a
-        copy (eattr lists are mutable, so the cached master is never
-        handed out directly).
-        """
-        source_ebgp = route.source is not None and route.source.is_ebgp()
-        if self.hot_path:
-            key = (
-                route.eattrs.cache_key(),
-                int(neighbor.session_type),
-                source_ebgp,
-                self.nexthop_self,
-            )
-            cache = self._mechanics_cache
-            rewritten = cache.get(key)
-            if rewritten is None:
-                rewritten = self._export_mechanics_eattrs(route, neighbor, source_ebgp)
-                if len(cache) >= 65536:  # fits a full-table shard's distinct sets
-                    cache.clear()
-                cache[key] = rewritten
-            return route.with_eattrs(rewritten.copy())
-        return route.with_eattrs(
-            self._export_mechanics_eattrs(route, neighbor, source_ebgp)
-        )
-
-    def _export_mechanics_eattrs(
+    def _export_rewrite(
         self, route: BirdRoute, neighbor: Neighbor, source_ebgp: bool
-    ):
+    ) -> EattrList:
         eattrs = route.eattrs.copy()
         if neighbor.is_ebgp():
             path = route.as_path().prepend(self.asn)
@@ -868,150 +79,14 @@ class BirdDaemon:
             if AttrTypeCode.LOCAL_PREF not in eattrs:
                 local_pref = PathAttribute(0x40, AttrTypeCode.LOCAL_PREF, struct.pack("!I", 100))
                 eattrs.ea_set(local_pref.type_code, local_pref.flags, local_pref.value)
-            if self.nexthop_self and route.source is not None and route.source.is_ebgp():
+            if self.nexthop_self and source_ebgp:
                 next_hop = make_next_hop(self.local_address)
                 eattrs.ea_set(next_hop.type_code, next_hop.flags, next_hop.value)
         return eattrs
 
-    # -- encoding -----------------------------------------------------------------------
-
-    def _encode_attributes(self, route: BirdRoute, neighbor: Neighbor) -> bytes:
-        """Native attr encoding plus BGP_ENCODE_MESSAGE extension bytes.
-
-        Memoised on (attribute set, peer export class): re-advertising
-        the same attributes to N peers of the same class encodes once.
-        Constraint: BGP_ENCODE_MESSAGE extensions must be deterministic
-        in (attribute set, peer class) — true for the shipped GeoLoc
-        encoder and anything derived only from route attributes and peer
-        info.
-        """
-        cache = None
-        if self.hot_path:
-            key = (
-                route.eattrs.cache_key(),
-                int(neighbor.session_type),
-                neighbor.rr_client,
-            )
-            cache = self._encode_cache
-            blob = cache.get(key)
-            if blob is not None:
-                return blob
-
-        native = b"".join(
-            eattr.to_path_attribute().encode()
-            for eattr in route.eattrs
-            if eattr.code in NATIVE_ENCODABLE
-        )
-        if not self.hot_path or self.vmm.active(InsertionPoint.BGP_ENCODE_MESSAGE):
-            out_buffer = bytearray()
-            ctx = ExecutionContext(
-                self.host,
-                InsertionPoint.BGP_ENCODE_MESSAGE,
-                neighbor=neighbor,
-                route=route,
-                prefix=route.prefix,
-                out_buffer=out_buffer,
-            )
-            self.vmm.run(ctx, lambda: 0)
-            blob = native + bytes(out_buffer)
-        else:
-            blob = native
-        if cache is not None:
-            if len(cache) >= 65536:  # fits a full-table shard's distinct sets
-                cache.clear()
-            cache[key] = blob
-        return blob
-
-    #: Batch-scoped bulk-export buffers; non-None only while a
-    #: process_update_batch decision sweep runs.
-    _bulk_adv: Optional[Dict[int, Dict[bytes, List[Prefix]]]] = None
-    _bulk_wd: Optional[Dict[int, List[Prefix]]] = None
-
-    def _send_route(self, neighbor: Neighbor, route: BirdRoute) -> None:
-        prof = self.profiler
-        if prof is not None:
-            started = perf_counter()
-            attrs_blob = self._encode_attributes(route, neighbor)
-            prof.phase("bgp_encode_message", perf_counter() - started)
-        else:
-            attrs_blob = self._encode_attributes(route, neighbor)
-        bulk = self._bulk_adv
-        if bulk is not None:
-            groups = bulk.setdefault(neighbor.peer_address, {})
-            groups.setdefault(attrs_blob, []).append(route.prefix)
-            return
-        body = (
-            struct.pack("!H", 0)
-            + struct.pack("!H", len(attrs_blob))
-            + attrs_blob
-            + route.prefix.encode()
-        )
-        from ..bgp.messages import encode_header
-        from ..bgp.constants import MessageType
-
-        self._send_raw(neighbor.peer_address, encode_header(MessageType.UPDATE, body))
-        self.stats["updates_sent"] += 1
-
-    def _withdraw_from(self, neighbor: Neighbor, prefix: Prefix) -> None:
-        if self.adj_rib_out.withdraw(neighbor.peer_address, prefix) is None:
-            return
-        if self.provenance is not None:
-            self.provenance.record_export(prefix, neighbor.peer_address, "withdraw")
-        bulk = self._bulk_wd
-        if bulk is not None:
-            bulk.setdefault(neighbor.peer_address, []).append(prefix)
-            return
-        update = UpdateMessage(withdrawn=[prefix])
-        self._send_update(neighbor.peer_address, update)
-
-    def _flush_bulk_export(self) -> None:
-        """Emit the sends deferred by a batch decision sweep.
-
-        Same coalescing as the FRR host: one UPDATE per distinct
-        encoded attribute blob per peer, chunked to the 4096-byte wire
-        ceiling; withdrawals likewise.
-        """
-        from ..bgp.constants import MessageType
-        from ..bgp.messages import encode_header
-
-        adv, wd = self._bulk_adv, self._bulk_wd
-        self._bulk_adv = None
-        self._bulk_wd = None
-        for peer_address, prefixes in (wd or {}).items():
-            for start in range(0, len(prefixes), 512):
-                self._send_update(
-                    peer_address,
-                    UpdateMessage(withdrawn=prefixes[start : start + 512]),
-                )
-        for peer_address, groups in (adv or {}).items():
-            for blob, prefixes in groups.items():
-                head = struct.pack("!HH", 0, len(blob)) + blob
-                room = max(1, (4096 - 19 - len(head)) // 5)
-                for start in range(0, len(prefixes), room):
-                    nlri = b"".join(
-                        prefix.encode() for prefix in prefixes[start : start + room]
-                    )
-                    self._send_raw(
-                        peer_address, encode_header(MessageType.UPDATE, head + nlri)
-                    )
-                    self.stats["updates_sent"] += 1
-
-    def _send_update(self, peer_address: int, update: UpdateMessage) -> None:
-        self._send_raw(peer_address, update.encode())
-        self.stats["updates_sent"] += 1
-
-    def _send_raw(self, peer_address: int, data: bytes) -> None:
-        send_fn = self._send_fns.get(peer_address)
-        if send_fn is not None:
-            send_fn(data)
-
-    # -- introspection ----------------------------------------------------------------
-
-    def loc_rib_snapshot(self) -> Dict[Prefix, List[PathAttribute]]:
-        """Prefix -> neutral attribute list, for cross-host equivalence tests."""
-        return {
-            route.prefix: sorted(
-                route.attribute_list(), key=lambda a: a.type_code
-            )
-            for route in self.loc_rib.routes()
-        }
+    def _with_export_attrs(
+        self, route: BirdRoute, eattrs: EattrList, cached: bool
+    ) -> BirdRoute:
+        # Eattr lists are mutable, so the cached master is never handed
+        # out directly: each route gets its own copy.
+        return route.with_eattrs(eattrs.copy() if cached else eattrs)

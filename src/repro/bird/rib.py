@@ -120,10 +120,10 @@ class BirdRoute(RouteView):
     def origin_asn(self) -> int:
         return self.as_path().origin_asn()
 
-    def story_key(self):
-        # The eattr list already memoises a hashable identity for the
-        # encode cache; reuse it instead of converting to wire form.
-        return (self.peer_address(), self.eattrs.cache_key())
+    def attrs_key(self):
+        # The eattr list already memoises a hashable identity; reuse it
+        # instead of converting to wire form.
+        return self.eattrs.cache_key()
 
     def __repr__(self) -> str:
         return f"BirdRoute({self.prefix}, from={self.source!r})"

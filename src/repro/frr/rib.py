@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..bgp.aspath import AsPath, AsPathSegment
 from ..bgp.attributes import PathAttribute
@@ -101,10 +101,19 @@ class FrrRoute(RouteView):
     def path_contains(self, asn: int) -> bool:
         return any(asn in asns for _, asns in self.attrs.as_path)
 
-    def story_key(self):
+    def originator_id(self) -> Optional[int]:
+        return self.attrs.originator_id
+
+    def cluster_list(self) -> Tuple[int, ...]:
+        return self.attrs.cluster_list or ()
+
+    def communities(self):
+        return self.attrs.communities or ()
+
+    def attrs_key(self):
         # FrrAttrs is interned and hashable; no need to re-serialize
         # the attribute set the way the generic RouteView key does.
-        return (self.peer_address(), self.attrs)
+        return self.attrs
 
     def __repr__(self) -> str:
         return f"FrrRoute({self.prefix}, from={self.source!r})"

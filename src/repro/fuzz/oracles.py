@@ -12,14 +12,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bgp.messages import UpdateMessage, decode_message, split_stream
-from ..bgp.prefix import parse_ipv4
 from ..core.vmm import VmmConfig
 from ..ebpf.helpers import HelperError, HelperTable
 from ..ebpf.isa import decode_program
 from ..ebpf.memory import SandboxViolation, VmMemory
 from ..ebpf.vm import ExecutionError, VirtualMachine
 from ..plugins import geoloc, origin_validation, route_reflector
-from ..sim.harness import DAEMONS, Collector
+from ..sim.harness import DAEMONS, Collector, wire_dut
 from .gen import FUZZ_HELPER_IDS, HALLOC_BLOCK, CodecCase, EngineCase, HostCase
 
 __all__ = [
@@ -34,7 +33,6 @@ _M64 = (1 << 64) - 1
 
 _UPSTREAM = "10.0.1.2"
 _DUT = "10.0.0.1"
-_DOWNSTREAM = "10.0.2.2"
 
 
 class Divergence:
@@ -411,15 +409,12 @@ def _wire_host_daemon(case: HostCase, daemon):
         downstream_bytes.append(data)
         collector.receive(data)
 
-    ibgp = case.session == "ibgp"
-    upstream = daemon.add_neighbor(_UPSTREAM, 65001 if ibgp else 65100, lambda data: None)
-    downstream = daemon.add_neighbor(_DOWNSTREAM, 65001 if ibgp else 65200, downstream_send)
-    if case.plugin == "route_reflector":
-        upstream.rr_client = True
-        downstream.rr_client = True
-    for address in (_UPSTREAM, _DOWNSTREAM):
-        daemon._established[parse_ipv4(address)] = True
-        daemon.neighbors[parse_ipv4(address)].established = True
+    upstream, downstream = wire_dut(
+        daemon,
+        downstream_send,
+        ibgp=case.session == "ibgp",
+        rr_clients=case.plugin == "route_reflector",
+    )
     return {"upstream": upstream, "downstream": downstream}, collector, downstream_bytes
 
 

@@ -55,7 +55,6 @@ __all__ = [
 
 _UPSTREAM = "10.0.1.2"
 _DUT = "10.0.0.1"
-_DOWNSTREAM = "10.0.2.2"
 
 #: Features a scale daemon knows how to wire, mapping to the five paper
 #: plugins plus the bare pipeline.
@@ -209,8 +208,6 @@ def build_scale_daemon(config: Dict[str, object]):
     :class:`~repro.sim.harness.ConvergenceHarness`, extended to all
     five paper plugins.
     """
-    from ..bird.daemon import BirdDaemon
-    from ..frr.daemon import FrrDaemon
     from ..plugins import (
         closest_exit,
         faulty,
@@ -219,8 +216,8 @@ def build_scale_daemon(config: Dict[str, object]):
         route_reflector,
         valley_free,
     )
+    from ..sim.harness import DAEMONS, wire_dut
 
-    daemons = {"frr": FrrDaemon, "bird": BirdDaemon}
     implementation = str(config["implementation"])
     feature = str(config.get("feature", "plain"))
     mode = str(config.get("mode", "native"))
@@ -261,7 +258,7 @@ def build_scale_daemon(config: Dict[str, object]):
     if feature in ("geoloc", "closest_exit"):
         latitude, longitude = coord if coord is not None else (50.85, 4.35)
         kwargs["xtra"] = {"coord": geoloc.coord_bytes(latitude, longitude)}
-    daemon = daemons[implementation](**kwargs)
+    daemon = DAEMONS[implementation](**kwargs)
 
     if mode == "extension" or feature in ("valley_free", "geoloc", "closest_exit"):
         if feature == "route_reflection":
@@ -287,16 +284,8 @@ def build_scale_daemon(config: Dict[str, object]):
         daemon.attach_manifest(faulty.build_manifest())
 
     collector = _Collector()
-    session_asn = 65001 if feature == "route_reflection" else 65100
-    downstream_asn = 65001 if feature == "route_reflection" else 65200
-    upstream = daemon.add_neighbor(_UPSTREAM, session_asn, lambda data: None)
-    downstream = daemon.add_neighbor(_DOWNSTREAM, downstream_asn, collector.receive)
-    if feature == "route_reflection":
-        upstream.rr_client = True
-        downstream.rr_client = True
-    for address in (_UPSTREAM, _DOWNSTREAM):
-        daemon._established[parse_ipv4(address)] = True
-        daemon.neighbors[parse_ipv4(address)].established = True
+    reflecting = feature == "route_reflection"
+    wire_dut(daemon, collector.receive, ibgp=reflecting, rr_clients=reflecting)
     return daemon, collector
 
 

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..bird.daemon import BirdDaemon
-from ..frr.daemon import FrrDaemon
 from ..plugins import valley_free
+from .harness import DAEMONS
 from .network import Network
 
 __all__ = ["build_clos", "CLOS_LINKS", "UNIQUE_AS", "SAME_AS", "up_edges"]
@@ -117,12 +116,9 @@ def build_clos(config: str = "xbgp", implementation: str = "bird") -> Network:
 
     names = list(UNIQUE_AS)
     for index, name in enumerate(names):
-        if implementation == "mixed":
-            daemon_cls = FrrDaemon if index % 2 == 0 else BirdDaemon
-        else:
-            daemon_cls = FrrDaemon if implementation == "frr" else BirdDaemon
+        host = ("frr", "bird")[index % 2] if implementation == "mixed" else implementation
         router_id = f"10.99.{index + 1}.1"
-        daemon = daemon_cls(asn=as_map[name], router_id=router_id)
+        daemon = DAEMONS[host](asn=as_map[name], router_id=router_id)
         network.add_router(name, daemon)
 
     if config == "xbgp":

@@ -32,13 +32,32 @@ __all__ = [
     "ConvergenceHarness",
     "DAEMONS",
     "build_explain_scenario",
+    "wire_dut",
 ]
 
+#: The one host registry: implementation name -> daemon class.
 DAEMONS = {"frr": FrrDaemon, "bird": BirdDaemon}
 
 _UPSTREAM = "10.0.1.2"
 _DUT = "10.0.0.1"
 _DOWNSTREAM = "10.0.2.2"
+
+
+def wire_dut(dut, downstream_send: Callable[[bytes], None], ibgp: bool, rr_clients: bool):
+    """Attach the Fig. 3 peers to ``dut``: a silent upstream and a
+    downstream delivering to ``downstream_send``, both forced
+    Established (no OPEN exchange, no initial table dump).  Returns
+    ``(upstream, downstream)``."""
+    upstream = dut.add_neighbor(
+        _UPSTREAM, 65001 if ibgp else 65100, lambda data: None, rr_client=rr_clients
+    )
+    downstream = dut.add_neighbor(
+        _DOWNSTREAM, 65001 if ibgp else 65200, downstream_send, rr_client=rr_clients
+    )
+    for neighbor in (upstream, downstream):
+        dut._established[neighbor.peer_address] = True
+        neighbor.established = True
+    return upstream, downstream
 
 
 class Collector:
@@ -194,7 +213,8 @@ class ConvergenceHarness:
             self._max_prefixes_per_update = max_prefixes_per_update
         else:
             self.dut = self._build_dut()
-            self._wire()
+            reflecting = feature == "route_reflection"
+            wire_dut(self.dut, self.collector.receive, ibgp=reflecting, rr_clients=reflecting)
             self.feed = self._build_feed(max_prefixes_per_update)
             if events is not None and self.dut.vmm.telemetry is not None:
                 # Breaker transitions become schema'd quarantine events.
@@ -247,20 +267,6 @@ class ConvergenceHarness:
 
             dut.attach_manifest(faulty.build_manifest())
         return dut
-
-    def _wire(self) -> None:
-        session_asn = 65001 if self.feature == "route_reflection" else 65100
-        downstream_asn = 65001 if self.feature == "route_reflection" else 65200
-        upstream = self.dut.add_neighbor(_UPSTREAM, session_asn, lambda data: None)
-        downstream = self.dut.add_neighbor(
-            _DOWNSTREAM, downstream_asn, self.collector.receive
-        )
-        if self.feature == "route_reflection":
-            upstream.rr_client = True
-            downstream.rr_client = True
-        for address in (_UPSTREAM, _DOWNSTREAM):
-            self.dut._established[parse_ipv4(address)] = True
-            self.dut.neighbors[parse_ipv4(address)].established = True
 
     def _build_feed(self, max_prefixes_per_update: int) -> List[bytes]:
         """Pre-encode the upstream's UPDATE stream (constant cost)."""

@@ -18,8 +18,7 @@ import weakref
 import pytest
 
 from repro.bgp.prefix import format_ipv4
-from repro.bird import BirdDaemon
-from repro.frr import FrrDaemon
+from repro.bgp.speaker import BgpSpeaker
 
 #: Daemons constructed since the current test started (weak: a daemon
 #: the test dropped and the GC collected is of no forensic interest).
@@ -27,15 +26,14 @@ _LIVE = weakref.WeakSet()
 
 
 def _register_daemon_constructions() -> None:
-    for cls in (FrrDaemon, BirdDaemon):
-        original = cls.__init__
+    original = BgpSpeaker.__init__
 
-        def wrapped(self, *args, _original=original, **kwargs):
-            _original(self, *args, **kwargs)
-            _LIVE.add(self)
+    def wrapped(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        _LIVE.add(self)
 
-        wrapped.__wrapped__ = original
-        cls.__init__ = wrapped
+    wrapped.__wrapped__ = original
+    BgpSpeaker.__init__ = wrapped
 
 
 _register_daemon_constructions()

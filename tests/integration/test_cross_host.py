@@ -109,3 +109,55 @@ class TestSameBytecodeSameState:
             exported.append(len(sent))
             assert daemon.stats["export_rejected"] == 50
         assert exported[0] == exported[1]
+
+
+class TestNativePropagation:
+    def test_large_communities_propagate_on_both_hosts(self):
+        # RFC 8092: LARGE_COMMUNITIES is optional transitive, so a
+        # speaker that does not act on it still re-advertises it.
+        from repro.bgp import Prefix
+        from repro.bgp.aspath import AsPath
+        from repro.bgp.attributes import (
+            PathAttribute,
+            make_as_path,
+            make_next_hop,
+            make_origin,
+        )
+        from repro.bgp.communities import LargeCommunity, encode_large_communities
+        from repro.bgp.constants import AttrTypeCode, Origin
+        from repro.bgp.messages import UpdateMessage, split_stream
+
+        large = PathAttribute(
+            0xC0,
+            AttrTypeCode.LARGE_COMMUNITIES,
+            encode_large_communities([LargeCommunity(65100, 1, 2)]),
+        )
+        frame = UpdateMessage(
+            attributes=[
+                make_origin(Origin.IGP),
+                make_as_path(AsPath.from_sequence((65100,))),
+                make_next_hop(parse_ipv4("10.0.0.9")),
+                large,
+            ],
+            nlri=[Prefix.parse("203.0.113.0/24")],
+        ).encode()
+        exported = []
+        for cls in (FrrDaemon, BirdDaemon):
+            daemon = cls(asn=65001, router_id="1.1.1.1")
+            sent = []
+            for address, asn, send in (
+                ("10.0.0.9", 65100, lambda data: None),
+                ("10.0.0.5", 65500, sent.append),
+            ):
+                daemon.add_neighbor(address, asn, send)
+                daemon.session_up(address)
+            daemon.receive_raw("10.0.0.9", frame)
+            (advert,) = [
+                message
+                for message in split_stream(bytearray(b"".join(sent)))
+                if isinstance(message, UpdateMessage) and message.nlri
+            ]
+            exported.append([(a.type_code, a.flags, a.value) for a in advert.attributes])
+        assert exported[0] == exported[1]
+        assert [code for code, _, _ in exported[0]] == [1, 2, 3, 32]
+        assert (large.type_code, large.flags, large.value) in exported[0]

@@ -106,6 +106,20 @@ class TestImport:
         daemon.receive_message("99.99.99.99", ebgp_update())
         assert daemon.stats["unknown_peer"] == 1
 
+    def test_session_flap_drops_partial_message(self, daemon_cls):
+        # The bytes of a message cut off by a session reset belong to
+        # the dead TCP stream; they must not prefix the next one.
+        daemon = make_daemon(daemon_cls)
+        daemon.add_neighbor("10.0.0.9", 65100, lambda data: None)
+        daemon.session_up("10.0.0.9")
+        frame = ebgp_update().encode()
+        daemon.receive_raw("10.0.0.9", frame[:10])
+        daemon.session_down("10.0.0.9")
+        daemon.session_up("10.0.0.9")
+        daemon.receive_raw("10.0.0.9", frame)
+        assert daemon.stats["messages_received"] == 1
+        assert daemon.loc_rib.lookup(PREFIX) is not None
+
 
 class TestExport:
     def test_ebgp_export_prepends_and_rewrites_nexthop(self, daemon_cls):
