@@ -20,13 +20,21 @@ class AsPathDecodeError(ValueError):
     """Raised for malformed AS_PATH wire bytes."""
 
 
+#: Segment type byte → enum member, built from the enum once at import:
+#: the per-segment loops look a type up instead of calling the enum.
+_SEGMENT_TYPES = {int(kind): kind for kind in AsPathSegmentType}
+
+
 class AsPathSegment:
     """One AS_PATH segment: a type plus an ordered tuple of AS numbers."""
 
     __slots__ = ("kind", "asns")
 
     def __init__(self, kind: AsPathSegmentType, asns: Iterable[int]):
-        self.kind = AsPathSegmentType(kind)
+        segment_type = _SEGMENT_TYPES.get(kind)
+        if segment_type is None:
+            raise ValueError(f"{kind!r} is not a valid AsPathSegmentType")
+        self.kind = segment_type
         self.asns: Tuple[int, ...] = tuple(int(a) for a in asns)
         for asn in self.asns:
             if not 0 <= asn <= 0xFFFFFFFF:
@@ -156,10 +164,9 @@ class AsPath:
         while offset < len(data):
             if offset + 2 > len(data):
                 raise AsPathDecodeError("truncated segment header")
-            try:
-                kind = AsPathSegmentType(data[offset])
-            except ValueError as exc:
-                raise AsPathDecodeError(f"bad segment type {data[offset]}") from exc
+            kind = _SEGMENT_TYPES.get(data[offset])
+            if kind is None:
+                raise AsPathDecodeError(f"bad segment type {data[offset]}")
             count = data[offset + 1]
             offset += 2
             end = offset + count * size

@@ -50,20 +50,28 @@ class AttributeDecodeError(ValueError):
     """Raised for malformed path attribute wire bytes."""
 
 
+#: Flag octets as plain ints, computed from the enums once at import:
+#: the codec's per-attribute loops never build an ``IntFlag`` member.
 _WELL_KNOWN_FLAGS: Dict[int, int] = {
-    AttrTypeCode.ORIGIN: AttrFlag.TRANSITIVE,
-    AttrTypeCode.AS_PATH: AttrFlag.TRANSITIVE,
-    AttrTypeCode.NEXT_HOP: AttrFlag.TRANSITIVE,
-    AttrTypeCode.MULTI_EXIT_DISC: AttrFlag.OPTIONAL,
-    AttrTypeCode.LOCAL_PREF: AttrFlag.TRANSITIVE,
-    AttrTypeCode.ATOMIC_AGGREGATE: AttrFlag.TRANSITIVE,
-    AttrTypeCode.AGGREGATOR: AttrFlag.OPTIONAL | AttrFlag.TRANSITIVE,
-    AttrTypeCode.COMMUNITIES: AttrFlag.OPTIONAL | AttrFlag.TRANSITIVE,
-    AttrTypeCode.ORIGINATOR_ID: AttrFlag.OPTIONAL,
-    AttrTypeCode.CLUSTER_LIST: AttrFlag.OPTIONAL,
-    AttrTypeCode.LARGE_COMMUNITIES: AttrFlag.OPTIONAL | AttrFlag.TRANSITIVE,
-    AttrTypeCode.GEOLOC: AttrFlag.OPTIONAL | AttrFlag.TRANSITIVE,
+    int(code): int(flags)
+    for code, flags in (
+        (AttrTypeCode.ORIGIN, AttrFlag.TRANSITIVE),
+        (AttrTypeCode.AS_PATH, AttrFlag.TRANSITIVE),
+        (AttrTypeCode.NEXT_HOP, AttrFlag.TRANSITIVE),
+        (AttrTypeCode.MULTI_EXIT_DISC, AttrFlag.OPTIONAL),
+        (AttrTypeCode.LOCAL_PREF, AttrFlag.TRANSITIVE),
+        (AttrTypeCode.ATOMIC_AGGREGATE, AttrFlag.TRANSITIVE),
+        (AttrTypeCode.AGGREGATOR, AttrFlag.OPTIONAL | AttrFlag.TRANSITIVE),
+        (AttrTypeCode.COMMUNITIES, AttrFlag.OPTIONAL | AttrFlag.TRANSITIVE),
+        (AttrTypeCode.ORIGINATOR_ID, AttrFlag.OPTIONAL),
+        (AttrTypeCode.CLUSTER_LIST, AttrFlag.OPTIONAL),
+        (AttrTypeCode.LARGE_COMMUNITIES, AttrFlag.OPTIONAL | AttrFlag.TRANSITIVE),
+        (AttrTypeCode.GEOLOC, AttrFlag.OPTIONAL | AttrFlag.TRANSITIVE),
+    )
 }
+#: Flags of an attribute code the table does not know.
+_UNKNOWN_FLAGS = int(AttrFlag.OPTIONAL | AttrFlag.TRANSITIVE)
+_EXTENDED_LENGTH = int(AttrFlag.EXTENDED_LENGTH)
 
 
 class PathAttribute:
@@ -164,7 +172,7 @@ def decode_attributes(data: bytes) -> List[PathAttribute]:
         flags = data[offset]
         type_code = data[offset + 1]
         offset += 2
-        if flags & AttrFlag.EXTENDED_LENGTH:
+        if flags & _EXTENDED_LENGTH:
             if offset + 2 > len(data):
                 raise AttributeDecodeError("truncated extended length")
             (length,) = struct.unpack_from("!H", data, offset)
@@ -195,8 +203,8 @@ def encode_attributes(attributes: Iterable[PathAttribute]) -> bytes:
 # -- constructors for known attributes --------------------------------
 
 
-def _flags_for(code: AttrTypeCode) -> int:
-    return int(_WELL_KNOWN_FLAGS.get(code, AttrFlag.OPTIONAL | AttrFlag.TRANSITIVE))
+def _flags_for(code: int) -> int:
+    return _WELL_KNOWN_FLAGS.get(code, _UNKNOWN_FLAGS)
 
 
 def make_origin(origin: Origin) -> PathAttribute:

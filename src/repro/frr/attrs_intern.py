@@ -29,7 +29,7 @@ from ..bgp.attributes import (
     make_origin,
     make_originator_id,
 )
-from ..bgp.constants import AsPathSegmentType, AttrFlag, AttrTypeCode, Origin
+from ..bgp.constants import AttrTypeCode, Origin
 
 __all__ = ["FrrAttrs", "AttrPool"]
 
@@ -131,27 +131,6 @@ class FrrAttrs:
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):
-        # Pickle only the eleven constructor fields: the derived key,
-        # hash and marshalling caches are rebuilt on unpickle, so a
-        # shipped intern table re-interns cleanly inside shard workers.
-        return (
-            FrrAttrs,
-            (
-                self.origin,
-                self.as_path,
-                self.next_hop,
-                self.med,
-                self.local_pref,
-                self.atomic_aggregate,
-                self.aggregator,
-                self.communities,
-                self.originator_id,
-                self.cluster_list,
-                self.extra,
-            ),
-        )
-
     # -- conversion: wire (neutral) -> host ------------------------------
 
     @classmethod
@@ -204,10 +183,7 @@ class FrrAttrs:
         if self.origin is not None:
             out.append(make_origin(Origin(self.origin)))
         if self.as_path or self.origin is not None:
-            segments = [
-                AsPathSegment(AsPathSegmentType(kind), asns)
-                for kind, asns in self.as_path
-            ]
+            segments = [AsPathSegment(kind, asns) for kind, asns in self.as_path]
             out.append(make_as_path(AsPath(segments)))
         if self.next_hop is not None:
             out.append(make_next_hop(self.next_hop))
@@ -246,10 +222,7 @@ class FrrAttrs:
         if code == AttrTypeCode.AS_PATH:
             if not self.as_path and self.origin is None:
                 return None
-            segments = [
-                AsPathSegment(AsPathSegmentType(kind), asns)
-                for kind, asns in self.as_path
-            ]
+            segments = [AsPathSegment(kind, asns) for kind, asns in self.as_path]
             return make_as_path(AsPath(segments))
         if code == AttrTypeCode.NEXT_HOP:
             return make_next_hop(self.next_hop) if self.next_hop is not None else None

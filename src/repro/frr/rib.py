@@ -55,10 +55,7 @@ class FrrRoute(RouteView):
         return value if value is not None else 100
 
     def as_path(self) -> AsPath:
-        return AsPath(
-            AsPathSegment(AsPathSegmentType(kind), asns)
-            for kind, asns in self.attrs.as_path
-        )
+        return AsPath(AsPathSegment(kind, asns) for kind, asns in self.attrs.as_path)
 
     def as_path_length(self) -> int:
         length = 0

@@ -9,6 +9,13 @@ a user drops in is equally loadable.
 
 Implemented records: PEER_INDEX_TABLE (subtype 1) and RIB_IPV4_UNICAST
 (subtype 2) of type 13 (TABLE_DUMP_V2).
+
+One walker, :func:`_rib_rows`, reads RIB records and hands attribute
+blocks out undecoded; :func:`read_table` decodes every block, the
+``repro.workload.mrt_io`` bridge each distinct one.  Error contract: a
+malformed record (truncated header, entry count or attribute length
+past the payload, bad prefix length, block cut mid-attribute) is an
+:class:`MrtError` naming its sequence number; none of it is returned.
 """
 
 from __future__ import annotations
@@ -16,8 +23,13 @@ from __future__ import annotations
 import struct
 from typing import BinaryIO, Iterator, List, NamedTuple, Sequence, Tuple
 
-from ..bgp.attributes import PathAttribute, decode_attributes, encode_attributes
-from ..bgp.prefix import Prefix
+from ..bgp.attributes import (
+    AttributeDecodeError,
+    PathAttribute,
+    decode_attributes,
+    encode_attributes,
+)
+from ..bgp.prefix import Prefix, PrefixDecodeError
 
 __all__ = [
     "MrtError",
@@ -36,6 +48,8 @@ PEER_INDEX_TABLE = 1
 RIB_IPV4_UNICAST = 2
 
 _HEADER = struct.Struct("!IHHI")
+#: RIB entry header: peer index, originated time, attribute length.
+_RIB_ENTRY = struct.Struct("!HIH")
 
 
 class MrtError(ValueError):
@@ -137,19 +151,62 @@ def _encode_rib_entry(sequence: int, entry: RibEntry) -> bytes:
     )
 
 
-def _decode_rib(payload: bytes) -> List[RibEntry]:
-    (sequence,) = struct.unpack_from("!I", payload)
-    prefix, offset = Prefix.decode(payload, 4)
-    (count,) = struct.unpack_from("!H", payload, offset)
+def _rib_rows(payload: bytes) -> Tuple[int, List[Tuple[Prefix, int, int, bytes]]]:
+    """Walk one RIB_IPV4_UNICAST payload without decoding attributes.
+
+    Returns the record's sequence number and one ``(prefix, peer_index,
+    originated, attribute block bytes)`` row per RIB entry.  Every field
+    is checked against the payload before it is read, so a malformed
+    record raises :class:`MrtError` and contributes no row; a returned
+    block is always exactly the ``attr_length`` bytes the entry claims.
+    """
+    size = len(payload)
+    if size < 4:
+        raise MrtError("RIB record too short for its sequence number")
+    sequence = int.from_bytes(payload[:4], "big")
+    try:
+        prefix, offset = Prefix.decode(payload, 4)
+    except PrefixDecodeError as exc:
+        raise MrtError(f"RIB record {sequence}: {exc}") from exc
+    if offset + 2 > size:
+        raise MrtError(f"RIB record {sequence}: truncated entry count")
+    count = (payload[offset] << 8) | payload[offset + 1]
     offset += 2
-    entries: List[RibEntry] = []
+    rows: List[Tuple[Prefix, int, int, bytes]] = []
     for _ in range(count):
-        peer_index, originated, attr_length = struct.unpack_from("!HIH", payload, offset)
-        offset += 8
-        attrs = decode_attributes(payload[offset : offset + attr_length])
-        offset += attr_length
-        entries.append(RibEntry(prefix, peer_index, originated, tuple(attrs)))
-    return entries
+        if offset + _RIB_ENTRY.size > size:
+            raise MrtError(
+                f"RIB record {sequence}: {count} entries claimed, "
+                f"entry {len(rows)} header runs past the record"
+            )
+        peer_index, originated, attr_length = _RIB_ENTRY.unpack_from(payload, offset)
+        offset += _RIB_ENTRY.size
+        end = offset + attr_length
+        if end > size:
+            raise MrtError(
+                f"RIB record {sequence}: attribute block of {attr_length} "
+                f"bytes runs past the record"
+            )
+        rows.append((prefix, peer_index, originated, payload[offset:end]))
+        offset = end
+    return sequence, rows
+
+
+def _decode_block(sequence: int, block: bytes) -> Tuple[PathAttribute, ...]:
+    """Decode one entry's attribute block; malformed bytes are the
+    record's fault, so they surface as :class:`MrtError`."""
+    try:
+        return tuple(decode_attributes(block))
+    except AttributeDecodeError as exc:
+        raise MrtError(f"RIB record {sequence}: {exc}") from exc
+
+
+def _decode_rib(payload: bytes) -> List[RibEntry]:
+    sequence, rows = _rib_rows(payload)
+    return [
+        RibEntry(prefix, peer_index, originated, _decode_block(sequence, block))
+        for prefix, peer_index, originated, block in rows
+    ]
 
 
 def write_table(

@@ -10,10 +10,8 @@ scope:
   the export side).
 * :class:`ShardedReplay` — partitions a route workload across
   ``multiprocessing`` workers by prefix range (a
-  :class:`~repro.bgp.trie.PrefixTrie`-backed :class:`PartitionMap`),
-  ships interned FRR attribute sets to the workers once via pickled
-  intern tables, and merges per-shard Loc-RIB snapshots
-  deterministically.
+  :class:`~repro.bgp.trie.PrefixTrie`-backed :class:`PartitionMap`)
+  and merges per-shard Loc-RIB snapshots deterministically.
 
 Both paths are locked to the sequential pipeline by the batch-parity
 integration tests and the fuzz host oracle's batched/sharded arms.
@@ -25,7 +23,6 @@ from .shard import (
     ShardedReplay,
     ShardedResult,
     build_scale_daemon,
-    intern_table_for,
     normalise_snapshot,
     split_update,
 )
@@ -36,7 +33,6 @@ __all__ = [
     "ShardedReplay",
     "ShardedResult",
     "build_scale_daemon",
-    "intern_table_for",
     "normalise_snapshot",
     "split_update",
 ]

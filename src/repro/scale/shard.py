@@ -13,11 +13,8 @@ sequential one.
 :class:`ShardedReplay` buckets a :class:`RouteSpec` workload with that
 map, replays each bucket through its own daemon in a
 ``multiprocessing`` worker (or inline, for debugging and the fuzz
-oracle), ships the parent's interned FRR attribute sets to each worker
-once as a pickled intern table (attribute dedup survives the process
-boundary: the worker's :class:`AttrPool` starts warm), and merges the
-per-shard Loc-RIB snapshots deterministically (disjoint by
-construction, emitted in shard order with sorted keys).
+oracle), and merges the per-shard Loc-RIB snapshots deterministically
+(disjoint by construction, emitted in shard order with sorted keys).
 """
 
 from __future__ import annotations
@@ -29,18 +26,20 @@ from collections import Counter
 from time import perf_counter, time as wall_clock
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..bgp.messages import UpdateMessage
+from ..bgp.messages import UpdateMessage, split_stream
 from ..bgp.prefix import Prefix, parse_ipv4
 from ..bgp.roa import HashRoaTable, Roa, TrieRoaTable
 from ..bgp.trie import PrefixTrie
 from ..core.vmm import VmmConfig
 from ..telemetry.health import QuarantinePolicy
-from ..frr.attrs_intern import FrrAttrs
+# Also loads the FRR host stack with this module, so forked shard
+# workers inherit it instead of importing it inside their timed DUT build.
+from ..frr.attrs_intern import AttrPool
 from ..telemetry.aggregate import merge_into, snapshot_registry
 from ..telemetry.events import EventLog
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.timeseries import TimeSeriesSampler, merge_timeseries
-from ..workload.rib_gen import RouteSpec, _attributes_for, build_updates
+from ..workload.rib_gen import RouteSpec, build_updates
 from .batch import BatchProcessor
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "ShardedReplay",
     "ShardedResult",
     "build_scale_daemon",
-    "intern_table_for",
     "normalise_snapshot",
     "split_update",
 ]
@@ -143,29 +141,6 @@ def split_update(update: UpdateMessage, pmap: PartitionMap) -> Dict[int, UpdateM
     return result
 
 
-def intern_table_for(
-    routes: Sequence[RouteSpec],
-    next_hop: int,
-    session: str = "ibgp",
-    local_pref: Optional[int] = 100,
-    sender_asn: Optional[int] = None,
-) -> List[FrrAttrs]:
-    """One parsed :class:`FrrAttrs` per distinct attribute set of the
-    feed ``build_updates`` would build — the pickled intern table a
-    shard worker seeds its :class:`AttrPool` with."""
-    effective_local_pref = local_pref if session == "ibgp" else None
-    first_asn = sender_asn if session == "ebgp" else None
-    table: Dict[tuple, FrrAttrs] = {}
-    for spec in routes:
-        key = (spec.as_path, spec.origin, spec.med, spec.communities)
-        if key not in table:
-            attributes = _attributes_for(
-                spec, next_hop, effective_local_pref, first_asn
-            )
-            table[key] = FrrAttrs.from_wire(attributes)
-    return list(table.values())
-
-
 class _Collector:
     """Downstream receive side: export sets without a sim dependency."""
 
@@ -176,8 +151,6 @@ class _Collector:
         self._buffer = bytearray()
 
     def receive(self, data: bytes) -> None:
-        from ..bgp.messages import split_stream
-
         self._buffer.extend(data)
         for message in split_stream(self._buffer):
             if isinstance(message, UpdateMessage):
@@ -290,8 +263,8 @@ def build_scale_daemon(config: Dict[str, object]):
 
 
 def _replay_shard(payload) -> Dict[str, object]:
-    """Worker: build a DUT, seed its attr pool from the shipped intern
-    table, build + replay this shard's feed, return a picklable report.
+    """Worker: build a DUT, build + replay this shard's feed, return a
+    picklable report.
 
     Module-level so ``multiprocessing`` can resolve it under any start
     method; also called directly by the inline backend.
@@ -304,7 +277,7 @@ def _replay_shard(payload) -> Dict[str, object]:
     telemetry on, the full registry (mergeable snapshot), the breaker
     table and the trace-ring tail ride back in the report.
     """
-    config, shard, routes, intern_table = payload
+    config, shard, routes = payload
     queue = _HEARTBEAT_QUEUE
     every = int(config.get("heartbeat_every", 0))
     heartbeat = queue is not None and every > 0
@@ -323,11 +296,6 @@ def _replay_shard(payload) -> Dict[str, object]:
     try:
         started = perf_counter()
         daemon, collector = build_scale_daemon(config)
-        shipped_hits = 0
-        if intern_table is not None and hasattr(daemon, "attr_pool"):
-            for attrs in intern_table:
-                daemon.attr_pool.intern(attrs)
-            shipped_hits = daemon.attr_pool.misses  # table size after dedup
 
         session = "ibgp" if config.get("feature") == "route_reflection" else "ebgp"
         updates = build_updates(
@@ -414,7 +382,7 @@ def _replay_shard(payload) -> Dict[str, object]:
             "timeseries": sampler.series.samples() if sampler is not None else None,
         }
 
-    pool = getattr(daemon, "attr_pool", None)
+    pool: Optional[AttrPool] = getattr(daemon, "attr_pool", None)
     profiler = getattr(daemon, "profiler", None)
     report: Dict[str, object] = {
         "profile": profiler.report(top=5) if profiler is not None else None,
@@ -430,8 +398,6 @@ def _replay_shard(payload) -> Dict[str, object]:
         "attr_pool": {
             "hits": pool.hits if pool is not None else 0,
             "misses": pool.misses if pool is not None else 0,
-            "interned_shipped": len(intern_table or ()),
-            "seed_misses": shipped_hits,
         },
     }
     if str(config.get("collect", "full")) == "summary":
@@ -649,16 +615,6 @@ class ShardedReplay:
     than cores); ``backend="inline"`` runs the same worker function
     in-process — same code path minus the process boundary, used by the
     fuzz oracle and for debugging.
-
-    ``ship_intern_table=True`` pre-parses each shard's distinct
-    attribute sets in the parent and seeds the worker's
-    :class:`AttrPool` with them.  Off by default: every set it ships is
-    one the worker would have parsed exactly once anyway, so the knob
-    trades serial parent time for worker time — measured as a flat loss
-    on the full-table workload (the parent becomes the bottleneck even
-    with parallel workers).  The mechanism stays because it demonstrates
-    interned attributes surviving the process boundary, which the scale
-    tests pin.
     """
 
     def __init__(
@@ -677,7 +633,6 @@ class ShardedReplay:
         hot_path: bool = True,
         max_prefixes_per_update: int = 64,
         backend: str = "process",
-        ship_intern_table: bool = False,
         profiling: bool = False,
         collect: str = "full",
         telemetry: bool = False,
@@ -697,7 +652,6 @@ class ShardedReplay:
         self.routes = list(routes)
         self.backend = backend
         self.batch = batch
-        self.ship_intern_table = ship_intern_table and implementation == "frr"
         self.progress = progress
         self.events = events
         if heartbeat_every <= 0 and (progress is not None or events is not None):
@@ -736,21 +690,7 @@ class ShardedReplay:
         shard_of = self.partition.shard_of
         for spec in self.routes:
             buckets[shard_of(spec.prefix)].append(spec)
-        session = (
-            "ibgp" if self.config["feature"] == "route_reflection" else "ebgp"
-        )
-        payloads = []
-        for shard, bucket in enumerate(buckets):
-            table = None
-            if self.ship_intern_table:
-                table = intern_table_for(
-                    bucket,
-                    next_hop=parse_ipv4(_UPSTREAM),
-                    session=session,
-                    sender_asn=65100 if session == "ebgp" else None,
-                )
-            payloads.append((self.config, shard, bucket, table))
-        return payloads
+        return [(self.config, shard, bucket) for shard, bucket in enumerate(buckets)]
 
     def _emit(self, event: Dict[str, object]) -> None:
         """Deliver one heartbeat to the attached sinks (parent side)."""

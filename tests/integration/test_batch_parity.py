@@ -247,9 +247,9 @@ def test_merged_shard_counters_match_sequential(implementation):
 
 @pytest.mark.parametrize("implementation", ["frr", "bird"])
 def test_process_backend_matches_inline(implementation):
-    """The multiprocessing boundary (pickled configs, shipped intern
-    tables, merged reports) changes nothing vs the same worker code
-    running in-process."""
+    """The multiprocessing boundary (inherited payloads, pickled
+    reports) changes nothing vs the same worker code running
+    in-process."""
     routes = RibGenerator(n_routes=300, seed=11).generate()
     kwargs = dict(feature="plain", mode="native", shards=2, batch=32)
     inline = ShardedReplay(

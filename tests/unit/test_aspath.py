@@ -117,5 +117,20 @@ class TestWire:
         with pytest.raises(AsPathDecodeError):
             AsPath.decode(b"\x07\x01\x00\x00\x00\x01")
 
+    @pytest.mark.parametrize("kind", [0, 5])
+    def test_decode_rejects_types_next_to_the_valid_range(self, kind):
+        with pytest.raises(AsPathDecodeError):
+            AsPath.decode(bytes([kind, 1, 0, 0, 0, 1]))
+
+    @pytest.mark.parametrize("kind", list(AsPathSegmentType))
+    def test_decode_keeps_enum_members(self, kind):
+        (segment,) = AsPath.decode(bytes([kind, 1, 0, 0, 0, 1])).segments
+        assert segment.kind is kind
+        assert AsPathSegment(int(kind), [1]).kind is kind
+
+    def test_segment_rejects_bad_type(self):
+        with pytest.raises(ValueError):
+            AsPathSegment(5, [1])
+
     def test_empty_roundtrip(self):
         assert AsPath.decode(AsPath().encode()) == AsPath()

@@ -6,6 +6,8 @@ from repro.bgp.aspath import AsPath
 from repro.bgp.attributes import (
     AttributeDecodeError,
     PathAttribute,
+    _WELL_KNOWN_FLAGS,
+    _flags_for,
     decode_attributes,
     decode_geoloc,
     describe,
@@ -31,7 +33,7 @@ from repro.bgp.communities import (
     encode_communities,
     encode_large_communities,
 )
-from repro.bgp.constants import AttrTypeCode, Origin, WellKnownCommunity
+from repro.bgp.constants import AttrFlag, AttrTypeCode, Origin, WellKnownCommunity
 from repro.bgp.prefix import parse_ipv4
 
 
@@ -94,8 +96,8 @@ class TestPathAttribute:
         with pytest.raises(AttributeDecodeError):
             PathAttribute(0x40, 5, b"\x00\x01").as_u32()
 
-    def test_block_roundtrip(self):
-        attrs = [
+    def _block(self):
+        return [
             make_origin(Origin.IGP),
             make_as_path(AsPath.from_sequence([65001, 65002])),
             make_next_hop(parse_ipv4("10.0.0.1")),
@@ -106,10 +108,41 @@ class TestPathAttribute:
             make_cluster_list([parse_ipv4("2.2.2.2"), parse_ipv4("3.3.3.3")]),
             make_atomic_aggregate(),
         ]
+
+    def test_block_roundtrip(self):
+        attrs = self._block()
         decoded = decode_attributes(encode_attributes(attrs))
         assert sorted(decoded, key=lambda a: a.type_code) == sorted(
             attrs, key=lambda a: a.type_code
         )
+
+    def test_block_roundtrip_forced_extended_length(self):
+        """The extended-length bit is an encoding artifact: the same
+        attributes written with two-byte lengths decode to equal ones."""
+        attrs = sorted(self._block(), key=lambda a: a.type_code)
+        wire = b"".join(
+            bytes([a.flags | 0x10, a.type_code])
+            + len(a.value).to_bytes(2, "big")
+            + a.value
+            for a in attrs
+        )
+        assert wire != encode_attributes(attrs)
+        assert decode_attributes(wire) == attrs
+
+    @pytest.mark.parametrize("code", list(AttrTypeCode))
+    def test_flag_table_agrees_with_the_enums(self, code):
+        flags = _flags_for(code)
+        assert type(flags) is int
+        assert flags == _flags_for(int(code))
+        assert flags == int(_WELL_KNOWN_FLAGS.get(code, 0xC0))
+
+    def test_flag_table_values_come_from_attrflag(self):
+        assert make_origin(Origin.IGP).flags == AttrFlag.TRANSITIVE
+        assert make_med(1).flags == AttrFlag.OPTIONAL
+        assert make_communities([]).flags == AttrFlag.OPTIONAL | AttrFlag.TRANSITIVE
+
+    def test_unknown_code_is_optional_transitive(self):
+        assert _flags_for(222) == 0xC0
 
     def test_block_roundtrip_extended_length(self):
         big = PathAttribute(0xC0, 200, bytes(range(256)) * 2)

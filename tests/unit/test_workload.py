@@ -1,13 +1,32 @@
 """Unit tests for the synthetic workload generator and MRT format."""
 
 import io
+import struct
 
 import pytest
 
-from repro.bgp.constants import AttrTypeCode
+from repro.bgp.aspath import AsPath
+from repro.bgp.attributes import (
+    decode_attributes,
+    encode_attributes,
+    make_as_path,
+    make_communities,
+    make_med,
+    make_next_hop,
+    make_origin,
+)
+from repro.bgp.constants import AttrTypeCode, Origin
 from repro.bgp.prefix import Prefix, parse_ipv4
 from repro.mrt import MrtError, MrtPeer, RibEntry, read_table, write_table
-from repro.workload import AsTopology, RibGenerator, build_updates, origins_of
+from repro.workload import (
+    AsTopology,
+    RibGenerator,
+    build_updates,
+    iter_routes_from_mrt,
+    mrt_io,
+    origins_of,
+)
+from repro.workload.mrt_io import _spec_from_entry
 
 
 class TestTopology:
@@ -256,3 +275,163 @@ class TestStreamingMrt:
             assert expected[spec.prefix] == (spec.as_path, spec.origin, spec.med)
             count += 1
         assert count == len(routes)
+
+
+_PEER = MrtPeer(parse_ipv4("10.0.0.9"), parse_ipv4("10.0.0.9"), 65100)
+
+
+def _block(as_path=(65100, 65010), med=None, communities=()):
+    """One encoded attribute block, the way a RIB entry carries it."""
+    attributes = [make_origin(Origin.IGP), make_next_hop(parse_ipv4("10.0.0.9"))]
+    if as_path:
+        attributes.append(make_as_path(AsPath.from_sequence(as_path)))
+    if med is not None:
+        attributes.append(make_med(med))
+    if communities:
+        attributes.append(make_communities(communities))
+    return encode_attributes(attributes)
+
+
+def _rib(sequence, prefix, *blocks, count=None):
+    """A RIB_IPV4_UNICAST payload; ``count`` overrides the entry count."""
+    payload = struct.pack("!I", sequence) + Prefix.parse(prefix).encode()
+    payload += struct.pack("!H", len(blocks) if count is None else count)
+    for block in blocks:
+        payload += struct.pack("!HIH", 0, 0, len(block)) + block
+    return payload
+
+
+def _mrt(*rib_payloads):
+    """A TABLE_DUMP_V2 file: the peer index, then the given RIB records."""
+    stream = io.BytesIO()
+    write_table(stream, [_PEER], [])
+    for payload in rib_payloads:
+        stream.write(struct.pack("!IHHI", 0, 13, 2, len(payload)) + payload)
+    return stream.getvalue()
+
+
+def _reference_routes(data):
+    """What ``iter_routes_from_mrt`` documents, spelt out over
+    ``read_table``: file order, entries without an AS_PATH skipped
+    without claiming the prefix, first entry wins on a duplicate."""
+    seen, routes = set(), []
+    for entry in read_table(io.BytesIO(data))[1]:
+        spec = _spec_from_entry(entry)
+        if spec is None or entry.prefix in seen:
+            continue
+        seen.add(entry.prefix)
+        routes.append(spec)
+    return routes
+
+
+class TestMalformedRib:
+    """A malformed RIB record is an ``MrtError`` naming its sequence
+    number, from both readers, and contributes no route."""
+
+    GOOD = _rib(0, "10.1.0.0/16", _block())
+    HEADER = 4 + 3 + 2  # sequence, a /16 prefix, entry count
+
+    CASES = {
+        "attr_length_past_payload": _rib(7, "10.7.0.0/16", _block())[:-3],
+        "cut_inside_entry_header": _rib(7, "10.7.0.0/16", _block())[: HEADER + 5],
+        "count_larger_than_entries": _rib(7, "10.7.0.0/16", _block(), count=2),
+        "bad_prefix_length": struct.pack("!I", 7) + bytes([33, 10, 7, 0, 0, 0]),
+        "block_cut_mid_attribute": _rib(7, "10.7.0.0/16", _block()[:-2]),
+        # The second entry is the broken one: the first must not leak.
+        "second_entry_broken": _rib(7, "10.7.0.0/16", _block(), _block()[:-2]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_read_table_raises_mrt_error(self, case):
+        data = _mrt(self.GOOD, self.CASES[case])
+        with pytest.raises(MrtError, match="RIB record 7"):
+            read_table(io.BytesIO(data))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_stream_raises_after_the_good_record(self, case):
+        data = _mrt(self.GOOD, self.CASES[case])
+        routes = []
+        with pytest.raises(MrtError, match="RIB record 7"):
+            for spec in iter_routes_from_mrt(io.BytesIO(data)):
+                routes.append(spec)
+        assert [str(spec.prefix) for spec in routes] == ["10.1.0.0/16"]
+
+    def test_empty_payload(self):
+        data = _mrt(self.GOOD, b"")
+        with pytest.raises(MrtError, match="too short"):
+            read_table(io.BytesIO(data))
+        with pytest.raises(MrtError, match="too short"):
+            list(iter_routes_from_mrt(io.BytesIO(data)))
+
+
+class TestMemoisedBridge:
+    """``iter_routes_from_mrt`` decodes each distinct attribute block
+    once; the result is the unmemoised reference's, element for element."""
+
+    def _hand_built(self):
+        plain = _block()
+        # Same attributes as ``plain`` in other bytes: reversed order,
+        # and two-byte (extended) lengths.
+        attributes = decode_attributes(plain)
+        reordered = b"".join(a.encode() for a in reversed(attributes))
+        extended = b"".join(
+            bytes([a.flags | 0x10, a.type_code]) + struct.pack("!H", len(a.value)) + a.value
+            for a in attributes
+        )
+        assert len({plain, reordered, extended}) == 3
+        return _mrt(
+            _rib(0, "10.0.0.0/16", plain),
+            _rib(1, "10.0.0.0/16", _block(as_path=(65100, 65099))),  # duplicate: loses
+            _rib(2, "10.2.0.0/16", _block(as_path=())),  # no AS_PATH: no claim
+            _rib(3, "10.2.0.0/16", _block(med=5)),  # so this one is kept
+            _rib(4, "10.4.0.0/16", _block(as_path=()), _block(med=9)),  # two entries
+            _rib(5, "10.5.0.0/16", reordered),
+            _rib(6, "10.6.0.0/16", extended),
+            _rib(7, "10.7.0.0/16", _block(communities=(3, 1, 2))),
+            _rib(8, "10.8.0.0/16", plain),
+        )
+
+    @pytest.mark.parametrize("cap", [None, 4])
+    def test_hand_built_file_matches_reference(self, monkeypatch, cap):
+        if cap is not None:
+            monkeypatch.setattr(mrt_io, "_MEMO_CAP", cap)
+        data = self._hand_built()
+        routes = list(iter_routes_from_mrt(io.BytesIO(data)))
+        assert routes == _reference_routes(data)
+        by_prefix = {str(spec.prefix): spec for spec in routes}
+        assert sorted(by_prefix) == [
+            "10.0.0.0/16", "10.2.0.0/16", "10.4.0.0/16", "10.5.0.0/16",
+            "10.6.0.0/16", "10.7.0.0/16", "10.8.0.0/16",
+        ]
+        assert by_prefix["10.0.0.0/16"].as_path == (65100, 65010)
+        assert by_prefix["10.2.0.0/16"].med == 5
+        assert by_prefix["10.4.0.0/16"].med == 9
+        assert by_prefix["10.7.0.0/16"].communities == (1, 2, 3)
+        fields = [by_prefix[p][1:] for p in ("10.0.0.0/16", "10.5.0.0/16", "10.6.0.0/16")]
+        assert fields[0] == fields[1] == fields[2]
+
+    @pytest.mark.parametrize("cap", [None, 4])
+    @pytest.mark.parametrize("seed", [3, 9])
+    def test_generated_table_matches_reference(self, monkeypatch, seed, cap):
+        if cap is not None:
+            monkeypatch.setattr(mrt_io, "_MEMO_CAP", cap)
+        routes = RibGenerator(n_routes=300, seed=seed).generate()
+        updates = build_updates(routes, next_hop=_PEER.address, session="ebgp", sender_asn=65100)
+        stream = io.BytesIO()
+        write_table(
+            stream,
+            [_PEER],
+            [RibEntry(p, 0, 0, u.attributes) for u in updates for p in u.nlri],
+        )
+        streamed = list(iter_routes_from_mrt(io.BytesIO(stream.getvalue())))
+        assert len(streamed) == 300
+        assert streamed == _reference_routes(stream.getvalue())
+
+    def test_routes_of_one_block_share_their_tuples(self):
+        data = _mrt(
+            _rib(0, "10.0.0.0/16", _block(communities=(1, 2))),
+            _rib(1, "10.1.0.0/16", _block(communities=(1, 2))),
+        )
+        first, second = iter_routes_from_mrt(io.BytesIO(data))
+        assert first.as_path is second.as_path
+        assert first.communities is second.communities
