@@ -12,6 +12,7 @@ followed by ``ceil(length / 8)`` octets of the most significant bits.
 from __future__ import annotations
 
 import struct
+from operator import itemgetter
 from typing import Iterator, Tuple
 
 __all__ = [
@@ -67,22 +68,21 @@ def mask_for(length: int) -> int:
     return (_MAX_IPV4 << (32 - length)) & _MAX_IPV4
 
 
-class Prefix:
-    """An IPv4 prefix: network integer plus length, canonicalised.
+class Prefix(tuple):
+    """An IPv4 prefix: ``(network, length)``, canonicalised.
 
-    Instances are immutable, hashable and ordered (by network then
-    length) so they can key RIB dictionaries and sort deterministically.
+    A ``tuple`` subclass so hashing, equality and ordering (by network
+    then length) run in C — every RIB dictionary is keyed by prefixes.
+    Instances are immutable.
     """
 
-    __slots__ = ("network", "length")
+    __slots__ = ()
 
-    def __init__(self, network: int, length: int):
-        mask = mask_for(length)
-        object.__setattr__(self, "network", network & mask)
-        object.__setattr__(self, "length", length)
+    network = property(itemgetter(0), doc="The network address, host bits zeroed.")
+    length = property(itemgetter(1), doc="The prefix length, 0-32.")
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Prefix is immutable")
+    def __new__(cls, network: int, length: int) -> "Prefix":
+        return tuple.__new__(cls, (network & mask_for(length), length))
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":
@@ -148,24 +148,9 @@ class Prefix:
 
     # -- dunder ------------------------------------------------------
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Prefix):
-            return NotImplemented
-        return self.network == other.network and self.length == other.length
-
-    def __lt__(self, other: "Prefix") -> bool:
-        return (self.network, self.length) < (other.network, other.length)
-
-    def __le__(self, other: "Prefix") -> bool:
-        return (self.network, self.length) <= (other.network, other.length)
-
-    def __hash__(self) -> int:
-        return hash((self.network, self.length))
-
     def __reduce__(self):
-        # The immutability guard in __setattr__ breaks the default
-        # slots-state protocol; rebuild through the constructor instead
-        # (sharded replay ships prefixes across process boundaries).
+        # Rebuild through the constructor (sharded replay ships prefixes
+        # across process boundaries).
         return (Prefix, (self.network, self.length))
 
     def __str__(self) -> str:

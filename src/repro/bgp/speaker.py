@@ -44,7 +44,7 @@ from __future__ import annotations
 import struct
 from collections import Counter
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..core.abi import FILTER_ACCEPT, FILTER_REJECT
 from ..core.context import ExecutionContext
@@ -121,11 +121,6 @@ class BgpSpeaker:
     host_class: type
     receive_isolates_writes = False
 
-    #: Batch-scoped bulk-export buffers; non-None only while a
-    #: process_update_batch decision sweep runs.
-    _bulk_adv: Optional[Dict[int, Dict[bytes, List[Prefix]]]] = None
-    _bulk_wd: Optional[Dict[int, List[Prefix]]] = None
-
     def __init__(
         self,
         asn: int,
@@ -184,6 +179,11 @@ class BgpSpeaker:
         #: source-is-eBGP, nexthop_self) -> rewritten host attributes.
         #: See _apply_export_mechanics.
         self._mechanics_cache: Dict[tuple, object] = {}
+        #: What the running sweep has decided to send and not yet sent:
+        #: peer -> encoded attribute blob -> prefixes, and peer ->
+        #: withdrawn prefixes.  Emptied by _flush_bulk_export.
+        self._bulk_adv: Dict[int, Dict[bytes, List[Prefix]]] = {}
+        self._bulk_wd: Dict[int, List[Prefix]] = {}
 
         self._init_representation()
         self.host = self.host_class(self)
@@ -324,9 +324,7 @@ class BgpSpeaker:
         neighbor = self.neighbors[address]
         neighbor.established = True
         self._established[address] = True
-        for prefix in list(self.loc_rib.prefixes()):
-            self._export_prefix(prefix, only_peers=[address])
-        self._send_update(address, UpdateMessage.end_of_rib())
+        self._send_table(address)
 
     def session_down(self, peer_address: str) -> None:
         address = parse_ipv4(peer_address)
@@ -336,8 +334,7 @@ class BgpSpeaker:
         self._rx_buffers[address].clear()
         dropped = self.adj_rib_in.drop_peer(address)
         self.adj_rib_out.drop_peer(address)
-        for route in dropped:
-            self._run_decision(route.prefix)
+        self._sweep([route.prefix for route in dropped])
 
     def attach_program(self, program) -> None:
         self.vmm.attach_program(program)
@@ -417,14 +414,14 @@ class BgpSpeaker:
         try:
             route = self.route_class(prefix, None, self._decode_attrs(attributes))
             self._local_routes[prefix] = route
-            self._run_decision(prefix)
+            self._sweep((prefix,))
         finally:
             if prov is not None:
                 prov.end_update()
 
     def withdraw_local(self, prefix: Prefix) -> None:
         if self._local_routes.pop(prefix, None) is not None:
-            self._run_decision(prefix)
+            self._sweep((prefix,))
 
     # -- receive path -----------------------------------------------------
 
@@ -442,41 +439,27 @@ class BgpSpeaker:
             address = parse_ipv4(peer_address)
             buffer = self._rx_buffers[address]
             buffer.extend(data)
+            neighbor = self.neighbors[address]
             for message in split_stream(buffer):
-                self.receive_message(peer_address, message)
+                self._receive(neighbor, message)
         finally:
             if prov is not None:
                 prov.pending_parent = None
 
     def receive_message(self, peer_address: str, message: BgpMessage) -> None:
-        address = parse_ipv4(peer_address)
-        neighbor = self.neighbors.get(address)
+        neighbor = self.neighbors.get(parse_ipv4(peer_address))
         if neighbor is None:
             self.stats["unknown_peer"] += 1
             return
-        self.stats["messages_received"] += 1
+        self._receive(neighbor, message)
+
+    def _receive(self, neighbor: Neighbor, message: BgpMessage) -> None:
         if isinstance(message, UpdateMessage):
-            self._process_update(neighbor, message)
-        elif isinstance(message, RouteRefreshMessage):
-            self._process_route_refresh(neighbor)
-
-    def _process_update(self, neighbor: Neighbor, update: UpdateMessage) -> None:
-        if update.is_end_of_rib():
-            self.stats["eor_received"] += 1
+            self.process_update_batch(neighbor, (message,))
             return
-
-        prov = self.provenance
-        if prov is not None:
-            prov.begin_update(
-                neighbor,
-                prefixes=len(update.nlri),
-                withdrawn=len(update.withdrawn),
-            )
-        try:
-            self._process_update_body(neighbor, update)
-        finally:
-            if prov is not None:
-                prov.end_update()
+        self.stats["messages_received"] += 1
+        if isinstance(message, RouteRefreshMessage):
+            self._process_route_refresh(neighbor)
 
     def _receive_hot(self) -> bool:
         """True when BGP_RECEIVE_MESSAGE can be skipped: with nothing
@@ -504,64 +487,37 @@ class BgpSpeaker:
             prof.phase("bgp_receive_message", perf_counter() - started)
         return self._received_attrs(container)
 
-    def _process_update_body(self, neighbor: Neighbor, update: UpdateMessage) -> None:
-        prov = self.provenance
-        prof = self.profiler
-
-        started = perf_counter() if prof is not None else 0.0
-        attrs = self._decode_attrs(update.attributes)
-        if prof is not None:
-            prof.phase("decode", perf_counter() - started)
-
-        if not self._receive_hot():
-            attrs = self._run_receive_point(neighbor, update, attrs)
-
-        dirty: List[Prefix] = []
-        for prefix in update.withdrawn:
-            if self.adj_rib_in.withdraw(neighbor.peer_address, prefix) is not None:
-                dirty.append(prefix)
-                if prov is not None:
-                    prov.record_withdraw(prefix, neighbor)
-
-        for prefix in update.nlri:
-            if prof is not None:
-                started = perf_counter()
-                imported = self._import_route(neighbor, prefix, attrs)
-                prof.phase("bgp_inbound_filter", perf_counter() - started)
-            else:
-                imported = self._import_route(neighbor, prefix, attrs)
-            if imported:
-                dirty.append(prefix)
-
-        for prefix in dirty:
-            self._run_decision(prefix)
-
     def process_update_batch(
         self, neighbor: Neighbor, updates: Sequence[UpdateMessage]
     ) -> None:
-        """Import a vector of UPDATEs from one peer, amortizing the
-        per-message costs of the sequential path:
+        """The update pipeline: import a vector of UPDATEs from one peer.
+
+        :meth:`receive_message` passes a vector of one,
+        :class:`~repro.scale.batch.BatchProcessor` a batch.  What the
+        UPDATEs of a vector share is done once:
 
         - the attribute block is decoded once per distinct raw attribute
-          wire within the batch (a full-table feed repeats the same
-          block across consecutive NLRI chunks);
-        - the BGP_INBOUND_FILTER dispatch is bound once for the whole
-          batch via :meth:`VirtualMachineManager.runner` instead of
-          probed per route;
-        - the decision process (and the export encodes behind it, which
-          hit the encode cache in bulk) runs once per dirty prefix at
-          batch end instead of once per update touching it.
+          wire (a full-table feed repeats the same block across
+          consecutive NLRI chunks);
+        - the BGP_INBOUND_FILTER dispatch is bound once via
+          :meth:`VirtualMachineManager.runner` instead of probed per
+          route (the extension still runs once per route);
+        - the decision process runs once per dirty prefix, in one
+          :meth:`_sweep` at the end of the vector, whose exports leave
+          packed by attribute set.
 
-        Final Adj-RIB-In/Loc-RIB/Adj-RIB-Out state is identical to
-        feeding the same updates through :meth:`receive_message` one by
-        one; only transient downstream traffic collapses (an announce
-        superseded within the same batch is never advertised).
+        Final Adj-RIB-In/Loc-RIB/Adj-RIB-Out state does not depend on
+        how a feed is cut into vectors; only transient downstream
+        traffic collapses (an announce superseded within the same
+        vector is never advertised).
         """
         prov = self.provenance
         prof = self.profiler
         decode = self._decode_attrs
         receive_hot = self._receive_hot()
         import_run = self.vmm.runner(InsertionPoint.BGP_INBOUND_FILTER)
+        peer_address = neighbor.peer_address
+        withdraw = self.adj_rib_in.withdraw
         # A BGP_RECEIVE_MESSAGE extension may write to the decoded
         # object, so sharing it across UPDATEs is only sound when that
         # point is empty or the host's container isolates the writes.
@@ -570,12 +526,12 @@ class BgpSpeaker:
         )
         dirty: Dict[Prefix, None] = {}  # ordered set
         if prov is not None:
-            prov.begin_update(
-                neighbor,
-                kind="batch",
-                prefixes=sum(len(u.nlri) for u in updates),
-                withdrawn=sum(len(u.withdrawn) for u in updates),
-            )
+            prefixes = sum(len(u.nlri) for u in updates)
+            withdrawn = sum(len(u.withdrawn) for u in updates)
+            if prefixes or withdrawn:
+                prov.begin_update(neighbor, prefixes=prefixes, withdrawn=withdrawn)
+            else:
+                prov = None  # End-of-RIB markers only: nothing to explain
         try:
             for update in updates:
                 self.stats["messages_received"] += 1
@@ -599,39 +555,27 @@ class BgpSpeaker:
                     attrs = self._run_receive_point(neighbor, update, attrs)
 
                 for prefix in update.withdrawn:
-                    if self.adj_rib_in.withdraw(neighbor.peer_address, prefix) is not None:
+                    if withdraw(peer_address, prefix) is not None:
                         dirty[prefix] = None
                         if prov is not None:
                             prov.record_withdraw(prefix, neighbor)
 
                 for prefix in update.nlri:
                     started = perf_counter() if prof is not None else 0.0
-                    imported = self._import_route(
-                        neighbor, prefix, attrs, run=import_run
-                    )
+                    imported = self._import_route(neighbor, prefix, attrs, import_run)
                     if prof is not None:
                         prof.phase("bgp_inbound_filter", perf_counter() - started)
                     if imported:
                         dirty[prefix] = None
 
-            # Bulk export: decisions during a batch defer their sends
-            # into per-peer buffers, flushed as coalesced multi-NLRI
-            # UPDATEs (same attribute blob -> one message).
-            self._bulk_adv = {}
-            self._bulk_wd = {}
-            try:
-                for prefix in dirty:
-                    self._run_decision(prefix)
-            finally:
-                self._flush_bulk_export()
+            self._sweep(dirty)
         finally:
             if prov is not None:
                 prov.end_update()
 
-    def _import_route(
-        self, neighbor: Neighbor, prefix: Prefix, attrs, run=None
-    ) -> bool:
-        """Run import processing for one NLRI; returns True if RIB changed."""
+    def _import_route(self, neighbor: Neighbor, prefix: Prefix, attrs, run) -> bool:
+        """Run import processing for one NLRI through ``run``, the bound
+        BGP_INBOUND_FILTER dispatch; returns True if the RIB changed."""
         prov = self.provenance
         if prov is not None:
             prov.begin_route(prefix, neighbor)
@@ -652,8 +596,6 @@ class BgpSpeaker:
             route=route,
             prefix=prefix,
         )
-        if run is None:
-            run = self.vmm.run
         verdict = run(ctx, lambda: self._native_import(ctx))
         route = ctx.route  # may have been rewritten copy-on-write
 
@@ -698,22 +640,52 @@ class BgpSpeaker:
     def _process_route_refresh(self, neighbor: Neighbor) -> None:
         """RFC 2918: resend our full Adj-RIB-Out for this peer."""
         self.stats["route_refresh_received"] += 1
-        for prefix in list(self.loc_rib.prefixes()):
-            self._export_prefix(prefix, only_peers=[neighbor.peer_address])
-        self._send_update(neighbor.peer_address, UpdateMessage.end_of_rib())
+        self._send_table(neighbor.peer_address)
 
     # -- decision process -------------------------------------------------
 
-    def _decision_config(self) -> DecisionConfig:
-        metric = self.igp.metric_to if self.igp is not None else None
-        return DecisionConfig(
-            always_compare_med=self.always_compare_med, igp_metric=metric
-        )
+    def _sweep(
+        self,
+        prefixes: Iterable[Prefix],
+        peers: Optional[Sequence[int]] = None,
+        decide: bool = True,
+    ) -> None:
+        """One decision sweep: where everything that changes what this
+        speaker advertises ends (UPDATE vector, session up/down, route
+        refresh, local origination and withdrawal).
 
-    def _select_best(self, candidates: List[RouteView]) -> Optional[RouteView]:
+        Re-selects the best path of each prefix and exports those whose
+        Loc-RIB entry changed; with ``decide`` off, re-exports the
+        standing best paths (to ``peers`` only, when given).  What the
+        prefixes share is resolved once: the decision configuration,
+        the Established targets and the BGP_OUTBOUND_FILTER dispatch.
+        Nothing is sent before :meth:`_flush_bulk_export` — in
+        ``finally``, so a sweep that raises still puts on the wire what
+        Adj-RIB-Out already recorded.
+        """
+        established = self._established
+        targets = [
+            self.neighbors[address]
+            for address in (self.neighbors if peers is None else peers)
+            if established.get(address)
+        ]
+        config = DecisionConfig(
+            always_compare_med=self.always_compare_med,
+            igp_metric=self.igp.metric_to if self.igp is not None else None,
+        )
+        export_run = self.vmm.runner(InsertionPoint.BGP_OUTBOUND_FILTER)
+        try:
+            for prefix in prefixes:
+                if not decide or self._run_decision(prefix, config):
+                    self._export_to(prefix, targets, export_run)
+        finally:
+            self._flush_bulk_export()
+
+    def _select_best(
+        self, candidates: List[RouteView], config: DecisionConfig
+    ) -> Optional[RouteView]:
         if not candidates:
             return None
-        config = self._decision_config()
         prov = self.provenance
         if self.vmm.attached_codes(InsertionPoint.BGP_DECISION):
             best = candidates[0]
@@ -772,7 +744,8 @@ class BgpSpeaker:
             )
         return best_route(candidates, config)
 
-    def _run_decision(self, prefix: Prefix) -> None:
+    def _run_decision(self, prefix: Prefix, config: DecisionConfig) -> bool:
+        """Re-select ``prefix``'s best path; True if the Loc-RIB changed."""
         candidates = self.adj_rib_in.candidates(prefix)
         local = self._local_routes.get(prefix)
         if local is not None:
@@ -782,34 +755,46 @@ class BgpSpeaker:
         phase = prov.begin_phase("decision", prefix) if prov is not None else None
         if prof is not None:
             started = perf_counter()
-            best = self._select_best(candidates)
+            best = self._select_best(candidates, config)
             prof.phase("bgp_decision", perf_counter() - started)
         else:
-            best = self._select_best(candidates)
+            best = self._select_best(candidates, config)
         previous = self.loc_rib.lookup(prefix)
         if best is previous:
             if phase is not None:
                 prov.end_phase(phase, changed=False)
-            return
+            return False
         if best is None:
             self.loc_rib.remove(prefix)
         else:
             self.loc_rib.install(best)
         if phase is not None:
             prov.end_phase(phase, changed=True)
-        self._export_prefix(prefix)
+        return True
 
     # -- export path ------------------------------------------------------
 
-    def _export_prefix(self, prefix: Prefix, only_peers: Optional[List[int]] = None) -> None:
+    def _export_prefix(
+        self, prefix: Prefix, only_peers: Optional[Sequence[int]] = None
+    ) -> None:
+        """Re-evaluate what is advertised for ``prefix`` (e.g. after an
+        IGP event changed what an export filter would say)."""
+        self._sweep((prefix,), only_peers, decide=False)
+
+    def _send_table(self, address: int) -> None:
+        """The full Adj-RIB-Out for one peer, then End-of-RIB."""
+        self._sweep(list(self.loc_rib.prefixes()), (address,), decide=False)
+        self._send_update(address, UpdateMessage.end_of_rib())
+
+    def _export_to(self, prefix: Prefix, targets: List[Neighbor], run) -> None:
+        """Decide, per target, what ``prefix``'s best path becomes on
+        that session; ``run`` is the bound BGP_OUTBOUND_FILTER dispatch."""
         prov = self.provenance
+        prof = self.profiler
         phase = prov.begin_phase("export", prefix) if prov is not None else None
         best = self.loc_rib.lookup(prefix)
-        peers = only_peers if only_peers is not None else list(self.neighbors)
-        for address in peers:
-            if not self._established.get(address):
-                continue
-            neighbor = self.neighbors[address]
+        for neighbor in targets:
+            address = neighbor.peer_address
             if best is None:
                 self._withdraw_from(neighbor, prefix)
                 continue
@@ -817,13 +802,12 @@ class BgpSpeaker:
                 # Never advertise a route back to the peer it came from.
                 self._withdraw_from(neighbor, prefix)
                 continue
-            prof = self.profiler
             if prof is not None:
                 started = perf_counter()
-                export_route = self._export_filter(best, neighbor)
+                export_route = self._export_filter(best, neighbor, run)
                 prof.phase("bgp_outbound_filter", perf_counter() - started)
             else:
-                export_route = self._export_filter(best, neighbor)
+                export_route = self._export_filter(best, neighbor, run)
             if export_route is None:
                 if prov is not None:
                     prov.record_export(prefix, address, "suppress")
@@ -837,7 +821,7 @@ class BgpSpeaker:
         if phase is not None:
             prov.end_phase(phase)
 
-    def _export_filter(self, route, neighbor: Neighbor):
+    def _export_filter(self, route, neighbor: Neighbor, run):
         """Insertion point 4: BGP_OUTBOUND_FILTER around native export."""
         ctx = ExecutionContext(
             self.host,
@@ -846,7 +830,7 @@ class BgpSpeaker:
             route=route,
             prefix=route.prefix,
         )
-        verdict = self.vmm.run(ctx, lambda: self._native_export(ctx))
+        verdict = run(ctx, lambda: self._native_export(ctx))
         if verdict == FILTER_REJECT:
             self.stats["export_rejected"] += 1
             return None
@@ -961,6 +945,8 @@ class BgpSpeaker:
         return blob
 
     def _send_route(self, neighbor: Neighbor, route) -> None:
+        """Queue ``route`` for the sweep's flush, under its encoded
+        attribute blob."""
         prof = self.profiler
         if prof is not None:
             started = perf_counter()
@@ -968,61 +954,63 @@ class BgpSpeaker:
             prof.phase("bgp_encode_message", perf_counter() - started)
         else:
             attrs_blob = self._encode_attributes(route, neighbor)
-        bulk = self._bulk_adv
-        if bulk is not None:
-            groups = bulk.setdefault(neighbor.peer_address, {})
-            groups.setdefault(attrs_blob, []).append(route.prefix)
-            return
-        body = (
-            struct.pack("!H", 0)
-            + struct.pack("!H", len(attrs_blob))
-            + attrs_blob
-            + route.prefix.encode()
-        )
-        self._send_raw(neighbor.peer_address, encode_header(MessageType.UPDATE, body))
-        self.stats["updates_sent"] += 1
+        groups = self._bulk_adv.setdefault(neighbor.peer_address, {})
+        groups.setdefault(attrs_blob, []).append(route.prefix)
 
     def _withdraw_from(self, neighbor: Neighbor, prefix: Prefix) -> None:
         if self.adj_rib_out.withdraw(neighbor.peer_address, prefix) is None:
             return
         if self.provenance is not None:
             self.provenance.record_export(prefix, neighbor.peer_address, "withdraw")
-        bulk = self._bulk_wd
-        if bulk is not None:
-            bulk.setdefault(neighbor.peer_address, []).append(prefix)
-            return
-        self._send_update(neighbor.peer_address, UpdateMessage(withdrawn=[prefix]))
+        self._bulk_wd.setdefault(neighbor.peer_address, []).append(prefix)
 
     def _flush_bulk_export(self) -> None:
-        """Emit the sends deferred by a batch decision sweep.
+        """Emit what the sweep queued, packed.
 
-        Advertisements sharing one encoded attribute blob coalesce into
-        multi-NLRI UPDATEs, chunked to the 4096-byte wire ceiling;
-        withdrawals coalesce likewise.  Per-prefix content is exactly
-        what the sequential path would have sent — only the message
-        framing differs.
+        Advertisements to one peer sharing one encoded attribute blob
+        leave as multi-NLRI UPDATEs, chunked to the 4096-byte wire
+        ceiling; withdrawals coalesce likewise and go first.  A sweep
+        decides each prefix once, so no prefix is in both.  Packing is
+        framing only: the per-prefix content is what each route's own
+        filter runs and encode produced.
         """
         adv, wd = self._bulk_adv, self._bulk_wd
-        self._bulk_adv = None
-        self._bulk_wd = None
-        for peer_address, prefixes in (wd or {}).items():
+        self._bulk_adv, self._bulk_wd = {}, {}
+        for peer_address, prefixes in wd.items():
             for start in range(0, len(prefixes), 512):
-                self._send_update(
-                    peer_address,
-                    UpdateMessage(withdrawn=prefixes[start : start + 512]),
+                chunk = prefixes[start : start + 512]
+                self._send_packed(
+                    peer_address, UpdateMessage(withdrawn=chunk).encode(), chunk
                 )
-        for peer_address, groups in (adv or {}).items():
+        for peer_address, groups in adv.items():
             for blob, prefixes in groups.items():
                 head = struct.pack("!HH", 0, len(blob)) + blob
                 room = max(1, (4096 - 19 - len(head)) // 5)
                 for start in range(0, len(prefixes), room):
-                    nlri = b"".join(
-                        prefix.encode() for prefix in prefixes[start : start + room]
+                    chunk = prefixes[start : start + room]
+                    nlri = b"".join(prefix.encode() for prefix in chunk)
+                    self._send_packed(
+                        peer_address,
+                        encode_header(MessageType.UPDATE, head + nlri),
+                        chunk,
                     )
-                    self._send_raw(
-                        peer_address, encode_header(MessageType.UPDATE, head + nlri)
-                    )
-                    self.stats["updates_sent"] += 1
+
+    def _send_packed(self, peer_address: int, data: bytes, prefixes) -> None:
+        """Send one packed UPDATE.  With provenance on it gets a
+        ``send`` span naming the prefixes it carries, which is what the
+        link ships as the downstream UPDATE's causal parent."""
+        prov = self.provenance
+        if prov is None:
+            self._send_raw(peer_address, data)
+        else:
+            span = prov.begin_phase(
+                "send",
+                peer=format_ipv4(peer_address),
+                prefixes=[str(prefix) for prefix in prefixes],
+            )
+            self._send_raw(peer_address, data)
+            prov.end_phase(span)
+        self.stats["updates_sent"] += 1
 
     def _send_update(self, peer_address: int, update: UpdateMessage) -> None:
         self._send_raw(peer_address, update.encode())

@@ -17,7 +17,7 @@ module supplies the BIRD *representation* behind its host contract
 from __future__ import annotations
 
 import struct
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from ..bgp.attributes import (
     PathAttribute,
@@ -52,14 +52,7 @@ class BirdDaemon(BgpSpeaker):
             originator = route.source.peer_router_id if route.source else self.router_id
             attr = make_originator_id(originator)
             eattrs.ea_set(attr.type_code, attr.flags, attr.value)
-        existing = eattrs.ea_find(AttrTypeCode.CLUSTER_LIST)
-        previous: Tuple[int, ...] = ()
-        if existing is not None:
-            previous = tuple(
-                struct.unpack_from("!I", existing.data, i)[0]
-                for i in range(0, len(existing.data), 4)
-            )
-        attr = make_cluster_list((self.cluster_id,) + previous)
+        attr = make_cluster_list((self.cluster_id,) + route.cluster_list())
         eattrs.ea_set(attr.type_code, attr.flags, attr.value)
         return route.with_eattrs(eattrs)
 

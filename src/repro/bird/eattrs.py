@@ -22,17 +22,21 @@ class Eattr:
     """One extended attribute: (code, flags, raw bytes).
 
     Effectively immutable — ``ea_set`` replaces the whole object — so
-    the ``get_attr`` helper-struct bytes are memoised on ``_packed``
-    (filled by the glue's ``get_attr_packed``).
+    what is derived from the bytes is memoised on the attribute and
+    shared by every list copy and route that holds it: the ``get_attr``
+    helper struct on ``_packed`` (filled by the glue's
+    ``get_attr_packed``), the decoded value on ``_parsed`` (filled by
+    :class:`~repro.bird.rib.BirdRoute`'s accessors).
     """
 
-    __slots__ = ("code", "flags", "data", "_packed")
+    __slots__ = ("code", "flags", "data", "_packed", "_parsed")
 
     def __init__(self, code: int, flags: int, data: bytes):
         self.code = code
         self.flags = flags
         self.data = bytes(data)
         self._packed: Optional[bytes] = None
+        self._parsed: object = None
 
     def to_path_attribute(self) -> PathAttribute:
         return PathAttribute(self.flags, self.code, self.data)

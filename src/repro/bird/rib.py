@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import struct
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..bgp.aspath import AsPath
 from ..bgp.attributes import PathAttribute
+from ..bgp.communities import decode_communities
 from ..bgp.constants import AttrTypeCode, Origin, RouteOriginValidity
 from ..bgp.peer import Neighbor
 from ..bgp.prefix import Prefix
@@ -14,7 +15,25 @@ from ..bgp.rib import RouteView
 
 __all__ = ["BirdRoute"]
 
-_UNSET = object()
+_NO_PATH = AsPath()
+_U32 = struct.Struct("!I")
+
+
+def _u32_or(default: int):
+    """Decoder of a 4-byte attribute; ``default`` when malformed."""
+    return lambda data: _U32.unpack(data)[0] if len(data) == 4 else default
+
+
+_u32_or_0 = _u32_or(0)
+_u32_or_100 = _u32_or(100)
+
+
+def _origin(data: bytes) -> int:
+    return data[0] if data else Origin.INCOMPLETE
+
+
+def _cluster_list(data: bytes) -> Tuple[int, ...]:
+    return PathAttribute(0, AttrTypeCode.CLUSTER_LIST, data).as_cluster_list()
 
 
 class BirdRoute(RouteView):
@@ -22,32 +41,19 @@ class BirdRoute(RouteView):
 
     The eattr list is shared between the routes of one UPDATE (BIRD
     interns ``rta`` the same way); mutation therefore always goes
-    through :meth:`with_eattrs`, which takes a fresh list.  Decision-
-    process accessors parse the raw bytes on first use and memoise.
+    through :meth:`with_eattrs`, which takes a fresh list.  Accessors
+    parse an attribute's raw bytes on first use and memoise the value
+    on the (immutable) eattr, so it is decoded once per attribute block
+    however many routes and list copies share the block.
     """
 
-    __slots__ = (
-        "prefix",
-        "source",
-        "eattrs",
-        "validity",
-        "_local_pref",
-        "_path_len",
-        "_origin",
-        "_med",
-        "_next_hop",
-    )
+    __slots__ = ("prefix", "source", "eattrs", "validity")
 
     def __init__(self, prefix: Prefix, source: Optional[Neighbor], eattrs):
         self.prefix = prefix
         self.source = source
         self.eattrs = eattrs
         self.validity: Optional[RouteOriginValidity] = None
-        self._local_pref = _UNSET
-        self._path_len = _UNSET
-        self._origin = _UNSET
-        self._med = _UNSET
-        self._next_hop = _UNSET
 
     # -- RouteView contract ------------------------------------------------
 
@@ -68,54 +74,41 @@ class BirdRoute(RouteView):
         clone.validity = self.validity
         return clone
 
-    # -- memoised decision accessors ------------------------------------------
+    # -- memoised accessors ------------------------------------------------
+
+    def _parsed(self, code: int, decode, absent):
+        """``decode(data)`` of attribute ``code``, run once per eattr."""
+        eattr = self.eattrs.ea_find(code)
+        if eattr is None:
+            return absent
+        parsed = eattr._parsed
+        if parsed is None:
+            parsed = eattr._parsed = decode(eattr.data)
+        return parsed
 
     def local_pref(self) -> int:
-        if self._local_pref is _UNSET:
-            eattr = self.eattrs.ea_find(AttrTypeCode.LOCAL_PREF)
-            self._local_pref = (
-                struct.unpack("!I", eattr.data)[0]
-                if eattr is not None and len(eattr.data) == 4
-                else 100
-            )
-        return self._local_pref
+        return self._parsed(AttrTypeCode.LOCAL_PREF, _u32_or_100, 100)
 
     def as_path(self) -> AsPath:
-        eattr = self.eattrs.ea_find(AttrTypeCode.AS_PATH)
-        return AsPath.decode(eattr.data) if eattr is not None else AsPath()
+        return self._parsed(AttrTypeCode.AS_PATH, AsPath.decode, _NO_PATH)
 
     def as_path_length(self) -> int:
-        if self._path_len is _UNSET:
-            self._path_len = self.as_path().length()
-        return self._path_len
+        return self.as_path().length()
 
     def origin(self) -> int:
-        if self._origin is _UNSET:
-            eattr = self.eattrs.ea_find(AttrTypeCode.ORIGIN)
-            self._origin = (
-                eattr.data[0] if eattr is not None and eattr.data else Origin.INCOMPLETE
-            )
-        return self._origin
+        return self._parsed(AttrTypeCode.ORIGIN, _origin, Origin.INCOMPLETE)
 
     def med(self) -> int:
-        if self._med is _UNSET:
-            eattr = self.eattrs.ea_find(AttrTypeCode.MULTI_EXIT_DISC)
-            self._med = (
-                struct.unpack("!I", eattr.data)[0]
-                if eattr is not None and len(eattr.data) == 4
-                else 0
-            )
-        return self._med
+        return self._parsed(AttrTypeCode.MULTI_EXIT_DISC, _u32_or_0, 0)
 
     def next_hop(self) -> int:
-        if self._next_hop is _UNSET:
-            eattr = self.eattrs.ea_find(AttrTypeCode.NEXT_HOP)
-            self._next_hop = (
-                struct.unpack("!I", eattr.data)[0]
-                if eattr is not None and len(eattr.data) == 4
-                else 0
-            )
-        return self._next_hop
+        return self._parsed(AttrTypeCode.NEXT_HOP, _u32_or_0, 0)
+
+    def communities(self):
+        return self._parsed(AttrTypeCode.COMMUNITIES, decode_communities, ())
+
+    def cluster_list(self) -> Tuple[int, ...]:
+        return self._parsed(AttrTypeCode.CLUSTER_LIST, _cluster_list, ())
 
     def origin_asn(self) -> int:
         return self.as_path().origin_asn()

@@ -48,12 +48,6 @@ def _state(vm):
     return state
 
 
-#: Pre-built delegation signal.  ``next()`` fires on most runs of a
-#: filter-style extension; reusing one exception instance skips the
-#: per-raise allocation (the traceback is rewritten on every raise).
-_NEXT = NextRequested()
-
-
 def build_helper_table() -> HelperTable:
     """Build the full xBGP helper table.
 
@@ -67,7 +61,10 @@ def build_helper_table() -> HelperTable:
 
     def helper_next(vm, *args) -> int:
         _ctx(vm).next_requested = True
-        raise _NEXT
+        # A fresh instance per raise: CPython prepends to an instance's
+        # __traceback__ on every raise, so a shared one would pin every
+        # run's frames (and the contexts and routes they hold).
+        raise NextRequested()
 
     # -- argument / peer access ------------------------------------------
 

@@ -7,10 +7,11 @@ per peer and hands them to ``daemon.process_update_batch`` in vectors.
 Non-UPDATE control traffic (route refresh, keepalive) flushes the
 pending batch first so relative ordering on a session is preserved.
 
-The daemons guarantee that the final Adj-RIB-In/Loc-RIB/Adj-RIB-Out
-state after a batched feed is identical to the sequential path; only
-transient downstream traffic collapses (an announce superseded within
-one batch is never advertised).  Anything that changes daemon
+``receive_raw`` hands each UPDATE to the same method as a vector of
+one, so there is one pipeline and the final Adj-RIB-In/Loc-RIB/
+Adj-RIB-Out state does not depend on the batch size; only transient
+downstream traffic collapses (an announce superseded within one batch
+is never advertised).  Anything that changes daemon
 configuration mid-stream must call :meth:`BatchProcessor.flush` first —
 the fuzz host oracle's batched arm does exactly that before replaying
 peer-config writes.

@@ -117,7 +117,8 @@ class Network:
             else:
                 origin_name, source_address = link.b_name, link.b_address
                 target = self._routers[link.a_name]
-            # Ship the sender's active span ref with the bytes: the
+            # Ship the sender's active span ref with the bytes (the
+            # ``send`` span of the packed UPDATE being emitted): the
             # receiver's UPDATE span adopts it as parent, so one trace
             # follows the route across routers.
             tracker = getattr(self._routers.get(origin_name), "provenance", None)

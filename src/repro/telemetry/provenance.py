@@ -150,10 +150,18 @@ class ProvenanceTracker:
             self.spans.finish(self._stack.pop())
         self._update_events = []
 
-    def begin_phase(self, kind: str, prefix) -> Dict[str, object]:
-        """Open a child span for one processing phase (decision/export)."""
+    def begin_phase(self, kind: str, prefix=None, **fields: object) -> Dict[str, object]:
+        """Open a child span for one processing phase: ``decision`` and
+        ``export`` of one prefix, or the ``send`` of one packed UPDATE.
+
+        While a ``send`` span is open it is what :meth:`active_ref`
+        hands the link, so the downstream UPDATE is parented under a
+        span that names the prefixes this router sent it.
+        """
         parent = self._stack[-1] if self._stack else None
-        span = self.spans.start(kind, parent, prefix=str(prefix))
+        if prefix is not None:
+            fields["prefix"] = str(prefix)
+        span = self.spans.start(kind, parent, **fields)
         self._stack.append(span)
         return span
 

@@ -92,14 +92,27 @@ class TestSpanPropagation:
             assert {span["trace"] for span in spans} == {root["trace"]}
 
     def test_downstream_update_parented_under_dut_export(self):
+        # Exports leave in a packed flush after the sweep, so the link's
+        # parent ref is the flush's ``send`` span: same trace, child of
+        # the DUT's UPDATE span, naming the prefixes the message carries.
         _, _, dut, down = build_explain_scenario("frr", PREFIX)
         (update_span,) = down.provenance.spans.spans("update")
+        (send_span,) = [
+            span
+            for span in dut.provenance.spans.spans("send")
+            if str(PREFIX) in span["prefixes"]
+        ]
+        assert update_span["parent"] == send_span["span"]
+        assert update_span["trace"] == send_span["trace"]
+        (dut_update,) = dut.provenance.spans.spans("update")
+        assert send_span["parent"] == dut_update["span"]
         (export_span,) = [
             span
             for span in dut.provenance.spans.spans("export")
             if span["prefix"] == str(PREFIX)
         ]
-        assert update_span["parent"] == export_span["span"]
+        assert export_span["parent"] == dut_update["span"]
+        assert export_span["end"] <= send_span["start"]
 
     def test_story_trace_ids_link_the_routers(self):
         _, up, dut, down = build_explain_scenario("frr", PREFIX)

@@ -1,5 +1,7 @@
 """Unit tests for repro.bgp.prefix."""
 
+import pickle
+
 import pytest
 
 from repro.bgp.prefix import (
@@ -81,6 +83,40 @@ class TestPrefix:
         b = Prefix.parse("10.0.0.0/16")
         c = Prefix.parse("11.0.0.0/8")
         assert a < b < c
+
+    def test_hash_is_the_tuple_hash(self):
+        # RIB dictionaries hash prefixes in C; the value is what the
+        # Python-level __hash__ used to compute.
+        for text in ("0.0.0.0/0", "10.0.0.0/8", "192.0.2.128/25", "255.255.255.255/32"):
+            prefix = Prefix.parse(text)
+            assert hash(prefix) == hash((prefix.network, prefix.length))
+
+    def test_ordering_is_network_then_length(self):
+        texts = ["11.0.0.0/8", "10.0.0.0/16", "10.128.0.0/9", "10.0.0.0/8", "0.0.0.0/0"]
+        prefixes = [Prefix.parse(text) for text in texts]
+        assert sorted(prefixes) == sorted(
+            prefixes, key=lambda prefix: (prefix.network, prefix.length)
+        )
+        assert Prefix.parse("10.0.0.0/8") <= Prefix.parse("10.0.0.0/8")
+        assert max(prefixes) == Prefix.parse("11.0.0.0/8")
+
+    def test_pickle_round_trip(self):
+        prefix = Prefix.parse("172.16.0.0/12")
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(prefix, protocol))
+            assert type(clone) is Prefix
+            assert clone == prefix and hash(clone) == hash(prefix)
+
+    def test_no_attribute_can_be_assigned(self):
+        prefix = Prefix.parse("10.0.0.0/8")
+        for name in ("network", "length", "anything_else"):
+            with pytest.raises(AttributeError):
+                setattr(prefix, name, 1)
+
+    def test_out_of_range_length_rejected(self):
+        for length in (-1, 33):
+            with pytest.raises(ValueError):
+                Prefix(0, length)
 
     def test_contains_more_specific(self):
         assert Prefix.parse("10.0.0.0/8").contains(Prefix.parse("10.1.0.0/16"))

@@ -30,15 +30,17 @@ SHARED = [
     "withdraw_local",
     "receive_raw",
     "receive_message",
-    "_process_update",
-    "_process_update_body",
+    "_receive",
     "process_update_batch",
     "_import_route",
     "_native_import",
     "_process_route_refresh",
+    "_sweep",
     "_select_best",
     "_run_decision",
     "_export_prefix",
+    "_send_table",
+    "_export_to",
     "_export_filter",
     "_native_export",
     "_apply_export_mechanics",
@@ -46,6 +48,7 @@ SHARED = [
     "_send_route",
     "_withdraw_from",
     "_flush_bulk_export",
+    "_send_packed",
     "_send_update",
     "_send_raw",
     "loc_rib_snapshot",

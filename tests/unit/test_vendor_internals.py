@@ -15,7 +15,12 @@ from repro.bgp.attributes import (
 )
 from repro.bgp.aspath import AsPath
 from repro.bgp.constants import AttrTypeCode, Origin
+from repro.bgp.prefix import Prefix
+from repro.bird.daemon import BirdDaemon
 from repro.bird.eattrs import Eattr, EattrList
+from repro.bird.rib import BirdRoute
+from repro.core.context import ExecutionContext
+from repro.core.insertion_points import InsertionPoint
 from repro.frr.attrs_intern import AttrPool, FrrAttrs
 
 
@@ -67,6 +72,66 @@ class TestEattrList:
         eattrs = EattrList.from_wire(sample_attrs())
         codes = [e.code for e in eattrs]
         assert codes == sorted(codes)
+
+
+class TestBirdParseOnce:
+    """An attribute block is decoded once, however many routes, list
+    copies and calls read it (the parsed value lives on the Eattr)."""
+
+    def route(self, eattrs=None):
+        eattrs = eattrs if eattrs is not None else EattrList.from_wire(sample_attrs())
+        return BirdRoute(Prefix.parse("10.0.0.0/8"), None, eattrs)
+
+    def test_accessors_return_the_memoised_object(self):
+        route = self.route()
+        assert route.as_path() is route.as_path()
+        assert route.communities() is route.communities()
+        assert route.as_path() == AsPath.from_sequence([65001, 65002])
+        assert route.as_path_length() == 2 and route.origin_asn() == 65002
+        assert route.path_contains(65001) and not route.path_contains(65003)
+
+    def test_routes_and_copies_of_one_block_share_the_parsed_view(self):
+        eattrs = EattrList.from_wire(sample_attrs())
+        first, second = self.route(eattrs), self.route(eattrs)
+        assert first.as_path() is second.as_path()
+        assert first.with_eattrs(eattrs.copy()).as_path() is first.as_path()
+
+    def test_a_write_is_visible_to_the_next_read(self):
+        route = self.route()
+        before_path, before_communities = route.as_path(), route.communities()
+        path = make_as_path(AsPath.from_sequence([65009]))
+        route.eattrs.ea_set(path.type_code, path.flags, path.value)
+        communities = make_communities([0x1234_0002, 0x1234_0003])
+        route.eattrs.ea_set(communities.type_code, communities.flags, communities.value)
+        assert route.as_path() == AsPath.from_sequence([65009]) != before_path
+        assert route.communities() == communities.as_communities() != before_communities
+        assert route.as_path_length() == 1
+        route.eattrs.ea_unset(AttrTypeCode.AS_PATH)
+        assert route.as_path() == AsPath() and route.as_path_length() == 0
+
+    def test_glue_set_attr_is_visible_and_leaves_siblings_alone(self):
+        daemon = BirdDaemon(asn=65001, router_id="10.0.0.1")
+        sibling = self.route()
+        route = self.route(sibling.eattrs)
+        assert route.as_path_length() == 2  # memoise before the write
+        ctx = ExecutionContext(
+            daemon.host, InsertionPoint.BGP_INBOUND_FILTER, route=route, prefix=route.prefix
+        )
+        path = make_as_path(AsPath.from_sequence([65007, 65008, 65009]))
+        assert daemon.host.set_attr(ctx, path.type_code, path.flags, path.value)
+        assert ctx.route.as_path() == AsPath.from_sequence([65007, 65008, 65009])
+        assert ctx.route.as_path_length() == 3
+        assert sibling.as_path_length() == 2
+
+    def test_scalars_default_when_absent_or_malformed(self):
+        bare = self.route(EattrList())
+        assert (bare.local_pref(), bare.med(), bare.next_hop()) == (100, 0, 0)
+        assert bare.origin() == Origin.INCOMPLETE
+        assert bare.communities() == () and bare.cluster_list() == ()
+        odd = EattrList()
+        odd.ea_set(AttrTypeCode.LOCAL_PREF, 0x40, b"\x01")
+        odd.ea_set(AttrTypeCode.MULTI_EXIT_DISC, 0x80, b"")
+        assert (self.route(odd).local_pref(), self.route(odd).med()) == (100, 0)
 
 
 class TestFrrAttrs:
