@@ -1,11 +1,12 @@
-"""Ablation — executing the instruction set: interp vs JIT vs native.
+"""Ablation — executing the instruction set: interpreter vs compiled.
 
 The paper asks "how to implement this instruction set efficiently — so
 as to minimize the overhead?".  On the Python substrate the answer is
-the tier ladder: the block-translating JIT (repro.ebpf.jit) and the
-structured native compiler (repro.ebpf.native) above it; this benchmark
-quantifies the per-invocation gap on a fixed arithmetic bytecode, plus
-the cost of ``next()`` chains and verification.
+one compiled tier (``tier="jit"``: repro.ebpf.native, structured Python
+with repro.ebpf.jit's dispatch loop as its fallback) beside the
+reference interpreter; this benchmark quantifies the per-invocation gap
+on a fixed arithmetic bytecode, plus the cost of ``next()`` chains and
+verification.
 """
 
 import timeit
@@ -15,13 +16,16 @@ import pytest
 from repro.eval import ablation
 
 
-@pytest.mark.parametrize("engine", ["interp", "jit", "native"])
+@pytest.mark.parametrize("engine", ["interp", "jit"])
 def test_engine_invocation_cost(benchmark, engine):
     run = ablation.engine_fn(engine)
     benchmark(run)
 
 
 def test_jit_speedup_over_interpreter(benchmark):
+    """The compiled tier must clear 5× the interpreter's cost per
+    invocation on the loop-heavy arithmetic bytecode (the structured
+    loop measures far above that; the floor leaves room for CI noise)."""
     interp = ablation.engine_fn("interp")
     jitted = ablation.engine_fn("jit")
     assert interp() == jitted()
@@ -30,35 +34,7 @@ def test_jit_speedup_over_interpreter(benchmark):
     benchmark.pedantic(jitted, rounds=3, iterations=10, warmup_rounds=1)
     ratio = interp_time / jit_time
     print(f"\nJIT speedup over interpreter: {ratio:.1f}x")
-    assert ratio > 2.0
-
-
-def test_native_speedup_over_interpreter(benchmark):
-    """The ISSUE 7 floor: the native tier must clear 5× the interp
-    cost per invocation on the loop-heavy arithmetic bytecode (the
-    stretch goal is 10×; CI asserts only the floor against noise)."""
-    interp = ablation.engine_fn("interp")
-    compiled = ablation.engine_fn("native")
-    assert interp() == compiled()
-    interp_time = min(timeit.repeat(interp, number=50, repeat=3))
-    native_time = min(timeit.repeat(compiled, number=50, repeat=3))
-    benchmark.pedantic(compiled, rounds=3, iterations=10, warmup_rounds=1)
-    ratio = interp_time / native_time
-    print(f"\nnative speedup over interpreter: {ratio:.1f}x")
     assert ratio > 5.0
-
-
-def test_native_not_slower_than_jit(benchmark):
-    jitted = ablation.engine_fn("jit")
-    compiled = ablation.engine_fn("native")
-    assert jitted() == compiled()
-    jit_time = min(timeit.repeat(jitted, number=100, repeat=3))
-    native_time = min(timeit.repeat(compiled, number=100, repeat=3))
-    benchmark.pedantic(compiled, rounds=3, iterations=10, warmup_rounds=1)
-    ratio = jit_time / native_time
-    print(f"\nnative speedup over JIT: {ratio:.2f}x")
-    # Generous noise margin; the point is "never a regression tier".
-    assert native_time < jit_time * 1.15
 
 
 @pytest.mark.parametrize("length", [0, 1, 2, 4, 8])

@@ -617,17 +617,19 @@ def _cmd_profile(args) -> int:
             print()
             print("tier attribution:")
             for name, entry in sorted(tiers.items()):
-                line = f"  {name:<24} requested={entry['requested']} used={entry['used']}"
-                if entry.get("fallback_reason"):
-                    line += f"  (fallback: {entry['fallback_reason']})"
-                info = entry.get("native")
-                if info:
+                line = f"  {name:<24} {entry['tier']}"
+                done = entry.get("compiled")
+                if done:
                     line += (
-                        f"  [{info['structured_blocks']} structured blocks,"
-                        f" {len(info['bail_blocks'])} bail-to-jit,"
-                        f" {info['loops']} loops,"
-                        f" {info['direct_stack_ops']} direct stack ops]"
+                        f"  {done['shape']}"
+                        f"  [{done['structured_blocks']} structured,"
+                        f" {done['tail_blocks']} tail,"
+                        f" {done['dispatch_only_blocks']} dispatch-only blocks,"
+                        f" {done['loops']} loops,"
+                        f" {done['direct_stack_ops']} direct stack ops]"
                     )
+                    if done["declined"]:
+                        line += f"  (declined: {done['declined']})"
                 print(line)
         if args.listing:
             for profile in profiler.profiles():
@@ -1005,7 +1007,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["route_reflection", "origin_validation"],
         default="route_reflection",
     )
-    p.add_argument("--engine", choices=["jit", "interp", "native", "pyext"], default="jit")
+    p.add_argument("--engine", choices=["jit", "interp", "pyext"], default="jit")
     p.add_argument("--routes", type=int, default=2500)
     p.add_argument("--runs", type=int, default=7)
     p.add_argument("--seed", type=int, default=20200604)
@@ -1029,7 +1031,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="route_reflection",
     )
     p.add_argument("--mode", choices=["extension", "native"], default="extension")
-    p.add_argument("--engine", choices=["jit", "interp", "native", "pyext"], default="jit")
+    p.add_argument("--engine", choices=["jit", "interp", "pyext"], default="jit")
     p.add_argument("--routes", type=int, default=500)
     p.add_argument("--seed", type=int, default=20200604)
     p.add_argument(
@@ -1094,7 +1096,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("prefix", help="prefix to explain, e.g. 198.51.100.0/24")
     p.add_argument("--implementation", choices=["frr", "bird"], default="frr")
-    p.add_argument("--engine", choices=["jit", "interp", "native", "pyext"], default="jit")
+    p.add_argument("--engine", choices=["jit", "interp", "pyext"], default="jit")
     p.add_argument(
         "--router", choices=["up", "dut", "down"], default="dut",
         help="whose provenance to read (default: the route reflector DUT)",
@@ -1109,7 +1111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spans", help="print the cross-router span tree")
     p.add_argument("prefix", help="prefix to trace, e.g. 198.51.100.0/24")
     p.add_argument("--implementation", choices=["frr", "bird"], default="frr")
-    p.add_argument("--engine", choices=["jit", "interp", "native", "pyext"], default="jit")
+    p.add_argument("--engine", choices=["jit", "interp", "pyext"], default="jit")
     p.add_argument(
         "-o", "--output", metavar="FILE", default=None,
         help="export every router's spans as JSON Lines instead of text",
@@ -1145,7 +1147,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario", choices=sorted(_SCENARIO_FEATURES), default="route-reflection"
     )
     p.add_argument("--impl", choices=["frr", "bird"], default="frr")
-    p.add_argument("--engine", choices=["jit", "interp", "native"], default="jit")
+    p.add_argument("--engine", choices=["jit", "interp"], default="jit")
     p.add_argument("--routes", type=int, default=400)
     p.add_argument("--seed", type=int, default=20200604)
     p.add_argument(
@@ -1175,7 +1177,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario", choices=sorted(_SCENARIO_FEATURES), default="route-reflection"
     )
     p.add_argument("--impl", choices=["frr", "bird"], default="frr")
-    p.add_argument("--engine", choices=["jit", "interp", "native"], default="jit")
+    p.add_argument("--engine", choices=["jit", "interp"], default="jit")
     p.add_argument("--routes", type=int, default=400)
     p.add_argument("--runs", type=int, default=5)
     p.add_argument("--seed", type=int, default=20200604)

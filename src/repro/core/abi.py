@@ -133,8 +133,8 @@ def pack_peer_info(neighbor: Neighbor, cached: bool = True) -> bytes:
     # Memoized on the Neighbor: peers are long-lived and their fields
     # rarely change, but helpers ask for this struct on every route.
     # Neighbor.__setattr__ clears _packed_info on any field change.
-    # ``cached=False`` re-packs every call (the hot-path ablation's
-    # legacy arm, which predates this memo).
+    # ``cached=False`` re-packs every call (a ``hot_path=False`` host,
+    # the host fuzz oracle's reference arm).
     packed = neighbor._packed_info if cached else None
     if packed is None:
         packed = _PEER_INFO.pack(

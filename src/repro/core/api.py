@@ -60,7 +60,7 @@ def build_helper_table() -> HelperTable:
     # -- control flow ---------------------------------------------------
 
     def helper_next(vm, *args) -> int:
-        _ctx(vm).next_requested = True
+        _ctx(vm)  # HelperError outside an insertion point
         # A fresh instance per raise: CPython prepends to an instance's
         # __traceback__ on every raise, so a shared one would pin every
         # run's frames (and the contexts and routes they hold).

@@ -3,9 +3,8 @@
 §2.1: "Each API function is called with a context of execution.  This
 context is hidden within the extension code but visible in the host BGP
 implementation."  The context tells helper implementations which host,
-peer, route or message the bytecode is operating on, carries the
-*hidden arguments* the host passed when reaching the insertion point,
-and records the ``next()`` delegation signal.
+peer, route or message the bytecode is operating on and carries the
+*hidden arguments* the host passed when reaching the insertion point.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ class ExecutionContext:
         "message",
         "out_buffer",
         "hidden",
-        "next_requested",
         "error",
         "faulted_extension",
         "span",
@@ -82,7 +80,6 @@ class ExecutionContext:
         self.message = message
         self.out_buffer = out_buffer
         self.hidden = hidden or {}
-        self.next_requested = False
         #: Human-readable "<extension>: <error>" set when a code aborts.
         self.error: Optional[str] = None
         #: Name of the extension code that faulted mid-chain, so hosts

@@ -32,10 +32,10 @@ class HostImplementation(ABC):
     #: in the LoC accounting experiment.
     name: str = "abstract"
 
-    #: Whether the helper layer may use this PR's marshalling caches
-    #: (peer-info memo, packed-attribute cache).  Daemons flip it off
-    #: for the hot-path ablation's legacy arm; standalone hosts keep
-    #: the default.
+    #: Whether the helper layer may use the marshalling caches
+    #: (peer-info memo, packed-attribute cache).  A daemon built with
+    #: ``hot_path=False`` flips it off (the host fuzz oracle's reference
+    #: arm); standalone hosts keep the default.
     hot_path: bool = True
 
     #: Per-route provenance tracker

@@ -13,27 +13,30 @@ of its native function at every insertion point.  The VMM:
    budget or a helper error aborts the code, notifies the host and
    falls back to the default function.
 
-Monitoring goes beyond the paper's bare fallback: every run is
-recorded against a :class:`repro.telemetry.Telemetry` instance —
-per-(insertion point, extension) execution/error/fallback counters,
-latency histograms, executed-instruction and helper-call totals, and a
-structured trace of enter/exit/next/fallback events.  A quarantine
-policy (circuit breaker) can detach a crash-looping extension after N
-consecutive errors so the rest of the chain and the native path keep
-the router converging; see :mod:`repro.telemetry.health`.
+That sequence is written once.  Whenever what is attached or what is
+watching changes (attach, detach, ``enable_*``/``disable_*``) the point
+is *bound*: each attached code becomes one ``step(ctx)`` closure — the
+only place an extension code is executed — and the point's runner
+walks its steps and ends in the default function.  A circuit breaker
+(:mod:`repro.telemetry.health`) is part of the step: a code that keeps
+faulting is skipped so the rest of the chain and the native path keep
+the router converging.  Everything that merely *watches* a run —
+metrics and the trace ring of a :class:`repro.telemetry.Telemetry`,
+breaker bookkeeping, the host's provenance tracker, a profiler — is a
+:class:`_Watch`, composed into the step when the point is bound, so a
+run nobody watches executes the bare code.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from time import perf_counter
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 
 from ..ebpf.helpers import HelperError, HelperTable
 from ..ebpf.memory import SandboxViolation, VmMemory
 from ..ebpf.verifier import VerifierConfig, VerifierError, verify
 from ..ebpf.vm import ExecutionError, VirtualMachine
-from ..telemetry import QuarantinePolicy, Telemetry
+from ..telemetry import QuarantineEngine, QuarantinePolicy, Telemetry
 from .api import build_helper_table
 from .context import ExecutionContext, NextRequested
 from .extension import ExtensionCode, NativeExtensionCode, ProgramState, XbgpProgram
@@ -42,49 +45,36 @@ from .insertion_points import InsertionPoint
 
 __all__ = ["VmmConfig", "VirtualMachineManager", "AttachError"]
 
+Runner = Callable[[ExecutionContext, Callable[[], int]], int]
+
+#: What a step returns instead of a result: the code delegated with
+#: ``next()`` (or the breaker skipped it) / the code faulted and the
+#: chain falls back to the host's native function.
+NEXT = object()
+ABORTED = object()
+
+#: The faults a bytecode run is allowed to end in; anything else raised
+#: on the bytecode path is a bug in this repo and propagates.  A
+#: host-native code is arbitrary Python, so every exception is a fault.
+_SANDBOX_FAULTS = (SandboxViolation, ExecutionError, HelperError)
+
 
 class AttachError(Exception):
     """A program could not be attached (verification or lookup failed)."""
-
-
-def _timed_run(run_fn, observe):
-    """The single timing seam for monitored extension runs.
-
-    Every path that measures a run — the general traced loop, the
-    pre-bound fast closures, and profiled execution — funnels through
-    here: ``observe`` is composed once at attach/enable time (histogram
-    update, profiler ``note_run``), so adding an observer never touches
-    the run sites.  The ``finally`` also times exceptions that re-raise
-    out of the VMM (internal bugs on the bytecode path) — a deliberate
-    simplification over raise-before-observe, keeping the fast and
-    general paths symmetric.
-    """
-    start = perf_counter()
-    try:
-        return run_fn()
-    finally:
-        observe(perf_counter() - start)
 
 
 class VmmConfig:
     """Resource limits applied to every attached extension code.
 
     ``tier`` selects the execution engine for attached bytecode:
-    ``"interp"`` (reference interpreter), ``"jit"`` (translated
-    dispatch loop) or ``"native"`` (structured native-tier compile,
-    falling back per program to the JIT when the compiler declines —
-    see :mod:`repro.ebpf.native`).  ``engine=`` is kept as a deprecated
-    alias; reading ``config.engine`` returns the tier.
+    ``"interp"`` (the reference interpreter) or ``"jit"`` (the compiled
+    tier, :mod:`repro.ebpf.native`, which decides per program how much
+    of it runs structured and how much on its dispatch loop).
 
-    ``telemetry=False`` strips all instrumentation from the execution
-    hot path (the ablation benchmark's uninstrumented arm);
-    ``quarantine`` configures the circuit breaker (default: never
-    quarantine, matching the paper's always-retry fallback).
-
-    ``fast_path`` enables the single-code specialized run closure and
-    ``lazy_heap`` the zero-fill-free VM heap reset; both default on and
-    exist only so the hot-path ablation benchmark can measure the
-    pre-overhaul arms.  Neither changes observable semantics.
+    ``telemetry=False`` builds no metrics registry and no trace ring;
+    ``quarantine`` configures the circuit breaker, which works with or
+    without them (default: never quarantine, matching the paper's
+    always-retry fallback).
     """
 
     __slots__ = (
@@ -95,8 +85,6 @@ class VmmConfig:
         "tier",
         "telemetry",
         "quarantine",
-        "fast_path",
-        "lazy_heap",
     )
 
     def __init__(
@@ -105,21 +93,11 @@ class VmmConfig:
         heap_size: int = 1 << 16,
         allow_loops: bool = True,
         max_instructions: int = 65536,
-        engine: Optional[str] = None,
+        tier: str = "jit",
         telemetry: bool = True,
         quarantine: Optional[QuarantinePolicy] = None,
-        fast_path: bool = True,
-        lazy_heap: bool = True,
-        tier: Optional[str] = None,
     ):
-        if tier is None:
-            tier = engine if engine is not None else "jit"
-        elif engine is not None and engine != tier:
-            raise ValueError(
-                f"engine= is a deprecated alias of tier=; got engine={engine!r} "
-                f"but tier={tier!r}"
-            )
-        if tier not in ("jit", "interp", "native"):
+        if tier not in ("jit", "interp"):
             raise ValueError(f"bad tier {tier!r}")
         self.step_budget = step_budget
         self.heap_size = heap_size
@@ -128,22 +106,10 @@ class VmmConfig:
         self.tier = tier
         self.telemetry = telemetry
         self.quarantine = quarantine
-        self.fast_path = fast_path
-        self.lazy_heap = lazy_heap
-
-    @property
-    def engine(self) -> str:
-        """Deprecated alias for :attr:`tier`."""
-        return self.tier
 
 
 class _Attached:
-    """One attached extension code with its persistent VM and stats.
-
-    The telemetry handles (counters, histogram, breaker state) are
-    resolved once at attach time so the execution hot path pays one
-    attribute update per event instead of a registry lookup.
-    """
+    """One attached extension code with its persistent VM and stats."""
 
     __slots__ = (
         "code",
@@ -153,38 +119,80 @@ class _Attached:
         "errors",
         "fallbacks",
         "health",
-        "m_exec",
-        "m_err",
-        "m_fallback",
-        "m_next",
-        "m_insns",
-        "m_helpers",
-        "hist",
-        "observe",
         "profile",
     )
 
-    def __init__(self, code, vm: Optional[VirtualMachine], state: ProgramState):
+    def __init__(self, code, vm: Optional[VirtualMachine], state: ProgramState, health):
         self.code = code
         self.vm = vm
         self.state = state
         self.executions = 0
         self.errors = 0
         self.fallbacks = 0
-        self.health = None
-        self.m_exec = None
-        self.m_err = None
-        self.m_fallback = None
-        self.m_next = None
-        self.m_insns = None
-        self.m_helpers = None
-        self.hist = None
-        #: The composed per-run observer passed to :func:`_timed_run`
-        #: (histogram observe, plus profiler bookkeeping while a
-        #: profiler is enabled).  ``None`` means the run is not timed.
-        self.observe = None
+        #: The code's breaker state; stays ``closed`` unless something
+        #: keeps the books (see :meth:`VirtualMachineManager._watches`).
+        self.health = health
         #: The extension's VmProfile while a profiler is enabled.
         self.profile = None
+
+
+class _Watch(NamedTuple):
+    """What one observer wants to hear about one attached code.
+
+    Any subset of: ``enter(ctx)`` before a run, then exactly one of
+    ``returned(ctx, result)`` / ``delegated(ctx)`` / ``faulted(ctx,
+    exc)`` after it; ``skipped(ctx)`` when the breaker withholds the
+    run; ``observe(seconds)`` with the run's wall time, however it
+    ended.
+    """
+
+    enter: Optional[Callable] = None
+    returned: Optional[Callable] = None
+    delegated: Optional[Callable] = None
+    faulted: Optional[Callable] = None
+    skipped: Optional[Callable] = None
+    observe: Optional[Callable] = None
+
+
+def _ignore(*_args) -> None:
+    """The hook of a step nobody watches."""
+
+
+def _fan_out(hooks: Iterable[Optional[Callable]]) -> Optional[Callable]:
+    """One callable invoking every non-None hook in order; None if none."""
+    wanted = [hook for hook in hooks if hook is not None]
+    if len(wanted) <= 1:
+        return wanted[0] if wanted else None
+
+    def fan_out(*args) -> None:
+        for hook in wanted:
+            hook(*args)
+
+    return fan_out
+
+
+def _timed(run, observe):
+    """``run`` with its wall time reported to ``observe`` on every
+    outcome — the ``finally`` also times runs that end in ``next()``, a
+    fault, or an exception that propagates out of the VMM."""
+
+    def timed(*args):
+        start = perf_counter()
+        try:
+            return run(*args)
+        finally:
+            observe(perf_counter() - start)
+
+    return timed
+
+
+def _verdict(result) -> Optional[int]:
+    return result if isinstance(result, int) else None
+
+
+def _native_only(ctx: ExecutionContext, default_fn: Callable[[], int]) -> int:
+    """The runner of a point with nothing attached."""
+    return default_fn()
 
 
 class VirtualMachineManager:
@@ -200,26 +208,23 @@ class VirtualMachineManager:
         self.config = config or VmmConfig()
         self.helper_table: HelperTable = build_helper_table()
         self._chains: Dict[InsertionPoint, List[_Attached]] = {}
-        #: Specialized run closures for points with exactly one attached
-        #: code (the overwhelmingly common deployment shape): the chain
-        #: loop, per-run attribute lookups and telemetry-handle fetches
-        #: are resolved once at attach time.  Rebuilt by :meth:`_rebind`
-        #: on every attach/detach; absent entries fall back to the
-        #: general chain walk.
-        self._fast: Dict[InsertionPoint, Callable[[ExecutionContext, Callable[[], int]], int]] = {}
+        #: The bound runner of every point with at least one code.
+        self._runners: Dict[InsertionPoint, Runner] = {}
         self._programs: Dict[str, XbgpProgram] = {}
         self.fallbacks = 0
         self._point_fallbacks: Dict[InsertionPoint, int] = {}
-        #: The active Profiler, or None.  Like provenance, a profiler
-        #: disqualifies the fast path while installed and is free when
-        #: absent; see :meth:`enable_profiling`.
+        #: The active Profiler, or None; see :meth:`enable_profiling`.
         self.profiler = None
-        if telemetry is not None:
-            self.telemetry = telemetry
-        elif self.config.telemetry:
-            self.telemetry = Telemetry(policy=self.config.quarantine)
-        else:
-            self.telemetry = None
+        if telemetry is None and self.config.telemetry:
+            telemetry = Telemetry(policy=self.config.quarantine)
+        self.telemetry = telemetry
+        #: The circuit breaker.  Telemetry's when there is one (so its
+        #: transitions are traced and counted); its own otherwise.
+        self.breaker: QuarantineEngine = (
+            telemetry.health
+            if telemetry is not None
+            else QuarantineEngine(self.config.quarantine)
+        )
 
     # -- attachment -----------------------------------------------------
 
@@ -233,10 +238,10 @@ class VirtualMachineManager:
         if program.name in self._programs:
             raise AttachError(f"program {program.name!r} already attached")
         state = program.build_state()
-        attached: List[_Attached] = []
+        vms: List[Optional[VirtualMachine]] = []
         for code in program.codes:
             if isinstance(code, NativeExtensionCode):
-                attached.append(_Attached(code, None, state))
+                vms.append(None)
                 continue
             if not isinstance(code, ExtensionCode):
                 raise AttachError(f"unsupported code object {code!r}")
@@ -253,11 +258,7 @@ class VirtualMachineManager:
                 verify(code.instructions, verifier_config)
             except VerifierError as exc:
                 raise AttachError(f"{code.name}: verification failed: {exc}") from exc
-            memory = VmMemory(
-                heap_size=self.config.heap_size,
-                lazy_zero=self.config.lazy_heap,
-                fast_access=self.config.lazy_heap,
-            )
+            memory = VmMemory(heap_size=self.config.heap_size)
             memory.attach(state.shared)
             vm = VirtualMachine(
                 code.instructions,
@@ -269,50 +270,22 @@ class VirtualMachineManager:
             )
             vm.program_state = state
             vm.prepare()  # pay translation cost at attach, not first run
-            attached.append(_Attached(code, vm, state))
+            vms.append(vm)
         touched = set()
-        for item in attached:
-            if self.telemetry is not None:
-                self._instrument(item)
+        for code, vm in zip(program.codes, vms):
+            point = code.insertion_point
+            item = _Attached(
+                code, vm, state, self.breaker.state_for(point.value, code.name)
+            )
             if self.profiler is not None:
                 self._profile_item(item)
-            chain = self._chains.setdefault(item.code.insertion_point, [])
+            chain = self._chains.setdefault(point, [])
             chain.append(item)
             chain.sort(key=lambda entry: entry.code.seq)
-            touched.add(item.code.insertion_point)
+            touched.add(point)
         self._programs[program.name] = program
         for point in touched:
-            self._rebind(point)
-
-    def _instrument(self, item: _Attached) -> None:
-        """Bind the telemetry handles this code updates on every run."""
-        registry = self.telemetry.registry
-        point = item.code.insertion_point.value
-        name = item.code.name
-        labels = {"point": point, "extension": name}
-        item.health = self.telemetry.health.state_for(point, name)
-        item.m_exec = registry.counter(
-            "xbgp_extension_executions", "extension code invocations", **labels
-        )
-        item.m_err = registry.counter(
-            "xbgp_extension_errors", "aborted extension runs", **labels
-        )
-        item.m_fallback = registry.counter(
-            "xbgp_extension_fallbacks", "fallbacks to native caused by this code", **labels
-        )
-        item.m_next = registry.counter(
-            "xbgp_extension_next", "next() delegations", **labels
-        )
-        item.m_insns = registry.counter(
-            "xbgp_extension_instructions", "eBPF instructions executed", **labels
-        )
-        item.m_helpers = registry.counter(
-            "xbgp_extension_helper_calls", "helper functions invoked", **labels
-        )
-        item.hist = registry.histogram(
-            "xbgp_extension_run_seconds", "per-run latency", **labels
-        )
-        item.observe = item.hist.observe
+            self._bind(point)
 
     def detach_program(self, name: str) -> None:
         """Remove every extension code of program ``name``.
@@ -331,56 +304,28 @@ class VirtualMachineManager:
             if not removed:
                 continue
             chain[:] = [item for item in chain if id(item.code) not in codes]
-            if self.telemetry is not None:
-                for item in removed:
-                    self.telemetry.health.discard(point.value, item.code.name)
-            self._rebind(point)
-
-    def _rebind(self, point: InsertionPoint) -> None:
-        """Rebuild (or drop) the specialized closure for ``point``.
-
-        Provenance and profiling disqualify the fast path: the
-        specialized closures deliberately do not consult the tracker or
-        profiler per run (that is what keeps the off state free), so
-        while either is installed the general loop — which carries
-        their hooks — must run.
-        """
-        chain = self._chains.get(point)
-        if (
-            not self.config.fast_path
-            or not chain
-            or len(chain) != 1
-            or self.host.provenance is not None
-            or self.profiler is not None
-        ):
-            self._fast.pop(point, None)
-            return
-        if self.telemetry is not None:
-            self._fast[point] = self._bind_traced_fast(chain, chain[0])
-        else:
-            self._fast[point] = self._bind_plain_fast(chain, chain[0])
+            for item in removed:
+                self.breaker.discard(point.value, item.code.name)
+            self._bind(point)
 
     def rebind_all(self) -> None:
-        """Re-evaluate every specialized closure.
+        """Bind every point again.
 
-        Called after anything the pre-bound closures do not re-check per
-        run changes — toggling the host's provenance tracker or this
-        manager's profiler on or off.
+        Called after anything the bound steps captured changes —
+        toggling the host's provenance tracker or this manager's
+        profiler on or off.
         """
         for point in list(self._chains):
-            self._rebind(point)
+            self._bind(point)
 
     # -- profiling ---------------------------------------------------------
 
     def enable_profiling(self, profiler) -> None:
-        """Install ``profiler`` and route runs through the profiled seam.
-
-        Creates one :class:`~repro.telemetry.profiler.VmProfile` per
-        attached code (swapping each VM onto its profiled execution
-        path), composes the per-run observer to also feed the profile,
-        and rebinds every specialized closure away — the same gating
-        discipline as ``enable_provenance``: on pays for what it
-        measures, off is free.
+        """Install ``profiler``: one
+        :class:`~repro.telemetry.profiler.VmProfile` per attached code
+        (swapping each VM onto its profiled execution path) fed by a
+        watch on every step.  On pays for what it measures, off is
+        free — the same discipline as the host's ``enable_provenance``.
         """
         if profiler is None:
             raise ValueError("enable_profiling requires a Profiler")
@@ -391,62 +336,29 @@ class VirtualMachineManager:
         self.rebind_all()
 
     def disable_profiling(self) -> None:
-        """Remove the profiler and restore the fast path."""
+        """Remove the profiler and its watches."""
         if self.profiler is None:
             return
         self.profiler = None
         for chain in self._chains.values():
             for item in chain:
                 item.profile = None
-                item.observe = item.hist.observe if item.hist is not None else None
                 if item.vm is not None:
                     item.vm.set_profile(None)
         self.rebind_all()
 
     def _profile_item(self, item: _Attached) -> None:
-        """Bind ``item`` to its profile and compose its run observer.
-
-        The observer samples the heap bump pointer *after* the run
-        (``reset_heap`` precedes each run, so ``heap_used`` at observe
-        time is exactly this run's allocation high watermark).
-        """
+        """Give ``item`` its profile and put its VM on the profiled path."""
         point = item.code.insertion_point.value
-        profile = self.profiler.profile_for(point, item.code.name, item.vm)
-        item.profile = profile
-        note_run = profile.note_run
-        base = item.hist.observe if item.hist is not None else None
+        item.profile = self.profiler.profile_for(point, item.code.name, item.vm)
         if item.vm is not None:
-            item.vm.set_profile(profile)
-            # set_profile re-translates compiled tiers and the native
+            item.vm.set_profile(item.profile)
+            # set_profile re-translates the compiled tier and the
             # compiler's verdict may differ under profiling, so refresh
-            # the tier attribution captured at profile creation.
-            profile.engine = item.vm.tier_used or item.vm.tier
-            profile.fallback_reason = item.vm.native_fallback_reason
-            memory = item.vm.memory
-            if base is not None:
+            # the attribution captured at profile creation.
+            item.profile.compiled = item.vm.compile_info
 
-                def observe(elapsed, _base=base, _note=note_run, _memory=memory):
-                    _base(elapsed)
-                    _note(elapsed, _memory.heap_used)
-
-            else:
-
-                def observe(elapsed, _note=note_run, _memory=memory):
-                    _note(elapsed, _memory.heap_used)
-
-        else:
-            if base is not None:
-
-                def observe(elapsed, _base=base, _note=note_run):
-                    _base(elapsed)
-                    _note(elapsed, 0)
-
-            else:
-
-                def observe(elapsed, _note=note_run):
-                    _note(elapsed, 0)
-
-        item.observe = observe
+    # -- inspection ----------------------------------------------------------
 
     def attached_codes(self, point: InsertionPoint) -> List[str]:
         """Names of the codes attached to ``point``, in execution order."""
@@ -495,45 +407,29 @@ class VirtualMachineManager:
     def tiers(self) -> Dict[str, Dict[str, object]]:
         """Per-code execution-tier attribution.
 
-        Maps code name to the tier the config requested, the tier the
-        code actually runs on (the native compiler may decline a
-        program and fall back to the JIT) and, when it fell back, why.
-        Host-native (pyext) codes report tier ``"host"``.
+        Maps code name to its tier — ``"host"`` for host-native (pyext)
+        codes — and, on the compiled tier, to what the compiler did with
+        the program (:meth:`repro.ebpf.native.NativeInfo.summary`:
+        structured / tail / dispatch-only block counts and, if the
+        structurer declined it, why).
         """
         result: Dict[str, Dict[str, object]] = {}
         for chain in self._chains.values():
             for item in chain:
                 if item.vm is None:
-                    result[item.code.name] = {
-                        "requested": "host",
-                        "used": "host",
-                        "fallback_reason": None,
-                    }
+                    result[item.code.name] = {"tier": "host"}
                     continue
-                entry: Dict[str, object] = {
-                    "requested": item.vm.tier,
-                    "used": item.vm.tier_used,
-                    "fallback_reason": item.vm.native_fallback_reason,
-                }
-                info = item.vm.native_info
-                if info is not None:
-                    entry["native"] = {
-                        "structured_blocks": len(info.structured_blocks),
-                        "bail_blocks": sorted(info.bail_blocks),
-                        "bail_sites": info.bail_sites,
-                        "loops": info.loops,
-                        "direct_stack_ops": info.direct_stack_ops,
-                    }
+                entry: Dict[str, object] = {"tier": item.vm.tier}
+                if item.vm.compile_info is not None:
+                    entry["compiled"] = item.vm.compile_info.summary()
                 result[item.code.name] = entry
         return result
 
     def quarantined_codes(self) -> List[str]:
         """Names of codes currently detached by the circuit breaker."""
-        if self.telemetry is None:
-            return []
         return [
             health.name
-            for health in self.telemetry.health.quarantined()
+            for health in self.breaker.quarantined()
             if health.state == "open"
         ]
 
@@ -549,47 +445,25 @@ class VirtualMachineManager:
         ``default_fn`` is the host's native implementation of the
         operation; it runs when nothing is attached, when every code
         delegates with ``next()``, or when a code errors out.
-
-        Single-code points dispatch through a closure specialized at
-        attach time (see :meth:`_rebind`); multi-code chains and
-        quarantine-open states take the general loop.
         """
-        fast = self._fast.get(ctx.insertion_point)
-        if fast is not None:
-            return fast(ctx, default_fn)
-        chain = self._chains.get(ctx.insertion_point)
-        if not chain:
+        runner = self._runners.get(ctx.insertion_point)
+        if runner is None:
             return default_fn()
-        if self.telemetry is not None:
-            return self._run_traced(chain, ctx, default_fn)
-        return self._run_plain(chain, ctx, default_fn)
+        return runner(ctx, default_fn)
 
-    def runner(
-        self, point: InsertionPoint
-    ) -> Callable[[ExecutionContext, Callable[[], int]], int]:
+    def runner(self, point: InsertionPoint) -> Runner:
         """Resolve :meth:`run`'s dispatch for ``point`` once.
 
         Batch pipelines call this once per UPDATE vector and invoke the
-        returned callable per route, saving the per-call dict probes of
+        returned callable per route, saving the per-call dict probe of
         :meth:`run`.  The binding stays valid for the whole batch: the
-        fast closure re-checks quarantine state on every invocation, and
-        the events that would change the dispatch (attach/detach,
-        provenance or profiling toggles) cannot happen mid-batch.
+        events that rebind a point (attach/detach, provenance or
+        profiling toggles) cannot happen mid-batch.
         """
-        fast = self._fast.get(point)
-        if fast is not None:
-            return fast
-        chain = self._chains.get(point)
-        if not chain:
-            return lambda ctx, default_fn: default_fn()
-        if self.telemetry is not None:
-            run_traced = self._run_traced
-            return lambda ctx, default_fn: run_traced(chain, ctx, default_fn)
-        run_plain = self._run_plain
-        return lambda ctx, default_fn: run_plain(chain, ctx, default_fn)
+        return self._runners.get(point, _native_only)
 
     def _note_fallback(self, item: _Attached, ctx: ExecutionContext, exc: Exception) -> None:
-        """Bookkeeping shared by both paths when a code aborts the chain."""
+        """Bookkeeping when a code aborts the chain."""
         item.errors += 1
         item.fallbacks += 1
         self.fallbacks += 1
@@ -599,382 +473,228 @@ class VirtualMachineManager:
         ctx.faulted_extension = item.code.name
         self.host.log(f"[vmm] {ctx.error}; falling back to native")
 
-    def _run_plain(
-        self,
-        chain: List[_Attached],
-        ctx: ExecutionContext,
-        default_fn: Callable[[], int],
-    ) -> int:
-        """Uninstrumented execution (seed semantics, no telemetry cost).
+    # -- binding -----------------------------------------------------------
 
-        When a profiler is enabled without telemetry, ``item.observe``
-        still carries the profile bookkeeping, so runs are timed through
-        the :func:`_timed_run` seam; otherwise no clock is read.
-        """
-        prov = self.host.provenance
-        point = ctx.insertion_point.value
-        host = self.host
-        for item in chain:
-            item.executions += 1
-            ctx.next_requested = False
-            observe = item.observe
-            if prov is not None:
-                prov.vmm_enter(ctx, point, item.code.name)
-            if item.code.is_native:
-                try:
-                    if observe is not None:
-                        fn = item.code.fn
-                        result = _timed_run(lambda: fn(ctx, host), observe)
-                    else:
-                        result = item.code.fn(ctx, self.host)
-                except NextRequested:
-                    if prov is not None:
-                        prov.vmm_exit(ctx, point, item.code.name, "next")
+    def _bind(self, point: InsertionPoint) -> None:
+        """Build (or drop) the runner of ``point`` from what is attached
+        and what is watching right now."""
+        chain = self._chains.get(point)
+        if not chain:
+            self._runners.pop(point, None)
+            return
+        steps = tuple(self._bind_step(item) for item in chain)
+        exhausted = _fan_out(self._exhausted_hooks(point.value)) or _ignore
+
+        def run_point(ctx: ExecutionContext, default_fn: Callable[[], int]) -> int:
+            for step in steps:
+                result = step(ctx)
+                if result is NEXT:
                     continue
-                except Exception as exc:  # noqa: BLE001 - must never crash the host
-                    self._note_fallback(item, ctx, exc)
-                    if prov is not None:
-                        prov.vmm_exit(ctx, point, item.code.name, "error", error=str(exc))
-                        prov.vmm_fallback(ctx, point, item.code.name, str(exc))
+                if result is ABORTED:
                     return default_fn()
-                if prov is not None:
-                    prov.vmm_exit(
-                        ctx, point, item.code.name, "return",
-                        verdict=result if isinstance(result, int) else None,
-                    )
                 return result
-            vm = item.vm
-            vm.ctx = ctx
-            vm.memory.reset_heap()
-            try:
-                if observe is not None:
-                    result = _timed_run(vm.run, observe)
-                else:
-                    result = vm.run(r1=0)
-            except NextRequested:
-                if prov is not None:
-                    prov.vmm_exit(ctx, point, item.code.name, "next")
-                continue
-            except (SandboxViolation, ExecutionError, HelperError) as exc:
-                self._note_fallback(item, ctx, exc)
-                if prov is not None:
-                    prov.vmm_exit(ctx, point, item.code.name, "error", error=str(exc))
-                    prov.vmm_fallback(ctx, point, item.code.name, str(exc))
-                return default_fn()
-            if prov is not None:
-                prov.vmm_exit(
-                    ctx, point, item.code.name, "return",
-                    verdict=result if isinstance(result, int) else None,
-                )
-            return result
-        if prov is not None:
-            prov.vmm_native(ctx, point)
-        return default_fn()
+            exhausted(ctx)
+            return default_fn()
 
-    def _run_traced(
-        self,
-        chain: List[_Attached],
-        ctx: ExecutionContext,
-        default_fn: Callable[[], int],
-    ) -> int:
-        """Instrumented execution: metrics, trace and quarantine.
+        self._runners[point] = run_point
 
-        Timing goes through :func:`_timed_run` with the observer
-        composed at attach/enable time (``item.observe``): histogram
-        only in plain telemetry, histogram + profile bookkeeping while
-        a profiler is enabled.
+    def _bind_step(self, item: _Attached) -> Callable[[ExecutionContext], object]:
+        """``item`` as one ``step(ctx) -> result | NEXT | ABORTED``.
+
+        The hooks that fire on every run (``enter``/``returned``, the
+        timer) are folded into the callable the step executes, so a
+        step nobody watches executes the bare code; the hooks of the
+        rarer outcomes are plain calls that default to a no-op.
         """
-        telemetry = self.telemetry
-        trace = telemetry.trace
-        health_engine = telemetry.health
-        prov = self.host.provenance
-        point = ctx.insertion_point.value
-        host = self.host
-        for item in chain:
-            health = item.health
-            if health.state != "closed" and not health_engine.allow(health):
-                trace.record("skip", point, item.code.name, reason="quarantined")
-                if prov is not None:
-                    prov.vmm_skip(ctx, point, item.code.name)
-                continue
-            item.executions += 1
-            item.m_exec.inc()
-            ctx.next_requested = False
-            trace.record("enter", point, item.code.name)
-            if prov is not None:
-                prov.vmm_enter(ctx, point, item.code.name)
-            vm = item.vm
-            if vm is not None:
-                vm.ctx = ctx
-                vm.memory.reset_heap()
-                run_fn = vm.run
-            else:
-                fn = item.code.fn
-                run_fn = lambda: fn(ctx, host)  # noqa: E731 - bound per item run
-            try:
-                result = _timed_run(run_fn, item.observe)
-            except NextRequested:
-                item.m_next.inc()
-                if vm is not None:
-                    item.m_insns.inc(vm.steps_executed)
-                    item.m_helpers.inc(vm.helper_calls)
-                health_engine.record_success(health)
-                trace.record("next", point, item.code.name)
-                trace.record("exit", point, item.code.name, outcome="next")
-                if prov is not None:
-                    prov.vmm_exit(ctx, point, item.code.name, "next")
-                continue
-            except Exception as exc:  # noqa: BLE001 - must never crash the host
-                if vm is not None and not isinstance(
-                    exc, (SandboxViolation, ExecutionError, HelperError)
-                ):
-                    raise  # bytecode path: only sandbox faults are absorbed
-                item.m_err.inc()
-                item.m_fallback.inc()
-                if vm is not None:
-                    item.m_insns.inc(vm.steps_executed)
-                    item.m_helpers.inc(vm.helper_calls)
-                self._note_fallback(item, ctx, exc)
-                health_engine.record_error(health)
-                trace.record(
-                    "exit", point, item.code.name, outcome="error", error=str(exc)
-                )
-                trace.record(
-                    "fallback", point, item.code.name, error=ctx.error
-                )
-                if prov is not None:
-                    prov.vmm_exit(ctx, point, item.code.name, "error", error=str(exc))
-                    prov.vmm_fallback(ctx, point, item.code.name, str(exc))
-                telemetry.registry.counter(
-                    "xbgp_vmm_fallbacks", "chain fallbacks to native", point=point
-                ).inc()
-                return default_fn()
-            if vm is not None:
-                item.m_insns.inc(vm.steps_executed)
-                item.m_helpers.inc(vm.helper_calls)
-            health_engine.record_success(health)
-            trace.record(
-                "exit",
-                point,
-                item.code.name,
-                outcome="return",
-                verdict=result if isinstance(result, int) else None,
-            )
-            if prov is not None:
-                prov.vmm_exit(
-                    ctx, point, item.code.name, "return",
-                    verdict=result if isinstance(result, int) else None,
-                )
-            return result
-        trace.record("default", point)
-        if prov is not None:
-            prov.vmm_native(ctx, point)
-        return default_fn()
-
-    # -- single-code fast path ---------------------------------------------
-
-    def _bind_plain_fast(
-        self, chain: List[_Attached], item: _Attached
-    ) -> Callable[[ExecutionContext, Callable[[], int]], int]:
-        """Uninstrumented single-code closure (telemetry disabled)."""
-        note_fallback = self._note_fallback
-        if item.vm is None:
-            fn = item.code.fn
-            host = self.host
-
-            def run_fast(ctx: ExecutionContext, default_fn: Callable[[], int]) -> int:
-                item.executions += 1
-                ctx.next_requested = False
-                try:
-                    return fn(ctx, host)
-                except NextRequested:
-                    return default_fn()
-                except Exception as exc:  # noqa: BLE001 - must never crash the host
-                    note_fallback(item, ctx, exc)
-                    return default_fn()
-
-            return run_fast
+        watches = self._watches(item)
+        observe = _fan_out(watch.observe for watch in watches)
+        enter = _fan_out(watch.enter for watch in watches)
+        returned = _fan_out(watch.returned for watch in watches)
+        delegated = _fan_out(watch.delegated for watch in watches) or _ignore
+        faulted = _fan_out(watch.faulted for watch in watches) or _ignore
+        skipped = _fan_out(watch.skipped for watch in watches) or _ignore
 
         vm = item.vm
-        reset_heap = vm.memory.reset_heap
-        if vm.jit:
-            vm.prepare()
-            vm_run = vm._jit_run
-            budget_error = vm._budget_error
-            budget_message = f"instruction budget ({vm.step_budget}) exceeded"
+        if vm is None:
+            faults = Exception
+            fn, host = item.code.fn, self.host
+
+            def execute(ctx):
+                return fn(ctx, host)
+
+            if observe is not None:
+                execute = _timed(execute, observe)
         else:
-            vm_run = vm.run
-            budget_error = ()
-            budget_message = ""
+            faults = _SANDBOX_FAULTS
+            run = vm.prepare() if observe is None else _timed(vm.prepare(), observe)
+            reset_heap = vm.memory.reset_heap
 
-        def run_fast(ctx: ExecutionContext, default_fn: Callable[[], int]) -> int:
-            item.executions += 1
-            ctx.next_requested = False
-            vm.ctx = ctx
-            reset_heap()
-            try:
-                return vm_run()
-            except NextRequested:
-                return default_fn()
-            except (SandboxViolation, ExecutionError, HelperError) as exc:
-                note_fallback(item, ctx, exc)
-                return default_fn()
-            except budget_error as exc:
-                note_fallback(item, ctx, ExecutionError(exc.pc, budget_message))
-                return default_fn()
+            def execute(ctx):
+                vm.ctx = ctx
+                reset_heap()
+                return run()
 
-        return run_fast
+        if enter is not None or returned is not None:
+            bare, enter, returned = execute, enter or _ignore, returned or _ignore
 
-    def _bind_traced_fast(
-        self, chain: List[_Attached], item: _Attached
-    ) -> Callable[[ExecutionContext, Callable[[], int]], int]:
-        """Instrumented single-code closure.
+            def execute(ctx):
+                enter(ctx)
+                result = bare(ctx)
+                returned(ctx, result)
+                return result
 
-        Byte-for-byte the same metrics, trace events and quarantine
-        protocol as :meth:`_run_traced` on a one-item chain — the
-        telemetry handles, trace recorder and breaker state are simply
-        pre-bound instead of re-fetched per run.  Any non-closed breaker
-        state defers to the general loop, which owns the probation
-        (``allow``) protocol.
-        """
-        telemetry = self.telemetry
-        trace_record = telemetry.trace.record
-        trace_fast = telemetry.trace.record_fast
-        health_engine = telemetry.health
         health = item.health
+        allow = self.breaker.allow
+        note_fallback = self._note_fallback
+
+        def step(ctx: ExecutionContext):
+            if health.state != "closed" and not allow(health):
+                skipped(ctx)
+                return NEXT
+            item.executions += 1
+            try:
+                return execute(ctx)
+            except NextRequested:
+                delegated(ctx)
+                return NEXT
+            except faults as exc:  # must never crash the host
+                note_fallback(item, ctx, exc)
+                faulted(ctx, exc)
+                return ABORTED
+
+        return step
+
+    # -- what watches a run ------------------------------------------------
+
+    def _watches(self, item: _Attached) -> List[_Watch]:
+        """Everything watching ``item`` right now, in hook order."""
+        watches = []
+        if self.telemetry is not None or self.breaker.policy.enabled:
+            watches.append(self._watch_breaker(item))
+        if self.telemetry is not None:
+            watches.append(self._watch_telemetry(item))
+        if self.host.provenance is not None:
+            watches.append(self._watch_provenance(item, self.host.provenance))
+        if item.profile is not None:
+            note_run = item.profile.note_run
+            memory = item.vm.memory if item.vm is not None else None
+
+            def observe(seconds):
+                # reset_heap precedes each run, so heap_used afterwards
+                # is this run's allocation high watermark.
+                note_run(seconds, memory.heap_used if memory is not None else 0)
+
+            watches.append(_Watch(observe=observe))
+        return watches
+
+    def _exhausted_hooks(self, point: str) -> List[Callable]:
+        """Hooks for "every code delegated: the native function decides"."""
+        hooks = []
+        if self.telemetry is not None:
+            record = self.telemetry.trace.record
+            hooks.append(lambda ctx: record("default", point))
+        prov = self.host.provenance
+        if prov is not None:
+            hooks.append(lambda ctx: prov.vmm_native(ctx, point))
+        return hooks
+
+    def _watch_breaker(self, item: _Attached) -> _Watch:
+        """Keep the breaker's books (the *decision* is in the step)."""
+        breaker, health = self.breaker, item.health
+
+        def succeeded(ctx, result=None):
+            breaker.record_success(health)
+
+        return _Watch(
+            returned=succeeded,
+            delegated=succeeded,
+            faulted=lambda ctx, exc: breaker.record_error(health),
+        )
+
+    def _watch_telemetry(self, item: _Attached) -> _Watch:
+        """The ``xbgp_extension_*`` series and the trace ring."""
+        registry = self.telemetry.registry
+        record = self.telemetry.trace.record
         point = item.code.insertion_point.value
         name = item.code.name
-        hist = item.hist
-        boundaries = hist.boundaries
+        labels = {"point": point, "extension": name}
+        m_exec = registry.counter(
+            "xbgp_extension_executions", "extension code invocations", **labels
+        )
+        m_err = registry.counter(
+            "xbgp_extension_errors", "aborted extension runs", **labels
+        )
+        m_fallback = registry.counter(
+            "xbgp_extension_fallbacks", "fallbacks to native caused by this code", **labels
+        )
+        m_next = registry.counter(
+            "xbgp_extension_next", "next() delegations", **labels
+        )
+        m_insns = registry.counter(
+            "xbgp_extension_instructions", "eBPF instructions executed", **labels
+        )
+        m_helpers = registry.counter(
+            "xbgp_extension_helper_calls", "helper functions invoked", **labels
+        )
+        hist = registry.histogram(
+            "xbgp_extension_run_seconds", "per-run latency", **labels
+        )
+        vm = item.vm
+        if vm is None:
+            count_work = _ignore
+        else:
 
-        def observe(elapsed: float) -> None:
-            # Histogram.observe inlined once per binding: the single
-            # hist-update site both closures hand to _timed_run.
-            hist.counts[bisect_left(boundaries, elapsed)] += 1
-            hist.sum += elapsed
-            hist.count += 1
+            def count_work():
+                m_insns.inc(vm.steps_executed)
+                m_helpers.inc(vm.helper_calls)
 
-        m_exec = item.m_exec
-        m_err = item.m_err
-        m_fallback = item.m_fallback
-        m_next = item.m_next
-        m_insns = item.m_insns
-        m_helpers = item.m_helpers
-        registry_counter = telemetry.registry.counter
+        def enter(ctx):
+            m_exec.inc()
+            record("enter", point, name)
 
-        def fallback_inc() -> None:
-            # Created on first fallback, like _run_traced, so the series
-            # only materialises once a fallback actually happens.
-            registry_counter(
+        def returned(ctx, result):
+            count_work()
+            record("exit", point, name, outcome="return", verdict=_verdict(result))
+
+        def delegated(ctx):
+            m_next.inc()
+            count_work()
+            record("next", point, name)
+            record("exit", point, name, outcome="next")
+
+        def faulted(ctx, exc):
+            m_err.inc()
+            m_fallback.inc()
+            count_work()
+            record("exit", point, name, outcome="error", error=str(exc))
+            record("fallback", point, name, error=ctx.error)
+            # Created on first fallback, so the series only materialises
+            # once a fallback actually happens.
+            registry.counter(
                 "xbgp_vmm_fallbacks", "chain fallbacks to native", point=point
             ).inc()
 
-        note_fallback = self._note_fallback
-        run_traced = self._run_traced
+        def skipped(ctx):
+            record("skip", point, name, reason="quarantined")
 
-        if item.vm is None:
-            fn = item.code.fn
-            host = self.host
+        return _Watch(enter, returned, delegated, faulted, skipped, hist.observe)
 
-            def run_fast(ctx: ExecutionContext, default_fn: Callable[[], int]) -> int:
-                if health.state != "closed":
-                    return run_traced(chain, ctx, default_fn)
-                item.executions += 1
-                m_exec.value += 1
-                ctx.next_requested = False
-                trace_fast("enter", point, name)
-                try:
-                    result = _timed_run(lambda: fn(ctx, host), observe)
-                except NextRequested:
-                    m_next.value += 1
-                    health_engine.record_success(health)
-                    trace_fast("next", point, name)
-                    trace_fast("exit", point, name)["outcome"] = "next"
-                    trace_record("default", point)
-                    return default_fn()
-                except Exception as exc:  # noqa: BLE001 - must never crash the host
-                    m_err.inc()
-                    m_fallback.inc()
-                    note_fallback(item, ctx, exc)
-                    health_engine.record_error(health)
-                    trace_record("exit", point, name, outcome="error", error=str(exc))
-                    trace_record("fallback", point, name, error=ctx.error)
-                    fallback_inc()
-                    return default_fn()
-                health_engine.record_success(health)
-                event = trace_fast("exit", point, name)
-                event["outcome"] = "return"
-                event["verdict"] = result if isinstance(result, int) else None
-                return result
+    @staticmethod
+    def _watch_provenance(item: _Attached, prov) -> _Watch:
+        """The host's provenance tracker: spans and per-prefix stories."""
+        point = item.code.insertion_point.value
+        name = item.code.name
 
-            return run_fast
+        def faulted(ctx, exc):
+            prov.vmm_exit(ctx, point, name, "error", error=str(exc))
+            prov.vmm_fallback(ctx, point, name, str(exc))
 
-        vm = item.vm
-        reset_heap = vm.memory.reset_heap
-        # Call the translated function directly (one frame less than
-        # VirtualMachine.run); the budget-error translation run() would
-        # have done moves into the except clause below.  The generated
-        # code publishes steps_executed/helper_calls on every outcome,
-        # so run()'s counter zeroing is not needed.
-        if vm.jit:
-            vm.prepare()
-            vm_run = vm._jit_run
-            budget_error = vm._budget_error
-            budget_message = f"instruction budget ({vm.step_budget}) exceeded"
-        else:
-            vm_run = vm.run
-            budget_error = ()
-            budget_message = ""
-
-        def run_fast(ctx: ExecutionContext, default_fn: Callable[[], int]) -> int:
-            if health.state != "closed":
-                return run_traced(chain, ctx, default_fn)
-            item.executions += 1
-            m_exec.value += 1
-            ctx.next_requested = False
-            trace_fast("enter", point, name)
-            vm.ctx = ctx
-            reset_heap()
-            try:
-                result = _timed_run(vm_run, observe)
-            except NextRequested:
-                m_next.value += 1
-                m_insns.value += vm.steps_executed
-                m_helpers.value += vm.helper_calls
-                health_engine.record_success(health)
-                trace_fast("next", point, name)
-                trace_fast("exit", point, name)["outcome"] = "next"
-                trace_record("default", point)
-                return default_fn()
-            except (SandboxViolation, ExecutionError, HelperError) as exc:
-                m_err.inc()
-                m_fallback.inc()
-                m_insns.inc(vm.steps_executed)
-                m_helpers.inc(vm.helper_calls)
-                note_fallback(item, ctx, exc)
-                health_engine.record_error(health)
-                trace_record("exit", point, name, outcome="error", error=str(exc))
-                trace_record("fallback", point, name, error=ctx.error)
-                fallback_inc()
-                return default_fn()
-            except budget_error as exc:
-                wrapped = ExecutionError(exc.pc, budget_message)
-                m_err.inc()
-                m_fallback.inc()
-                m_insns.inc(vm.steps_executed)
-                m_helpers.inc(vm.helper_calls)
-                note_fallback(item, ctx, wrapped)
-                health_engine.record_error(health)
-                trace_record("exit", point, name, outcome="error", error=str(wrapped))
-                trace_record("fallback", point, name, error=ctx.error)
-                fallback_inc()
-                return default_fn()
-            m_insns.value += vm.steps_executed
-            m_helpers.value += vm.helper_calls
-            health_engine.record_success(health)
-            event = trace_fast("exit", point, name)
-            event["outcome"] = "return"
-            event["verdict"] = result if isinstance(result, int) else None
-            return result
-
-        return run_fast
+        return _Watch(
+            enter=lambda ctx: prov.vmm_enter(ctx, point, name),
+            returned=lambda ctx, result: prov.vmm_exit(
+                ctx, point, name, "return", verdict=_verdict(result)
+            ),
+            delegated=lambda ctx: prov.vmm_exit(ctx, point, name, "next"),
+            faulted=faulted,
+            skipped=lambda ctx: prov.vmm_skip(ctx, point, name),
+        )

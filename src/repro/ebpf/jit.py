@@ -1,12 +1,15 @@
-"""eBPF → Python translation ("JIT").
+"""eBPF → Python translation: block emitter and dispatch loop.
 
 The paper poses *"How to implement this instruction set efficiently —
 so as to minimize the overhead?"*.  On a Python substrate the naive
-interpreter's per-instruction dispatch dominates everything, so this
-module translates a verified program into one Python function:
+interpreter's per-instruction dispatch dominates everything, so the
+compiled tier (``tier="jit"``) translates a verified program into one
+Python function.  :mod:`repro.ebpf.native` is that tier's entry point
+and owns its control flow; this module owns what every compiled form
+shares:
 
-* basic blocks become straight-line Python statements inside a
-  ``while True`` dispatch loop over the block leader's pc;
+* basic blocks become straight-line Python statements
+  (:class:`_BlockEmitter`);
 * 8-byte stack slots addressed as ``[r10 ± const]`` are **promoted to
   Python locals** when the program never materialises a stack address
   (no ``mov rX, r10``-style ALU use of r10 and no sub-word stack
@@ -16,21 +19,26 @@ module translates a verified program into one Python function:
   fast paths for the stack and heap regions, falling back to
   :class:`VmMemory` for everything else (shared memory, argument
   blocks);
-* helper calls dispatch directly to the bound Python callables.
+* helper calls dispatch directly to the bound Python callables;
+* control flow the structurer cannot express runs on a ``while True``
+  dispatch loop over block leaders (:func:`emit_dispatch_loop`): the
+  tail of a partly structured program, and the whole of one the
+  structurer declines (:func:`translate`).
 
 Semantics are identical to :class:`repro.ebpf.vm.VirtualMachine` (the
-property tests check translated-vs-interpreted equivalence); the
-instruction budget is enforced per basic block.  ``steps``/``hc``
-accounting matches the interpreter exactly — one step per executed
-instruction (``lddw`` counts once), flushed before every operation
-that can fault or delegate — so both engines report identical
-``steps_executed``/``helper_calls`` on returning, ``next()``-ing and
-faulting runs.
+property tests and the engine fuzz oracle check translated-vs-
+interpreted equivalence); the instruction budget is enforced per basic
+block.  ``steps``/``hc`` accounting matches the interpreter exactly —
+one step per executed instruction (``lddw`` counts once), flushed
+before every operation that can fault or delegate — so both tiers
+report identical ``steps_executed``/``helper_calls`` on returning,
+``next()``-ing and faulting runs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from time import perf_counter
+from typing import Callable, Dict, List, Sequence, Set
 
 from .helpers import HelperTable
 from .isa import (
@@ -56,6 +64,7 @@ from .isa import (
     is_load_store,
 )
 from .memory import VmMemory
+from .vm import ExecutionError
 
 __all__ = ["translate", "JitError"]
 
@@ -89,14 +98,6 @@ _SIGNED_COND = {"jsgt": ">", "jsge": ">=", "jslt": "<", "jsle": "<="}
 class JitError(Exception):
     """Translation failed (malformed program — verifier should have
     caught it, so this indicates an internal inconsistency)."""
-
-
-class _BudgetError(Exception):
-    """Raised by generated code; converted to ExecutionError by the VM."""
-
-    def __init__(self, pc: int):
-        super().__init__(f"pc={pc}")
-        self.pc = pc
 
 
 def _leaders(program: Sequence[Instruction]) -> List[int]:
@@ -240,7 +241,7 @@ def emit_dispatch_loop(
     The caller provides the enclosing ``while True:`` loop; this emits a
     balanced binary search over block leaders with fall-through inlining.
     Shared between :func:`translate` (whole-program dispatch) and the
-    native tier's bail tail (:mod:`repro.ebpf.native`), which demotes
+    structured compiler's tail (:mod:`repro.ebpf.native`), which demotes
     unstructurable control flow onto exactly this loop.
     """
     count = len(program)
@@ -303,6 +304,78 @@ def emit_dispatch_loop(
     emit_dispatch(0, len(leaders), indent)
 
 
+def _namespace(
+    helpers: HelperTable, memory: VmMemory, step_budget: int, vm, profile
+) -> Dict[str, object]:
+    """The globals every translated function runs against.
+
+    Direct heap/stack views: VmMemory guarantees these regions' buffers
+    survive resets (mutated in place, never replaced), so the
+    translated function binds them once here and reuses them for the
+    VM's whole lifetime.  ``ExecBudget(pc)`` builds the same
+    :class:`ExecutionError` the interpreter raises on a blown budget.
+    """
+    heap = memory.heap_region
+    stack = memory.stack
+    message = f"instruction budget ({step_budget}) exceeded"
+    namespace: Dict[str, object] = {
+        "__builtins__": {},
+        "int_from": int.from_bytes,
+        "mem_read": memory.read,
+        "mem_write": memory.write,
+        "vm": vm,
+        "ExecBudget": lambda pc: ExecutionError(pc, message),
+        "BaseException": BaseException,
+        "FP": memory.frame_pointer(),
+        "HB": heap.base,
+        "HS": len(heap.data),
+        "heap": heap.data,
+        "SB": stack.base,
+        "SS": len(stack.data),
+        "stk": stack.data,
+    }
+    for helper_id in helpers.ids():
+        namespace[f"H{helper_id}"] = helpers.get(helper_id).fn
+    if profile is not None:
+        namespace["PB"] = profile.block_entries
+        namespace["PI"] = profile.block_insns
+        namespace["HT"] = profile.helper_seconds
+        namespace["HK"] = profile.helper_count
+        namespace["PSL"] = profile.stack_low
+        namespace["perf"] = perf_counter
+    return namespace
+
+
+def _emit_prologue(w: "_Writer", slots: Set[int]) -> None:
+    """``def run(...)``: registers, promoted slots and the counters."""
+    w.emit(0, "def run(r1=0, r2=0, r3=0, r4=0, r5=0):")
+    w.emit(1, "r0 = r6 = r7 = r8 = r9 = 0")
+    w.emit(1, f"r1 &= {_M64}; r2 &= {_M64}; r3 &= {_M64}; r4 &= {_M64}; r5 &= {_M64}")
+    w.emit(1, "r10 = FP")
+    for offset in sorted(slots):
+        w.emit(1, f"{_slot_var(offset)} = 0")
+    w.emit(1, "steps = 0")
+    w.emit(1, "hc = 0")
+    w.emit(1, "try:")
+
+
+def _finish(w: "_Writer", namespace: Dict[str, object], filename: str):
+    """Close the function and compile it; returns ``(run, source)``.
+
+    Aborted runs (budget, sandbox fault, helper error, next()) still
+    publish their counters before the exception propagates.
+    """
+    w.emit(1, "except BaseException:")
+    w.emit(2, "vm.steps_executed = steps; vm.helper_calls = hc")
+    w.emit(2, "raise")
+    source = "\n".join(w.lines)
+    try:
+        exec(compile(source, filename, "exec"), namespace)  # noqa: S102
+    except SyntaxError as exc:  # pragma: no cover - would be a bug
+        raise JitError(f"generated bad code: {exc}\n{source}") from exc
+    return namespace["run"], source
+
+
 def translate(
     program: Sequence[Instruction],
     helpers: HelperTable,
@@ -312,7 +385,12 @@ def translate(
     trusted_layout: bool = False,
     profile=None,
 ) -> Callable[..., int]:
-    """Translate ``program`` into a Python ``run(r1..r5) -> r0``.
+    """Translate ``program`` into a dispatch-loop ``run(r1..r5) -> r0``.
+
+    This is the dispatch-only form of the compiled tier: what
+    :func:`repro.ebpf.native.compile_program` emits for a program its
+    structurer declines, and (through :func:`emit_dispatch_loop`) the
+    tail of a program it structures in part.
 
     ``vm`` is passed through to helper functions (they read ``vm.ctx``
     and ``vm.memory``).  ``trusted_layout`` asserts the xc frame
@@ -329,78 +407,23 @@ def translate(
     """
     leaders = _leaders(program)
     slots = _promotable_slots(program, trusted_layout) if profile is None else set()
-    count = len(program)
-
-    # Direct heap/stack views: VmMemory guarantees these regions'
-    # buffers survive resets (mutated in place, never replaced), so the
-    # translated function binds them once here and reuses them for the
-    # VM's whole lifetime.
-    heap = memory.heap_region
-    stack = memory.stack
-    namespace: Dict[str, object] = {
-        "__builtins__": {},
-        "int_from": int.from_bytes,
-        "mem_read": memory.read,
-        "mem_write": memory.write,
-        "vm": vm,
-        "ExecBudget": _BudgetError,
-        "BaseException": BaseException,
-        "FP": memory.frame_pointer(),
-        "HB": heap.base,
-        "HS": len(heap.data),
-        "heap": heap.data,
-        "SB": stack.base,
-        "SS": len(stack.data),
-        "stk": stack.data,
-    }
-    for helper_id in helpers.ids():
-        helper = helpers.get(helper_id)
-        namespace[f"H{helper_id}"] = helper.fn
-    if profile is not None:
-        from time import perf_counter
-
-        namespace["PB"] = profile.block_entries
-        namespace["PI"] = profile.block_insns
-        namespace["HT"] = profile.helper_seconds
-        namespace["HK"] = profile.helper_count
-        namespace["PSL"] = profile.stack_low
-        namespace["perf"] = perf_counter
-
     # With promoted slots, computed addresses are almost always heap
     # pointers (helper results); without promotion, the stack spill
     # traffic dominates.  Pick the fast-path order accordingly.
     emitter = _BlockEmitter(
         program, slots, heap_first=bool(slots), profiled=profile is not None
     )
-
     w = _Writer()
-    w.emit(0, "def run(r1=0, r2=0, r3=0, r4=0, r5=0):")
-    w.emit(1, "r0 = r6 = r7 = r8 = r9 = 0")
-    w.emit(1, f"r1 &= {_M64}; r2 &= {_M64}; r3 &= {_M64}; r4 &= {_M64}; r5 &= {_M64}")
-    w.emit(1, "r10 = FP")
-    for offset in sorted(slots):
-        w.emit(1, f"{_slot_var(offset)} = 0")
-    w.emit(1, "steps = 0")
-    w.emit(1, "hc = 0")
-    w.emit(1, "pc = 0")
-    w.emit(1, "try:")
+    _emit_prologue(w, slots)
+    w.emit(2, "pc = 0")
     w.emit(2, "while True:")
-
     emit_dispatch_loop(
         w, program, leaders, emitter, step_budget, 3, profile is not None
     )
-    # Aborted runs (budget, sandbox fault, helper error, next()) still
-    # publish their counters before the exception propagates.
-    w.emit(1, "except BaseException:")
-    w.emit(2, "vm.steps_executed = steps; vm.helper_calls = hc")
-    w.emit(2, "raise")
-
-    source = "\n".join(w.lines)
-    try:
-        exec(compile(source, "<ebpf-jit>", "exec"), namespace)  # noqa: S102
-    except SyntaxError as exc:  # pragma: no cover - would be a bug
-        raise JitError(f"generated bad code: {exc}\n{source}") from exc
-    return namespace["run"]  # type: ignore[return-value]
+    run, _source = _finish(
+        w, _namespace(helpers, memory, step_budget, vm, profile), "<ebpf-jit>"
+    )
+    return run
 
 
 def _reg(index: int) -> str:
@@ -552,20 +575,7 @@ class _BlockEmitter:
 
             if opcode == OP_CALL:
                 self._flush_steps(w, indent)
-                w.emit(indent, "hc += 1")
-                if self.profiled:
-                    w.emit(indent, "_t = perf()")
-                    w.emit(
-                        indent, f"r0 = H{insn.imm}(vm, r1, r2, r3, r4, r5) & {_M64}"
-                    )
-                    w.emit(indent, f"HT[{insn.imm}] += perf() - _t")
-                    w.emit(indent, f"HK[{insn.imm}] += 1")
-                else:
-                    w.emit(
-                        indent, f"r0 = H{insn.imm}(vm, r1, r2, r3, r4, r5) & {_M64}"
-                    )
-                w.emit(indent, "r1 = r2 = r3 = r4 = r5 = 0")
-                mirrors.kill_regs(range(0, 6))
+                self.emit_call(w, indent, insn.imm)
                 index += 1
                 continue
 
@@ -603,7 +613,23 @@ class _BlockEmitter:
                 w.emit(indent, "continue")
         return terminated
 
-    def _emit_cond_jump(self, w, indent, insn, index, klass) -> None:
+    def emit_call(self, w: _Writer, indent: int, helper_id: int) -> None:
+        """A helper call (steps already flushed): count, call, clobber."""
+        w.emit(indent, "hc += 1")
+        call = f"r0 = H{helper_id}(vm, r1, r2, r3, r4, r5) & {_M64}"
+        if self.profiled:
+            w.emit(indent, "_t = perf()")
+            w.emit(indent, call)
+            w.emit(indent, f"HT[{helper_id}] += perf() - _t")
+            w.emit(indent, f"HK[{helper_id}] += 1")
+        else:
+            w.emit(indent, call)
+        w.emit(indent, "r1 = r2 = r3 = r4 = r5 = 0")
+        self.mirrors.kill_regs(range(0, 6))
+
+    @staticmethod
+    def cond_expr(insn: Instruction, klass: int) -> str:
+        """The Python condition under which a conditional jump is taken."""
         name = _JMP_NAMES[insn.opcode & 0xF0]
         wide = klass == BPF_JMP
         mask = _M64 if wide else _M32
@@ -615,14 +641,15 @@ class _BlockEmitter:
         else:
             right = str(insn.imm & mask)
         if name in _COND:
-            cond = f"{left} {_COND[name]} {right}"
-        elif name == "jset":
-            cond = f"({left} & {right})"
-        elif name in _SIGNED_COND:
-            cond = f"{_sx(left, bits)} {_SIGNED_COND[name]} {_sx(right, bits)}"
-        else:  # pragma: no cover
-            raise JitError(f"bad jump {insn.opcode:#x}")
-        w.emit(indent, f"if {cond}:")
+            return f"{left} {_COND[name]} {right}"
+        if name == "jset":
+            return f"({left} & {right})"
+        if name in _SIGNED_COND:
+            return f"{_sx(left, bits)} {_SIGNED_COND[name]} {_sx(right, bits)}"
+        raise JitError(f"bad jump {insn.opcode:#x}")  # pragma: no cover
+
+    def _emit_cond_jump(self, w, indent, insn, index, klass) -> None:
+        w.emit(indent, f"if {self.cond_expr(insn, klass)}:")
         w.emit(indent + 1, f"pc = {index + 1 + insn.offset}")
         w.emit(indent + 1, "continue")
 

@@ -71,30 +71,18 @@ class VmMemory:
     extension code finishes — :meth:`reset_heap` implements that.
     """
 
-    def __init__(
-        self,
-        heap_size: int = 1 << 16,
-        lazy_zero: bool = True,
-        fast_access: bool = True,
-    ):
+    def __init__(self, heap_size: int = 1 << 16):
         self.stack = MemoryRegion(STACK_BASE, STACK_SIZE, writable=True, label="stack")
         self._heap = MemoryRegion(HEAP_BASE, heap_size, writable=True, label="heap")
         self._heap_used = 0
-        #: High-watermark of bytes dirtied by *freed* allocations.  With
-        #: ``lazy_zero`` (the default) :meth:`reset_heap` only records
-        #: this watermark instead of memsetting the used span; the bytes
-        #: are re-zeroed lazily, on the first allocation that reuses
-        #: them.  The observable contract is unchanged — every
-        #: *allocated* block still reads as zeros until written — but a
-        #: run that allocates 200 bytes no longer pays to scrub the
-        #: previous run's span on every reset.
+        #: High-watermark of bytes dirtied by *freed* allocations.
+        #: :meth:`reset_heap` only records this watermark instead of
+        #: memsetting the used span; the bytes are re-zeroed lazily, by
+        #: the first allocation that reuses them.  The contract a
+        #: program can observe is that every *allocated* block reads as
+        #: zeros until written — a run that allocates 200 bytes does not
+        #: pay to scrub the previous run's span on every reset.
         self._heap_dirty = 0
-        self._lazy_zero = lazy_zero
-        #: With ``fast_access`` (the default) the accessors below probe
-        #: the heap and stack directly before the general region walk;
-        #: off, every access pays the pre-overhaul ``_translate`` loop
-        #: (kept for the hot-path ablation's legacy arm).
-        self._fast_access = fast_access
         self._regions: List[MemoryRegion] = [self.stack, self._heap]
 
     # -- region management ---------------------------------------------
@@ -130,7 +118,7 @@ class VmMemory:
         dirty = self._heap_dirty
         if dirty > used:
             # Lazy zeroing: scrub only the part of this block a freed
-            # run dirtied (eager mode keeps dirty at 0, skipping this).
+            # run dirtied.
             end = new_used if new_used < dirty else dirty
             data[used:end] = bytes(end - used)
         self._heap_used = new_used
@@ -162,19 +150,14 @@ class VmMemory:
     def reset_heap(self) -> None:
         """Free all ephemeral allocations (end of extension execution).
 
-        Lazy mode (default) is zero-fill-free: it just records the
-        dirty high-watermark and rewinds the bump pointer; freed bytes
-        are scrubbed on reuse by :meth:`alloc`.  Eager mode
-        (``lazy_zero=False``) memsets the used span, the pre-overhaul
-        behaviour kept for the hot-path ablation's legacy arm.
+        Zero-fill-free: records the dirty high-watermark and rewinds
+        the bump pointer; freed bytes are scrubbed on reuse by
+        :meth:`alloc`.
         """
         used = self._heap_used
         if used:
-            if self._lazy_zero:
-                if used > self._heap_dirty:
-                    self._heap_dirty = used
-            else:
-                self._heap.data[:used] = bytes(used)
+            if used > self._heap_dirty:
+                self._heap_dirty = used
             self._heap_used = 0
 
     @property
@@ -215,61 +198,57 @@ class VmMemory:
 
     def read(self, address: int, size: int) -> int:
         """Load ``size`` bytes little-endian (eBPF is little-endian)."""
-        if self._fast_access:
-            heap = self._heap
-            offset = address - heap.base
-            if 0 <= offset and offset + size <= len(heap.data):
-                return int.from_bytes(heap.data[offset : offset + size], "little")
-            stack = self.stack
-            offset = address - stack.base
-            if 0 <= offset and offset + size <= len(stack.data):
-                return int.from_bytes(stack.data[offset : offset + size], "little")
+        heap = self._heap
+        offset = address - heap.base
+        if 0 <= offset and offset + size <= len(heap.data):
+            return int.from_bytes(heap.data[offset : offset + size], "little")
+        stack = self.stack
+        offset = address - stack.base
+        if 0 <= offset and offset + size <= len(stack.data):
+            return int.from_bytes(stack.data[offset : offset + size], "little")
         region, offset = self._translate(address, size, write=False)
         return int.from_bytes(region.data[offset : offset + size], "little")
 
     def write(self, address: int, size: int, value: int) -> None:
         """Store the low ``size`` bytes of ``value`` little-endian."""
         payload = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        if self._fast_access:
-            heap = self._heap
-            offset = address - heap.base
-            if 0 <= offset and offset + size <= len(heap.data):
-                heap.data[offset : offset + size] = payload
-                return
-            stack = self.stack
-            offset = address - stack.base
-            if 0 <= offset and offset + size <= len(stack.data):
-                stack.data[offset : offset + size] = payload
-                return
+        heap = self._heap
+        offset = address - heap.base
+        if 0 <= offset and offset + size <= len(heap.data):
+            heap.data[offset : offset + size] = payload
+            return
+        stack = self.stack
+        offset = address - stack.base
+        if 0 <= offset and offset + size <= len(stack.data):
+            stack.data[offset : offset + size] = payload
+            return
         region, offset = self._translate(address, size, write=True)
         region.data[offset : offset + size] = payload
 
     def read_bytes(self, address: int, size: int) -> bytes:
-        if self._fast_access:
-            heap = self._heap
-            offset = address - heap.base
-            if 0 <= offset and offset + size <= len(heap.data):
-                return bytes(heap.data[offset : offset + size])
-            stack = self.stack
-            offset = address - stack.base
-            if 0 <= offset and offset + size <= len(stack.data):
-                return bytes(stack.data[offset : offset + size])
+        heap = self._heap
+        offset = address - heap.base
+        if 0 <= offset and offset + size <= len(heap.data):
+            return bytes(heap.data[offset : offset + size])
+        stack = self.stack
+        offset = address - stack.base
+        if 0 <= offset and offset + size <= len(stack.data):
+            return bytes(stack.data[offset : offset + size])
         region, offset = self._translate(address, size, write=False)
         return bytes(region.data[offset : offset + size])
 
     def write_bytes(self, address: int, payload: bytes) -> None:
         size = len(payload)
-        if self._fast_access:
-            heap = self._heap
-            offset = address - heap.base
-            if 0 <= offset and offset + size <= len(heap.data):
-                heap.data[offset : offset + size] = payload
-                return
-            stack = self.stack
-            offset = address - stack.base
-            if 0 <= offset and offset + size <= len(stack.data):
-                stack.data[offset : offset + size] = payload
-                return
+        heap = self._heap
+        offset = address - heap.base
+        if 0 <= offset and offset + size <= len(heap.data):
+            heap.data[offset : offset + size] = payload
+            return
+        stack = self.stack
+        offset = address - stack.base
+        if 0 <= offset and offset + size <= len(stack.data):
+            stack.data[offset : offset + size] = payload
+            return
         region, offset = self._translate(address, size, write=True)
         region.data[offset : offset + size] = payload
 

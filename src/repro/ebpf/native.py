@@ -1,9 +1,10 @@
-"""eBPF → specialized structured Python (the "native" tier).
+"""eBPF → specialized structured Python: the compiled tier.
 
-The third execution tier (ROADMAP item 2).  Where the JIT keeps a
-``while True`` dispatch loop over basic-block leaders, this compiler
-reconstructs *structured* control flow from the verified program's CFG
-and emits a single specialized Python function:
+``tier="jit"`` is this compiler.  It reconstructs *structured* control
+flow from the verified program's CFG and emits a single specialized
+Python function; the ``while True`` dispatch loop over basic-block
+leaders (:mod:`repro.ebpf.jit`) is what it falls back on, per block or
+per program, and nothing outside this module chooses between the two:
 
 * forward conditional branches become ``if not cond:`` regions and
   if/else diamonds (detected from the trailing-``ja`` pattern xc's
@@ -11,34 +12,36 @@ and emits a single specialized Python function:
   dispatch** — no ``pc`` variable exists in the structured section;
 * natural loops (contiguous back-edge regions) become ``while True:``
   with ``continue``/``break``, re-checking the instruction budget at
-  the loop header every iteration exactly like a JIT block entry;
+  the loop header every iteration exactly like a dispatch block entry;
 * stack accesses whose address is provably ``FP + constant`` — either
   directly ``[r10 + off]`` (statically bounds-checked by the verifier)
   or through a register the per-block dataflow shows holds a copied
   frame pointer — are lowered to direct ``bytearray`` operations with
-  **no runtime bounds re-checks**; 8-byte scalar slots still promote to
-  Python locals as in the JIT.  Heap and unprovable accesses keep the
-  JIT's probe sequence so fault behaviour (and the differential-fuzz
-  oracle's view of it) is bit-identical;
+  **no runtime bounds re-checks**; 8-byte scalar slots promote to
+  Python locals.  Heap and unprovable accesses keep the block
+  emitter's probe sequence so fault behaviour (and the differential-
+  fuzz oracle's view of it) is bit-identical;
 * control flow the structurer cannot express (jumps into another
   loop's body, overlapping loop ranges…) *bails*: the generated code
   raises an in-function :class:`_Bail` caught by a handler whose body
-  is the JIT's dispatch loop.  Python exception handlers share the
+  is the dispatch loop.  Python exception handlers share the
   function's locals, so registers, promoted slots and the step/helper
   counters survive the demotion and the run completes with identical
-  semantics.  Programs where more than half the blocks would live only
-  in the bail tail raise :class:`NativeUnsupported` instead and the VM
-  falls back to the JIT tier wholesale (recorded as
-  ``native_fallback_reason`` for `xbgp profile`).
+  semantics.  A program where more than half the blocks would live
+  only in that tail — or one that is oversized or uses a pinned opcode
+  — is *declined*: :func:`compile_program` emits the whole of it as a
+  dispatch loop and records why in :attr:`NativeInfo.declined`
+  (``xbgp profile`` and ``vmm.tiers()`` report it).
 
-Step/helper accounting follows the JIT contract exactly: one step per
-executed instruction (``lddw`` counts once), flushed before every
-fault-capable operation and at every block boundary, budget checked
-per block — so the three-way fuzz oracle (interp × jit × native) holds
-result, steps, helper-call sequence and heap image equal, with
-per-block budget granularity remaining the single documented
-divergence.  Direct stack operations cannot fault, which is what lets
-the structured section batch ``steps`` further than the JIT can.
+Step/helper accounting follows the dispatch loop's contract exactly:
+one step per executed instruction (``lddw`` counts once), flushed
+before every fault-capable operation and at every block boundary,
+budget checked per block — so the engine fuzz oracle (interp ×
+compiled × dispatch-only) holds result, steps, helper-call sequence
+and heap image equal, with per-block budget granularity remaining the
+single documented divergence.  Direct stack operations cannot fault,
+which is what lets the structured section batch ``steps`` further than
+the dispatch loop can.
 """
 
 from __future__ import annotations
@@ -66,43 +69,44 @@ from .isa import (
     is_load_store,
 )
 from .jit import (
-    _COND,
+    JitError,
     _JMP_NAMES,
     _M32,
     _M64,
-    _SIGNED_COND,
     _BlockEmitter,
     _Writer,
     _count_insns,
+    _emit_prologue,
+    _finish,
     _leaders,
+    _namespace,
     _promotable_slots,
     _reg,
-    _slot_var,
-    _sx,
     emit_dispatch_loop,
+    translate,
 )
 from .memory import VmMemory
 from .vm import ExecutionError
 
-__all__ = ["translate_native", "NativeUnsupported", "NativeInfo"]
+__all__ = ["compile_program", "translate_native", "NativeUnsupported", "NativeInfo"]
 
-#: Programs larger than this stay on the JIT: structured emission is
+#: Programs larger than this are declined: structured emission is
 #: linear, but ``compile()`` time at attach grows with program size and
 #: plugins this large are outside the xc-generated shape anyway.
 MAX_PROGRAM_SLOTS = 16384
 
-#: Opcodes pinned to the JIT tier.  Empty by default — the native tier
-#: covers the full ISA — but kept as an explicit seam so ISA growth (or
-#: an operator chasing a suspected miscompile) can demote individual
-#: opcodes without losing the rest of the program to the interpreter.
+#: Opcodes pinned to the dispatch loop.  Empty by default — the
+#: structurer covers the full ISA — but kept as an explicit seam so ISA
+#: growth (or an operator chasing a suspected miscompile) can demote
+#: individual opcodes without losing the program to the interpreter.
 PINNED_OPCODES: frozenset = frozenset()
 
 
 class NativeUnsupported(Exception):
-    """The program cannot (or should not) be compiled by this tier.
+    """The structurer declines the program; the message says why.
 
-    The VM catches this at :meth:`~repro.ebpf.vm.VirtualMachine.prepare`
-    time and falls back to the JIT translation, recording the reason.
+    :func:`compile_program` catches this and emits the dispatch-only
+    form instead, recording the reason.
     """
 
 
@@ -118,7 +122,13 @@ class _Bail(Exception):
 
 
 class NativeInfo:
-    """Per-translation attribution consumed by the profiler and CLI."""
+    """What the compiler did with one program (profiler, CLI, fuzz report).
+
+    ``structured_blocks`` run with no dispatch; ``bail_blocks`` are
+    reachable only through the dispatch loop — the tail of a partly
+    structured program, or every block of a declined one, in which case
+    ``declined`` holds the structurer's reason.
+    """
 
     __slots__ = (
         "structured_blocks",
@@ -127,16 +137,18 @@ class NativeInfo:
         "loops",
         "direct_stack_ops",
         "source",
+        "declined",
     )
 
     def __init__(
         self,
         structured_blocks: List[int],
         bail_blocks: List[int],
-        bail_sites: int,
-        loops: int,
-        direct_stack_ops: int,
-        source: str,
+        bail_sites: int = 0,
+        loops: int = 0,
+        direct_stack_ops: int = 0,
+        source: str = "",
+        declined: Optional[str] = None,
     ):
         self.structured_blocks = structured_blocks
         self.bail_blocks = bail_blocks
@@ -144,6 +156,28 @@ class NativeInfo:
         self.loops = loops
         self.direct_stack_ops = direct_stack_ops
         self.source = source
+        self.declined = declined
+
+    @property
+    def shape(self) -> str:
+        """``structured`` (no dispatch loop emitted), ``tail`` (structured
+        with a dispatch tail) or ``dispatch`` (declined: dispatch only)."""
+        if self.declined is not None:
+            return "dispatch"
+        return "tail" if self.bail_sites else "structured"
+
+    def summary(self) -> Dict[str, object]:
+        """The JSON-able attribution ``vmm.tiers()`` and profiles carry."""
+        return {
+            "shape": self.shape,
+            "structured_blocks": len(self.structured_blocks),
+            "tail_blocks": 0 if self.declined else len(self.bail_blocks),
+            "dispatch_only_blocks": len(self.bail_blocks) if self.declined else 0,
+            "bail_sites": self.bail_sites,
+            "loops": self.loops,
+            "direct_stack_ops": self.direct_stack_ops,
+            "declined": self.declined,
+        }
 
 
 def _scan_supported(program: Sequence[Instruction]) -> None:
@@ -154,7 +188,7 @@ def _scan_supported(program: Sequence[Instruction]) -> None:
         insn = program[index]
         opcode = insn.opcode
         if opcode in PINNED_OPCODES:
-            raise NativeUnsupported(f"opcode {opcode:#x} pinned to the jit tier")
+            raise NativeUnsupported(f"opcode {opcode:#x} pinned to the dispatch loop")
         width = 2 if opcode == OP_LDDW else 1
         klass = class_of(opcode)
         if opcode in (OP_LDDW, OP_EXIT, OP_CALL, OP_JA):
@@ -209,7 +243,7 @@ def _insn_starts(program: Sequence[Instruction]) -> Set[int]:
 
 
 class _NativeEmitter(_BlockEmitter):
-    """The JIT block emitter plus FP-provenance direct stack lowering.
+    """The block emitter plus FP-provenance direct stack lowering.
 
     Tracks, per basic block, which registers hold ``FP + constant``
     (seeded by ``mov rX, r10``, propagated through 64-bit ``mov``/
@@ -218,7 +252,7 @@ class _NativeEmitter(_BlockEmitter):
     the verifier bounds statically — compile to direct ``stk`` buffer
     operations with no runtime checks.  Everything else falls back to
     the inherited probe sequence, keeping fault behaviour identical to
-    the JIT.
+    the dispatch loop's.
     """
 
     def __init__(self, program, slots, heap_first, profiled, stack_size):
@@ -352,27 +386,6 @@ class _NativeEmitter(_BlockEmitter):
             w.emit(indent, f"stk[{o}] = {data[0]}")
         else:
             w.emit(indent, f"stk[{o}:{o + size}] = {data!r}")
-
-    # -- condition rendering --------------------------------------------
-
-    def cond_expr(self, insn: Instruction, klass: int) -> str:
-        name = _JMP_NAMES[insn.opcode & 0xF0]
-        wide = klass == BPF_JMP
-        mask = _M64 if wide else _M32
-        bits = 64 if wide else 32
-        dst = _reg(insn.dst)
-        left = dst if wide else f"({dst} & {_M32})"
-        if insn.opcode & BPF_X:
-            right = _reg(insn.src) if wide else f"({_reg(insn.src)} & {_M32})"
-        else:
-            right = str(insn.imm & mask)
-        if name in _COND:
-            return f"{left} {_COND[name]} {right}"
-        if name == "jset":
-            return f"({left} & {right})"
-        if name in _SIGNED_COND:
-            return f"{_sx(left, bits)} {_SIGNED_COND[name]} {_sx(right, bits)}"
-        raise NativeUnsupported(f"bad jump {insn.opcode:#x}")
 
 
 class _Structurer:
@@ -556,22 +569,7 @@ class _Structurer:
                     indent,
                     f"if steps > {self.step_budget}: raise ExecBudget({i})",
                 )
-                w.emit(indent, "hc += 1")
-                if self.profiled:
-                    w.emit(indent, "_t = perf()")
-                    w.emit(
-                        indent,
-                        f"r0 = H{insn.imm}(vm, r1, r2, r3, r4, r5) & {_M64}",
-                    )
-                    w.emit(indent, f"HT[{insn.imm}] += perf() - _t")
-                    w.emit(indent, f"HK[{insn.imm}] += 1")
-                else:
-                    w.emit(
-                        indent,
-                        f"r0 = H{insn.imm}(vm, r1, r2, r3, r4, r5) & {_M64}",
-                    )
-                w.emit(indent, "r1 = r2 = r3 = r4 = r5 = 0")
-                em.mirrors.kill_regs(range(0, 6))
+                em.emit_call(w, indent, insn.imm)
                 em.untrack_many(range(0, 6))
                 i += 1
                 continue
@@ -673,18 +671,18 @@ def translate_native(
     """Compile ``program`` to a structured ``run(r1..r5) -> r0``.
 
     Returns ``(run, info)`` or raises :class:`NativeUnsupported` when
-    the program is outside this tier's envelope (unknown/pinned opcode,
-    oversized, or control flow so irregular that most blocks would only
-    be reachable through the bail tail) — the VM then falls back to the
-    JIT.  Semantics, step/helper accounting and fault behaviour are
-    identical to the interpreter and JIT; see the module docstring.
+    the program is outside the structurer's envelope (unknown/pinned
+    opcode, oversized, or control flow so irregular that most blocks
+    would only be reachable through the dispatch tail).  Semantics,
+    step/helper accounting and fault behaviour are identical to the
+    interpreter and the dispatch loop; see the module docstring.
     """
     count = len(program)
     if count == 0:
         raise NativeUnsupported("empty program")
     if count > MAX_PROGRAM_SLOTS:
         raise NativeUnsupported(
-            f"program too large for the native tier ({count} > {MAX_PROGRAM_SLOTS} slots)"
+            f"program too large to structure ({count} > {MAX_PROGRAM_SLOTS} slots)"
         )
     _scan_supported(program)
 
@@ -692,59 +690,19 @@ def translate_native(
     loops = _find_loops(program)
     insn_starts = _insn_starts(program)
     slots = _promotable_slots(program, trusted_layout) if profile is None else set()
-
-    from .jit import _BudgetError
-
-    heap = memory.heap_region
-    stack = memory.stack
-    namespace: Dict[str, object] = {
-        "__builtins__": {},
-        "int_from": int.from_bytes,
-        "mem_read": memory.read,
-        "mem_write": memory.write,
-        "vm": vm,
-        "ExecBudget": _BudgetError,
-        "Bail": _Bail,
-        "XErr": ExecutionError,
-        "BaseException": BaseException,
-        "FP": memory.frame_pointer(),
-        "HB": heap.base,
-        "HS": len(heap.data),
-        "heap": heap.data,
-        "SB": stack.base,
-        "SS": len(stack.data),
-        "stk": stack.data,
-    }
-    for helper_id in helpers.ids():
-        namespace[f"H{helper_id}"] = helpers.get(helper_id).fn
-    if profile is not None:
-        from time import perf_counter
-
-        namespace["PB"] = profile.block_entries
-        namespace["PI"] = profile.block_insns
-        namespace["HT"] = profile.helper_seconds
-        namespace["HK"] = profile.helper_count
-        namespace["PSL"] = profile.stack_low
-        namespace["perf"] = perf_counter
-
+    namespace = _namespace(helpers, memory, step_budget, vm, profile)
+    namespace["Bail"] = _Bail
+    namespace["XErr"] = ExecutionError
     emitter = _NativeEmitter(
         program,
         slots,
         heap_first=bool(slots),
         profiled=profile is not None,
-        stack_size=len(stack.data),
+        stack_size=len(memory.stack.data),
     )
 
     w = _Writer()
-    w.emit(0, "def run(r1=0, r2=0, r3=0, r4=0, r5=0):")
-    w.emit(1, "r0 = r6 = r7 = r8 = r9 = 0")
-    w.emit(1, f"r1 &= {_M64}; r2 &= {_M64}; r3 &= {_M64}; r4 &= {_M64}; r5 &= {_M64}")
-    w.emit(1, "r10 = FP")
-    for offset in sorted(slots):
-        w.emit(1, f"{_slot_var(offset)} = 0")
-    w.emit(1, "steps = 0")
-    w.emit(1, "hc = 0")
-    w.emit(1, "try:")
+    _emit_prologue(w, slots)
     w.emit(2, "try:")
 
     structurer = _Structurer(
@@ -760,13 +718,13 @@ def translate_native(
         bail_blocks = [l for l in leaders if l not in structurer.structured]
         if 2 * len(bail_blocks) > len(leaders):
             raise NativeUnsupported(
-                "control flow too irregular for the native tier: "
+                "control flow too irregular to structure: "
                 f"{len(bail_blocks)}/{len(leaders)} blocks reachable only "
                 "through the dispatch tail"
             )
-        # Demoted control flow: a JIT-style dispatch loop sharing this
-        # function's locals (registers, slots, steps/hc all survive the
-        # raise).  Full leader list so fall-through inlining stays valid.
+        # Demoted control flow: a dispatch loop sharing this function's
+        # locals (registers, slots, steps/hc all survive the raise).
+        # Full leader list so fall-through inlining stays valid.
         w.emit(2, "except Bail as _b:")
         w.emit(3, "pc = _b.pc")
         w.emit(3, "while True:")
@@ -781,15 +739,10 @@ def translate_native(
         w.emit(2, "except Bail:")  # unreachable: no bail sites were emitted
         w.emit(3, "raise")
 
-    w.emit(1, "except BaseException:")
-    w.emit(2, "vm.steps_executed = steps; vm.helper_calls = hc")
-    w.emit(2, "raise")
-
-    source = "\n".join(w.lines)
     try:
-        exec(compile(source, "<ebpf-native>", "exec"), namespace)  # noqa: S102
-    except SyntaxError as exc:  # pragma: no cover - would be a bug
-        raise NativeUnsupported(f"generated bad code: {exc}\n{source}") from exc
+        run, source = _finish(w, namespace, "<ebpf-native>")
+    except JitError as exc:  # pragma: no cover - would be a bug
+        raise NativeUnsupported(str(exc)) from exc
 
     info = NativeInfo(
         structured_blocks=sorted(structurer.structured),
@@ -799,4 +752,30 @@ def translate_native(
         direct_stack_ops=emitter.direct_stack_ops,
         source=source,
     )
-    return namespace["run"], info
+    return run, info
+
+
+def compile_program(
+    program: Sequence[Instruction],
+    helpers: HelperTable,
+    memory: VmMemory,
+    step_budget: int,
+    vm,
+    trusted_layout: bool = False,
+    profile=None,
+) -> Tuple[object, NativeInfo]:
+    """The compiled tier: ``(run, info)`` for any verified program.
+
+    Structured where the control flow allows, a dispatch tail for the
+    blocks it does not, and the dispatch-only form for a program the
+    structurer declines — decided here from the program alone.
+    """
+    try:
+        return translate_native(
+            program, helpers, memory, step_budget, vm, trusted_layout, profile
+        )
+    except NativeUnsupported as exc:
+        run = translate(
+            program, helpers, memory, step_budget, vm, trusted_layout, profile
+        )
+        return run, NativeInfo([], _leaders(program), declined=str(exc))

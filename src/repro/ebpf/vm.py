@@ -71,13 +71,10 @@ class VirtualMachine:
         helpers: Optional[HelperTable] = None,
         memory: Optional[VmMemory] = None,
         step_budget: int = DEFAULT_STEP_BUDGET,
-        jit: bool = False,
         trusted_layout: bool = False,
-        tier: Optional[str] = None,
+        tier: str = "interp",
     ):
-        if tier is None:
-            tier = "jit" if jit else "interp"  # legacy boolean knob
-        if tier not in ("interp", "jit", "native"):
+        if tier not in ("interp", "jit"):
             raise ValueError(f"bad tier {tier!r}")
         self.program = list(program)
         self.helpers = helpers or HelperTable()
@@ -85,23 +82,15 @@ class VirtualMachine:
         self.step_budget = step_budget
         self.steps_executed = 0
         self.helper_calls = 0
-        #: The requested execution tier.  ``jit=True`` remains a
-        #: deprecated alias for ``tier="jit"``.
+        #: ``"interp"`` (this module's loop, the semantic reference) or
+        #: ``"jit"`` (the compiled tier, :mod:`repro.ebpf.native`).
         self.tier = tier
-        #: True for both compiled tiers (jit and native): they share the
-        #: translated-function plumbing (``_jit_run``, fast-path
-        #: closures, profiled re-translation).
-        self.jit = tier != "interp"
         self.trusted_layout = trusted_layout
-        self._jit_run = None
-        #: The tier actually executing, resolved by :meth:`prepare`:
-        #: ``"native"`` may resolve to ``"jit"`` when the native
-        #: compiler declines the program (see ``native_fallback_reason``).
-        self.tier_used = tier if tier != "native" else None
-        #: Why the native tier fell back to the JIT, or None.
-        self.native_fallback_reason = None
-        #: :class:`repro.ebpf.native.NativeInfo` for native translations.
-        self.native_info = None
+        self._compiled = None
+        #: :class:`repro.ebpf.native.NativeInfo` once the compiled tier
+        #: has translated the program: what was structured, what runs
+        #: on the dispatch loop, and why if the structurer declined.
+        self.compile_info = None
         #: Optional :class:`repro.telemetry.profiler.VmProfile` fed by
         #: profiled runs; installed/cleared via :meth:`set_profile`.
         self.profile = None
@@ -111,66 +100,43 @@ class VirtualMachine:
         self.ctx = None
         self.program_state = None
 
-    def prepare(self) -> None:
-        """Eagerly translate (compiled tiers) so first run pays no compile cost.
+    def prepare(self):
+        """Translate now (compiled tier) so the first run pays no compile cost.
 
-        ``tier="native"`` tries the structured native compiler first and
-        falls back to the JIT when it declines (unsupported opcode,
-        oversized program, unstructurable control flow); the outcome is
-        recorded in ``tier_used`` / ``native_fallback_reason`` so
-        tiering decisions stay inspectable (``xbgp profile``).
+        Returns the callable that runs the program — ``run(r1..r5)`` —
+        which on the compiled tier is the translated function itself,
+        so a caller that runs the program many times can skip
+        :meth:`run`'s dispatch.  Stale after :meth:`set_profile`.
         """
-        if not self.jit or self._jit_run is not None:
-            return
-        from .jit import _BudgetError, translate
+        if self.tier == "interp":
+            return self.run
+        if self._compiled is None:
+            from .native import compile_program
 
-        self._budget_error = _BudgetError
-        if self.tier == "native":
-            from .native import NativeUnsupported, translate_native
-
-            try:
-                run, info = translate_native(
-                    self.program,
-                    self.helpers,
-                    self.memory,
-                    self.step_budget,
-                    self,
-                    trusted_layout=self.trusted_layout,
-                    profile=self.profile,
-                )
-            except NativeUnsupported as exc:
-                self.native_fallback_reason = str(exc)
-            else:
-                self._jit_run = run
-                self.native_info = info
-                self.tier_used = "native"
-                return
-        self._jit_run = translate(
-            self.program,
-            self.helpers,
-            self.memory,
-            self.step_budget,
-            self,
-            trusted_layout=self.trusted_layout,
-            profile=self.profile,
-        )
-        self.tier_used = "jit"
+            self._compiled, self.compile_info = compile_program(
+                self.program,
+                self.helpers,
+                self.memory,
+                self.step_budget,
+                self,
+                trusted_layout=self.trusted_layout,
+                profile=self.profile,
+            )
+        return self._compiled
 
     def set_profile(self, profile) -> None:
         """Install (or, with ``None``, remove) a hotspot profile.
 
         Interpreter mode merely flips :meth:`run` onto the profiled
-        loop; compiled tiers re-translate so the block counters are
+        loop; the compiled tier re-translates so the block counters are
         compiled into the generated function (and compiled back out on
         removal).
         """
         if profile is self.profile:
             return
         self.profile = profile
-        if self.jit:
-            self._jit_run = None
-            self.native_info = None
-            self.native_fallback_reason = None
+        if self.tier != "interp":
+            self._compiled = None
             self.prepare()
 
     def run(self, r1: int = 0, r2: int = 0, r3: int = 0, r4: int = 0, r5: int = 0) -> int:
@@ -180,28 +146,20 @@ class VirtualMachine:
         :class:`HelperError` — the VMM treats all three as "extension
         code failed, fall back to native".
 
-        ``steps_executed`` and ``helper_calls`` are reset here and
-        report this run's instruction/helper counts afterwards — on
-        returning, delegating (``next()``) and faulting runs alike, and
-        identically under both engines (a budget blowout under the JIT
-        reports the instructions executed before the block that blew
-        the budget).
+        ``steps_executed`` and ``helper_calls`` report this run's
+        instruction/helper counts afterwards — on returning, delegating
+        (``next()``) and faulting runs alike, and identically under
+        both tiers (a budget blowout under the compiled tier reports
+        the instructions executed before the block that blew the
+        budget).
 
-        Under the compiled tiers (``tier="jit"``/``"native"``) the
-        program runs as translated Python — same semantics, far faster
-        dispatch; see :mod:`repro.ebpf.jit` and :mod:`repro.ebpf.native`.
+        Under ``tier="jit"`` the program runs as translated Python —
+        same semantics, far faster dispatch; see :mod:`repro.ebpf.native`.
         """
+        if self.tier != "interp":
+            return self.prepare()(r1, r2, r3, r4, r5)
         self.steps_executed = 0
         self.helper_calls = 0
-        if self.jit:
-            if self._jit_run is None:
-                self.prepare()
-            try:
-                return self._jit_run(r1, r2, r3, r4, r5)
-            except self._budget_error as exc:
-                raise ExecutionError(
-                    exc.pc, f"instruction budget ({self.step_budget}) exceeded"
-                ) from exc
         if self.profile is not None:
             return self._run_profiled(r1, r2, r3, r4, r5)
         regs = [0] * 11

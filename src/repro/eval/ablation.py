@@ -135,8 +135,7 @@ u64 work(u64 args) {
 
 
 def engine_fn(engine: str) -> Callable[[], int]:
-    """Cost of one bytecode invocation under ``engine``
-    (interp/jit/native)."""
+    """Cost of one bytecode invocation under ``engine`` (interp/jit)."""
     host = _NullHost()
     vmm = VirtualMachineManager(host, VmmConfig(tier=engine))
     manifest = Manifest(

@@ -11,15 +11,14 @@ impact — the quantity the paper's boxplots show.
 Two extension engines are reported by default (see EXPERIMENTS.md for
 the claim each carries):
 
-* ``jit``   — genuine eBPF bytecode, JIT-translated; carries the
+* ``jit``   — genuine eBPF bytecode on the compiled tier; carries the
   Python-substrate interpretation tax;
 * ``pyext`` — the same logic as host-speed code through the same VMM
   and glue; models the paper's compiled-eBPF cost ratio.
 
-``native`` (the structured whole-program compiler, ``--engine
-native``) and ``interp`` run through the same cells on demand; the
-tier ladder itself is measured in benchmarks/test_ablation_engines.py
-and the hot-path tier comparison.
+``interp`` (the reference interpreter) runs through the same cells on
+demand; interpreter vs compiled tier is measured in
+benchmarks/test_ablation_engines.py.
 """
 
 from __future__ import annotations

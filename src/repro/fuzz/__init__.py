@@ -1,17 +1,21 @@
 """Differential fuzzing & conformance subsystem.
 
-PR 2 forked every hot-path component into legacy/fast arms; the paper's
-§2.1 claim is that the *same* bytecode behaves identically on FRR and
-BIRD.  Both give the fuzzer free oracles:
+The repo runs one bytecode three ways and one RFC 4271 pipeline on two
+hosts with its caches on or off; the paper's §2.1 claim is that the
+*same* bytecode behaves identically on FRR and BIRD.  Each gives the
+fuzzer a free oracle:
 
 * **codec** — decode → re-encode round trips (lazy verbatim re-encode
   vs eager attribute rebuild, plus stream-reassembly determinism);
-* **engine** — interpreter vs JIT on generated programs: same result,
-  helper-call sequence, step counts, and memory effects, under both
-  lazy-zero and eager heap arms;
+* **engine** — generated programs on the reference interpreter, the
+  compiled tier, and the compiler's dispatch-only form called
+  directly: same result, helper-call sequence, step counts and heap
+  image, and on every arm a second back-to-back run equal to the first
+  (the lazily zeroed heap must hide what the first run left behind);
 * **host** — the same plugin manifest on FRR and BIRD over the same
-  event stream → identical Loc-RIB and export sets, with
-  ``VmmConfig(fast_path/lazy_heap)`` on vs off.
+  event stream → identical Loc-RIB and export sets, each host also
+  against itself with ``hot_path=False`` (host caches off: wire bytes
+  and stats must match bit for bit), batched and sharded.
 
 :mod:`repro.fuzz.gen` produces the seeded-random inputs,
 :mod:`repro.fuzz.oracles` runs the comparisons,

@@ -15,6 +15,7 @@ from ..bgp.messages import UpdateMessage, decode_message, split_stream
 from ..core.vmm import VmmConfig
 from ..ebpf.helpers import HelperError, HelperTable
 from ..ebpf.isa import decode_program
+from ..ebpf.jit import translate
 from ..ebpf.memory import SandboxViolation, VmMemory
 from ..ebpf.vm import ExecutionError, VirtualMachine
 from ..plugins import geoloc, origin_validation, route_reflector
@@ -254,19 +255,19 @@ def make_fuzz_helpers(calls: list) -> HelperTable:
     return table
 
 
-def _engine_outcome(vm: VirtualMachine, memory: VmMemory, calls: list, inputs) -> tuple:
+def _engine_outcome(run, vm: VirtualMachine, memory: VmMemory, calls: list, inputs) -> tuple:
     """One VMM-style invocation: reset the heap, run, normalise.
 
-    Budget blowouts are normalised to a bare marker: the compiled tiers
-    (JIT and native) check the budget per *block* while the interpreter
-    checks per step, so the faulting pc / step counts legitimately
-    differ (documented in ``VirtualMachine.run``); everything else must
-    match exactly.
+    Budget blowouts are normalised to a bare marker: compiled code
+    checks the budget per *block* while the interpreter checks per
+    step, so the faulting pc / step counts legitimately differ
+    (documented in ``VirtualMachine.run``); everything else must match
+    exactly.
     """
     calls.clear()
     memory.reset_heap()
     try:
-        result = vm.run(*inputs)
+        result = run(*inputs)
     except ExecutionError as exc:
         if "budget" in str(exc):
             return ("budget",)
@@ -275,11 +276,11 @@ def _engine_outcome(vm: VirtualMachine, memory: VmMemory, calls: list, inputs) -
         return ("sandbox", str(exc), vm.steps_executed, vm.helper_calls, tuple(calls))
     except HelperError as exc:
         return ("helper-error", str(exc), vm.steps_executed, vm.helper_calls, tuple(calls))
-    # The stack bytes are deliberately NOT part of the outcome: the JIT
-    # promotes private 8-byte stack slots to Python locals (they never
-    # materialise in ``stack.data``), and that privacy is the point —
-    # registers are observable through the epilogue fold into r0, heap
-    # blocks through the helper traffic below.
+    # The stack bytes are deliberately NOT part of the outcome: compiled
+    # code promotes private 8-byte stack slots to Python locals (they
+    # never materialise in ``stack.data``), and that privacy is the
+    # point — registers are observable through the epilogue fold into
+    # r0, heap blocks through the helper traffic below.
     return (
         "return",
         result,
@@ -291,62 +292,88 @@ def _engine_outcome(vm: VirtualMachine, memory: VmMemory, calls: list, inputs) -
     )
 
 
-_ENGINE_ARMS = tuple(
-    (engine, fast)
-    for engine in ("interp", "jit", "native")
-    for fast in (True, False)
-)
+#: ``interp`` is the reference; ``jit`` is the compiled tier as the VMM
+#: gets it; ``dispatch`` is the dispatch-loop translator called directly,
+#: the way the compiler calls it for a program it declines.  The
+#: generator's programs all structure cleanly, so without the third arm
+#: the dispatch loop shipped plugins run on would leave the oracle.
+_ENGINE_ARMS = ("interp", "jit", "dispatch")
 
 
-def run_engine_case(case: EngineCase) -> Optional[Divergence]:
+def _engine_arm(arm: str, program, case: EngineCase, shapes) -> Tuple[tuple, tuple]:
+    """Two runs of ``case`` on one arm: on a fresh heap, then on one
+    where every byte the first run allocated has been dirtied."""
+    calls: list = []
+    memory = VmMemory(heap_size=4096)
+    vm = VirtualMachine(
+        program,
+        helpers=make_fuzz_helpers(calls),
+        memory=memory,
+        step_budget=case.step_budget,
+        tier="jit" if arm == "jit" else "interp",
+    )
+    if arm == "dispatch":
+        run = translate(vm.program, vm.helpers, memory, case.step_budget, vm)
+    else:
+        run = vm.prepare()
+    if shapes is not None and vm.compile_info is not None:
+        shape = vm.compile_info.shape
+        shapes[shape] = shapes.get(shape, 0) + 1
+    first = _engine_outcome(run, vm, memory, calls, case.inputs)
+    # What a run over different data leaves behind.  Only the span the
+    # case allocates: the contract is that *allocated* blocks read as
+    # zeros, and a program may peek at heap it never allocated.
+    used = memory.heap_used
+    memory.reset_heap()
+    memory.write_bytes(memory.alloc(used), b"\xa5" * used)
+    return first, _engine_outcome(run, vm, memory, calls, case.inputs)
+
+
+def run_engine_case(
+    case: EngineCase, shapes: Optional[Dict[str, int]] = None
+) -> Optional[Divergence]:
+    """Compare the arms; ``shapes`` tallies how the compiled arm's
+    program was compiled (``structured`` / ``tail`` / ``dispatch``)."""
     try:
         program = decode_program(case.program)
-        outcomes: Dict[Tuple[str, bool], tuple] = {}
-        for engine, fast in _ENGINE_ARMS:
-            calls: list = []
-            memory = VmMemory(heap_size=4096, lazy_zero=fast, fast_access=fast)
-            vm = VirtualMachine(
-                program,
-                helpers=make_fuzz_helpers(calls),
-                memory=memory,
-                step_budget=case.step_budget,
-                tier=engine,
-            )
-            # Two back-to-back invocations: the second reuses the dirty
-            # heap span, exercising the lazy-zero high-watermark reset.
-            first = _engine_outcome(vm, memory, calls, case.inputs)
-            second = _engine_outcome(vm, memory, calls, case.inputs)
-            outcomes[(engine, fast)] = (first, second)
-        baseline_arm = _ENGINE_ARMS[0]
-        for run_index in (0, 1):
-            per_arm = {arm: outcomes[arm][run_index] for arm in _ENGINE_ARMS}
-            if any(outcome[0] == "budget" for outcome in per_arm.values()):
-                # The JIT checks the budget per *block* (at the leader),
-                # the interpreter per step — so near the budget one arm
-                # may report the blowout while the other faults first
-                # inside that block.  All arms must still abort; and the
-                # partially-executed state afterwards legitimately
-                # differs, so later runs are not compared.
-                returned = [arm for arm, o in per_arm.items() if o[0] == "return"]
-                if returned:
-                    return Divergence(
-                        "engine",
-                        "engine:budget-vs-return",
-                        f"run {run_index}: arms {returned} returned while "
-                        f"others exhausted the instruction budget",
-                    )
-                break
-            baseline = per_arm[baseline_arm]
-            for arm, outcome in per_arm.items():
-                if outcome != baseline:
-                    return Divergence(
-                        "engine",
-                        f"engine:outcome:{baseline_arm[0]}-vs-{arm[0]}:"
-                        f"fast{int(baseline_arm[1])}-vs-fast{int(arm[1])}:"
-                        f"{baseline[0]}/{outcome[0]}",
-                        f"run {run_index}: arms {baseline_arm} and {arm} disagree: "
-                        f"{_outcome_diff((baseline,), (outcome,))}",
-                    )
+        outcomes = {
+            arm: _engine_arm(arm, program, case, shapes) for arm in _ENGINE_ARMS
+        }
+        for arm, (first, second) in outcomes.items():
+            # Same inputs, heap reset in between: a second run that
+            # differs saw what was left behind (a freed heap span that
+            # was not scrubbed, a stale compiled-in value).
+            if first != second:
+                return Divergence(
+                    "engine",
+                    f"engine:rerun:{arm}:{first[0]}/{second[0]}",
+                    f"arm {arm}: second run differs from the first: "
+                    f"{_outcome_diff((first,), (second,))}",
+                )
+        per_arm = {arm: outcomes[arm][0] for arm in _ENGINE_ARMS}
+        if any(outcome[0] == "budget" for outcome in per_arm.values()):
+            # Compiled code checks the budget per *block* (at the
+            # leader), the interpreter per step — so near the budget
+            # one arm may report the blowout while the other faults
+            # first inside that block.  All arms must still abort.
+            returned = [arm for arm, o in per_arm.items() if o[0] == "return"]
+            if returned:
+                return Divergence(
+                    "engine",
+                    "engine:budget-vs-return",
+                    f"arms {returned} returned while others exhausted "
+                    "the instruction budget",
+                )
+            return None
+        baseline = per_arm["interp"]
+        for arm, outcome in per_arm.items():
+            if outcome != baseline:
+                return Divergence(
+                    "engine",
+                    f"engine:outcome:interp-vs-{arm}:{baseline[0]}/{outcome[0]}",
+                    f"arms interp and {arm} disagree: "
+                    f"{_outcome_diff((baseline,), (outcome,))}",
+                )
     except Exception as exc:  # noqa: BLE001
         return _crash("engine", "engine-oracle", exc)
     return None
@@ -370,12 +397,7 @@ def _build_daemon(case: HostCase, implementation: str, hot: bool):
         "asn": 65001,
         "router_id": _DUT,
         "local_address": _DUT,
-        "vmm_config": VmmConfig(
-            engine=case.engine,
-            telemetry=False,
-            fast_path=hot,
-            lazy_heap=hot,
-        ),
+        "vmm_config": VmmConfig(tier=case.engine, telemetry=False),
         "hot_path": hot,
     }
     if case.plugin == "geoloc" and case.coord is not None:
@@ -528,8 +550,9 @@ def _run_host_arm_sharded(
 #: contract is the Loc-RIB, the reachable export set and the absence
 #: of extension fallbacks — §2.1's observable behaviour.
 _CROSS_KEYS = ("snapshot", "prefixes", "withdrawn", "fallbacks")
-#: Keys compared between the fast and legacy arms of one
-#: implementation — these must match bit-for-bit, wire bytes included.
+#: Keys compared between the ``hot_path`` on and off arms (host caches
+#: on / off) of one implementation — these must match bit-for-bit,
+#: wire bytes included.
 _ARM_KEYS = ("snapshot", "downstream", "prefixes", "withdrawn", "stats", "fallbacks")
 #: Keys compared between the sequential and batched arms.  Batching
 #: legitimately collapses transient downstream traffic (an announce

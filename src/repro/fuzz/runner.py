@@ -132,6 +132,8 @@ class FuzzRunner:
         divergences: List[Dict[str, object]] = []
         corpus_files: List[str] = []
         seen: Dict[str, int] = {}
+        #: How the compiled tier compiled each engine case's program.
+        compiled = {"structured": 0, "tail": 0, "dispatch": 0}
         iterations_run = 0
         for index in range(self.iterations):
             if (
@@ -143,7 +145,9 @@ class FuzzRunner:
             generate, oracle = _KINDS[kind]
             case_seed = self.seed * 1_000_003 + index
             case = generate(case_seed)
-            divergence = oracle(case)
+            divergence = (
+                oracle(case, compiled) if kind == "engine" else oracle(case)
+            )
             iterations_run += 1
             cases_run[kind] += 1
             if divergence is None:
@@ -178,6 +182,7 @@ class FuzzRunner:
             "iterations_requested": self.iterations,
             "iterations_run": iterations_run,
             "cases": cases_run,
+            "compiled": compiled,
             "elapsed_seconds": round(time.perf_counter() - started, 3),
             "divergences": divergences,
             "duplicate_hits": duplicates,

@@ -5,7 +5,7 @@ scope:
 
 * :class:`BatchProcessor` — feeds raw UPDATE bytes through a daemon in
   decode→import→decision batches, amortizing per-message costs (one
-  attribute parse per distinct wire block, one VMM fast-path bind per
+  attribute parse per distinct wire block, one VMM runner lookup per
   batch, one decision run per dirty prefix, bulk encode-cache hits on
   the export side).
 * :class:`ShardedReplay` — partitions a route workload across

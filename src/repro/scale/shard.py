@@ -214,8 +214,6 @@ def build_scale_daemon(config: Dict[str, object]):
         "vmm_config": VmmConfig(
             tier=tier,
             telemetry=bool(config.get("telemetry", False)),
-            fast_path=hot_path,
-            lazy_heap=hot_path,
             quarantine=quarantine,
         ),
         "hot_path": hot_path,

@@ -31,6 +31,7 @@ __all__ = [
     "Collector",
     "ConvergenceHarness",
     "DAEMONS",
+    "ENGINES",
     "build_explain_scenario",
     "wire_dut",
 ]
@@ -38,9 +39,17 @@ __all__ = [
 #: The one host registry: implementation name -> daemon class.
 DAEMONS = {"frr": FrrDaemon, "bird": BirdDaemon}
 
+#: How an extension arm runs: a bytecode tier, or the plugin as host
+#: Python (``pyext``, attached on the default tier's VMM).
+ENGINES = ("jit", "interp", "pyext")
+
 _UPSTREAM = "10.0.1.2"
 _DUT = "10.0.0.1"
 _DOWNSTREAM = "10.0.2.2"
+
+
+def _vm_tier(engine: str) -> str:
+    return "jit" if engine == "pyext" else engine
 
 
 def wire_dut(dut, downstream_send: Callable[[bytes], None], ibgp: bool, rr_clients: bool):
@@ -65,8 +74,9 @@ class Collector:
 
     ``eager_attributes`` forces a full path-attribute parse of every
     received UPDATE, the behaviour every receiver had before
-    :class:`UpdateMessage` learned to decode attributes lazily — the
-    hot-path ablation's legacy arm restores that per-message cost.
+    :class:`UpdateMessage` learned to decode attributes lazily — a
+    ``hot_path=False`` harness (host caches off, the reference arm of
+    the host oracle) restores that per-message parse.
     """
 
     def __init__(self, eager_attributes: bool = False) -> None:
@@ -98,7 +108,11 @@ class ConvergenceHarness:
 
     ``implementation`` picks the DUT ("frr"/"bird"); ``feature`` picks
     the experiment ("route_reflection" or "origin_validation");
-    ``mode`` picks the arm ("native" or "extension").
+    ``mode`` picks the arm ("native" or "extension"); ``engine`` how
+    the extension arm runs: the ``jit`` or ``interp`` bytecode tier, or
+    ``pyext`` (the plugin rewritten as host Python).  ``hot_path=False``
+    turns the *host's* caches off (encode/mechanics caches, lazy
+    attribute parsing) and says nothing about the VM.
     """
 
     def __init__(
@@ -132,7 +146,7 @@ class ConvergenceHarness:
             raise ValueError(f"unknown feature {feature!r}")
         if mode not in ("native", "extension"):
             raise ValueError(f"unknown mode {mode!r}")
-        if engine not in ("jit", "interp", "native", "pyext"):
+        if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
@@ -148,9 +162,10 @@ class ConvergenceHarness:
         self.roas = roas or []
         self.telemetry_enabled = telemetry
         self.quarantine = quarantine
-        #: False re-enables the pre-overhaul per-route work (eager heap
-        #: zeroing, no fast path, no marshalling/encode caches) — the
-        #: hot-path ablation's legacy arm.
+        #: False turns the host's caches off (no marshalling, encode or
+        #: mechanics caches, eager attribute parsing downstream): the
+        #: reference arm of the host fuzz oracle and of
+        #: tests/integration/test_hotpath_semantics.py.
         self.hot_path = hot_path
         #: True turns on the DUT's per-route provenance tracking — the
         #: observability-overhead ablation's "on" arm.
@@ -233,13 +248,10 @@ class ConvergenceHarness:
             "router_id": _DUT,
             "local_address": _DUT,
         }
-        vm_tier = self.engine if self.engine in ("jit", "interp", "native") else "jit"
         kwargs["vmm_config"] = VmmConfig(
-            tier=vm_tier,
+            tier=_vm_tier(self.engine),
             telemetry=self.telemetry_enabled,
             quarantine=self.quarantine,
-            fast_path=self.hot_path,
-            lazy_heap=self.hot_path,
         )
         kwargs["hot_path"] = self.hot_path
         kwargs["provenance"] = self.provenance
@@ -508,16 +520,15 @@ def build_explain_scenario(
 
     if implementation not in DAEMONS:
         raise ValueError(f"unknown implementation {implementation!r}")
-    if engine not in ("jit", "interp", "native", "pyext"):
+    if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     network = Network()
     up = BirdDaemon(asn=65001, router_id="10.0.1.1", provenance=True)
-    vm_tier = engine if engine in ("jit", "interp", "native") else "jit"
     dut = DAEMONS[implementation](
         asn=65001,
         router_id="10.0.0.1",
         route_reflector="extension",
-        vmm_config=VmmConfig(tier=vm_tier),
+        vmm_config=VmmConfig(tier=_vm_tier(engine)),
         provenance=True,
     )
     down = BirdDaemon(asn=65001, router_id="10.0.2.2", provenance=True)

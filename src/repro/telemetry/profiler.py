@@ -8,13 +8,13 @@ aggregates three views:
   extension code.  Under the interpreter the counts are exact and
   PC-level (every executed instruction bumps its slot, so the per-PC
   sum equals ``steps_executed`` on returning, delegating and faulting
-  runs alike).  Under the JIT the equivalent is compiled into the
-  translated function at basic-block granularity: entry and
+  runs alike).  Under the compiled tier the equivalent is compiled
+  into the translated function at basic-block granularity: entry and
   instruction counters per block leader, flushed wherever the
-  translator flushes ``steps``.  Both engines agree on
+  translator flushes ``steps``.  Both tiers agree on
   :meth:`VmProfile.block_profile` for non-faulting runs, which the
   parity tests check.  Helper calls are timed individually, and the
-  heap/stack high watermarks ride the PR 2 lazy-zero memory.
+  heap/stack high watermarks ride the lazily zeroed VM heap.
 
 * **phase breakdown** — wall-clock totals for the daemon update path
   (``decode`` plus the five insertion points), fed by the FRR/BIRD
@@ -26,9 +26,9 @@ aggregates three views:
   flamegraph.pl: ``router;phase;extension;pc_<block> weight``.
 
 Profiling is off by default and free when off: the daemons'
-``enable_profiling()`` disqualifies the VMM's pre-bound fast-path
-closures (exactly like provenance) and ``disable_profiling()``
-restores them.
+``enable_profiling()`` has the VMM bind a timing watch into every
+step and swap each VM onto its profiled path (exactly like
+provenance's hooks), and ``disable_profiling()`` binds them back out.
 """
 
 from __future__ import annotations
@@ -57,17 +57,20 @@ class VmProfile:
 
     ``pc_counts`` (interpreter) is indexed by instruction *slot* — the
     second slot of an ``lddw`` never fires, matching how the program
-    counter moves.  ``block_entries``/``block_insns`` (JIT) are indexed
-    by block-leader slot.  ``stack_low`` is a one-element list so the
-    JIT's generated code can close over it as a mutable cell.
+    counter moves.  ``block_entries``/``block_insns`` (compiled tier)
+    are indexed by block-leader slot.  ``stack_low`` is a one-element
+    list so generated code can close over it as a mutable cell.
+    ``engine`` is the code's tier (``host`` for host-native codes);
+    ``compiled`` is the compiler's :class:`~repro.ebpf.native.NativeInfo`
+    on the compiled tier — what it structured, what runs on the
+    dispatch loop, and why if it declined the program.
     """
 
     __slots__ = (
         "point",
         "extension",
         "engine",
-        "tier",
-        "fallback_reason",
+        "compiled",
         "program",
         "helper_names",
         "pc_counts",
@@ -87,14 +90,12 @@ class VmProfile:
         if vm is None:
             # Host-native (pyext) codes run no VM at all.
             self.engine = "host"
-            self.tier = "host"
-            self.fallback_reason = None
+            self.compiled = None
             self.program = []
             self.helper_names = {}
         else:
-            self.tier = vm.tier
-            self.engine = vm.tier_used or vm.tier
-            self.fallback_reason = vm.native_fallback_reason
+            self.engine = vm.tier
+            self.compiled = vm.compile_info
             self.program = vm.program
             self.helper_names = {
                 helper_id: vm.helpers.get(helper_id).name
@@ -250,8 +251,7 @@ class VmProfile:
             "point": self.point,
             "extension": self.extension,
             "engine": self.engine,
-            "tier": self.tier,
-            "fallback_reason": self.fallback_reason,
+            "compiled": self.compiled.summary() if self.compiled else None,
             "runs": self.runs,
             "run_seconds": self.run_seconds,
             "instructions": self.instructions(),
@@ -349,14 +349,15 @@ class Profiler:
             )
             if profile.engine == "host":
                 continue
-            if profile.tier == "native":
-                if profile.engine == "native":
-                    lines.append("   tier: native (structured compile)")
-                else:
-                    lines.append(
-                        "   tier: native requested, fell back to"
-                        f" {profile.engine} ({profile.fallback_reason})"
-                    )
+            if profile.compiled is not None:
+                done = profile.compiled.summary()
+                lines.append(
+                    f"   compiled: {done['shape']}"
+                    f" ({done['structured_blocks']} structured,"
+                    f" {done['tail_blocks']} tail,"
+                    f" {done['dispatch_only_blocks']} dispatch-only blocks)"
+                    + (f" — declined: {done['declined']}" if done["declined"] else "")
+                )
             lines.append(
                 f"   heap high-watermark {profile.heap_hwm} B,"
                 f" stack high-watermark {profile.stack_hwm} B"

@@ -26,10 +26,10 @@ class TraceRing:
     """Fixed-capacity ring buffer of event dicts."""
 
     def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY, timestamps: bool = False):
-        """``timestamps=True`` stamps every event (``record`` and
-        ``record_fast`` alike) with ``time.monotonic()`` — monotonic so
-        inter-event deltas survive wall-clock adjustments; the stamps
-        ride along into :meth:`export_jsonl`."""
+        """``timestamps=True`` stamps every event with
+        ``time.monotonic()`` — monotonic so inter-event deltas survive
+        wall-clock adjustments; the stamps ride along into
+        :meth:`export_jsonl`."""
         if capacity < 1:
             raise ValueError("trace capacity must be >= 1")
         self.capacity = capacity
@@ -57,28 +57,6 @@ class TraceRing:
             event["ts"] = time.monotonic()
         if fields:
             event.update(fields)
-        self._events.append(event)
-        return event
-
-    def record_fast(
-        self, kind: str, point: str, extension: str
-    ) -> Dict[str, object]:
-        """Positional :meth:`record` for field-free hot-path events.
-
-        Produces exactly the event ``record(kind, point, extension)``
-        would, minus the keyword-argument machinery — the VMM emits a
-        few of these per route (``enter``, ``next``, ``skip``), which
-        made the generic form measurable on update replay.
-        """
-        self._seq = seq = self._seq + 1
-        event: Dict[str, object] = {
-            "seq": seq,
-            "kind": kind,
-            "point": point,
-            "extension": extension,
-        }
-        if self.timestamps:
-            event["ts"] = time.monotonic()
         self._events.append(event)
         return event
 

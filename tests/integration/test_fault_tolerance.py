@@ -233,6 +233,51 @@ class TestQuarantine:
         assert snapshot[0]["state"] == "open"
         assert snapshot[0]["skipped"] == 3
 
+    def test_breaker_works_with_metrics_off(self, daemon_cls):
+        """Regression: with ``telemetry=False`` the breaker used to be
+        silently off — ``build_scale_daemon``'s ``inject_crasher`` +
+        ``quarantine_after`` drill ran the crasher on every route."""
+        from repro.scale import build_scale_daemon, normalise_snapshot
+        from repro.workload import RibGenerator, build_updates
+
+        implementation = "frr" if daemon_cls is FrrDaemon else "bird"
+        routes = RibGenerator(n_routes=50, seed=11).generate()
+        feed_bytes = [
+            update.encode()
+            for update in build_updates(
+                routes,
+                next_hop=parse_ipv4("10.0.1.2"),
+                session="ebgp",
+                sender_asn=65100,
+                max_prefixes_per_update=1,
+            )
+        ]
+        ribs = {}
+        for crasher in (True, False):
+            daemon, collector = build_scale_daemon(
+                {
+                    "implementation": implementation,
+                    "telemetry": False,
+                    "inject_crasher": crasher,
+                    "quarantine_after": 3,
+                }
+            )
+            assert daemon.vmm.telemetry is None
+            for payload in feed_bytes:
+                daemon.receive_raw("10.0.1.2", payload)
+            ribs[crasher] = normalise_snapshot(daemon.loc_rib_snapshot())
+            assert len(collector.prefixes) == 50
+            if crasher:
+                assert daemon.vmm.stats()["crash"] == {
+                    "executions": 3, "errors": 3, "fallbacks": 3
+                }
+                assert daemon.vmm.fallbacks == 3
+                assert daemon.vmm.quarantined_codes() == ["crash"]
+                assert daemon.vmm.breaker.state_for(
+                    "bgp_inbound_filter", "crash"
+                ).skipped == 47
+        assert ribs[True] == ribs[False] and len(ribs[True]) == 50
+
     def test_probation_rearms_flaky_extension(self, daemon_cls):
         policy = QuarantinePolicy(
             error_threshold=2, probation_after=2, probation_successes=2

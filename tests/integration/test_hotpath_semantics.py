@@ -1,9 +1,11 @@
-"""Integration: the hot-path overhaul must be semantically invisible.
+"""Integration: the host's caches must be semantically invisible.
 
 Replaying the same workload with ``hot_path=True`` and ``hot_path=False``
-(pre-overhaul behaviour: eager heap zeroing, no fast path, no
-marshalling/encode caches) must yield byte-identical routing outcomes
-and the same per-extension execution statistics on both daemons.
+(host caches off: no peer-info memo, no packed-attribute, encode or
+mechanics caches, eager attribute parsing downstream — nothing about
+the VM, which has one memory model and one run path) must yield
+byte-identical routing outcomes and the same per-extension execution
+statistics on both daemons.
 """
 
 import pytest

@@ -56,7 +56,7 @@ class TestJitInterpreterEquivalence:
         program = assemble(source)
         verify(program, VerifierConfig())
         interp = VirtualMachine(program).run()
-        jitted = VirtualMachine(program, jit=True).run()
+        jitted = VirtualMachine(program, tier="jit").run()
         assert interp == jitted
 
     @settings(max_examples=30, deadline=None)
@@ -81,7 +81,7 @@ class TestJitInterpreterEquivalence:
         program = assemble("\n".join(lines))
         verify(program, VerifierConfig())
         interp = VirtualMachine(program).run()
-        jitted = VirtualMachine(program, jit=True).run()
+        jitted = VirtualMachine(program, tier="jit").run()
         expected = sum(v for v in values if v > pivot) & _M64
         assert interp == jitted == expected
 
@@ -112,8 +112,8 @@ class TestXcArithmetic:
         """
         expected = ((a + b * c) % (b + 1) + (a // b) + (a ^ c) + (c << 3) + (a >> 5)) & _M64
         program = compile_source(source)
-        for jit in (False, True):
-            vm = VirtualMachine(program, jit=jit, trusted_layout=jit)
+        for tier in ("interp", "jit"):
+            vm = VirtualMachine(program, tier=tier, trusted_layout=tier == "jit")
             assert vm.run() == expected
 
     @settings(max_examples=30, deadline=None)
@@ -136,6 +136,6 @@ class TestXcArithmetic:
         }}
         """
         program = compile_source(source)
-        for jit in (False, True):
-            vm = VirtualMachine(program, jit=jit, trusted_layout=jit)
+        for tier in ("interp", "jit"):
+            vm = VirtualMachine(program, tier=tier, trusted_layout=tier == "jit")
             assert vm.run() == sum(values)

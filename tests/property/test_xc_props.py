@@ -17,8 +17,8 @@ _M64 = (1 << 64) - 1
 def run_both(source, **regs):
     program = compile_source(source)
     results = set()
-    for jit in (False, True):
-        vm = VirtualMachine(program, jit=jit, trusted_layout=jit)
+    for tier in ("interp", "jit"):
+        vm = VirtualMachine(program, tier=tier, trusted_layout=tier == "jit")
         results.add(vm.run(**regs))
     assert len(results) == 1, "engines disagree"
     return results.pop()

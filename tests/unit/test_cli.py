@@ -525,14 +525,14 @@ class TestBench:
         code, output = run_cli(
             [
                 "bench", "--scenario", "full-table", "--impl", "frr",
-                "--engine", "native", "--routes", "300", "--runs", "1",
+                "--routes", "300", "--runs", "1",
                 "--batch", "32", "--shards", "2",
             ],
             capsys,
         )
         assert code == 0
         record = json.loads(output)
-        assert record["scenario"] == "full-table-frr-native"
+        assert record["scenario"] == "full-table-frr-jit"
         assert record["batch"] == 32 and record["shards"] == 2
         per_shard = record["per_shard"]
         assert len(per_shard) == 2
@@ -546,7 +546,7 @@ class TestBench:
         code, _ = run_cli(
             [
                 "bench", "--scenario", "full-table", "--impl", "frr",
-                "--engine", "native", "--routes", "200", "--runs", "1",
+                "--routes", "200", "--runs", "1",
                 "--batch", "32", "--shards", "2",
                 "--profile-dir", str(profile_dir),
             ],
@@ -572,7 +572,7 @@ class TestBench:
         code, output = run_cli(
             [
                 "bench", "--scenario", "full-table", "--impl", "bird",
-                "--engine", "native", "--runs", "1", "--batch", "16",
+                "--runs", "1", "--batch", "16",
                 "--mrt", str(table),
             ],
             capsys,
@@ -706,7 +706,7 @@ class TestBenchTimeseriesAndAlerts:
         out = tmp_path / "ts.jsonl"
         code, _ = run_cli(
             [
-                "bench", "--scenario", "full-table", "--engine", "native",
+                "bench", "--scenario", "full-table",
                 "--routes", "240", "--runs", "1", "--batch", "32",
                 "--shards", "2", "--timeseries", str(out),
                 "--timeseries-every", "50",

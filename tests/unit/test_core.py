@@ -327,7 +327,7 @@ class TestVmm:
         assert vmm.fallbacks == 1
 
     def test_interp_engine_configurable(self):
-        vmm = VirtualMachineManager(NullHost(), VmmConfig(engine="interp"))
+        vmm = VirtualMachineManager(NullHost(), VmmConfig(tier="interp"))
         code = self._code("x", "u64 f(u64 a) { return 5; }", helpers=())
         vmm.attach_program(XbgpProgram("p", [code]))
         ctx = ExecutionContext(vmm.host, InsertionPoint.BGP_INBOUND_FILTER)
@@ -335,7 +335,7 @@ class TestVmm:
 
     def test_bad_engine_rejected(self):
         with pytest.raises(ValueError):
-            VmmConfig(engine="warp")
+            VmmConfig(tier="warp")
 
 
 class TestHelpers:

@@ -1,9 +1,10 @@
-"""Hot-path overhaul tests.
+"""Hot-path tests.
 
-Covers the PR 2 guarantees: JIT/interpreter count parity on every run
-outcome, the single-code fast path being observably identical to the
-general chain loop, detach clearing quarantine state, and the
-marshalling caches staying coherent under mutation.
+JIT/interpreter count parity on every run outcome, single-code points
+behaving like any other chain (the VMM has one run path; every chain
+shape × every watcher is in test_vmm_step.py), detach clearing
+quarantine state, and the marshalling caches staying coherent under
+mutation.
 """
 
 import struct
@@ -35,8 +36,8 @@ from repro.telemetry import QuarantinePolicy
 def run_both(program, helpers=None):
     """Run under both engines; assert identical outcome and counters."""
     observed = []
-    for jit in (False, True):
-        vm = VirtualMachine(program, helpers, jit=jit)
+    for tier in ("interp", "jit"):
+        vm = VirtualMachine(program, helpers, tier=tier)
         try:
             outcome = ("return", vm.run())
         except Exception as exc:  # noqa: BLE001 - outcome compared below
@@ -105,15 +106,15 @@ class TestEngineCountParity:
         assert steps == 2 and helper_calls == 1
 
     def test_counters_reset_between_runs_under_both_engines(self):
-        for jit in (False, True):
-            vm = VirtualMachine(assemble("mov r0, 1\nexit"), jit=jit)
+        for tier in ("interp", "jit"):
+            vm = VirtualMachine(assemble("mov r0, 1\nexit"), tier=tier)
             vm.run()
             first = vm.steps_executed
             vm.run()
             assert vm.steps_executed == first == 2
 
 
-# -- VMM fast path ------------------------------------------------------
+# -- single-code points -------------------------------------------------
 
 
 class _Host:
@@ -198,6 +199,9 @@ def _exercise(vmm):
 
 
 class TestFastPath:
+    """Single-code points: rebinding on attach/detach, host-native
+    codes, the breaker."""
+
     @pytest.mark.parametrize("telemetry", [True, False])
     @pytest.mark.parametrize(
         "source, expected",
@@ -208,76 +212,112 @@ class TestFastPath:
         ],
     )
     def test_fast_path_matches_general_loop(self, telemetry, source, expected):
-        """fast_path on/off: identical results, stats and trace."""
-        observed = {}
-        for fast_path in (True, False):
-            host = _make_host()
-            vmm = VirtualMachineManager(
-                host, VmmConfig(telemetry=telemetry, fast_path=fast_path)
-            )
-            helpers = ("next",) if "next" in source else ()
-            vmm.attach_program(XbgpProgram("p", [_bytecode("x", source, helpers)]))
-            if fast_path:
-                assert InsertionPoint.BGP_INBOUND_FILTER in vmm._fast
-            else:
-                assert not vmm._fast
-            observed[fast_path] = _exercise(vmm)
-            assert observed[fast_path]["results"] == [expected] * 3
-        # Latency histograms measure real time; drop them before diffing.
-        for arm in observed.values():
-            arm.get("metrics", {}).pop("xbgp_extension_run_seconds", None)
-        assert observed[True] == observed[False]
+        """A single-code point, event for event and series for series,
+        is what the general chain loop of commit 8a7467e recorded."""
+        vmm = VirtualMachineManager(_make_host(), VmmConfig(telemetry=telemetry))
+        helpers = ("next",) if "next" in source else ()
+        vmm.attach_program(XbgpProgram("p", [_bytecode("x", source, helpers)]))
+        observed = _exercise(vmm)
+        faults = 3 if "*(u64 *)" in source else 0
+        assert observed["results"] == [expected] * 3
+        assert observed["stats"] == {
+            "x": {"executions": 3, "errors": faults, "fallbacks": faults}
+        }
+        assert observed["fallbacks"] == faults
+        assert observed["points"] == {
+            "bgp_inbound_filter": {"executions": 3, "errors": faults, "fallbacks": faults}
+        }
+        if not telemetry:
+            return
+        where = {"point": "bgp_inbound_filter", "extension": "x"}
+        fault = "read of 8 bytes at 0x10 outside sandbox"
+        one_run = {
+            5: [
+                {"kind": "enter", **where},
+                {"kind": "exit", **where, "outcome": "return", "verdict": 5},
+            ],
+            77: [
+                {"kind": "enter", **where},
+                {"kind": "next", **where},
+                {"kind": "exit", **where, "outcome": "next"},
+                {"kind": "default", "point": "bgp_inbound_filter"},
+            ],
+        }[expected]
+        if faults:
+            one_run = [
+                {"kind": "enter", **where},
+                {"kind": "exit", **where, "outcome": "error", "error": fault},
+                {"kind": "fallback", **where, "error": f"x: {fault}"},
+            ]
+        assert observed["trace"] == one_run * 3
+        values = {
+            name: [row["value"] for row in family["series"]]
+            for name, family in observed["metrics"].items()
+            if name != "xbgp_extension_run_seconds"
+        }
+        nexts = 3 if helpers else 0
+        wanted = {
+            "xbgp_extension_executions": [3],
+            "xbgp_extension_errors": [faults],
+            "xbgp_extension_fallbacks": [faults],
+            "xbgp_extension_next": [nexts],
+            "xbgp_extension_helper_calls": [nexts],
+            "xbgp_extension_instructions": [6 if helpers else 15],
+        }
+        if faults:
+            wanted["xbgp_vmm_fallbacks"] = [3]
+        assert values == wanted
+        assert observed["metrics"]["xbgp_extension_run_seconds"]["series"][0]["count"] == 3
 
     @pytest.mark.parametrize("telemetry", [True, False])
     def test_native_extension_fast_path(self, telemetry):
-        observed = {}
-        for fast_path in (True, False):
-            host = _make_host()
-            vmm = VirtualMachineManager(
-                host, VmmConfig(telemetry=telemetry, fast_path=fast_path)
-            )
-            code = NativeExtensionCode(
-                "py", lambda ctx, h: 123, InsertionPoint.BGP_INBOUND_FILTER
-            )
-            vmm.attach_program(XbgpProgram("p", [code]))
-            observed[fast_path] = _exercise(vmm)
-            assert observed[fast_path]["results"] == [123] * 3
-        for arm in observed.values():
-            arm.get("metrics", {}).pop("xbgp_extension_run_seconds", None)
-        assert observed[True] == observed[False]
+        vmm = VirtualMachineManager(_make_host(), VmmConfig(telemetry=telemetry))
+        code = NativeExtensionCode(
+            "py", lambda ctx, h: 123, InsertionPoint.BGP_INBOUND_FILTER
+        )
+        vmm.attach_program(XbgpProgram("p", [code]))
+        observed = _exercise(vmm)
+        assert observed["results"] == [123] * 3
+        assert observed["stats"] == {"py": {"executions": 3, "errors": 0, "fallbacks": 0}}
+        assert observed["fallbacks"] == 0
+        if telemetry:
+            assert [event["kind"] for event in observed["trace"]] == ["enter", "exit"] * 3
+            series = observed["metrics"]["xbgp_extension_instructions"]["series"]
+            assert [row["value"] for row in series] == [0]  # no VM ran
 
     def test_multi_code_chain_bypasses_fast_path(self):
         vmm = VirtualMachineManager(_make_host(), VmmConfig())
         first = _bytecode("first", "u64 f(u64 a) { next(); return 1; }", ("next",), seq=0)
         second = _bytecode("second", "u64 f(u64 a) { return 2; }", (), seq=1)
         vmm.attach_program(XbgpProgram("p", [first, second]))
-        assert InsertionPoint.BGP_INBOUND_FILTER not in vmm._fast
         ctx = ExecutionContext(vmm.host, InsertionPoint.BGP_INBOUND_FILTER)
         assert vmm.run(ctx, lambda: 77) == 2
 
     def test_fast_path_rebinds_when_chain_shrinks_to_one(self):
+        point = InsertionPoint.BGP_INBOUND_FILTER
         vmm = VirtualMachineManager(_make_host(), VmmConfig())
-        solo = _bytecode("solo", "u64 f(u64 a) { return 4; }", ())
+        solo = _bytecode("solo", "u64 f(u64 a) { next(); return 4; }", ("next",))
         other = _bytecode("other", "u64 f(u64 a) { return 9; }", (), seq=1)
         vmm.attach_program(XbgpProgram("p1", [solo]))
+        before = vmm.runner(point)
         vmm.attach_program(XbgpProgram("p2", [other]))
-        assert InsertionPoint.BGP_INBOUND_FILTER not in vmm._fast
+        assert vmm.runner(point) is not before  # bound again on attach
+        assert vmm.run(ExecutionContext(vmm.host, point), lambda: 77) == 9
         vmm.detach_program("p2")
-        assert InsertionPoint.BGP_INBOUND_FILTER in vmm._fast
-        ctx = ExecutionContext(vmm.host, InsertionPoint.BGP_INBOUND_FILTER)
-        assert vmm.run(ctx, lambda: 77) == 4
+        assert vmm.run(ExecutionContext(vmm.host, point), lambda: 77) == 77
+        assert vmm.stats() == {"solo": {"executions": 2, "errors": 0, "fallbacks": 0}}
         vmm.detach_program("p1")
-        assert InsertionPoint.BGP_INBOUND_FILTER not in vmm._fast
+        assert vmm.run(ExecutionContext(vmm.host, point), lambda: 77) == 77
+        assert vmm.stats() == {} and not vmm.active(point)
 
     def test_fast_path_honours_quarantine(self):
-        """The breaker still opens and skips through the fast closure."""
+        """The breaker opens and skips on a single-code point."""
         vmm = VirtualMachineManager(
             _make_host(),
             VmmConfig(quarantine=QuarantinePolicy(error_threshold=2)),
         )
         crasher = _bytecode("crasher", "u64 f(u64 a) { return *(u64 *)(16); }", ())
         vmm.attach_program(XbgpProgram("p", [crasher]))
-        assert InsertionPoint.BGP_INBOUND_FILTER in vmm._fast
         point = InsertionPoint.BGP_INBOUND_FILTER
         for _ in range(4):
             ctx = ExecutionContext(vmm.host, point)

@@ -29,7 +29,7 @@ CORPUS = [
 def both(source, **regs):
     program = assemble(source)
     interp = VirtualMachine(program).run(**regs)
-    jitted = VirtualMachine(program, jit=True).run(**regs)
+    jitted = VirtualMachine(program, tier="jit").run(**regs)
     return interp, jitted
 
 
@@ -56,8 +56,8 @@ class TestEquivalence:
         """
         program = compile_source(source)
         results = set()
-        for jit in (False, True):
-            vm = VirtualMachine(program, jit=jit, trusted_layout=jit)
+        for tier in ("interp", "jit"):
+            vm = VirtualMachine(program, tier=tier, trusted_layout=tier == "jit")
             results.add(vm.run(r1=5))
         assert len(results) == 1
 
@@ -66,29 +66,27 @@ class TestEquivalence:
         helpers.register(1, "double", lambda vm, a, *rest: (a * 2) & ((1 << 64) - 1))
         program = assemble("mov r1, 21\ncall double\nexit", helpers.name_to_id())
         interp = VirtualMachine(program, helpers).run()
-        jitted = VirtualMachine(program, helpers, jit=True).run()
+        jitted = VirtualMachine(program, helpers, tier="jit").run()
         assert interp == jitted == 42
 
 
 class TestJitSpecifics:
     def test_budget_enforced(self):
         program = assemble("mov r0, 0\ntop:\nadd r0, 1\nja top\nexit")
-        vm = VirtualMachine(program, jit=True, step_budget=100)
+        vm = VirtualMachine(program, tier="jit", step_budget=100)
         with pytest.raises(ExecutionError, match="budget"):
             vm.run()
 
     def test_sandbox_still_enforced(self):
         program = assemble("mov r1, 0\nldxdw r0, [r1]\nexit")
         with pytest.raises(SandboxViolation):
-            VirtualMachine(program, jit=True).run()
+            VirtualMachine(program, tier="jit").run()
 
     def test_prepare_is_idempotent(self):
-        vm = VirtualMachine(assemble("mov r0, 3\nexit"), jit=True)
-        vm.prepare()
-        first = vm._jit_run
-        vm.prepare()
-        assert vm._jit_run is first
-        assert vm.run() == 3
+        vm = VirtualMachine(assemble("mov r0, 3\nexit"), tier="jit")
+        first = vm.prepare()
+        assert vm.prepare() is first
+        assert first() == vm.run() == 3
 
 
 class TestPromotion:
@@ -132,5 +130,5 @@ class TestPromotion:
         """
         program = assemble(source)
         interp = VirtualMachine(program).run()
-        jitted = VirtualMachine(program, jit=True).run()
+        jitted = VirtualMachine(program, tier="jit").run()
         assert interp == jitted == 77

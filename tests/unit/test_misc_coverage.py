@@ -76,7 +76,6 @@ class TestNeighborAndContext:
 
     def test_context_defaults(self):
         ctx = ExecutionContext(host=None, insertion_point=InsertionPoint.BGP_DECISION)
-        assert ctx.next_requested is False
         assert ctx.error is None
         assert ctx.hidden == {}
         assert "BGP_DECISION" in repr(ctx)

@@ -1,18 +1,19 @@
-"""Unit tests for the native execution tier (repro.ebpf.native).
+"""Unit tests for the compiled tier's compiler (repro.ebpf.native).
 
 Four invariants carry the tier:
 
 * observable parity — result, step count, helper-call *sequence* and
-  heap image match the interpreter exactly, on handwritten programs
-  here and on every paper use-case plugin (block-level profile
-  agreement, the same bar the JIT is held to in test_profiler);
+  heap image match the interpreter exactly, structured and dispatch-
+  only alike, on handwritten programs here and on every paper
+  use-case plugin (block-level profile agreement);
 * graceful demotion — programs the structurer declines (pinned
   opcodes, oversized programs, irreducible control flow past the bail
-  budget) fall back to the JIT with a recorded reason, never an error;
+  budget) compile to the dispatch-only form with a recorded reason,
+  never an error;
 * sandbox preservation — faults, budget blowouts and quarantine
-  behave identically under ``tier="native"``;
-* the ``VmmConfig(tier=...)`` knob subsumes the legacy ``engine=``
-  boolean-era kwarg as a deprecated alias.
+  behave identically under ``tier="jit"``;
+* ``tier`` takes two values; the retired third one and the ``engine=``
+  alias are rejected.
 """
 
 import pytest
@@ -28,6 +29,7 @@ from repro.core.vmm import VmmConfig
 from repro.ebpf import native
 from repro.ebpf.assembler import assemble
 from repro.ebpf.isa import Instruction
+from repro.ebpf.jit import translate
 from repro.ebpf.memory import VmMemory
 from repro.ebpf.native import NativeUnsupported, translate_native
 from repro.ebpf.vm import ExecutionError, VirtualMachine
@@ -148,7 +150,12 @@ inside:
 
 
 def _run(source, tier, step_budget=100_000):
-    """One VM invocation; returns the full observable outcome."""
+    """One VM invocation; returns the full observable outcome.
+
+    ``tier="dispatch"`` is the dispatch-loop translator called directly,
+    as :func:`repro.ebpf.native.compile_program` calls it for a program
+    the structurer declines.
+    """
     program = assemble(source, FUZZ_HELPER_IDS)
     calls = []
     memory = VmMemory(heap_size=4096)
@@ -157,9 +164,12 @@ def _run(source, tier, step_budget=100_000):
         helpers=make_fuzz_helpers(calls),
         memory=memory,
         step_budget=step_budget,
-        tier=tier,
+        tier="interp" if tier == "dispatch" else tier,
     )
-    result = vm.run()
+    if tier == "dispatch":
+        result = translate(vm.program, vm.helpers, memory, step_budget, vm)()
+    else:
+        result = vm.run()
     heap = bytes(memory.heap_region.data[: memory.heap_used])
     return vm, (result, vm.steps_executed, vm.helper_calls, list(calls), heap)
 
@@ -172,73 +182,85 @@ class TestVmParity:
     )
     def test_outcome_matches_interp(self, source):
         _, interp = _run(source, "interp")
-        vm, outcome = _run(source, "native")
-        assert outcome == interp
+        _, compiled = _run(source, "jit")
+        _, dispatch_only = _run(source, "dispatch")
+        assert compiled == interp
+        assert dispatch_only == interp
 
     def test_loop_compiles_native(self):
-        vm, _ = _run(LOOP_SRC, "native")
-        assert vm.tier_used == "native"
-        assert vm.native_fallback_reason is None
-        assert vm.native_info.loops == 1
-        assert vm.native_info.bail_sites == 0
-        assert "while True:" in vm.native_info.source
+        vm, _ = _run(LOOP_SRC, "jit")
+        info = vm.compile_info
+        assert info.shape == "structured" and info.declined is None
+        assert info.loops == 1
+        assert info.bail_sites == 0
+        assert "while True:" in info.source
 
     def test_sandbox_fault_matches_interp(self):
         errors = {}
-        for tier in ("interp", "native"):
+        for tier in ("interp", "jit", "dispatch"):
             with pytest.raises(Exception) as excinfo:
                 _run(WILD_SRC, tier)
             errors[tier] = (type(excinfo.value), str(excinfo.value))
-        assert errors["interp"] == errors["native"]
+        assert errors["interp"] == errors["jit"] == errors["dispatch"]
 
     def test_budget_blowout_raised_by_both_tiers(self):
         # Per-block vs per-step budget checks legitimately disagree on
-        # the faulting pc (the documented engine divergence) — but both
-        # tiers must abort with a budget error.
-        for tier in ("interp", "native"):
+        # the faulting pc (the documented engine divergence) — but every
+        # form must abort with a budget error.
+        for tier in ("interp", "jit", "dispatch"):
             with pytest.raises(ExecutionError, match="budget"):
                 _run("loop:\n    ja loop\n", tier, step_budget=1000)
 
     def test_irreducible_flow_demotes_not_errors(self):
-        vm, _ = _run(IRREDUCIBLE_SRC, "native")
+        vm, _ = _run(IRREDUCIBLE_SRC, "jit")
         # Whichever way the policy lands — runtime bail sites or a
-        # whole-program fallback — it must be visible in attribution.
-        assert vm.tier_used == "jit" or vm.native_info.bail_sites > 0
+        # declined program — it must be visible in attribution.
+        assert vm.compile_info.shape in ("tail", "dispatch")
+        assert vm.compile_info.bail_blocks
+
+
+def _decline_everything(monkeypatch):
+    def decline(*args, **kwargs):
+        raise NativeUnsupported("declined by the test")
+
+    monkeypatch.setattr(native, "translate_native", decline)
 
 
 class TestPluginParity:
-    """Native tier agrees with the interpreter on all five paper
-    use-case plugins, at block-profile granularity (profiled runs)."""
+    """Structured and dispatch-only compilations agree with the
+    interpreter on all five paper use-case plugins, at block-profile
+    granularity (profiled runs)."""
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_block_profiles_and_state_agree(self, name):
+    def test_block_profiles_and_state_agree(self, name, monkeypatch):
         interp_daemon = SCENARIOS[name]("interp")
-        native_daemon = SCENARIOS[name]("native")
+        compiled_daemon = SCENARIOS[name]("jit")
+        _decline_everything(monkeypatch)
+        dispatch_daemon = SCENARIOS[name]("jit")
         interp = {
             (p.point, p.extension): p for p in interp_daemon.profiler.profiles()
         }
-        nat = {
-            (p.point, p.extension): p for p in native_daemon.profiler.profiles()
-        }
         assert interp, f"{name}: no extension executed"
-        assert interp.keys() == nat.keys()
-        for key in interp:
-            profile_i, profile_n = interp[key], nat[key]
-            assert profile_n.engine == "native", (
-                f"{key}: fell back ({profile_n.fallback_reason})"
-            )
-            assert profile_i.runs == profile_n.runs > 0
-            assert profile_i.block_profile() == profile_n.block_profile()
-            assert profile_i.instructions() == profile_n.instructions() > 0
-            assert profile_i.helper_count == profile_n.helper_count
-            assert profile_i.heap_hwm == profile_n.heap_hwm
-            assert profile_i.stack_hwm == profile_n.stack_hwm
-        assert interp_daemon.vmm.stats() == native_daemon.vmm.stats()
-        assert len(interp_daemon.loc_rib) == len(native_daemon.loc_rib)
+        for daemon, declined in ((compiled_daemon, None), (dispatch_daemon, "declined by the test")):
+            compiled = {(p.point, p.extension): p for p in daemon.profiler.profiles()}
+            assert interp.keys() == compiled.keys()
+            for key in interp:
+                profile_i, profile_c = interp[key], compiled[key]
+                assert profile_c.engine == "jit"
+                assert profile_c.compiled.declined == declined, key
+                assert profile_i.runs == profile_c.runs > 0
+                assert profile_i.block_profile() == profile_c.block_profile()
+                assert profile_i.instructions() == profile_c.instructions() > 0
+                assert profile_i.helper_count == profile_c.helper_count
+                assert profile_i.heap_hwm == profile_c.heap_hwm
+                assert profile_i.stack_hwm == profile_c.stack_hwm
+            assert interp_daemon.vmm.stats() == daemon.vmm.stats()
+            assert len(interp_daemon.loc_rib) == len(daemon.loc_rib)
 
 
 class TestFallback:
-    """Unsupported programs demote to the JIT with a recorded reason."""
+    """A program the structurer declines still runs, on the dispatch
+    loop, and reports why."""
 
     def test_pinned_opcode_falls_back(self, monkeypatch):
         program = assemble(LOOP_SRC, FUZZ_HELPER_IDS)
@@ -246,20 +268,22 @@ class TestFallback:
             native, "PINNED_OPCODES", frozenset({program[0].opcode})
         )
         _, interp = _run(LOOP_SRC, "interp")
-        vm, outcome = _run(LOOP_SRC, "native")
-        assert vm.tier_used == "jit"
-        assert "pinned" in vm.native_fallback_reason
-        assert vm.native_info is None
-        assert outcome == interp  # the fallback still runs correctly
+        vm, outcome = _run(LOOP_SRC, "jit")
+        info = vm.compile_info
+        assert info.shape == "dispatch"
+        assert "pinned" in info.declined
+        assert info.structured_blocks == [] and info.bail_blocks
+        assert info.summary()["dispatch_only_blocks"] == len(info.bail_blocks)
+        assert outcome == interp  # the dispatch-only form still runs correctly
 
     def test_oversized_program_falls_back(self):
         mov = Instruction(0xB7, 0, 0, 0, 7)
         exit_ = Instruction(0x95, 0, 0, 0, 0)
         program = [mov] * (native.MAX_PROGRAM_SLOTS + 1) + [exit_]
-        vm = VirtualMachine(program, step_budget=10, tier="native")
+        vm = VirtualMachine(program, step_budget=10, tier="jit")
         vm.prepare()
-        assert vm.tier_used == "jit"
-        assert "too large" in vm.native_fallback_reason
+        assert vm.compile_info.shape == "dispatch"
+        assert "too large" in vm.compile_info.declined
 
     def test_translate_native_raises_on_pinned(self, monkeypatch):
         program = assemble(DIAMOND_SRC, FUZZ_HELPER_IDS)
@@ -273,20 +297,22 @@ class TestFallback:
 
 
 class TestNativeUnderFaults:
-    """Quarantine and fault injection behave identically on the
-    compiled native tier."""
+    """Quarantine and fault injection on the compiled tier, structured
+    and dispatch-only."""
 
-    def test_crashing_code_falls_back_to_host(self):
-        daemon = make_daemon(FrrDaemon, VmmConfig(tier="native"))
-        daemon.attach_manifest(manifest_for("crasher", CRASHING, helpers=()))
-        feed(daemon)
-        assert daemon.loc_rib.lookup(PREFIX) is not None
-        assert daemon.vmm.stats()["crasher"]["errors"] == 1
+    def test_crashing_code_falls_back_to_host(self, monkeypatch):
+        for shape in ("structured", "dispatch"):
+            if shape == "dispatch":
+                _decline_everything(monkeypatch)
+            daemon = make_daemon(FrrDaemon, VmmConfig(tier="jit"))
+            daemon.attach_manifest(manifest_for("crasher", CRASHING, helpers=()))
+            assert daemon.vmm.tiers()["crasher"]["compiled"]["shape"] == shape
+            feed(daemon)
+            assert daemon.loc_rib.lookup(PREFIX) is not None
+            assert daemon.vmm.stats()["crasher"]["errors"] == 1
 
     def test_spinner_hits_budget(self):
-        daemon = make_daemon(
-            FrrDaemon, VmmConfig(step_budget=10_000, tier="native")
-        )
+        daemon = make_daemon(FrrDaemon, VmmConfig(step_budget=10_000, tier="jit"))
         daemon.attach_manifest(manifest_for("spinner", SPINNING, helpers=()))
         feed(daemon)
         assert daemon.loc_rib.lookup(PREFIX) is not None
@@ -294,9 +320,7 @@ class TestNativeUnderFaults:
         assert any("budget" in line for line in daemon.log_messages)
 
     def test_quarantine_opens_on_native_tier(self):
-        config = VmmConfig(
-            tier="native", quarantine=QuarantinePolicy(error_threshold=2)
-        )
+        config = VmmConfig(tier="jit", quarantine=QuarantinePolicy(error_threshold=2))
         daemon = make_daemon(FrrDaemon, config)
         daemon.attach_manifest(manifest_for("crasher", CRASHING, helpers=()))
         for index in range(3):
@@ -305,43 +329,45 @@ class TestNativeUnderFaults:
 
 
 class TestVmmConfigTier:
-    """tier= knob semantics and the deprecated engine= alias."""
+    """``tier`` takes two values and has one spelling."""
 
     def test_default_is_jit(self):
-        config = VmmConfig()
-        assert config.tier == "jit"
-        assert config.engine == "jit"
-
-    def test_engine_alias_sets_tier(self):
-        assert VmmConfig(engine="interp").tier == "interp"
-        assert VmmConfig(engine="native").tier == "native"
-
-    def test_tier_reflected_by_engine_property(self):
-        assert VmmConfig(tier="native").engine == "native"
+        assert VmmConfig().tier == "jit"
 
     def test_conflicting_alias_rejected(self):
-        with pytest.raises(ValueError, match="deprecated alias"):
-            VmmConfig(engine="jit", tier="native")
-
-    def test_matching_alias_accepted(self):
-        assert VmmConfig(engine="interp", tier="interp").tier == "interp"
-
-    def test_bad_tier_rejected(self):
-        with pytest.raises(ValueError, match="bad tier"):
-            VmmConfig(tier="warp")
+        """The retired ``engine=`` alias is gone in every form."""
+        with pytest.raises(TypeError):
+            VmmConfig(engine="interp")
+        with pytest.raises(TypeError):
+            VmmConfig(engine="jit", tier="jit")
+        with pytest.raises(TypeError):
+            VirtualMachine([], jit=True)
 
     def test_engine_property_read_only(self):
+        """…and so is the read-only ``.engine`` that mirrored ``tier``:
+        a config has no such attribute, to read or to set."""
         config = VmmConfig()
+        with pytest.raises(AttributeError):
+            config.engine
         with pytest.raises(AttributeError):
             config.engine = "interp"
 
+    def test_bad_tier_rejected(self):
+        for tier in ("warp", "native"):
+            with pytest.raises(ValueError, match="bad tier"):
+                VmmConfig(tier=tier)
+            with pytest.raises(ValueError, match="bad tier"):
+                VirtualMachine([], tier=tier)
+
     def test_vmm_tiers_attribution(self):
-        daemon = make_daemon(FrrDaemon, VmmConfig(tier="native"))
+        daemon = make_daemon(FrrDaemon, VmmConfig(tier="jit"))
         daemon.attach_manifest(
             manifest_for("selective", "u64 f(u64 a) { return 0; }", helpers=())
         )
-        tiers = daemon.vmm.tiers()
-        assert tiers["selective"]["requested"] == "native"
-        assert tiers["selective"]["used"] == "native"
-        assert tiers["selective"]["fallback_reason"] is None
-        assert tiers["selective"]["native"]["structured_blocks"] >= 1
+        entry = daemon.vmm.tiers()["selective"]
+        assert entry["tier"] == "jit"
+        assert entry["compiled"]["shape"] == "structured"
+        assert entry["compiled"]["structured_blocks"] >= 1
+        assert entry["compiled"]["tail_blocks"] == 0
+        assert entry["compiled"]["dispatch_only_blocks"] == 0
+        assert entry["compiled"]["declined"] is None

@@ -5,9 +5,10 @@ Three invariants carry the subsystem:
 * engine agreement — the interpreter's exact PC counters and the JIT's
   block counters describe the same execution: identical block-level
   profiles and identical instruction totals for every paper plugin;
-* toggle parity — enable/disable_profiling trades the VMM's pre-bound
-  fast-path closures for instrumented ones and back, exactly like the
-  provenance toggle (profiling off must cost nothing);
+* toggle parity — enable/disable_profiling binds the profiler's watch
+  into the VMM's steps and back out, exactly like the provenance
+  toggle: nothing is recorded while off, and a toggled daemon replays
+  like one that never was;
 * accounting closure — profiled instruction sums equal the VMM's
   existing telemetry counters (no separate, subtly different count).
 """
@@ -64,7 +65,7 @@ def _daemon(engine, manifest, neighbors, xtra=None):
     daemon = FrrDaemon(
         asn=65001,
         router_id="1.1.1.1",
-        vmm_config=VmmConfig(engine=engine),
+        vmm_config=VmmConfig(tier=engine),
         xtra=xtra or {},
         profiling=True,
     )
@@ -172,53 +173,72 @@ class TestEngineAgreement:
 
 
 class TestDaemonProfilingToggle:
-    """enable/disable_profiling trades the fast path for hooks —
-    structural parity with the provenance toggle."""
+    """enable/disable_profiling binds the profiler into every step and
+    back out — structural parity with the provenance toggle."""
 
     def make_daemon(self, **kwargs):
         daemon = FrrDaemon(asn=65001, router_id="1.1.1.1", **kwargs)
         daemon.attach_manifest(route_reflector.build_manifest())
         return daemon
 
+    @staticmethod
+    def replay(daemon):
+        """One reflected route; returns the VMM's stats and trace."""
+        daemon.add_neighbor("10.0.0.8", 65001, lambda data: None, rr_client=True)
+        daemon._established[parse_ipv4("10.0.0.8")] = True
+        daemon.receive_message("10.0.0.8", _update(65001, "10.0.0.8", path=()))
+        trace = [
+            {k: v for k, v in event.items() if k != "ts"}
+            for event in daemon.vmm.telemetry.trace.events()
+        ]
+        return daemon.vmm.stats(), trace
+
     def test_fast_path_active_without_profiling(self):
         daemon = self.make_daemon()
-        assert daemon.profiler is None
-        assert daemon.vmm._fast
+        assert daemon.profiler is None and daemon.vmm.profiler is None
+        stats, _ = self.replay(daemon)
+        assert sum(row["executions"] for row in stats.values()) > 0
+        for chain in daemon.vmm._chains.values():
+            for item in chain:
+                assert item.profile is None and item.vm.profile is None
 
     def test_enable_drops_fast_path_and_wires_hooks(self):
         daemon = self.make_daemon()
         profiler = daemon.enable_profiling()
         assert daemon.profiler is profiler
         assert daemon.vmm.profiler is profiler
-        # Profiling hooks live only in the general loop: every
-        # pre-bound closure must be gone.
-        assert not daemon.vmm._fast
         for chain in daemon.vmm._chains.values():
             for item in chain:
                 if item.vm is not None:
                     assert item.vm.profile is not None
                 assert item.profile is not None
+        stats, _ = self.replay(daemon)
+        ran = {name: row["executions"] for name, row in stats.items() if row["executions"]}
+        assert ran and ran == {
+            p.extension: p.runs for p in profiler.profiles() if p.runs
+        }
 
     def test_disable_restores_fast_path(self):
         daemon = self.make_daemon()
-        daemon.enable_profiling()
+        profiler = daemon.enable_profiling()
         daemon.disable_profiling()
         assert daemon.profiler is None
         assert daemon.vmm.profiler is None
-        assert daemon.vmm._fast
         for chain in daemon.vmm._chains.values():
             for item in chain:
                 if item.vm is not None:
                     assert item.vm.profile is None
                 assert item.profile is None
-                if item.hist is not None:
-                    assert item.observe == item.hist.observe
+        # Off records nothing, and replays like a never-toggled daemon.
+        assert self.replay(daemon) == self.replay(self.make_daemon())
+        assert all(p.runs == 0 and p.instructions() == 0 for p in profiler.profiles())
+        assert not profiler.phases
 
     def test_constructor_flag_enables_profiling(self):
         daemon = self.make_daemon(profiling=True)
         assert daemon.profiler is not None
         assert daemon.profiler.implementation == "frr"
-        assert not daemon.vmm._fast
+        assert daemon.vmm.profiler is daemon.profiler
 
     def test_enable_accepts_custom_profiler(self):
         daemon = self.make_daemon()

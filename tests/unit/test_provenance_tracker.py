@@ -2,8 +2,8 @@
 
 Covers the span recorder (parenting, cross-recorder trace adoption,
 eviction accounting), the provenance tracker's story machinery, the
-oscillation detector, and the daemon-level toggle that trades the PR 2
-fast path for instrumentation.
+oscillation detector, and the daemon-level toggle that binds the
+tracker's hooks into the VMM's steps and back out.
 """
 
 import io
@@ -12,10 +12,13 @@ import json
 import pytest
 
 from repro.bgp import Prefix
+from repro.bgp.prefix import parse_ipv4
 from repro.frr import FrrDaemon
 from repro.plugins import route_reflector
 from repro.telemetry.provenance import ProvenanceTracker, attr_name
 from repro.telemetry.spans import SpanRecorder
+
+from test_profiler import _update
 
 PREFIX = Prefix.parse("203.0.113.0/24")
 
@@ -256,17 +259,31 @@ class TestConvergenceObservability:
 
 
 class TestDaemonToggle:
-    """enable/disable_provenance trades the fast path for hooks."""
+    """enable/disable_provenance binds the tracker's hooks into the
+    VMM's steps and back out."""
 
     def make_daemon(self, **kwargs):
         daemon = FrrDaemon(asn=65001, router_id="1.1.1.1", **kwargs)
         daemon.attach_manifest(route_reflector.build_manifest())
         return daemon
 
+    @staticmethod
+    def replay(daemon):
+        """One reflected route; returns the VMM's stats and trace."""
+        daemon.add_neighbor("10.0.0.8", 65001, lambda data: None, rr_client=True)
+        daemon._established[parse_ipv4("10.0.0.8")] = True
+        daemon.receive_message("10.0.0.8", _update(65001, "10.0.0.8", path=()))
+        trace = [
+            {k: v for k, v in event.items() if k != "ts"}
+            for event in daemon.vmm.telemetry.trace.events()
+        ]
+        return daemon.vmm.stats(), trace
+
     def test_fast_path_active_without_provenance(self):
         daemon = self.make_daemon()
-        assert daemon.provenance is None
-        assert daemon.vmm._fast
+        assert daemon.provenance is None and daemon.host.provenance is None
+        stats, _ = self.replay(daemon)
+        assert sum(row["executions"] for row in stats.values()) > 0
 
     def test_enable_drops_fast_path_and_wires_hooks(self):
         daemon = self.make_daemon()
@@ -274,18 +291,25 @@ class TestDaemonToggle:
         assert daemon.provenance is tracker
         assert daemon.host.provenance is tracker
         assert daemon.loc_rib.on_change == tracker.rib_changed
-        # Provenance hooks live only in the general loop: every
-        # pre-bound closure must be gone.
-        assert not daemon.vmm._fast
+        stats, _ = self.replay(daemon)
+        runs = [
+            event
+            for story in tracker.stories(PREFIX)
+            for event in story["events"]
+            if event["op"] == "extension"
+        ]
+        assert len(runs) == sum(row["executions"] for row in stats.values()) > 0
 
     def test_disable_restores_fast_path(self):
         daemon = self.make_daemon()
-        daemon.enable_provenance()
+        tracker = daemon.enable_provenance()
         daemon.disable_provenance()
         assert daemon.provenance is None
         assert daemon.host.provenance is None
         assert daemon.loc_rib.on_change is None
-        assert daemon.vmm._fast
+        # Off records nothing, and replays like a never-toggled daemon.
+        assert self.replay(daemon) == self.replay(self.make_daemon())
+        assert tracker.stories(PREFIX) == [] and len(tracker.spans) == 0
 
     def test_constructor_flag_enables_tracking(self):
         daemon = self.make_daemon(provenance=True)

@@ -64,7 +64,6 @@ class TestCollectModes:
             routes,
             feature="plain",
             mode="native",
-            tier="native",
             shards=2,
             batch=16,
             backend="inline",

@@ -218,7 +218,7 @@ class TestTraceRing:
     def test_timestamps_off_by_default(self):
         ring = TraceRing()
         ring.record("enter", "p", "a")
-        ring.record_fast("next", "p", "a")
+        ring.record("next", "p", "a")
         assert all("ts" not in event for event in ring.events())
 
     def test_timestamps_are_monotonic_on_both_record_paths(self):
@@ -227,7 +227,7 @@ class TestTraceRing:
         ring = TraceRing(timestamps=True)
         floor = time.monotonic()
         ring.record("enter", "p", "a")
-        ring.record_fast("next", "p", "a")  # the hot path stamps too
+        ring.record("next", "p", "a")  # field-free events stamp too
         ring.record("exit", "p", "a", outcome="next")
         ceiling = time.monotonic()
         stamps = [event["ts"] for event in ring.events()]
@@ -238,7 +238,7 @@ class TestTraceRing:
     def test_timestamps_survive_jsonl_export(self, tmp_path):
         ring = TraceRing(timestamps=True)
         ring.record("enter", "p", "a")
-        ring.record_fast("exit", "p", "a")
+        ring.record("exit", "p", "a")
         path = tmp_path / "trace.jsonl"
         ring.export_jsonl(str(path))
         events = [json.loads(line) for line in path.read_text().splitlines()]

@@ -91,14 +91,14 @@ def test_oob_pointer_passes_verifier_faults_at_runtime(seed):
     verify(program, _CONFIG)
 
     outcomes = []
-    for jit in (False, True):
+    for tier in ("interp", "jit"):
         calls = []
         vm = VirtualMachine(
             program,
             helpers=make_fuzz_helpers(calls),
             memory=VmMemory(heap_size=4096),
             step_budget=4096,
-            jit=jit,
+            tier=tier,
         )
         with pytest.raises(SandboxViolation) as excinfo:
             vm.run()

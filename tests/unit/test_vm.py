@@ -160,14 +160,6 @@ class TestMemory:
         second = memory.alloc(24)
         assert memory.read_bytes(second, 24) == b"\x00" * 24
 
-    def test_heap_eager_zero_mode(self):
-        memory = VmMemory(heap_size=64, lazy_zero=False)
-        address = memory.alloc_bytes(b"hello")
-        memory.reset_heap()
-        # Pre-overhaul behaviour, kept for the ablation's legacy arm:
-        # freed memory is scrubbed immediately.
-        assert memory.read_bytes(address, 5) == b"\x00" * 5
-
     def test_heap_exhaustion(self):
         memory = VmMemory(heap_size=16)
         memory.alloc(16)

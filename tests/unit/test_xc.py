@@ -287,8 +287,8 @@ class TestCodegen:
         }
         """
         program = compile_source(source)
-        for jit in (False, True):
-            vm = VirtualMachine(program, jit=jit, trusted_layout=jit)
+        for tier in ("interp", "jit"):
+            vm = VirtualMachine(program, tier=tier, trusted_layout=tier == "jit")
             assert vm.run(r1=9) == 81
 
     def test_constant_folding_shrinks_programs(self):
