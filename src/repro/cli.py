@@ -274,7 +274,6 @@ def _cmd_stats(args) -> int:
 
     from .bgp.roa import make_roas_for_prefixes
     from .sim.harness import ConvergenceHarness
-    from .telemetry import QuarantinePolicy
     from .workload import RibGenerator, origins_of
 
     if args.merge and args.diff:
@@ -287,11 +286,8 @@ def _cmd_stats(args) -> int:
     roas = None
     if args.feature == "origin_validation":
         roas = make_roas_for_prefixes(origins_of(routes), 0.75, seed=args.seed)
-    quarantine = None
     if args.quarantine_after < 0:
         raise SystemExit("xbgp stats: --quarantine-after must be >= 0")
-    if args.quarantine_after:
-        quarantine = QuarantinePolicy(error_threshold=args.quarantine_after)
     harness = ConvergenceHarness(
         args.implementation,
         args.feature,
@@ -299,7 +295,7 @@ def _cmd_stats(args) -> int:
         routes,
         roas,
         engine=args.engine,
-        quarantine=quarantine,
+        quarantine_after=args.quarantine_after,
     )
     elapsed = harness.run()
     telemetry = harness.dut.vmm.telemetry
@@ -553,6 +549,13 @@ def _scenario_harness(args, profiling=False, events=None, progress=None):
     # "plain" carries no extension; run it as the native baseline so the
     # full-table scenario measures the batched/sharded pipeline itself.
     mode = "native" if feature == "plain" else "extension"
+    # Run fields this subcommand has a flag for; the rest keep the
+    # RunSpec defaults.
+    fields = {
+        name: getattr(args, name)
+        for name in ("batch", "shards", "quarantine_after", "inject_crasher")
+        if hasattr(args, name)
+    }
     return ConvergenceHarness(
         args.impl,
         feature,
@@ -561,18 +564,15 @@ def _scenario_harness(args, profiling=False, events=None, progress=None):
         roas,
         engine=args.engine,
         profiling=profiling,
-        batch=getattr(args, "batch", 1),
-        shards=getattr(args, "shards", 1),
         # bench/profile only need timings and counts: keep per-route
         # state in the workers instead of marshalling 724k-entry
         # snapshots through the Pool pipe.
-        shard_collect="summary",
+        collect="summary",
         shard_telemetry=getattr(args, "telemetry", False),
         events=events,
         progress=progress,
         timeseries_every=getattr(args, "_timeseries_every", 0),
-        quarantine_after=getattr(args, "quarantine_after", 0),
-        inject_crasher=getattr(args, "inject_crasher", False),
+        **fields,
     )
 
 

@@ -12,14 +12,21 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bgp.messages import UpdateMessage, decode_message, split_stream
-from ..core.vmm import VmmConfig
 from ..ebpf.helpers import HelperError, HelperTable
 from ..ebpf.isa import decode_program
 from ..ebpf.jit import translate
 from ..ebpf.memory import SandboxViolation, VmMemory
 from ..ebpf.vm import ExecutionError, VirtualMachine
-from ..plugins import geoloc, origin_validation, route_reflector
-from ..sim.harness import DAEMONS, Collector, wire_dut
+from ..scale import BatchProcessor, PartitionMap, split_update
+from ..sim.testbed import (
+    DAEMONS,
+    UPSTREAM,
+    Collector,
+    RunSpec,
+    build_dut,
+    normalise_snapshot,
+    wire_dut,
+)
 from .gen import FUZZ_HELPER_IDS, HALLOC_BLOCK, CodecCase, EngineCase, HostCase
 
 __all__ = [
@@ -31,9 +38,6 @@ __all__ = [
 ]
 
 _M64 = (1 << 64) - 1
-
-_UPSTREAM = "10.0.1.2"
-_DUT = "10.0.0.1"
 
 
 class Divergence:
@@ -390,35 +394,29 @@ def _outcome_diff(left: tuple, right: tuple) -> str:
 
 
 # -- host oracle -------------------------------------------------------
+#
+# Every arm's DUT comes from the testbed's one builder: the daemon
+# Fig. 4 and the repo benchmark measure (so a route-reflector case runs
+# on a host whose split horizon is relaxed for the extension, as there).
+# Peer wiring and the event loops below stay the oracle's own: they
+# drive raw frames and mid-stream peer writes and keep the downstream
+# wire bytes, which the testbed's replay has no business knowing about.
 
 
-def _build_daemon(case: HostCase, implementation: str, hot: bool):
-    kwargs = {
-        "asn": 65001,
-        "router_id": _DUT,
-        "local_address": _DUT,
-        "vmm_config": VmmConfig(tier=case.engine, telemetry=False),
-        "hot_path": hot,
-    }
-    if case.plugin == "geoloc" and case.coord is not None:
-        kwargs["xtra"] = {"coord": geoloc.coord_bytes(*case.coord)}
-    daemon = DAEMONS[implementation](**kwargs)
-    if case.plugin == "route_reflector":
-        daemon.attach_manifest(route_reflector.build_manifest())
-    elif case.plugin == "origin_validation":
-        daemon.attach_manifest(origin_validation.build_manifest(list(case.roas)))
-    elif case.plugin == "geoloc":
-        daemon.attach_manifest(geoloc.build_manifest())
-    return daemon
-
-
-def _normalise_snapshot(snapshot) -> Dict[str, tuple]:
-    return {
-        str(prefix): tuple(
-            sorted((a.type_code, a.flags, a.value.hex()) for a in attributes)
+def _case_dut(case: HostCase, implementation: str, hot: bool):
+    """The case's DUT: its plugin's extension arm, unwired."""
+    feature = {None: "plain", "route_reflector": "route_reflection"}
+    return build_dut(
+        RunSpec(
+            implementation,
+            feature.get(case.plugin, case.plugin),
+            "extension",
+            roas=case.roas,
+            coord=case.coord,
+            tier=case.engine,
+            hot_path=hot,
         )
-        for prefix, attributes in snapshot.items()
-    }
+    )
 
 
 def _wire_host_daemon(case: HostCase, daemon):
@@ -442,7 +440,7 @@ def _wire_host_daemon(case: HostCase, daemon):
 
 def _host_arm_report(daemon, collector, downstream_bytes) -> Dict[str, object]:
     return {
-        "snapshot": _normalise_snapshot(daemon.loc_rib_snapshot()),
+        "snapshot": normalise_snapshot(daemon.loc_rib_snapshot()),
         "downstream": b"".join(downstream_bytes),
         "prefixes": frozenset(str(p) for p in collector.prefixes),
         "withdrawn": frozenset(str(p) for p in collector.withdrawn),
@@ -452,11 +450,11 @@ def _host_arm_report(daemon, collector, downstream_bytes) -> Dict[str, object]:
 
 
 def _run_host_arm(case: HostCase, implementation: str, hot: bool) -> Dict[str, object]:
-    daemon = _build_daemon(case, implementation, hot)
+    daemon = _case_dut(case, implementation, hot)
     peers, collector, downstream_bytes = _wire_host_daemon(case, daemon)
     for event in case.events:
         if event[0] == "frame":
-            daemon.receive_raw(_UPSTREAM, event[1])
+            daemon.receive_raw(UPSTREAM, event[1])
         else:
             _, role, field, value = event
             setattr(peers[role], field, value)
@@ -470,14 +468,12 @@ def _run_host_arm_batched(
 
     Peer-config writes land mid-stream, so the pending batch is flushed
     first — the ordering contract the batch docstring demands."""
-    from ..scale import BatchProcessor
-
-    daemon = _build_daemon(case, implementation, hot)
+    daemon = _case_dut(case, implementation, hot)
     peers, collector, downstream_bytes = _wire_host_daemon(case, daemon)
     processor = BatchProcessor(daemon, batch_size=batch_size)
     for event in case.events:
         if event[0] == "frame":
-            processor.receive_raw(_UPSTREAM, event[1])
+            processor.receive_raw(UPSTREAM, event[1])
         else:
             processor.flush()
             _, role, field, value = event
@@ -495,8 +491,6 @@ def _run_host_arm_sharded(
     shard (each worker owns a full copy of the session state); UPDATE
     NLRI/withdrawals route to their owning shard.  Reports merge like
     :class:`~repro.scale.ShardedResult`."""
-    from ..scale import PartitionMap, split_update
-
     parsed: List[tuple] = []
     prefixes: List = []
     for event in case.events:
@@ -511,7 +505,7 @@ def _run_host_arm_sharded(
     pmap = PartitionMap(prefixes, shards)
     arms = []
     for _ in range(pmap.shards):
-        daemon = _build_daemon(case, implementation, hot)
+        daemon = _case_dut(case, implementation, hot)
         arms.append((daemon, _wire_host_daemon(case, daemon)))
 
     for event in parsed:
@@ -519,10 +513,10 @@ def _run_host_arm_sharded(
             message = event[1]
             if isinstance(message, UpdateMessage) and not message.is_end_of_rib():
                 for shard, part in split_update(message, pmap).items():
-                    arms[shard][0].receive_message(_UPSTREAM, part)
+                    arms[shard][0].receive_message(UPSTREAM, part)
             else:
                 for daemon, _ in arms:
-                    daemon.receive_message(_UPSTREAM, message)
+                    daemon.receive_message(UPSTREAM, message)
         else:
             _, role, field, value = event
             for _, (peers, _, _) in arms:
@@ -533,7 +527,7 @@ def _run_host_arm_sharded(
     withdrawn: set = set()
     fallbacks = 0
     for daemon, (_, collector, _) in arms:
-        snapshot.update(_normalise_snapshot(daemon.loc_rib_snapshot()))
+        snapshot.update(normalise_snapshot(daemon.loc_rib_snapshot()))
         advertised.update(str(p) for p in collector.prefixes)
         withdrawn.update(str(p) for p in collector.withdrawn)
         fallbacks += daemon.vmm.fallbacks

@@ -13,6 +13,10 @@ scope:
   :class:`~repro.bgp.trie.PrefixTrie`-backed :class:`PartitionMap`)
   and merges per-shard Loc-RIB snapshots deterministically.
 
+Every DUT is built by :func:`build_scale_daemon` from one
+:class:`~repro.sim.testbed.RunSpec` and fed by :func:`replay_feed`, the
+one replay loop — the single-daemon harness included.
+
 Both paths are locked to the sequential pipeline by the batch-parity
 integration tests and the fuzz host oracle's batched/sharded arms.
 """
@@ -24,6 +28,7 @@ from .shard import (
     ShardedResult,
     build_scale_daemon,
     normalise_snapshot,
+    replay_feed,
     split_update,
 )
 
@@ -34,5 +39,6 @@ __all__ = [
     "ShardedResult",
     "build_scale_daemon",
     "normalise_snapshot",
+    "replay_feed",
     "split_update",
 ]

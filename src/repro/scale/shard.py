@@ -24,22 +24,27 @@ import multiprocessing
 from bisect import bisect_right
 from collections import Counter
 from time import perf_counter, time as wall_clock
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..bgp.messages import UpdateMessage, split_stream
-from ..bgp.prefix import Prefix, parse_ipv4
-from ..bgp.roa import HashRoaTable, Roa, TrieRoaTable
+from ..bgp.messages import UpdateMessage
+from ..bgp.prefix import Prefix
 from ..bgp.trie import PrefixTrie
-from ..core.vmm import VmmConfig
-from ..telemetry.health import QuarantinePolicy
-# Also loads the FRR host stack with this module, so forked shard
-# workers inherit it instead of importing it inside their timed DUT build.
 from ..frr.attrs_intern import AttrPool
+# Loads both host stacks, the plugins and the compiled tier with this
+# module, so forked shard workers inherit them instead of importing them
+# inside their timed DUT build.
+from ..sim.testbed import (
+    UPSTREAM,
+    RunSpec,
+    build_feed,
+    build_scale_daemon,
+    normalise_snapshot,
+)
 from ..telemetry.aggregate import merge_into, snapshot_registry
 from ..telemetry.events import EventLog
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.timeseries import TimeSeriesSampler, merge_timeseries
-from ..workload.rib_gen import RouteSpec, build_updates
+from ..workload.rib_gen import RouteSpec
 from .batch import BatchProcessor
 
 __all__ = [
@@ -48,22 +53,12 @@ __all__ = [
     "ShardedResult",
     "build_scale_daemon",
     "normalise_snapshot",
+    "replay_feed",
     "split_update",
 ]
 
-_UPSTREAM = "10.0.1.2"
-_DUT = "10.0.0.1"
-
-#: Features a scale daemon knows how to wire, mapping to the five paper
-#: plugins plus the bare pipeline.
-FEATURES = (
-    "plain",
-    "route_reflection",
-    "origin_validation",
-    "valley_free",
-    "geoloc",
-    "closest_exit",
-)
+#: Trace-ring events each worker ships back with its telemetry report.
+_TRACE_TAIL = 256
 
 
 def _cover(start: int, end: int) -> Iterable[Prefix]:
@@ -141,123 +136,49 @@ def split_update(update: UpdateMessage, pmap: PartitionMap) -> Dict[int, UpdateM
     return result
 
 
-class _Collector:
-    """Downstream receive side: export sets without a sim dependency."""
+def replay_feed(
+    daemon,
+    feed: Sequence[bytes],
+    batch: int = 1,
+    events: Optional[EventLog] = None,
+    tick: Optional[Callable[[int], None]] = None,
+) -> int:
+    """Replay ``feed`` into ``daemon`` from the upstream peer.
 
-    def __init__(self) -> None:
-        self.prefixes: set = set()
-        self.withdrawn: set = set()
-        self.updates = 0
-        self._buffer = bytearray()
-
-    def receive(self, data: bytes) -> None:
-        self._buffer.extend(data)
-        for message in split_stream(self._buffer):
-            if isinstance(message, UpdateMessage):
-                self.updates += 1
-                for prefix in message.nlri:
-                    self.prefixes.add(prefix)
-                for prefix in message.withdrawn:
-                    self.prefixes.discard(prefix)
-                    self.withdrawn.add(prefix)
-
-
-def normalise_snapshot(snapshot) -> Dict[str, tuple]:
-    """Loc-RIB snapshot in a picklable, order-insensitive form."""
-    return {
-        str(prefix): tuple(
-            sorted((a.type_code, a.flags, a.value.hex()) for a in attributes)
-        )
-        for prefix, attributes in snapshot.items()
-    }
-
-
-def build_scale_daemon(config: Dict[str, object]):
-    """Build and wire one DUT per the (picklable) shard ``config``.
-
-    Returns ``(daemon, collector)``: upstream and downstream neighbors
-    attached and established, the feature's plugin manifest (or native
-    equivalent) installed — the same wiring as
-    :class:`~repro.sim.harness.ConvergenceHarness`, extended to all
-    five paper plugins.
+    The one replay loop: sequential (``batch == 1``) or through a
+    :class:`BatchProcessor` (``events`` gets its ``batch_flush``
+    events), flushed at the end.  ``tick(done)`` runs after every
+    UPDATE with the number fed so far — what heartbeats and mid-replay
+    time-series samples hang off.  Returns the batches flushed.
     """
-    from ..plugins import (
-        closest_exit,
-        faulty,
-        geoloc,
-        origin_validation,
-        route_reflector,
-        valley_free,
-    )
-    from ..sim.harness import DAEMONS, wire_dut
+    processor = None
+    receive = daemon.receive_raw
+    if batch > 1:
+        processor = BatchProcessor(daemon, batch_size=batch, events=events)
+        receive = processor.receive_raw
+    if tick is None:
+        for payload in feed:
+            receive(UPSTREAM, payload)
+    else:
+        for done, payload in enumerate(feed, start=1):
+            receive(UPSTREAM, payload)
+            tick(done)
+    if processor is None:
+        return 0
+    processor.flush()
+    return processor.batches_flushed
 
-    implementation = str(config["implementation"])
-    feature = str(config.get("feature", "plain"))
-    mode = str(config.get("mode", "native"))
-    tier = str(config.get("tier", "jit"))
-    hot_path = bool(config.get("hot_path", True))
-    roas: List[Roa] = list(config.get("roas") or [])
-    coord = config.get("coord")
-    if feature not in FEATURES:
-        raise ValueError(f"unknown feature {feature!r}")
 
-    quarantine_after = int(config.get("quarantine_after", 0))
-    quarantine = (
-        QuarantinePolicy(error_threshold=quarantine_after)
-        if quarantine_after > 0
-        else None
-    )
-    kwargs: Dict[str, object] = {
-        "asn": 65001,
-        "router_id": _DUT,
-        "local_address": _DUT,
-        "vmm_config": VmmConfig(
-            tier=tier,
-            telemetry=bool(config.get("telemetry", False)),
-            quarantine=quarantine,
-        ),
-        "hot_path": hot_path,
-        "provenance": bool(config.get("provenance", False)),
-        "profiling": bool(config.get("profiling", False)),
-    }
-    if feature == "route_reflection":
-        kwargs["route_reflector"] = mode
-    if feature == "origin_validation" and mode == "native":
-        table = TrieRoaTable() if implementation == "frr" else HashRoaTable()
-        table.extend(roas)
-        kwargs["roa_table"] = table
-    if feature in ("geoloc", "closest_exit"):
-        latitude, longitude = coord if coord is not None else (50.85, 4.35)
-        kwargs["xtra"] = {"coord": geoloc.coord_bytes(latitude, longitude)}
-    daemon = DAEMONS[implementation](**kwargs)
+class _ShardEvents:
+    """The ``EventLog.emit`` side of a worker: stamps the shard and
+    hands the event to the heartbeat channel."""
 
-    if mode == "extension" or feature in ("valley_free", "geoloc", "closest_exit"):
-        if feature == "route_reflection":
-            daemon.attach_manifest(route_reflector.build_manifest())
-        elif feature == "origin_validation":
-            daemon.attach_manifest(origin_validation.build_manifest(roas))
-        elif feature == "valley_free":
-            valley = config.get("valley") or {}
-            daemon.attach_manifest(
-                valley_free.build_manifest(
-                    valley.get("up_edges", ()), valley.get("dc_ases", ())
-                )
-            )
-        elif feature == "geoloc":
-            daemon.attach_manifest(geoloc.build_manifest())
-        elif feature == "closest_exit":
-            daemon.attach_manifest(closest_exit.build_manifest())
+    def __init__(self, put: Callable[[Dict[str, object]], None], shard: int) -> None:
+        self._put = put
+        self._shard = shard
 
-    if bool(config.get("inject_crasher", False)):
-        # Fault-injection drill: a crash-on-every-run filter rides along
-        # at a late seq, so the breaker (when armed via quarantine_after)
-        # has real faults to trip on.
-        daemon.attach_manifest(faulty.build_manifest())
-
-    collector = _Collector()
-    reflecting = feature == "route_reflection"
-    wire_dut(daemon, collector.receive, ibgp=reflecting, rr_clients=reflecting)
-    return daemon, collector
+    def emit(self, event: str, **fields: object) -> None:
+        self._put({"event": event, "ts": wall_clock(), "shard": self._shard, **fields})
 
 
 def _replay_shard(payload) -> Dict[str, object]:
@@ -268,23 +189,23 @@ def _replay_shard(payload) -> Dict[str, object]:
     method; also called directly by the inline backend.
 
     When the parent armed heartbeats (``heartbeat_every > 0`` and a
-    queue was installed by :func:`_init_worker`), the worker announces
-    ``shard_start``, streams ``shard_progress`` every N updates, and
-    closes with ``shard_finish`` — the raw feed behind live progress,
-    ETA, and the lifecycle event log.  When the daemon runs with
-    telemetry on, the full registry (mergeable snapshot), the breaker
-    table and the trace-ring tail ride back in the report.
+    channel was installed, see ``_HEARTBEAT_PUT``), the worker announces
+    ``shard_start``, streams ``shard_progress`` every N updates, forwards
+    its DUT's ``quarantine`` transitions, and closes with
+    ``shard_finish`` — the raw feed behind live progress, ETA, and the
+    lifecycle event log.  When the daemon runs with telemetry on, the
+    full registry (mergeable snapshot), the breaker table and the
+    trace-ring tail ride back in the report.
     """
-    config, shard, routes = payload
-    queue = _HEARTBEAT_QUEUE
-    every = int(config.get("heartbeat_every", 0))
-    heartbeat = queue is not None and every > 0
-
-    def beat(kind: str, **fields: object) -> None:
-        if heartbeat:
-            queue.put({"event": kind, "ts": wall_clock(), "shard": shard, **fields})
-
-    beat("shard_start", routes=len(routes))
+    spec, shard, routes = payload
+    every = spec.heartbeat_every
+    events = (
+        _ShardEvents(_HEARTBEAT_PUT, shard)
+        if _HEARTBEAT_PUT is not None and every > 0
+        else None
+    )
+    if events is not None:
+        events.emit("shard_start", routes=len(routes))
     # The replay allocates millions of acyclic objects (routes, attrs,
     # messages); cyclic-gc passes over that live set are pure overhead,
     # so collection pauses for the duration (refcounting still frees
@@ -293,81 +214,52 @@ def _replay_shard(payload) -> Dict[str, object]:
     gc.disable()
     try:
         started = perf_counter()
-        daemon, collector = build_scale_daemon(config)
-
-        session = "ibgp" if config.get("feature") == "route_reflection" else "ebgp"
-        updates = build_updates(
-            routes,
-            next_hop=parse_ipv4(_UPSTREAM),
-            session=session,
-            sender_asn=65100 if session == "ebgp" else None,
-            max_prefixes_per_update=int(config.get("max_prefixes_per_update", 64)),
-        )
-        feed = []
-        nlri_counts = []
-        for update in updates:
-            feed.append(update.encode())
-            nlri_counts.append(len(update.nlri))
-        feed.append(UpdateMessage.end_of_rib().encode())
-        nlri_counts.append(0)
+        daemon, collector = build_scale_daemon(spec)
+        feed, routes_done = build_feed(spec, routes, progress=events is not None)
         build_seconds = perf_counter() - started
 
-        batch = int(config.get("batch", 64))
-        sample_every = int(config.get("timeseries_every", 0))
+        telemetry = daemon.vmm.telemetry
         sampler = None
-        if sample_every > 0 and daemon.vmm.telemetry is not None:
-            # Mid-replay samples of this worker's own registry; the
-            # parent merges them into one shard-labeled time-series.
-            sampler = TimeSeriesSampler(daemon.vmm.telemetry.registry)
-        started = perf_counter()
-        processor = None
-        if batch > 1:
-            processor = BatchProcessor(daemon, batch_size=batch)
-            receive = processor.receive_raw
-        else:
-            receive = daemon.receive_raw
-        if heartbeat or sampler is not None:
-            routes_done = 0
-            since_beat = 0
-            since_sample = 0
-            for index, payload_bytes in enumerate(feed):
-                receive(_UPSTREAM, payload_bytes)
-                routes_done += nlri_counts[index]
-                since_beat += 1
-                since_sample += 1
-                if heartbeat and since_beat >= every:
-                    since_beat = 0
-                    beat("shard_progress", routes_done=routes_done, routes=len(routes))
-                if sampler is not None and since_sample >= sample_every:
-                    since_sample = 0
+        if telemetry is not None:
+            # Breaker transitions reach the parent's event log.
+            telemetry.events = events
+            if spec.timeseries_every > 0:
+                # Mid-replay samples of this worker's own registry; the
+                # parent merges them into one shard-labeled time-series.
+                sampler = TimeSeriesSampler(telemetry.registry)
+        tick = None
+        if events is not None or sampler is not None:
+
+            def tick(done: int) -> None:
+                if events is not None and done % every == 0:
+                    events.emit(
+                        "shard_progress",
+                        routes_done=routes_done[done - 1],
+                        routes=len(routes),
+                    )
+                if sampler is not None and done % spec.timeseries_every == 0:
                     sampler.sample()
-        else:
-            for payload_bytes in feed:
-                receive(_UPSTREAM, payload_bytes)
-        if processor is not None:
-            processor.flush()
-            batches = processor.batches_flushed
-        else:
-            batches = 0
+
+        started = perf_counter()
+        batches = replay_feed(daemon, feed, spec.batch, tick=tick)
         replay_seconds = perf_counter() - started
     finally:
         if gc_was_enabled:
             gc.enable()
-    beat(
-        "shard_finish",
-        routes=len(routes),
-        replay_seconds=replay_seconds,
-        build_seconds=build_seconds,
-    )
+    if events is not None:
+        events.emit(
+            "shard_finish",
+            routes=len(routes),
+            replay_seconds=replay_seconds,
+            build_seconds=build_seconds,
+        )
 
     telemetry_report = None
-    telemetry = daemon.vmm.telemetry
     if telemetry is not None:
-        # Everything the PR 1/4/5 stack recorded in this process, in
+        # Everything the telemetry stack recorded in this process, in
         # picklable form: the registry as a mergeable snapshot, the
         # breaker table, and the tail of the trace ring.
         daemon.update_telemetry_gauges()
-        tail = int(config.get("trace_tail", 256))
         if sampler is not None:
             # Final post-replay sample (gauges now up to date): the
             # merged series' last sample must carry the full totals.
@@ -375,7 +267,7 @@ def _replay_shard(payload) -> Dict[str, object]:
         telemetry_report = {
             "registry": snapshot_registry(telemetry.registry),
             "health": telemetry.health.snapshot(),
-            "trace_tail": telemetry.trace.events()[-tail:] if tail > 0 else [],
+            "trace_tail": telemetry.trace.events()[-_TRACE_TAIL:],
             "trace_stats": telemetry.trace.stats(),
             "timeseries": sampler.series.samples() if sampler is not None else None,
         }
@@ -398,7 +290,7 @@ def _replay_shard(payload) -> Dict[str, object]:
             "misses": pool.misses if pool is not None else 0,
         },
     }
-    if str(config.get("collect", "full")) == "summary":
+    if spec.collect == "summary":
         # Benchmark mode: route-level state stays in the worker — a
         # 724k-entry snapshot costs seconds to marshal and pickle, and
         # the bench only needs counts for its convergence check.
@@ -419,28 +311,17 @@ def _replay_shard(payload) -> Dict[str, object]:
 #: set only for the duration of a process-backend run.
 _FORK_PAYLOADS: Optional[List[tuple]] = None
 
-#: Heartbeat sink the current worker writes progress events to: a
-#: ``multiprocessing.Queue`` installed by :func:`_init_worker` in pool
-#: workers, a :class:`_CallbackQueue` for the inline backend, or None
-#: (heartbeats off — the default, and free).
-_HEARTBEAT_QUEUE = None
+#: Where the current worker puts its heartbeat events: the ``put`` of the
+#: ``multiprocessing`` queue the parent drains (installed by
+#: :func:`_init_worker`), the parent's own ``_emit`` for the inline
+#: backend, or None (heartbeats off — the default, and free).
+_HEARTBEAT_PUT: Optional[Callable[[Dict[str, object]], None]] = None
 
 
 def _init_worker(queue) -> None:
     """Pool initializer: install the parent's heartbeat queue."""
-    global _HEARTBEAT_QUEUE
-    _HEARTBEAT_QUEUE = queue
-
-
-class _CallbackQueue:
-    """Queue-shaped shim delivering heartbeats synchronously (inline
-    backend: worker and parent share one process)."""
-
-    def __init__(self, deliver: Callable[[Dict[str, object]], None]) -> None:
-        self._deliver = deliver
-
-    def put(self, event: Dict[str, object]) -> None:
-        self._deliver(event)
+    global _HEARTBEAT_PUT
+    _HEARTBEAT_PUT = queue.put
 
 
 def _replay_shard_by_index(index: int) -> Dict[str, object]:
@@ -608,6 +489,15 @@ class ShardedReplay:
     """Partition a workload by prefix range and replay each bucket
     through its own daemon.
 
+    ``implementation`` plus :class:`~repro.sim.testbed.RunSpec` keywords
+    (here ``shards`` defaults to 2, ``batch`` to 64), or a ready
+    ``RunSpec`` in its place, describe the run; every worker builds its
+    DUT and feed from that one description.  ``events`` (an
+    :class:`~repro.telemetry.EventLog`) and ``progress`` (a callable)
+    are parent-side sinks for the workers' heartbeats: replay and shard
+    lifecycle, progress, and the ``quarantine`` transitions of every
+    worker DUT running with telemetry on, stamped with its ``shard``.
+
     ``backend="process"`` runs one ``multiprocessing`` worker per shard
     (start method: fork where available, never more worker processes
     than cores); ``backend="inline"`` runs the same worker function
@@ -617,78 +507,41 @@ class ShardedReplay:
 
     def __init__(
         self,
-        implementation: str,
+        implementation: Union[str, RunSpec],
         routes: Sequence[RouteSpec],
         *,
-        feature: str = "plain",
-        mode: str = "native",
-        roas: Optional[Sequence[Roa]] = None,
-        coord: Optional[Tuple[float, float]] = None,
-        valley: Optional[Dict[str, object]] = None,
-        shards: int = 2,
-        batch: int = 64,
-        tier: str = "jit",
-        hot_path: bool = True,
-        max_prefixes_per_update: int = 64,
         backend: str = "process",
-        profiling: bool = False,
-        collect: str = "full",
-        telemetry: bool = False,
-        heartbeat_every: int = 0,
-        timeseries_every: int = 0,
         progress: Optional[Callable[[Dict[str, object]], None]] = None,
         events: Optional[EventLog] = None,
-        trace_tail: int = 256,
-        quarantine_after: int = 0,
-        inject_crasher: bool = False,
+        **fields: object,
     ) -> None:
         if backend not in ("process", "inline"):
             raise ValueError(f"unknown backend {backend!r}")
-        if collect not in ("full", "summary"):
-            raise ValueError(f"unknown collect mode {collect!r}")
-        self.implementation = implementation
-        self.routes = list(routes)
-        self.backend = backend
-        self.batch = batch
-        self.progress = progress
-        self.events = events
-        if heartbeat_every <= 0 and (progress is not None or events is not None):
+        if isinstance(implementation, RunSpec):
+            spec = implementation.replace(**fields)
+        else:
+            spec = RunSpec(implementation, **{"shards": 2, "batch": 64, **fields})
+        if spec.heartbeat_every <= 0 and (progress is not None or events is not None):
             # A sink was attached but no cadence chosen: a sensible
             # default beats silently never hearing from the workers.
-            heartbeat_every = 500
-        self.heartbeat_every = heartbeat_every
+            spec = spec.replace(heartbeat_every=500)
+        self.spec = spec
+        self.routes = list(routes)
+        self.backend = backend
+        self.progress = progress
+        self.events = events
         self.partition = PartitionMap(
-            (spec.prefix for spec in self.routes), shards
+            (route.prefix for route in self.routes), spec.shards
         )
-        self.config: Dict[str, object] = {
-            "implementation": implementation,
-            "feature": feature,
-            "mode": mode,
-            "tier": tier,
-            "hot_path": hot_path,
-            "roas": list(roas or []),
-            "coord": coord,
-            "valley": valley,
-            "batch": batch,
-            "max_prefixes_per_update": max_prefixes_per_update,
-            "telemetry": bool(telemetry),
-            "heartbeat_every": heartbeat_every,
-            "timeseries_every": int(timeseries_every),
-            "trace_tail": trace_tail,
-            "profiling": profiling,
-            "collect": collect,
-            "quarantine_after": int(quarantine_after),
-            "inject_crasher": bool(inject_crasher),
-        }
 
     def _payloads(self) -> List[tuple]:
         buckets: List[List[RouteSpec]] = [
             [] for _ in range(self.partition.shards)
         ]
         shard_of = self.partition.shard_of
-        for spec in self.routes:
-            buckets[shard_of(spec.prefix)].append(spec)
-        return [(self.config, shard, bucket) for shard, bucket in enumerate(buckets)]
+        for route in self.routes:
+            buckets[shard_of(route.prefix)].append(route)
+        return [(self.spec, shard, bucket) for shard, bucket in enumerate(buckets)]
 
     def _emit(self, event: Dict[str, object]) -> None:
         """Deliver one heartbeat to the attached sinks (parent side)."""
@@ -709,15 +562,13 @@ class ShardedReplay:
             }
         )
         if self.backend == "inline" or self.partition.shards == 1:
-            global _HEARTBEAT_QUEUE
-            saved = _HEARTBEAT_QUEUE
-            _HEARTBEAT_QUEUE = (
-                _CallbackQueue(self._emit) if self.heartbeat_every > 0 else None
-            )
+            global _HEARTBEAT_PUT
+            saved = _HEARTBEAT_PUT
+            _HEARTBEAT_PUT = self._emit if self.spec.heartbeat_every > 0 else None
             try:
                 reports = [_replay_shard(payload) for payload in payloads]
             finally:
-                _HEARTBEAT_QUEUE = saved
+                _HEARTBEAT_PUT = saved
         else:
             reports = self._run_pool(payloads)
         wall_seconds = perf_counter() - started
@@ -745,7 +596,7 @@ class ShardedReplay:
         methods = multiprocessing.get_all_start_methods()
         start_method = "fork" if "fork" in methods else None
         context = multiprocessing.get_context(start_method)
-        manager = context.Manager() if self.heartbeat_every > 0 else None
+        manager = context.Manager() if self.spec.heartbeat_every > 0 else None
         heartbeats = manager.Queue() if manager is not None else None
         initializer = _init_worker if heartbeats is not None else None
         initargs = (heartbeats,) if heartbeats is not None else ()

@@ -24,8 +24,8 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..plugins import valley_free
-from .harness import DAEMONS
 from .network import Network
+from .testbed import DAEMONS
 
 __all__ = ["build_clos", "CLOS_LINKS", "UNIQUE_AS", "SAME_AS", "up_edges"]
 

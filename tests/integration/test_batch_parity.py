@@ -31,6 +31,8 @@ from repro.scale import (
     normalise_snapshot,
     split_update,
 )
+from repro.sim.harness import ConvergenceHarness
+from repro.sim.testbed import RunSpec, build_feed
 from repro.workload import RibGenerator, build_updates, origins_of
 
 UPSTREAM = "10.0.1.2"
@@ -209,6 +211,81 @@ def test_batched_and_sharded_replay_match_sequential(feature, implementation):
         assert seq_daemon.loc_rib.lookup(CONTESTED).source.peer_asn == 65200
 
 
+def execution_counters(registry):
+    out = {}
+    for family in registry.families():
+        if family.kind != "counter" or not family.name.startswith("xbgp_extension"):
+            continue
+        for values, child in family.children.items():
+            out[(family.name, values)] = child.value
+    return out
+
+
+def vmm_stats(registry):
+    """``vmm.stats()`` rebuilt from a (merged) registry's counters."""
+    out = {}
+    for family in registry.families():
+        kind = family.name.replace("xbgp_extension_", "")
+        if family.kind == "counter" and kind in ("executions", "errors", "fallbacks"):
+            for values, child in family.children.items():
+                labels = dict(zip(family.label_names, values))
+                out.setdefault(labels["extension"], {})[kind] = child.value
+    return out
+
+
+@pytest.mark.parametrize("implementation", ["frr", "bird"])
+@pytest.mark.parametrize("arm", ["native", "jit", "pyext"])
+@pytest.mark.parametrize("feature", ["route_reflection", "origin_validation"])
+def test_harness_and_sharded_replay_are_one_testbed(feature, arm, implementation):
+    """The Fig. 4 harness, the inline and the forked shard workers and a
+    hand-driven ``build_scale_daemon`` DUT are the same testbed: one run
+    description gives the same Loc-RIB, downstream sets and extension
+    executions through all four — ``pyext`` across shards included."""
+    routes = RibGenerator(n_routes=160, seed=13).generate()
+    roas = []
+    if feature == "origin_validation":
+        roas = make_roas_for_prefixes(origins_of(routes), 0.75, seed=13)
+    mode = "native" if arm == "native" else "extension"
+    tier = "jit" if arm == "native" else arm
+    run = dict(max_prefixes_per_update=8, telemetry=True)
+
+    harness = ConvergenceHarness(
+        implementation, feature, mode, routes, roas, engine=tier, **run
+    )
+    harness.run()
+    spec = RunSpec(implementation, feature, mode, roas, tier=tier, **run)
+    assert harness.spec == spec
+    hand, hand_collector = build_scale_daemon(spec)
+    for payload in build_feed(spec, routes)[0]:
+        hand.receive_raw(UPSTREAM, payload)
+    inline = ShardedReplay(spec, routes, shards=1, backend="inline").run()
+    forked = ShardedReplay(spec, routes, shards=2).run()
+    assert forked.shards == 2
+
+    snapshot = normalise_snapshot(hand.loc_rib_snapshot())
+    assert len(snapshot) == len(routes)
+    assert normalise_snapshot(harness.dut.loc_rib_snapshot()) == snapshot
+    assert inline.snapshot == forked.snapshot == snapshot
+
+    prefixes = {str(prefix) for prefix in hand_collector.prefixes}
+    assert {str(prefix) for prefix in harness.collector.prefixes} == prefixes
+    assert inline.prefixes == forked.prefixes == prefixes
+    withdrawn = {str(prefix) for prefix in hand_collector.withdrawn}
+    assert {str(prefix) for prefix in harness.collector.withdrawn} == withdrawn
+    assert inline.withdrawn == forked.withdrawn == withdrawn
+
+    stats = hand.vmm.stats()
+    ran = sum(code["executions"] for code in stats.values())
+    assert ran == 0 if arm == "native" else ran >= len(routes)
+    assert harness.dut.vmm.stats() == stats
+    # Workers ship no VMM, but their merged counters say the same thing
+    # (instruction totals are left out: origin validation fills its
+    # persistent map once per DUT, so they grow with the shard count).
+    assert vmm_stats(hand.vmm.telemetry.registry) == stats
+    assert vmm_stats(inline.merged_registry(shard_labels=False)) == stats
+    assert vmm_stats(forked.merged_registry(shard_labels=False)) == stats
+
+
 @pytest.mark.parametrize("implementation", ["frr", "bird"])
 def test_merged_shard_counters_match_sequential(implementation):
     """Telemetry parity across the process boundary: the merged
@@ -227,17 +304,6 @@ def test_merged_shard_counters_match_sequential(implementation):
         implementation, routes, backend="process", shards=2, **kwargs
     ).run()
     assert sharded.shards == 2
-
-    def execution_counters(registry):
-        out = {}
-        for family in registry.families():
-            if family.kind != "counter" or not family.name.startswith(
-                "xbgp_extension"
-            ):
-                continue
-            for values, child in family.children.items():
-                out[(family.name, values)] = child.value
-        return out
 
     expected = execution_counters(sequential.merged_registry(shard_labels=False))
     merged = execution_counters(sharded.merged_registry(shard_labels=False))

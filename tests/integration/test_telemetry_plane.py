@@ -14,8 +14,11 @@ import urllib.request
 
 import pytest
 
+from repro.cli import main
 from repro.scale import ShardedReplay
+from repro.sim.harness import ConvergenceHarness
 from repro.telemetry import EventLog, ReplayProgress, TelemetryExporter
+from repro.telemetry.events import validate_jsonl
 from repro.telemetry.metrics import MetricsRegistry
 from repro.workload import RibGenerator
 
@@ -92,6 +95,72 @@ def test_event_log_tells_a_coherent_story():
     # seq is strictly increasing across the whole log.
     seqs = [e["seq"] for e in log.events()]
     assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
+
+
+#: The three ways a Fig. 3 DUT runs: in the harness's own process, in an
+#: inline shard "worker", in forked shard workers.
+def _single_daemon(implementation, routes, **run):
+    ConvergenceHarness(
+        implementation, "route_reflection", "extension", routes, **run
+    ).run()
+    return 1
+
+
+def _inline_one_shard(implementation, routes, **run):
+    return run_replay(implementation, routes, shards=1, **run).shards
+
+
+def _process_two_shards(implementation, routes, **run):
+    return ShardedReplay(
+        implementation,
+        routes,
+        feature="route_reflection",
+        mode="extension",
+        shards=2,
+        telemetry=True,
+        **run,
+    ).run().shards
+
+
+@pytest.mark.parametrize(
+    "drive", [_single_daemon, _inline_one_shard, _process_two_shards]
+)
+@pytest.mark.parametrize("implementation", ["frr", "bird"])
+def test_breaker_trip_reaches_the_event_log(implementation, drive, tmp_path, capsys):
+    """A breaker that opens puts exactly one ``quarantine`` event per
+    DUT in the run's event log, wherever that DUT lives (it used to be
+    wired for a parent-side DUT only)."""
+    routes = RibGenerator(n_routes=120, seed=3).generate()
+    path = str(tmp_path / "events.jsonl")
+    log = EventLog(path)
+    duts = drive(
+        implementation, routes, events=log, quarantine_after=3, inject_crasher=True
+    )
+    log.close()
+
+    trips = log.events("quarantine")
+    assert len(trips) == duts
+    for trip in trips:
+        assert (trip["extension"], trip["from_state"], trip["to_state"]) == (
+            "crash", "closed", "open",
+        )
+    if drive is not _single_daemon:
+        assert sorted(trip["shard"] for trip in trips) == list(range(duts))
+        # ... and inside its shard's lifecycle.
+        for trip in trips:
+            (start,) = [
+                e for e in log.events("shard_start") if e["shard"] == trip["shard"]
+            ]
+            (finish,) = [
+                e for e in log.events("shard_finish") if e["shard"] == trip["shard"]
+            ]
+            assert start["seq"] < trip["seq"] < finish["seq"]
+    valid, errors = validate_jsonl(path)
+    assert not errors and valid == len(log.events())
+
+    assert main(["events", path, "--type", "quarantine", "--format", "jsonl"]) == 0
+    printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [event["seq"] for event in printed] == [trip["seq"] for trip in trips]
 
 
 def test_exporter_serves_live_progress_then_merged_registry():
