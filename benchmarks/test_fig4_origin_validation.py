@@ -47,6 +47,7 @@ def test_fig4_origin_validation(
             fig4_routes,
             fig4_roas,
             engine=engine,
+            telemetry=False,
         ).run(),
         rounds=2,
         iterations=1,
@@ -62,6 +63,7 @@ def test_fig4_origin_validation(
                 fig4_routes,
                 fig4_roas,
                 engine=engine,
+                telemetry=False,
             ).run()
             for _ in range(3)
         ]
@@ -89,10 +91,13 @@ def test_validation_counters_native_vs_extension(benchmark, fig4_routes, fig4_ro
     """Correctness gate: both arms classify identically (75% valid)."""
 
     def run_both():
-        native = ConvergenceHarness("frr", "origin_validation", "native", fig4_routes, fig4_roas)
+        native = ConvergenceHarness(
+            "frr", "origin_validation", "native", fig4_routes, fig4_roas, telemetry=False
+        )
         native.run()
         extension = ConvergenceHarness(
-            "frr", "origin_validation", "extension", fig4_routes, fig4_roas
+            "frr", "origin_validation", "extension", fig4_routes, fig4_roas,
+            telemetry=False,
         )
         extension.run()
         chain = extension.dut.vmm._chains[InsertionPoint.BGP_INBOUND_FILTER]

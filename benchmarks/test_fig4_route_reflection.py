@@ -39,7 +39,8 @@ def test_fig4_route_reflection(benchmark, implementation, engine, fig4_routes, f
 
     # Give pytest-benchmark the extension arm for its own reporting.
     harness_factory = lambda: ConvergenceHarness(  # noqa: E731
-        implementation, "route_reflection", "extension", fig4_routes, engine=engine
+        implementation, "route_reflection", "extension", fig4_routes, engine=engine,
+        telemetry=False,
     )
     benchmark.pedantic(
         lambda: harness_factory().run(), rounds=2, iterations=1, warmup_rounds=0
@@ -64,7 +65,9 @@ def test_extension_and_native_reflect_identically(benchmark, fig4_routes):
     def both_arms():
         collected = {}
         for mode in ("native", "extension"):
-            harness = ConvergenceHarness("frr", "route_reflection", mode, fig4_routes)
+            harness = ConvergenceHarness(
+                "frr", "route_reflection", mode, fig4_routes, telemetry=False
+            )
             harness.run()
             collected[mode] = harness.collector.prefixes
         return collected

@@ -259,7 +259,7 @@ class VirtualMachineManager:
             except VerifierError as exc:
                 raise AttachError(f"{code.name}: verification failed: {exc}") from exc
             memory = VmMemory(heap_size=self.config.heap_size)
-            memory.attach(state.shared)
+            memory.attach(state.shared, shared=True)
             vm = VirtualMachine(
                 code.instructions,
                 helpers,

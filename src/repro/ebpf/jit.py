@@ -16,9 +16,9 @@ shares:
   access) — the common case for xc-generated code.  A per-block
   copy-propagation pass then elides redundant slot↔register transfers;
 * loads and stores through pointers inline bounds-checked ``bytearray``
-  fast paths for the stack and heap regions, falling back to
-  :class:`VmMemory` for everything else (shared memory, argument
-  blocks);
+  fast paths for the heap, the stack and the program's shared region
+  (:attr:`VmMemory.shared_region`; stores only while it is writable),
+  falling back to :class:`VmMemory` for every other address;
 * helper calls dispatch directly to the bound Python callables;
 * control flow the structurer cannot express runs on a ``while True``
   dispatch loop over block leaders (:func:`emit_dispatch_loop`): the
@@ -38,7 +38,7 @@ report identical ``steps_executed``/``helper_calls`` on returning,
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Dict, List, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from .helpers import HelperTable
 from .isa import (
@@ -63,7 +63,7 @@ from .isa import (
     class_of,
     is_load_store,
 )
-from .memory import VmMemory
+from .memory import MemoryRegion, VmMemory
 from .vm import ExecutionError
 
 __all__ = ["translate", "JitError"]
@@ -309,14 +309,16 @@ def _namespace(
 ) -> Dict[str, object]:
     """The globals every translated function runs against.
 
-    Direct heap/stack views: VmMemory guarantees these regions' buffers
-    survive resets (mutated in place, never replaced), so the
-    translated function binds them once here and reuses them for the
-    VM's whole lifetime.  ``ExecBudget(pc)`` builds the same
-    :class:`ExecutionError` the interpreter raises on a blown budget.
+    Direct heap/stack/shared views: VmMemory guarantees these regions'
+    buffers survive resets (mutated in place, never replaced) and that
+    no region is ever detached, so the translated function binds them
+    once here and reuses them for the VM's whole lifetime.
+    ``ExecBudget(pc)`` builds the same :class:`ExecutionError` the
+    interpreter raises on a blown budget.
     """
     heap = memory.heap_region
     stack = memory.stack
+    shared = memory.shared_region
     message = f"instruction budget ({step_budget}) exceeded"
     namespace: Dict[str, object] = {
         "__builtins__": {},
@@ -334,6 +336,8 @@ def _namespace(
         "SS": len(stack.data),
         "stk": stack.data,
     }
+    if shared is not None:
+        namespace.update(MB=shared.base, MS=len(shared.data), shm=shared.data)
     for helper_id in helpers.ids():
         namespace[f"H{helper_id}"] = helpers.get(helper_id).fn
     if profile is not None:
@@ -407,11 +411,8 @@ def translate(
     """
     leaders = _leaders(program)
     slots = _promotable_slots(program, trusted_layout) if profile is None else set()
-    # With promoted slots, computed addresses are almost always heap
-    # pointers (helper results); without promotion, the stack spill
-    # traffic dominates.  Pick the fast-path order accordingly.
     emitter = _BlockEmitter(
-        program, slots, heap_first=bool(slots), profiled=profile is not None
+        program, slots, profiled=profile is not None, shared=memory.shared_region
     )
     w = _Writer()
     _emit_prologue(w, slots)
@@ -440,13 +441,14 @@ class _BlockEmitter:
         self,
         program: Sequence[Instruction],
         slots: Set[int],
-        heap_first: bool,
         profiled: bool = False,
+        shared: Optional[MemoryRegion] = None,
     ):
         self.program = program
         self.slots = slots
-        self.heap_first = heap_first
         self.profiled = profiled
+        #: The program's shared region, probed inline after heap and stack.
+        self.shared = shared
         #: Leader of the block currently being emitted; maintained by
         #: the caller so profiled step flushes charge the right block.
         self.block_leader = 0
@@ -474,26 +476,34 @@ class _BlockEmitter:
 
     # -- memory fast paths ------------------------------------------------
 
+    def _probes(self, w: _Writer, indent: int, size: int, access, fallback: str, write: bool) -> None:
+        """Inline bounds-checked probes of the heap, the stack and the
+        program's shared region (for a store, only a writable one), in
+        turn, each running ``access(buffer)``; ``fallback`` takes every
+        other address, so faults are :class:`VmMemory`'s own."""
+        regions = [("HB", "HS", "heap"), ("SB", "SS", "stk")]
+        if not self.slots:
+            # With promoted slots, computed addresses are almost always
+            # heap pointers (helper results); without, stack traffic is.
+            regions.reverse()
+        if self.shared is not None and (self.shared.writable or not write):
+            regions.append(("MB", "MS", "shm"))
+        for base, limit, buf in regions:
+            w.emit(indent, f"_o = _a - {base}")
+            w.emit(indent, f"if 0 <= _o and _o + {size} <= {limit}:")
+            w.emit(indent + 1, access(buf))
+            if self.profiled and buf == "stk":
+                w.emit(indent + 1, "if _o < PSL[0]: PSL[0] = _o")
+            w.emit(indent, "else:")
+            indent += 1
+        w.emit(indent, fallback)
+
     def _mem_read(self, w: _Writer, indent: int, dst: str, addr: str, size: int) -> None:
-        regions = ("heap", "stk") if self.heap_first else ("stk", "heap")
         w.emit(indent, f"_a = {addr}")
-        first, second = regions
-        bases = {"heap": ("HB", "HS", "heap"), "stk": ("SB", "SS", "stk")}
-        base1, size1, buf1 = bases[first]
-        base2, size2, buf2 = bases[second]
-        w.emit(indent, f"_o = _a - {base1}")
-        w.emit(indent, f"if 0 <= _o and _o + {size} <= {size1}:")
-        w.emit(indent + 1, self._read_expr(dst, buf1, size))
-        if self.profiled and buf1 == "stk":
-            w.emit(indent + 1, "if _o < PSL[0]: PSL[0] = _o")
-        w.emit(indent, "else:")
-        w.emit(indent + 1, f"_o = _a - {base2}")
-        w.emit(indent + 1, f"if 0 <= _o and _o + {size} <= {size2}:")
-        w.emit(indent + 2, self._read_expr(dst, buf2, size))
-        if self.profiled and buf2 == "stk":
-            w.emit(indent + 2, "if _o < PSL[0]: PSL[0] = _o")
-        w.emit(indent + 1, "else:")
-        w.emit(indent + 2, f"{dst} = mem_read(_a, {size})")
+        self._probes(
+            w, indent, size, lambda buf: self._read_expr(dst, buf, size),
+            f"{dst} = mem_read(_a, {size})", write=False,
+        )
 
     @staticmethod
     def _read_expr(dst: str, buf: str, size: int) -> str:
@@ -502,26 +512,12 @@ class _BlockEmitter:
         return f"{dst} = int_from({buf}[_o:_o+{size}], 'little')"
 
     def _mem_write(self, w: _Writer, indent: int, addr: str, value: str, size: int) -> None:
-        regions = ("heap", "stk") if self.heap_first else ("stk", "heap")
         w.emit(indent, f"_a = {addr}")
         w.emit(indent, f"_v = {value}")
-        first, second = regions
-        bases = {"heap": ("HB", "HS", "heap"), "stk": ("SB", "SS", "stk")}
-        base1, size1, buf1 = bases[first]
-        base2, size2, buf2 = bases[second]
-        w.emit(indent, f"_o = _a - {base1}")
-        w.emit(indent, f"if 0 <= _o and _o + {size} <= {size1}:")
-        w.emit(indent + 1, self._write_stmt(buf1, size))
-        if self.profiled and buf1 == "stk":
-            w.emit(indent + 1, "if _o < PSL[0]: PSL[0] = _o")
-        w.emit(indent, "else:")
-        w.emit(indent + 1, f"_o = _a - {base2}")
-        w.emit(indent + 1, f"if 0 <= _o and _o + {size} <= {size2}:")
-        w.emit(indent + 2, self._write_stmt(buf2, size))
-        if self.profiled and buf2 == "stk":
-            w.emit(indent + 2, "if _o < PSL[0]: PSL[0] = _o")
-        w.emit(indent + 1, "else:")
-        w.emit(indent + 2, f"mem_write(_a, {size}, _v)")
+        self._probes(
+            w, indent, size, lambda buf: self._write_stmt(buf, size),
+            f"mem_write(_a, {size}, _v)", write=True,
+        )
 
     @staticmethod
     def _write_stmt(buf: str, size: int) -> str:

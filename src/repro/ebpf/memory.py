@@ -84,18 +84,21 @@ class VmMemory:
         #: pay to scrub the previous run's span on every reset.
         self._heap_dirty = 0
         self._regions: List[MemoryRegion] = [self.stack, self._heap]
+        self._shared: Optional[MemoryRegion] = None
 
     # -- region management ---------------------------------------------
 
-    def attach(self, region: MemoryRegion) -> None:
-        """Register an extra region (argument block, shared memory…)."""
+    def attach(self, region: MemoryRegion, shared: bool = False) -> None:
+        """Register an extra region; ``shared`` marks the program's shared
+        region (one at most).  No detach: compiled code binds buffers once."""
+        if shared and self._shared is not None:
+            raise ValueError(f"{self._shared} is already the shared region")
         for existing in self._regions:
             if existing.base < region.end and region.base < existing.end:
                 raise ValueError(f"{region} overlaps {existing}")
         self._regions.append(region)
-
-    def detach(self, region: MemoryRegion) -> None:
-        self._regions.remove(region)
+        if shared:
+            self._shared = region
 
     def frame_pointer(self) -> int:
         """Initial r10: one past the top of the stack (grows down)."""
@@ -174,6 +177,13 @@ class VmMemory:
         buffer once and keep using it across runs.
         """
         return self._heap
+
+    @property
+    def shared_region(self) -> Optional[MemoryRegion]:
+        """The region attached with ``shared=True``, or None: probed
+        inline by the compiled tier, so attached before translation; its
+        bytearray (made once by ``ProgramState``) is mutated in place."""
+        return self._shared
 
     # -- access -----------------------------------------------------------
 

@@ -255,12 +255,12 @@ class _NativeEmitter(_BlockEmitter):
     the dispatch loop's.
     """
 
-    def __init__(self, program, slots, heap_first, profiled, stack_size):
-        super().__init__(program, slots, heap_first, profiled)
+    def __init__(self, program, slots, profiled, stack_size, shared):
+        super().__init__(program, slots, profiled, shared)
         self.stack_size = stack_size
         self.fp_delta: Dict[int, int] = {}
         #: promoted-slot offset -> FP delta, for pointers that round-trip
-        #: through a stack slot (xc codegen spills every temp): the slot
+        #: through a stack slot (xc keeps every local in one): the slot
         #: is a Python local, so provenance survives the store/reload.
         self.slot_delta: Dict[int, int] = {}
         self.direct_stack_ops = 0
@@ -425,13 +425,14 @@ class _Structurer:
         self.bail_sites = 0
         self.bail_targets: Set[int] = set()
         self.loop_count = 0
-        self.preds = self._pred_counts()
+        self.preds = self._predecessors()
+        self.last = -1  # the instruction emitted last (-1: the entry)
 
-    def _pred_counts(self) -> Dict[int, int]:
-        """CFG in-degree per leader (entry counts as one edge)."""
+    def _predecessors(self) -> Dict[int, List[int]]:
+        """CFG edges into each instruction, by source (-1: the entry)."""
         program = self.program
         count = len(program)
-        preds: Dict[int, int] = {0: 1}
+        preds: Dict[int, List[int]] = {0: [-1]}
         index = 0
         while index < count:
             insn = program[index]
@@ -440,17 +441,15 @@ class _Structurer:
             if opcode == OP_EXIT:
                 pass
             elif opcode == OP_JA:
-                target = index + 1 + insn.offset
-                preds[target] = preds.get(target, 0) + 1
+                preds.setdefault(index + 1 + insn.offset, []).append(index)
             elif (
                 class_of(opcode) in (BPF_JMP, BPF_JMP32)
                 and opcode != OP_CALL
             ):
-                target = index + 1 + insn.offset
-                preds[target] = preds.get(target, 0) + 1
-                preds[after] = preds.get(after, 0) + 1
+                preds.setdefault(index + 1 + insn.offset, []).append(index)
+                preds.setdefault(after, []).append(index)
             else:
-                preds[after] = preds.get(after, 0) + 1
+                preds.setdefault(after, []).append(index)
             index = after
         return preds
 
@@ -466,14 +465,14 @@ class _Structurer:
         if (
             not header
             and not self.profiled
-            and self.preds.get(leader, 0) <= 1
+            and self.preds.get(leader) == [self.last]
         ):
-            # Single-predecessor leader reached by fall-through: there
-            # is exactly one static path here, so the mirror state,
-            # FP provenance and pending step count of the predecessor
-            # all still hold.  Fuse the blocks — no flush, no reset —
-            # which turns branch arms into straight-line code.  Joins
-            # and loop headers (in-degree >= 2) still reset, and
+            # The leader's only predecessor is the instruction just
+            # emitted, so its mirror state, FP provenance and pending
+            # step count still hold.  Fuse the blocks — no flush, no
+            # reset — which turns branch arms into straight-line code.
+            # Joins, loop headers and leaders entered from further back
+            # (an else arm, the code after a loop) still reset, and
             # profiled translations never fuse so per-block counters
             # stay exact.
             self.structured.add(leader)
@@ -536,6 +535,7 @@ class _Structurer:
                 continue
             if i in self.leader_set:
                 self._enter_leader(w, indent, i)
+            self.last = i
             insn = program[i]
             opcode = insn.opcode
             klass = class_of(opcode)
@@ -696,9 +696,9 @@ def translate_native(
     emitter = _NativeEmitter(
         program,
         slots,
-        heap_first=bool(slots),
         profiled=profile is not None,
         stack_size=len(memory.stack.data),
+        shared=memory.shared_region,
     )
 
     w = _Writer()
@@ -729,7 +729,7 @@ def translate_native(
         w.emit(3, "pc = _b.pc")
         w.emit(3, "while True:")
         tail = _BlockEmitter(
-            program, slots, heap_first=bool(slots), profiled=profile is not None
+            program, slots, profiled=profile is not None, shared=memory.shared_region
         )
         emit_dispatch_loop(
             w, program, leaders, tail, step_budget, 4, profile is not None

@@ -94,6 +94,9 @@ def run_cell(
 
     Interleaving (native, extension, native, extension…) spreads any
     machine drift across both arms, like the paper's repeated runs.
+    Both arms run with telemetry off: the VMM's watchers (breaker books,
+    run histogram, trace ring) exist on the extension arm only, so they
+    would charge the telemetry plane to the extension.
     """
     native_times: List[float] = []
     extension_times: List[float] = []
@@ -102,7 +105,8 @@ def run_cell(
         for iteration in range(warmup + runs):
             for mode, bucket in (("native", native_times), ("extension", extension_times)):
                 harness = ConvergenceHarness(
-                    implementation, feature, mode, routes, roas, engine=engine
+                    implementation, feature, mode, routes, roas, engine=engine,
+                    telemetry=False,
                 )
                 gc.collect()
                 gc.disable()

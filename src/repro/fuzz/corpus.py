@@ -54,6 +54,7 @@ def case_to_dict(case) -> Dict[str, object]:
             "inputs": list(case.inputs),
             "step_budget": case.step_budget,
             "source": case.source,
+            "shared_writable": case.shared_writable,
         }
     if isinstance(case, HostCase):
         events = []
@@ -93,6 +94,7 @@ def case_from_dict(data: Dict[str, object], seed=None):
             [int(value) for value in data["inputs"]],
             int(data["step_budget"]),
             str(data.get("source", "")),
+            bool(data.get("shared_writable", True)),
         )
     if kind == "host":
         events = []

@@ -10,7 +10,8 @@ Three case kinds, all derived deterministically from an integer seed:
   text and assembled with :func:`repro.ebpf.assembler.assemble`; the
   emitter tracks register initialisation and stack bounds so every
   generated program passes the static verifier, while still covering
-  ALU ops, byte swaps, loops, branches, helper calls and heap traffic;
+  ALU ops, byte swaps, loops, branches, helper calls, heap traffic and
+  loads/stores through a shared and a read-only region;
 * :func:`gen_host_case` — a daemon-level scenario: a plugin manifest
   (or none), a session kind, and an event stream mixing UPDATE frames
   with mid-stream peer-configuration mutations (the events that flush
@@ -30,6 +31,7 @@ from ..bgp.prefix import parse_ipv4
 from ..bgp.roa import Roa
 from ..ebpf.assembler import assemble
 from ..ebpf.isa import Instruction, encode_program
+from ..ebpf.memory import SHARED_BASE
 from ..ebpf.verifier import VerifierConfig, verify
 from ..workload.rib_gen import RibGenerator, RouteSpec, build_updates, origins_of
 
@@ -52,6 +54,11 @@ FUZZ_HELPER_IDS = {"probe": 1, "halloc": 2, "peek": 3, "checkz": 4}
 #: Size of every ``halloc`` heap block; generated accesses stay inside.
 HALLOC_BLOCK = 64
 
+#: ``(base, size)`` of every engine-oracle VM's shared region (probed
+#: inline by compiled code) and, right after it, a read-only region.
+SHARED_REGION = (SHARED_BASE, 64)
+READONLY_REGION = (SHARED_BASE + 64, 32)
+
 _UPSTREAM = "10.0.1.2"
 _PEER_FIELDS = ("rr_client", "cluster_id")
 
@@ -72,16 +79,17 @@ class CodecCase:
 
 
 class EngineCase:
-    """An assembled program plus inputs and an instruction budget."""
+    """An assembled program, inputs, budget, shared-region writability."""
 
-    __slots__ = ("seed", "program", "inputs", "step_budget", "source")
+    __slots__ = ("seed", "program", "inputs", "step_budget", "source", "shared_writable")
 
-    def __init__(self, seed, program: bytes, inputs: Sequence[int], step_budget: int, source: str = ""):
+    def __init__(self, seed, program: bytes, inputs: Sequence[int], step_budget: int, source: str = "", shared_writable: bool = True):
         self.seed = seed
         self.program = program
         self.inputs: Tuple[int, ...] = tuple(inputs)
         self.step_budget = step_budget
         self.source = source
+        self.shared_writable = shared_writable
 
 
 class HostCase:
@@ -356,6 +364,28 @@ class _ProgramEmitter:
         self.lines.append(f"sub r{counter}, 1")
         self.lines.append(f"jne r{counter}, 0, {label}")
 
+    def emit_region(self) -> None:
+        """A load or store through the shared or the read-only region,
+        often ending on its last byte, sometimes straddling it."""
+        rng = self.rng
+        candidates = [r for r in range(6, 10) if r not in self.heap_regs]
+        if not candidates:
+            return
+        reg = rng.choice(candidates)
+        self.inited.add(reg)
+        base, length = rng.choice((SHARED_REGION, READONLY_REGION))
+        size, suffix = rng.choice(_MEM_WIDTHS)
+        offset = length - size
+        if rng.random() < 0.6:
+            offset = rng.randrange(offset + 1) if rng.random() < 0.85 else offset + rng.randrange(size)
+        self.lines.append(f"lddw r{reg}, {base:#x}")
+        if rng.random() < (0.1 if base == READONLY_REGION[0] else 0.5):
+            src = rng.choice(sorted(r for r in self.inited if r != 10))
+            self.lines.append(f"stx{suffix} [r{reg}+{offset}], r{src}")
+        else:
+            dst = rng.choice(sorted(r for r in self.inited if r not in (10, reg)))
+            self.lines.append(f"ldx{suffix} r{dst}, [r{reg}+{offset}]")
+
     def emit_wild_pointer(self) -> None:
         """A dereference of an unmapped address: both engines must
         raise the same :class:`SandboxViolation`."""
@@ -392,6 +422,7 @@ class _ProgramEmitter:
             (self.emit_helper, 4),
             (self.emit_branch, 3),
             (self.emit_loop, 2),
+            (self.emit_region, 2),
             (self.emit_mov_init, 1),
         )
         population = [fn for fn, weight in emitters for _ in range(weight)]
@@ -424,7 +455,8 @@ def gen_engine_case(seed) -> EngineCase:
         # Small budgets force budget blowouts through loops, checking
         # that both engines agree on the (normalised) outcome.
         step_budget = rng.choice((40, 120, 600, 4096))
-        return EngineCase(seed, encode_program(program), inputs, step_budget, source)
+        shared_writable = rng.random() < 0.75
+        return EngineCase(seed, encode_program(program), inputs, step_budget, source, shared_writable)
     raise RuntimeError(f"engine generator produced unverifiable programs for seed {seed}: {last_error}")
 
 

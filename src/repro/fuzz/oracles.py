@@ -15,7 +15,7 @@ from ..bgp.messages import UpdateMessage, decode_message, split_stream
 from ..ebpf.helpers import HelperError, HelperTable
 from ..ebpf.isa import decode_program
 from ..ebpf.jit import translate
-from ..ebpf.memory import SandboxViolation, VmMemory
+from ..ebpf.memory import MemoryRegion, SandboxViolation, VmMemory
 from ..ebpf.vm import ExecutionError, VirtualMachine
 from ..scale import BatchProcessor, PartitionMap, split_update
 from ..sim.testbed import (
@@ -27,7 +27,7 @@ from ..sim.testbed import (
     normalise_snapshot,
     wire_dut,
 )
-from .gen import FUZZ_HELPER_IDS, HALLOC_BLOCK, CodecCase, EngineCase, HostCase
+from .gen import FUZZ_HELPER_IDS, HALLOC_BLOCK, READONLY_REGION, SHARED_REGION, CodecCase, EngineCase, HostCase
 
 __all__ = [
     "Divergence",
@@ -259,8 +259,36 @@ def make_fuzz_helpers(calls: list) -> HelperTable:
     return table
 
 
+#: What the shared and read-only regions hold when a run starts.
+_REGION_IMAGE = bytes((index * 37 + 11) & 0xFF for index in range(256))
+
+
+def _map_regions(memory: VmMemory, case: EngineCase, count_walks: bool) -> List[int]:
+    """Attach the case's regions before anything is translated.  With
+    ``count_walks``, count region-walk hits on the shared region: compiled
+    code probes those inline (no fuzz helper touches it), so a hit is a
+    missed probe."""
+    shared = MemoryRegion(*SHARED_REGION, writable=case.shared_writable)
+    memory.attach(shared, shared=True)
+    readonly = MemoryRegion(*READONLY_REGION, writable=False)
+    readonly.data[:] = _REGION_IMAGE[-READONLY_REGION[1]:]
+    memory.attach(readonly)
+    walks = [0]
+    if count_walks:
+        walk = memory._translate
+
+        def translate(address: int, size: int, write: bool):
+            found = walk(address, size, write)
+            walks[0] += found[0] is shared
+            return found
+
+        memory._translate = translate
+    return walks
+
+
 def _engine_outcome(run, vm: VirtualMachine, memory: VmMemory, calls: list, inputs) -> tuple:
-    """One VMM-style invocation: reset the heap, run, normalise.
+    """One VMM-style invocation: reset the heap and the shared region's
+    image, run, normalise.
 
     Budget blowouts are normalised to a bare marker: compiled code
     checks the budget per *block* while the interpreter checks per
@@ -270,16 +298,18 @@ def _engine_outcome(run, vm: VirtualMachine, memory: VmMemory, calls: list, inpu
     """
     calls.clear()
     memory.reset_heap()
+    shared = memory.shared_region.data
+    shared[:] = _REGION_IMAGE[: len(shared)]  # in place: code binds the buffer
     try:
         result = run(*inputs)
     except ExecutionError as exc:
         if "budget" in str(exc):
             return ("budget",)
-        return ("exec-error", str(exc), vm.steps_executed, vm.helper_calls, tuple(calls))
+        return ("exec-error", str(exc), vm.steps_executed, vm.helper_calls, tuple(calls), bytes(shared))
     except SandboxViolation as exc:
-        return ("sandbox", str(exc), vm.steps_executed, vm.helper_calls, tuple(calls))
+        return ("sandbox", str(exc), vm.steps_executed, vm.helper_calls, tuple(calls), bytes(shared))
     except HelperError as exc:
-        return ("helper-error", str(exc), vm.steps_executed, vm.helper_calls, tuple(calls))
+        return ("helper-error", str(exc), vm.steps_executed, vm.helper_calls, tuple(calls), bytes(shared))
     # The stack bytes are deliberately NOT part of the outcome: compiled
     # code promotes private 8-byte stack slots to Python locals (they
     # never materialise in ``stack.data``), and that privacy is the
@@ -293,6 +323,7 @@ def _engine_outcome(run, vm: VirtualMachine, memory: VmMemory, calls: list, inpu
         tuple(calls),
         memory.heap_used,
         bytes(memory.heap_region.data[: memory.heap_used]),
+        bytes(shared),
     )
 
 
@@ -304,11 +335,13 @@ def _engine_outcome(run, vm: VirtualMachine, memory: VmMemory, calls: list, inpu
 _ENGINE_ARMS = ("interp", "jit", "dispatch")
 
 
-def _engine_arm(arm: str, program, case: EngineCase, shapes) -> Tuple[tuple, tuple]:
+def _engine_arm(arm: str, program, case: EngineCase, shapes) -> Tuple[tuple, tuple, int]:
     """Two runs of ``case`` on one arm: on a fresh heap, then on one
-    where every byte the first run allocated has been dirtied."""
+    where every byte the first run allocated has been dirtied; plus how
+    often a compiled arm walked into the shared region."""
     calls: list = []
     memory = VmMemory(heap_size=4096)
+    walks = _map_regions(memory, case, count_walks=arm != "interp")
     vm = VirtualMachine(
         program,
         helpers=make_fuzz_helpers(calls),
@@ -330,7 +363,7 @@ def _engine_arm(arm: str, program, case: EngineCase, shapes) -> Tuple[tuple, tup
     used = memory.heap_used
     memory.reset_heap()
     memory.write_bytes(memory.alloc(used), b"\xa5" * used)
-    return first, _engine_outcome(run, vm, memory, calls, case.inputs)
+    return first, _engine_outcome(run, vm, memory, calls, case.inputs), walks[0]
 
 
 def run_engine_case(
@@ -343,7 +376,7 @@ def run_engine_case(
         outcomes = {
             arm: _engine_arm(arm, program, case, shapes) for arm in _ENGINE_ARMS
         }
-        for arm, (first, second) in outcomes.items():
+        for arm, (first, second, walks) in outcomes.items():
             # Same inputs, heap reset in between: a second run that
             # differs saw what was left behind (a freed heap span that
             # was not scrubbed, a stale compiled-in value).
@@ -353,6 +386,13 @@ def run_engine_case(
                     f"engine:rerun:{arm}:{first[0]}/{second[0]}",
                     f"arm {arm}: second run differs from the first: "
                     f"{_outcome_diff((first,), (second,))}",
+                )
+            if walks:
+                return Divergence(
+                    "engine",
+                    f"engine:probe-miss:{arm}",
+                    f"arm {arm}: {walks} in-bounds accesses to the shared "
+                    "region took the region walk, not the inline probe",
                 )
         per_arm = {arm: outcomes[arm][0] for arm in _ENGINE_ARMS}
         if any(outcome[0] == "budget" for outcome in per_arm.values()):

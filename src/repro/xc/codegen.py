@@ -1,10 +1,19 @@
-"""eBPF code generation for xc.
+"""eBPF code generation for xc: operand-form code, the shape clang emits.
 
-The generated code is simple and regular rather than optimal: every
-local variable and every expression temporary lives in a stack slot, so
-values never sit in a caller-saved register across a helper call.  User
-functions other than the entry point are inlined at their call sites
-(our VM, like classic ubpf, dispatches ``call`` only to helpers).
+An expression leaves its value in r1 (r0 right after a helper call);
+leaf operands are used where they stand — an s32-representable constant
+as an ALU/jump immediate, a scalar local through one ``ldx``, a wider
+constant through ``lddw``.  Only a compound right operand parks the left
+one in a temporary slot, so no value sits in r1–r5 across a helper call.
+Division/modulo by a constant zero and shifts by 64+ keep the register
+form (the verifier rejects a zero-constant divisor).  A condition is one
+inverted jump; ``&&``/``||`` short-circuit to the branch targets, ``!``
+flips the sense, and a literal condition still gets a runtime test (the
+verifier wants ``while (1)``'s exit edge).  Constant address terms fold
+into load/store offsets; leaf helper arguments load straight into r1–r5
+after the compound ones ran, in order.  Every local keeps its frame slot
+(the layout below, which the compiled tier's trusted layout relies on);
+user functions are inlined (the VM, like ubpf, calls only helpers).
 
 Builtins compiled inline rather than called:
 
@@ -16,6 +25,7 @@ Builtins compiled inline rather than called:
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..ebpf.isa import (
@@ -29,6 +39,7 @@ from ..ebpf.isa import (
     BPF_LD,
     BPF_LDX,
     BPF_MEM,
+    BPF_ST,
     BPF_STX,
     BPF_X,
     JMP_OPS,
@@ -48,7 +59,6 @@ from .astnodes import (
     Continue,
     Expr,
     ExprStatement,
-    Function,
     If,
     Load,
     Logical,
@@ -69,29 +79,14 @@ __all__ = ["compile_source", "compile_program", "CompileError"]
 
 _SIZE_TO_FLAG = {1: 0x10, 2: 0x08, 4: 0x00, 8: 0x18}
 
-_CMP_TO_JMP = {
-    "==": "jeq",
-    "!=": "jne",
-    "<": "jlt",
-    "<=": "jle",
-    ">": "jgt",
-    ">=": "jge",
-}
-_SIGNED_CMP = {"sgt": "jsgt", "sge": "jsge", "slt": "jslt", "sle": "jsle"}
-_SWAPS = {
-    "htons": 16,
-    "ntohs": 16,
-    "htonl": 32,
-    "ntohl": 32,
-    "htonll": 64,
-    "ntohll": 64,
-    "bpf_htons": 16,
-    "bpf_ntohs": 16,
-    "bpf_htonl": 32,
-    "bpf_ntohl": 32,
-    "bpf_htonll": 64,
-    "bpf_ntohll": 64,
-}
+#: Comparison → the jump taken when it holds (``sgt``… are builtins).
+_JUMPS = {"==": "jeq", "!=": "jne", "<": "jlt", "<=": "jle", ">": "jgt", ">=": "jge",
+          "sgt": "jsgt", "sge": "jsge", "slt": "jslt", "sle": "jsle"}
+#: The comparison that holds exactly when ``op`` does not.
+_NEGATE = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", ">": "<=", "<=": ">",
+           "sgt": "sle", "sle": "sgt", "sge": "slt", "slt": "sge"}
+_SWAPS = {"htons": 16, "ntohs": 16, "htonl": 32, "ntohl": 32, "htonll": 64, "ntohll": 64}
+_SWAPS.update({"bpf_" + name: width for name, width in _SWAPS.items()})
 _ARITH = {
     "+": "add",
     "-": "sub",
@@ -177,6 +172,41 @@ def _fold(expr):
     return expr
 
 
+def _displaced(address: Expr) -> Tuple[Expr, int]:
+    """``address`` as ``(base, s16 offset)``: the constant terms of a sum
+    fold into the load/store offset (the VM adds it modulo 2**64, as the
+    sum would)."""
+    terms: List[Expr] = []
+    constant = 0
+    pending = [address]
+    while pending:
+        expr = pending.pop()
+        if isinstance(expr, Binary) and expr.op == "+":
+            pending += [expr.right, expr.left]
+        elif isinstance(expr, Binary) and expr.op == "-" and isinstance(expr.right, Number):
+            constant -= expr.right.value
+            pending.append(expr.left)
+        elif isinstance(expr, Number):
+            constant += expr.value
+        else:
+            terms.append(expr)
+    offset = (constant + (1 << 63)) % (1 << 64) - (1 << 63)
+    if not terms or not -(1 << 15) <= offset < 1 << 15:
+        return address, 0
+    return reduce(lambda base, term: Binary("+", base, term, term.line), terms), offset
+
+
+def _imm32(value: int) -> Optional[int]:
+    """``value`` (mod 2**64) as the s32 immediate that sign-extends to
+    it, or None when it needs ``lddw``."""
+    value &= _M64
+    if value < 1 << 31:
+        return value
+    if value >= (1 << 64) - (1 << 31):
+        return value - (1 << 64)
+    return None
+
+
 class CompileError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
@@ -212,11 +242,12 @@ class _Emitter:
     def alu_reg(self, op: str, dst: int, src: int) -> None:
         self.raw(Instruction(BPF_ALU64 | BPF_X | ALU_OPS[op], dst, src, 0, 0))
 
-    def mov_imm(self, dst: int, imm: int) -> None:
-        if -(2**31) <= imm < 2**31:
-            self.alu_imm("mov", dst, imm)
+    def mov_imm(self, dst: int, value: int) -> None:
+        imm = _imm32(value)
+        if imm is None:
+            self.lddw(dst, value)
         else:
-            self.lddw(dst, imm)
+            self.alu_imm("mov", dst, imm)
 
     def mov_reg(self, dst: int, src: int) -> None:
         self.alu_reg("mov", dst, src)
@@ -236,6 +267,11 @@ class _Emitter:
     def store_reg(self, size: int, dst: int, offset: int, src: int) -> None:
         self.raw(
             Instruction(BPF_STX | BPF_MEM | _SIZE_TO_FLAG[size], dst, src, offset, 0)
+        )
+
+    def store_imm(self, size: int, dst: int, offset: int, imm: int) -> None:
+        self.raw(
+            Instruction(BPF_ST | BPF_MEM | _SIZE_TO_FLAG[size], dst, 0, offset, imm)
         )
 
     def jump(self, op: str, dst: int, label: str, imm: int = 0, src: int = -1) -> None:
@@ -327,11 +363,6 @@ class _Frame:
             )
         return offset
 
-    def alloc_temp(self, line: int) -> int:
-        if self._free_slots:
-            return self._free_slots.pop()
-        return self.alloc_scalar(line)
-
     def free_temp(self, offset: int) -> None:
         self._free_slots.append(offset)
 
@@ -383,8 +414,8 @@ class _Compiler:
         self.frame = _Frame()
         self._loop_stack: List[Tuple[str, str]] = []  # (continue, break) labels
         self._inline_stack: List[str] = []
-        # (result slot, end label) for the innermost inlined call.
-        self._inline_returns: List[Tuple[int, str]] = []
+        # (end label, last statement) of the innermost inlined call.
+        self._inline_returns: List[Tuple[str, Optional[Statement]]] = []
 
     # -- entry -----------------------------------------------------------
 
@@ -396,9 +427,10 @@ class _Compiler:
             scope.declare(param, "var", offset, entry.line)
             self.emitter.store_reg(8, 10, offset, index + 1)
         self._block(entry.body, scope)
-        # Implicit ``return 0`` guard for paths that fall off the end.
-        self.emitter.mov_imm(0, 0)
-        self.emitter.exit()
+        if not (entry.body.statements and isinstance(entry.body.statements[-1], Return)):
+            # Implicit ``return 0`` for paths that fall off the end.
+            self.emitter.mov_imm(0, 0)
+            self.emitter.exit()
         return self.emitter.finish()
 
     # -- statements ---------------------------------------------------------
@@ -415,14 +447,8 @@ class _Compiler:
         emit = self.emitter
         if isinstance(statement, VarDecl):
             offset = self.frame.alloc_scalar(statement.line)
-            if statement.init is not None:
-                slot = self._expr(statement.init, scope)
-                emit.load(8, 1, 10, slot)
-                emit.store_reg(8, 10, offset, 1)
-                self.frame.free_temp(slot)
-            else:
-                emit.mov_imm(1, 0)
-                emit.store_reg(8, 10, offset, 1)
+            init = statement.init if statement.init is not None else Number(0, statement.line)
+            self._assign(offset, init, scope)
             scope.declare(statement.name, "var", offset, statement.line)
             return
         if isinstance(statement, ArrayDecl):
@@ -441,43 +467,33 @@ class _Compiler:
                 raise CompileError(
                     statement.line, f"assignment to undeclared {statement.name!r}"
                 )
-            slot = self._expr(statement.value, scope)
-            emit.load(8, 1, 10, slot)
-            emit.store_reg(8, 10, entry[1], 1)
-            self.frame.free_temp(slot)
+            self._assign(entry[1], statement.value, scope)
             return
         if isinstance(statement, IndexAssign):
-            entry = scope.lookup(statement.name)
-            if entry is None or entry[0] != "array":
-                raise CompileError(
-                    statement.line, f"{statement.name!r} is not an array"
-                )
-            _, offset, elem = entry
-            value_slot = self._expr(statement.value, scope)
-            index_slot = self._expr(statement.index, scope)
-            emit.load(8, 1, 10, index_slot)
-            if elem != 1:
-                emit.alu_imm("mul", 1, elem)
-            emit.alu_reg("add", 1, 10)
-            emit.alu_imm("add", 1, offset)
-            emit.load(8, 2, 10, value_slot)
-            emit.store_reg(elem, 1, 0, 2)
-            self.frame.free_temp(index_slot)
-            self.frame.free_temp(value_slot)
+            # The value is evaluated before the index.
+            leaf = self._leaf(statement.value, scope)
+            parked = leaf is None
+            if parked:
+                leaf = self._park(statement.value, scope)
+            reg, offset, elem = self._element(statement.name, statement.index, statement.line, scope)
+            self._store_leaf(elem, reg, offset, leaf)
+            if parked:
+                self.frame.free_temp(leaf[1])
             return
         if isinstance(statement, Store):
-            addr_slot = self._expr(statement.address, scope)
-            value_slot = self._expr(statement.value, scope)
-            emit.load(8, 1, 10, addr_slot)
-            emit.load(8, 2, 10, value_slot)
-            emit.store_reg(statement.size, 1, 0, 2)
-            self.frame.free_temp(value_slot)
-            self.frame.free_temp(addr_slot)
+            # The address is evaluated before the value.
+            base, offset = _displaced(_fold(statement.address))
+            leaf = self._leaf(statement.value, scope)
+            if leaf is not None:
+                self._store_leaf(statement.size, self._expr(base, scope), offset, leaf)
+            else:
+                src = self._both(base, statement.value, scope)
+                emit.store_reg(statement.size, 1, offset, src)
             return
         if isinstance(statement, If):
             else_label = emit.new_label("else")
             end_label = emit.new_label("endif")
-            self._branch_if_false(statement.condition, scope, else_label)
+            self._branch(statement.condition, scope, else_label, False)
             self._block(statement.then_body, scope)
             if statement.else_body is not None:
                 emit.ja(end_label)
@@ -496,7 +512,7 @@ class _Compiler:
             end_label = emit.new_label("endfor")
             emit.bind(top_label)
             if statement.condition is not None:
-                self._branch_if_false(statement.condition, for_scope, end_label)
+                self._branch(statement.condition, for_scope, end_label, False)
             # `continue` jumps to the step clause, not the condition.
             self._loop_stack.append((step_label, end_label))
             self._block(statement.body, for_scope)
@@ -513,7 +529,7 @@ class _Compiler:
             top_label = emit.new_label("loop")
             end_label = emit.new_label("endloop")
             emit.bind(top_label)
-            self._branch_if_false(statement.condition, scope, end_label)
+            self._branch(statement.condition, scope, end_label, False)
             self._loop_stack.append((top_label, end_label))
             self._block(statement.body, scope)
             self._loop_stack.pop()
@@ -521,17 +537,14 @@ class _Compiler:
             emit.bind(end_label)
             return
         if isinstance(statement, Return):
-            if statement.value is not None:
-                slot = self._expr(statement.value, scope)
-                emit.load(8, 0, 10, slot)
-                self.frame.free_temp(slot)
-            else:
-                emit.mov_imm(0, 0)
+            value = statement.value if statement.value is not None else Number(0, statement.line)
             if self._inline_returns:
-                result_slot, end_label = self._inline_returns[-1]
-                emit.store_reg(8, 10, result_slot, 0)
-                emit.ja(end_label)
+                end_label, tail = self._inline_returns[-1]
+                self._into(1, value, scope)
+                if statement is not tail:
+                    emit.ja(end_label)
             else:
+                self._into(0, value, scope)
                 emit.exit()
             return
         if isinstance(statement, Break):
@@ -545,153 +558,222 @@ class _Compiler:
             emit.ja(self._loop_stack[-1][0])
             return
         if isinstance(statement, ExprStatement):
-            slot = self._expr(statement.expr, scope)
-            self.frame.free_temp(slot)
+            self._expr(statement.expr, scope)
             return
         raise CompileError(getattr(statement, "line", 0), f"bad statement {statement}")
 
-    def _branch_if_false(self, condition: Expr, scope: _Scope, label: str) -> None:
-        slot = self._expr(condition, scope)
-        self.emitter.load(8, 1, 10, slot)
-        self.frame.free_temp(slot)
-        self.emitter.jump("jeq", 1, label, imm=0)
+    def _assign(self, offset: int, value: Expr, scope: _Scope) -> None:
+        """Store ``value`` into the scalar slot at ``offset``."""
+        leaf = self._leaf(value, scope)
+        if leaf is not None:
+            self._store_leaf(8, 10, offset, leaf)
+        else:
+            self.emitter.store_reg(8, 10, offset, self._expr(value, scope))
+
+    def _store_leaf(self, size: int, reg: int, offset: int, leaf: Tuple[str, int]) -> None:
+        """Store a leaf operand: an immediate as such, else through r2."""
+        kind, value = leaf
+        imm = (_imm32(value) if size == 8 else _s32(value)) if kind == "imm" else None
+        if imm is not None:
+            self.emitter.store_imm(size, reg, offset, imm)
+        else:
+            self._put(2, leaf)
+            self.emitter.store_reg(size, reg, offset, 2)
+
+    # -- conditions -------------------------------------------------------------
+
+    def _branch(self, condition: Expr, scope: _Scope, label: str, when: bool) -> None:
+        """Jump to ``label`` if ``condition``'s truth is ``when``; fall
+        through otherwise."""
+        condition = _fold(condition)
+        if isinstance(condition, Unary) and condition.op == "!":
+            self._branch(condition.operand, scope, label, not when)
+            return
+        if isinstance(condition, Logical):
+            settles = condition.op == "||"  # the left truth that decides alone
+            skip = label if when == settles else self.emitter.new_label("sc")
+            self._branch(condition.left, scope, skip, settles)
+            self._branch(condition.right, scope, label, when)
+            if skip != label:
+                self.emitter.bind(skip)
+            return
+        op, left, right = self._comparison(condition) or (
+            "!=", condition, Number(0, condition.line)
+        )
+        if not when:
+            op = _NEGATE[op]
+        imm = self._immediate(op, right, scope)
+        if imm is not None:
+            self.emitter.jump(_JUMPS[op], self._expr(left, scope), label, imm=imm)
+        else:
+            src = self._both(left, right, scope)
+            self.emitter.jump(_JUMPS[op], 1, label, src=src)
+
+    def _comparison(self, expr: Expr) -> Optional[Tuple[str, Expr, Expr]]:
+        """``(op, left, right)`` when ``expr`` compares two values."""
+        if isinstance(expr, Binary) and expr.op in _JUMPS:
+            return expr.op, expr.left, expr.right
+        if isinstance(expr, Call) and expr.name in _JUMPS:
+            if len(expr.args) != 2:
+                raise CompileError(expr.line, f"{expr.name} takes two arguments")
+            return expr.name, expr.args[0], expr.args[1]
+        return None
+
+    # -- operands -----------------------------------------------------------------
+
+    def _leaf(self, expr: Expr, scope: _Scope) -> Optional[Tuple[str, int]]:
+        """The operand a leaf ``expr`` names — ``("imm", value)``,
+        ``("var", slot)`` or ``("array", block)`` — or None if compound."""
+        expr = _fold(expr)
+        if isinstance(expr, Number):
+            return "imm", expr.value & _M64
+        if isinstance(expr, Name):
+            entry = scope.lookup(expr.name)
+            if entry is not None:
+                return entry[0], entry[1]
+            if expr.name in self.constants:
+                return "imm", self.constants[expr.name] & _M64
+            raise CompileError(expr.line, f"undefined name {expr.name!r}")
+        return None
+
+    def _put(self, reg: int, leaf: Tuple[str, int]) -> None:
+        """Materialise ``leaf`` in ``reg``, touching no other register."""
+        kind, value = leaf
+        if kind == "imm":
+            self.emitter.mov_imm(reg, value)
+        elif kind == "var":
+            self.emitter.load(8, reg, 10, value)
+        else:
+            self.emitter.mov_reg(reg, 10)
+            self.emitter.alu_imm("add", reg, value)
+
+    def _into(self, reg: int, expr: Expr, scope: _Scope) -> None:
+        """Compile ``expr`` into ``reg``."""
+        leaf = self._leaf(expr, scope)
+        if leaf is not None:
+            self._put(reg, leaf)
+            return
+        got = self._expr(expr, scope)
+        if got != reg:
+            self.emitter.mov_reg(reg, got)
+
+    def _immediate(self, op: str, expr: Expr, scope: _Scope) -> Optional[int]:
+        """``expr`` as the immediate operand of ``op``, or None."""
+        kind, value = self._leaf(expr, scope) or ("", 0)
+        if kind != "imm" or (op in ("/", "%") and not value) or (op in ("<<", ">>") and value >= 64):
+            return None  # (the verifier rejects a zero-constant divisor)
+        return _imm32(value)
+
+    def _both(self, left: Expr, right: Expr, scope: _Scope) -> int:
+        """Evaluate ``left`` then ``right``; leave ``left`` in r1 and
+        return the register (r0 or r2) holding ``right``."""
+        emit = self.emitter
+        right_leaf = self._leaf(right, scope)
+        if right_leaf is not None:
+            self._into(1, left, scope)
+            self._put(2, right_leaf)
+            return 2
+        left_leaf = self._leaf(left, scope)
+        parked = left_leaf is None
+        if parked:  # a compound right operand may call helpers
+            left_leaf = self._park(left, scope)
+        src = self._expr(right, scope)
+        if src == 1:
+            emit.mov_reg(2, 1)
+            src = 2
+        self._put(1, left_leaf)
+        if parked:
+            self.frame.free_temp(left_leaf[1])
+        return src
+
+    def _park(self, expr: Expr, scope: _Scope) -> Tuple[str, int]:
+        """Evaluate ``expr`` into a fresh temporary slot."""
+        slot = self.frame.alloc_scalar(expr.line)
+        self.emitter.store_reg(8, 10, slot, self._expr(expr, scope))
+        return "var", slot
+
+    def _element(self, name: str, index: Expr, line: int, scope: _Scope) -> Tuple[int, int, int]:
+        """``(register, offset, width)`` addressing ``name[index]``."""
+        entry = scope.lookup(name)
+        if entry is None or entry[0] != "array":
+            raise CompileError(line, f"{name!r} is not an array")
+        _, offset, elem = entry
+        reg = self._expr(index, scope)
+        if elem != 1:
+            self.emitter.alu_imm("mul", reg, elem)
+        self.emitter.alu_reg("add", reg, 10)
+        return reg, offset, elem
 
     # -- expressions -----------------------------------------------------------
 
     def _expr(self, expr: Expr, scope: _Scope) -> int:
-        """Compile ``expr``; return the frame offset of its result slot."""
+        """Compile ``expr``; return the register holding its value: r0
+        straight after a helper call, r1 otherwise."""
         expr = _fold(expr)
         emit = self.emitter
-        frame = self.frame
 
-        if isinstance(expr, Number):
-            slot = frame.alloc_temp(expr.line)
-            emit.mov_imm(1, expr.value)
-            emit.store_reg(8, 10, slot, 1)
-            return slot
+        leaf = self._leaf(expr, scope)
+        if leaf is not None:
+            self._put(1, leaf)
+            return 1
+
+        if (
+            isinstance(expr, Logical)
+            or (isinstance(expr, Unary) and expr.op == "!")
+            or self._comparison(expr) is not None
+        ):
+            # A condition used as a value: 1 if it holds, else 0.
+            false_label = emit.new_label("false")
+            end_label = emit.new_label("bool")
+            self._branch(expr, scope, false_label, False)
+            emit.mov_imm(1, 1)
+            emit.ja(end_label)
+            emit.bind(false_label)
+            emit.mov_imm(1, 0)
+            emit.bind(end_label)
+            return 1
 
         if isinstance(expr, Str):
             # NUL-terminated string on the stack; value is its address.
             data = expr.value + b"\x00"
-            block = frame.alloc_block(len(data), expr.line)
+            block = self.frame.alloc_block(len(data), expr.line)
             for index in range(0, len(data), 8):
-                chunk = data[index : index + 8]
-                emit.mov_imm(1, int.from_bytes(chunk.ljust(8, b"\x00"), "little"))
-                emit.store_reg(8, 10, block + index, 1)
-            slot = frame.alloc_temp(expr.line)
-            emit.mov_reg(1, 10)
-            emit.alu_imm("add", 1, block)
-            emit.store_reg(8, 10, slot, 1)
-            return slot
-
-        if isinstance(expr, Name):
-            entry = scope.lookup(expr.name)
-            if entry is not None:
-                kind, offset = entry[0], entry[1]
-                slot = frame.alloc_temp(expr.line)
-                if kind == "var":
-                    emit.load(8, 1, 10, offset)
-                else:  # array name decays to its address
-                    emit.mov_reg(1, 10)
-                    emit.alu_imm("add", 1, offset)
-                emit.store_reg(8, 10, slot, 1)
-                return slot
-            if expr.name in self.constants:
-                slot = frame.alloc_temp(expr.line)
-                emit.mov_imm(1, self.constants[expr.name])
-                emit.store_reg(8, 10, slot, 1)
-                return slot
-            raise CompileError(expr.line, f"undefined name {expr.name!r}")
+                chunk = data[index : index + 8].ljust(8, b"\x00")
+                self._store_leaf(8, 10, block + index, ("imm", int.from_bytes(chunk, "little")))
+            self._put(1, ("array", block))
+            return 1
 
         if isinstance(expr, Unary):
-            slot = self._expr(expr.operand, scope)
-            emit.load(8, 1, 10, slot)
+            reg = self._expr(expr.operand, scope)
             if expr.op == "-":
-                emit.raw(
-                    Instruction(BPF_ALU64 | BPF_K | ALU_OPS["neg"], 1, 0, 0, 0)
-                )
+                emit.raw(Instruction(BPF_ALU64 | BPF_K | ALU_OPS["neg"], reg, 0, 0, 0))
             elif expr.op == "~":
-                emit.alu_imm("xor", 1, -1)
-            elif expr.op == "!":
-                done = emit.new_label("notz")
-                emit.mov_imm(2, 1)
-                emit.jump("jeq", 1, done, imm=0)
-                emit.mov_imm(2, 0)
-                emit.bind(done)
-                emit.mov_reg(1, 2)
+                emit.alu_imm("xor", reg, -1)
             else:
                 raise CompileError(expr.line, f"bad unary {expr.op!r}")
-            emit.store_reg(8, 10, slot, 1)
-            return slot
+            return reg
 
         if isinstance(expr, Binary):
-            left_slot = self._expr(expr.left, scope)
-            right_slot = self._expr(expr.right, scope)
-            emit.load(8, 1, 10, left_slot)
-            emit.load(8, 2, 10, right_slot)
-            if expr.op in _ARITH:
-                emit.alu_reg(_ARITH[expr.op], 1, 2)
-            elif expr.op in _CMP_TO_JMP:
-                true_label = emit.new_label("cmpt")
-                emit.mov_imm(3, 1)
-                emit.jump(_CMP_TO_JMP[expr.op], 1, true_label, src=2)
-                emit.mov_imm(3, 0)
-                emit.bind(true_label)
-                emit.mov_reg(1, 3)
-            else:
+            if expr.op not in _ARITH:
                 raise CompileError(expr.line, f"bad operator {expr.op!r}")
-            emit.store_reg(8, 10, left_slot, 1)
-            frame.free_temp(right_slot)
-            return left_slot
-
-        if isinstance(expr, Logical):
-            slot = frame.alloc_temp(expr.line)
-            short_label = emit.new_label("sc")
-            end_label = emit.new_label("scend")
-            left_slot = self._expr(expr.left, scope)
-            emit.load(8, 1, 10, left_slot)
-            frame.free_temp(left_slot)
-            if expr.op == "&&":
-                emit.jump("jeq", 1, short_label, imm=0)
-            else:  # '||'
-                emit.jump("jne", 1, short_label, imm=0)
-            right_slot = self._expr(expr.right, scope)
-            emit.load(8, 1, 10, right_slot)
-            frame.free_temp(right_slot)
-            norm_label = emit.new_label("norm")
-            emit.mov_imm(2, 1)
-            emit.jump("jne", 1, norm_label, imm=0)
-            emit.mov_imm(2, 0)
-            emit.bind(norm_label)
-            emit.store_reg(8, 10, slot, 2)
-            emit.ja(end_label)
-            emit.bind(short_label)
-            emit.mov_imm(2, 0 if expr.op == "&&" else 1)
-            emit.store_reg(8, 10, slot, 2)
-            emit.bind(end_label)
-            return slot
+            op = _ARITH[expr.op]
+            imm = self._immediate(expr.op, expr.right, scope)
+            if imm is not None:
+                reg = self._expr(expr.left, scope)
+                emit.alu_imm(op, reg, imm)
+                return reg
+            emit.alu_reg(op, 1, self._both(expr.left, expr.right, scope))
+            return 1
 
         if isinstance(expr, Load):
-            addr_slot = self._expr(expr.address, scope)
-            emit.load(8, 1, 10, addr_slot)
-            emit.load(expr.size, 1, 1, 0)
-            emit.store_reg(8, 10, addr_slot, 1)
-            return addr_slot
+            base, offset = _displaced(expr.address)
+            emit.load(expr.size, 1, self._expr(base, scope), offset)
+            return 1
 
         if isinstance(expr, Index):
-            entry = scope.lookup(expr.name)
-            if entry is None or entry[0] != "array":
-                raise CompileError(expr.line, f"{expr.name!r} is not an array")
-            _, offset, elem = entry
-            slot = self._expr(expr.index, scope)
-            emit.load(8, 1, 10, slot)
-            if elem != 1:
-                emit.alu_imm("mul", 1, elem)
-            emit.alu_reg("add", 1, 10)
-            emit.alu_imm("add", 1, offset)
-            emit.load(elem, 1, 1, 0)
-            emit.store_reg(8, 10, slot, 1)
-            return slot
+            reg, offset, elem = self._element(expr.name, expr.index, expr.line, scope)
+            emit.load(elem, 1, reg, offset)
+            return 1
 
         if isinstance(expr, Call):
             return self._call(expr, scope)
@@ -706,28 +788,9 @@ class _Compiler:
         if expr.name in _SWAPS:
             if len(expr.args) != 1:
                 raise CompileError(expr.line, f"{expr.name} takes one argument")
-            slot = self._expr(expr.args[0], scope)
-            emit.load(8, 1, 10, slot)
-            emit.endian_be(_SWAPS[expr.name], 1)
-            emit.store_reg(8, 10, slot, 1)
-            return slot
-
-        # -- inline signed comparisons ----------------------------------
-        if expr.name in _SIGNED_CMP:
-            if len(expr.args) != 2:
-                raise CompileError(expr.line, f"{expr.name} takes two arguments")
-            left_slot = self._expr(expr.args[0], scope)
-            right_slot = self._expr(expr.args[1], scope)
-            emit.load(8, 1, 10, left_slot)
-            emit.load(8, 2, 10, right_slot)
-            true_label = emit.new_label("scmp")
-            emit.mov_imm(3, 1)
-            emit.jump(_SIGNED_CMP[expr.name], 1, true_label, src=2)
-            emit.mov_imm(3, 0)
-            emit.bind(true_label)
-            emit.store_reg(8, 10, left_slot, 3)
-            frame.free_temp(right_slot)
-            return left_slot
+            reg = self._expr(expr.args[0], scope)
+            emit.endian_be(_SWAPS[expr.name], reg)
+            return reg
 
         # -- user-function inlining ---------------------------------------
         if expr.name in self.functions and expr.name != self.program.entry.name:
@@ -737,15 +800,16 @@ class _Compiler:
         helper_id = self.helper_ids.get(expr.name)
         if helper_id is None:
             raise CompileError(expr.line, f"unknown function {expr.name!r}")
-        arg_slots = [self._expr(arg, scope) for arg in expr.args]
-        for index, slot in enumerate(arg_slots):
-            emit.load(8, index + 1, 10, slot)
+        leaves = [self._leaf(arg, scope) for arg in expr.args]
+        parked = [index for index, leaf in enumerate(leaves) if leaf is None]
+        for index in parked:  # compound arguments run first, in order
+            leaves[index] = self._park(expr.args[index], scope)
+        for index, leaf in enumerate(leaves):
+            self._put(index + 1, leaf)
+        for index in parked:
+            frame.free_temp(leaves[index][1])
         emit.call(helper_id)
-        for slot in arg_slots:
-            frame.free_temp(slot)
-        result_slot = frame.alloc_temp(expr.line)
-        emit.store_reg(8, 10, result_slot, 0)
-        return result_slot
+        return 0
 
     def _inline(self, expr: Call, scope: _Scope) -> int:
         if expr.name in self._inline_stack:
@@ -760,30 +824,26 @@ class _Compiler:
                 f"got {len(expr.args)}",
             )
         emit = self.emitter
-        frame = self.frame
         callee_scope = _Scope()  # no access to caller locals
         for param, arg in zip(function.params, expr.args):
-            arg_slot = self._expr(arg, scope)
-            param_offset = frame.alloc_scalar(expr.line)
-            emit.load(8, 1, 10, arg_slot)
-            emit.store_reg(8, 10, param_offset, 1)
-            frame.free_temp(arg_slot)
-            callee_scope.declare(param, "var", param_offset, expr.line)
-        result_slot = frame.alloc_temp(expr.line)
+            offset = self.frame.alloc_scalar(expr.line)
+            self._assign(offset, arg, scope)
+            callee_scope.declare(param, "var", offset, expr.line)
+        statements = function.body.statements
+        tail = statements[-1] if statements else None
         end_label = emit.new_label(f"ret_{expr.name}")
-        # Default return value 0 if the callee falls off the end.
-        emit.mov_imm(1, 0)
-        emit.store_reg(8, 10, result_slot, 1)
         self._inline_stack.append(expr.name)
-        self._inline_returns.append((result_slot, end_label))
+        self._inline_returns.append((end_label, tail))
         self._block(function.body, callee_scope)
         self._inline_returns.pop()
         self._inline_stack.pop()
+        if not isinstance(tail, Return):
+            emit.mov_imm(1, 0)  # fell off the end: returns 0
         emit.bind(end_label)
         # The callee's parameter slots die with the call.
         for offset in callee_scope.scalar_slots:
-            frame.free_temp(offset)
-        return result_slot
+            self.frame.free_temp(offset)
+        return 1
 
 
 def compile_program(

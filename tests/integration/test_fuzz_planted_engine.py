@@ -73,12 +73,30 @@ def helper_result_truncated_to_32_bits(monkeypatch):
     )
 
 
+def shared_probe_bound_off_by_one(monkeypatch):
+    # The shared region's `_o + size <= MS` becomes `<`: an access
+    # ending on its last byte leaves the inline probe.
+    _edit(
+        monkeypatch, jit._BlockEmitter, "_probes",
+        "_o + {size} <= {limit}:", "_o + {size} {'<' if buf == 'shm' else '<='} {limit}:",
+    )
+
+
+def shared_probe_ignores_writable(monkeypatch):
+    _edit(
+        monkeypatch, jit._BlockEmitter, "_probes",
+        "(self.shared.writable or not write)", "True",
+    )
+
+
 MUTANTS = (
     alloc_skips_the_lazy_scrub,
     swapped_conditional_in_the_jump_table,
     lddw_counts_two_steps_on_the_dispatch_loop,
     lddw_counts_two_steps_in_structured_code,
     helper_result_truncated_to_32_bits,
+    shared_probe_bound_off_by_one,
+    shared_probe_ignores_writable,
 )
 
 

@@ -37,6 +37,24 @@ class TestRunCell:
         assert result.engine == "jit"
         assert len(result.extension_seconds) == 1
 
+    @pytest.mark.parametrize("feature", ["route_reflection", "origin_validation"])
+    def test_both_arms_run_without_telemetry(self, tiny_routes, feature, monkeypatch):
+        """The VMM's watchers exist on the extension arm only: a cell
+        that left them on would time the telemetry plane, not the
+        extension."""
+        built = []
+
+        class Recording(fig4.ConvergenceHarness):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append((self.spec.mode, self.dut.vmm.telemetry))
+
+        monkeypatch.setattr(fig4, "ConvergenceHarness", Recording)
+        roas = make_roas_for_prefixes(origins_of(tiny_routes), 0.75, seed=55)
+        fig4.run_cell("bird", feature, tiny_routes, roas, runs=1, engine="jit")
+        assert sorted(mode for mode, _ in built) == ["extension"] * 2 + ["native"] * 2
+        assert [telemetry for _, telemetry in built] == [None] * 4
+
     def test_render_includes_every_cell(self, tiny_routes):
         results = [
             fig4.run_cell("bird", "route_reflection", tiny_routes, None, 1, "pyext"),

@@ -127,6 +127,41 @@ join:
     exit
 """
 
+#: The then arm leaves r1 mirroring the slot the else arm then loads:
+#: the else arm must not inherit that mirror (it once returned r1 = 0).
+ELSE_AFTER_THEN_SRC = """
+    mov r2, 7
+    stxdw [r10-8], r2
+    jeq r1, 0, else
+    mov r1, 5
+    stxdw [r10-8], r1
+    ja end
+else:
+    ldxdw r1, [r10-8]
+    mov r0, r1
+    exit
+end:
+    mov r0, 0
+    exit
+"""
+
+#: Likewise for the code after a loop, entered only from the loop test.
+AFTER_LOOP_SRC = """
+    mov r2, 7
+    stxdw [r10-8], r2
+    mov r3, 0
+loop:
+    jge r3, r1, done
+    mov r4, 9
+    stxdw [r10-8], r4
+    add r3, 1
+    ja loop
+done:
+    ldxdw r4, [r10-8]
+    mov r0, r4
+    exit
+"""
+
 #: Dereferences an unmapped address: must fault identically.
 WILD_SRC = """
     lddw r6, 0x50000000
@@ -186,6 +221,15 @@ class TestVmParity:
         _, dispatch_only = _run(source, "dispatch")
         assert compiled == interp
         assert dispatch_only == interp
+
+    @pytest.mark.parametrize(
+        "source", [ELSE_AFTER_THEN_SRC, AFTER_LOOP_SRC], ids=["else-arm", "after-loop"]
+    )
+    def test_no_register_mirror_leaks_across_a_branch(self, source):
+        _, interp = _run(source, "interp")
+        _, compiled = _run(source, "jit")
+        assert interp[0] == 7
+        assert compiled == interp
 
     def test_loop_compiles_native(self):
         vm, _ = _run(LOOP_SRC, "jit")

@@ -137,6 +137,34 @@ class TestMemory:
         with pytest.raises(ValueError):
             memory.attach(MemoryRegion(memory.stack.base, 8))
 
+    def test_shared_region_is_bound_for_good(self):
+        # Translated code binds the shared buffer once: one shared
+        # region per address space, and no region can be detached.
+        memory = VmMemory()
+        region = MemoryRegion(0x7000_0000, 16, writable=True, label="shm")
+        memory.attach(region, shared=True)
+        assert memory.shared_region is region
+        with pytest.raises(ValueError):
+            memory.attach(MemoryRegion(0x7100_0000, 16), shared=True)
+        assert not hasattr(memory, "detach")
+
+    def test_compiled_tier_stores_into_the_shared_region_inline(self):
+        memory = VmMemory()
+        region = MemoryRegion(0x7000_0000, 16, writable=True, label="shm")
+        memory.attach(region, shared=True)
+        program = assemble("lddw r1, 0x70000000\nstdw [r1+8], 7\nldxdw r0, [r1+8]\nexit")
+        vm = VirtualMachine(program, memory=memory, tier="jit")
+        assert vm.run() == 7
+        assert region.data[8] == 7
+        assert "shm[_o" in vm.compile_info.source
+
+    def test_compiled_tier_keeps_a_read_only_shared_region_read_only(self):
+        memory = VmMemory()
+        memory.attach(MemoryRegion(0x7000_0000, 16, writable=False), shared=True)
+        program = assemble("lddw r1, 0x70000000\nstdw [r1], 1\nexit")
+        with pytest.raises(SandboxViolation, match="read-only"):
+            VirtualMachine(program, memory=memory, tier="jit").run()
+
     def test_heap_alloc_and_reset(self):
         memory = VmMemory(heap_size=64)
         address = memory.alloc_bytes(b"hello")
