@@ -9,7 +9,7 @@ old speakers.  Paths are sequences of segments; the common case is one
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .constants import AsPathSegmentType
 
@@ -64,10 +64,11 @@ class AsPath:
     Immutable by convention; mutating operations return new paths.
     """
 
-    __slots__ = ("segments",)
+    __slots__ = ("segments", "_length")
 
     def __init__(self, segments: Iterable[AsPathSegment] = ()):
         self.segments: Tuple[AsPathSegment, ...] = tuple(segments)
+        self._length: Optional[int] = None
 
     @classmethod
     def from_sequence(cls, asns: Sequence[int]) -> "AsPath":
@@ -79,8 +80,10 @@ class AsPath:
     # -- semantics ---------------------------------------------------
 
     def length(self) -> int:
-        """Decision-process path length (AS_SET counts once)."""
-        return sum(segment.path_length() for segment in self.segments)
+        """Decision-process path length (AS_SET counts once), memoised."""
+        if self._length is None:
+            self._length = sum(segment.path_length() for segment in self.segments)
+        return self._length
 
     def asn_iter(self) -> Iterator[int]:
         """Iterate every AS number in order of appearance."""

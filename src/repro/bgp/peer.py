@@ -9,6 +9,8 @@ from .prefix import format_ipv4, parse_ipv4
 
 __all__ = ["Neighbor"]
 
+_IBGP, _EBGP = SessionType.IBGP_SESSION, SessionType.EBGP_SESSION
+
 
 class Neighbor:
     """One configured BGP neighbor.
@@ -30,6 +32,7 @@ class Neighbor:
         "cluster_id",
         "xtra",
         "established",
+        "session_type",
         "_packed_info",
     )
 
@@ -46,9 +49,10 @@ class Neighbor:
         xtra: Optional[Dict[str, Any]] = None,
     ):
         self.peer_address = peer_address
-        self.peer_asn = peer_asn
-        self.local_address = local_address
+        # Both ASNs are in place before the first derives session_type.
+        object.__setattr__(self, "peer_asn", peer_asn)
         self.local_asn = local_asn
+        self.local_address = local_address
         self.peer_router_id = peer_router_id or peer_address
         self.local_router_id = local_router_id or local_address
         self.rr_client = rr_client
@@ -57,10 +61,16 @@ class Neighbor:
         self.established = False
 
     def __setattr__(self, name: str, value: Any) -> None:
-        # Any field change (addresses, ASNs, session state…) invalidates
-        # the cached ``pack_peer_info`` bytes held in ``_packed_info``
-        # (see repro.core.abi); the struct is rebuilt on next use.
+        # ``session_type`` follows the ASNs: iBGP when they match.  Any
+        # field change (addresses, ASNs, session state…) invalidates the
+        # cached ``pack_peer_info`` bytes held in ``_packed_info`` (see
+        # repro.core.abi); the struct is rebuilt on next use.
+        if name == "session_type":
+            raise AttributeError("session_type follows peer_asn and local_asn")
         object.__setattr__(self, name, value)
+        if name == "peer_asn" or name == "local_asn":
+            ibgp = self.peer_asn == self.local_asn
+            object.__setattr__(self, "session_type", _IBGP if ibgp else _EBGP)
         if name != "_packed_info":
             object.__setattr__(self, "_packed_info", None)
 
@@ -79,18 +89,11 @@ class Neighbor:
             **kwargs,
         )
 
-    @property
-    def session_type(self) -> SessionType:
-        """iBGP when the AS numbers match, eBGP otherwise."""
-        if self.peer_asn == self.local_asn:
-            return SessionType.IBGP_SESSION
-        return SessionType.EBGP_SESSION
-
     def is_ibgp(self) -> bool:
-        return self.session_type == SessionType.IBGP_SESSION
+        return self.session_type is _IBGP
 
     def is_ebgp(self) -> bool:
-        return self.session_type == SessionType.EBGP_SESSION
+        return self.session_type is _EBGP
 
     def __repr__(self) -> str:
         return (

@@ -11,7 +11,6 @@ followed by ``ceil(length / 8)`` octets of the most significant bits.
 
 from __future__ import annotations
 
-import struct
 from operator import itemgetter
 from typing import Iterator, Tuple
 
@@ -68,6 +67,14 @@ def mask_for(length: int) -> int:
     return (_MAX_IPV4 << (32 - length)) & _MAX_IPV4
 
 
+# Per prefix length 0-32: length octet, network octets on the wire, the
+# shift that left-aligns them, mask.
+_LENGTH_OCTET = tuple(bytes([length]) for length in range(33))
+_NBYTES = tuple((length + 7) // 8 for length in range(33))
+_SHIFT = tuple(32 - 8 * nbytes for nbytes in _NBYTES)
+_MASK = tuple(mask_for(length) for length in range(33))
+
+
 class Prefix(tuple):
     """An IPv4 prefix: ``(network, length)``, canonicalised.
 
@@ -96,9 +103,8 @@ class Prefix(tuple):
 
     def encode(self) -> bytes:
         """Encode per RFC 4271 §4.3 (length octet + significant bytes)."""
-        nbytes = (self.length + 7) // 8
-        packed = struct.pack("!I", self.network)[:nbytes]
-        return bytes([self.length]) + packed
+        network, length = self
+        return _LENGTH_OCTET[length] + network.to_bytes(4, "big")[: _NBYTES[length]]
 
     @classmethod
     def decode(cls, data: bytes, offset: int = 0) -> Tuple["Prefix", int]:
@@ -108,13 +114,12 @@ class Prefix(tuple):
         length = data[offset]
         if length > 32:
             raise PrefixDecodeError(f"prefix length {length} > 32")
-        nbytes = (length + 7) // 8
-        end = offset + 1 + nbytes
+        end = offset + 1 + _NBYTES[length]
         if end > len(data):
             raise PrefixDecodeError("truncated prefix body")
-        raw = data[offset + 1 : end] + b"\x00" * (4 - nbytes)
-        (network,) = struct.unpack("!I", raw)
-        return cls(network, length), end
+        network = int.from_bytes(data[offset + 1 : end], "big") << _SHIFT[length]
+        # Masked here, so __new__'s mask_for call is skipped.
+        return tuple.__new__(cls, (network & _MASK[length], length)), end
 
     @classmethod
     def decode_all(cls, data: bytes) -> Iterator["Prefix"]:

@@ -119,9 +119,9 @@ class RouteView:
     def attrs_key(self):
         """Hashable identity of this route's attribute set.
 
-        Keys the speaker's encode and export-mechanics caches.  Vendor
-        route classes override it with cheaper keys (the interned
-        attribute set itself, the eattr list's memoised key).
+        Keys the speaker's export memo.  Vendor route classes override
+        it with cheaper keys (the interned attribute set itself, the
+        eattr list's memoised key).
         """
         return tuple(
             sorted(

@@ -4,8 +4,8 @@
 BGP machine and differ only in how they represent routes in memory,
 which is why the xBGP glue is thin.  :class:`BgpSpeaker` is that
 machine — session wiring, the receive path (sequential and batched),
-the decision process, the export path with its encode and mechanics
-caches, telemetry/provenance/profiling toggles and the five insertion
+the decision process, the export path with its one export memo,
+telemetry/provenance/profiling toggles and the five insertion
 points — written once.  :class:`repro.frr.daemon.FrrDaemon` and
 :class:`repro.bird.daemon.BirdDaemon` subclass it and supply only
 representation, through this **host contract**:
@@ -27,8 +27,9 @@ hooks
     ``_stamp_reflection(route)``       native RFC 4456 attribute stamping
     ``_export_rewrite(route, neighbor, source_ebgp)``
                                        per-session-type attribute rewrite
-    ``_with_export_attrs(route, attrs, cached)``
+    ``_with_export_attrs(route, attrs)``
                                        route carrying the rewritten attributes
+                                       (shared by the memo: never written)
 
 Everything else a host needs to answer goes through the
 :class:`~repro.bgp.rib.RouteView` accessors, so nothing here asks which
@@ -42,7 +43,7 @@ re-exported from :mod:`repro.bgp`.
 from __future__ import annotations
 
 import struct
-from collections import Counter
+from collections import Counter, defaultdict
 from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
@@ -60,6 +61,7 @@ from .constants import (
     MessageType,
     Origin,
     RouteOriginValidity,
+    SessionType,
     WellKnownCommunity,
 )
 from .decision import (
@@ -103,9 +105,16 @@ NATIVE_ENCODABLE = frozenset(
     }
 )
 
-#: Entry cap of the encode and export-mechanics caches: fits a
-#: full-table shard's distinct attribute sets; cleared when reached.
+#: Entry cap of the export memo: fits a full-table shard's distinct
+#: (attribute set, peer class) pairs; cleared when reached.
 _CACHE_CAP = 65536
+
+_EBGP = SessionType.EBGP_SESSION
+
+
+def _adv_queue() -> Dict[int, Dict[bytes, List[Prefix]]]:
+    """peer -> blob -> prefixes; a missing level is made on first use."""
+    return defaultdict(lambda: defaultdict(list))
 
 
 class BgpSpeaker:
@@ -141,8 +150,8 @@ class BgpSpeaker:
         if route_reflector not in (None, "native", "extension"):
             raise ValueError(f"bad route_reflector mode {route_reflector!r}")
         #: Enables daemon-level hot-path shortcuts (marshalling caches,
-        #: export-side encode cache, empty-insertion-point skips).  Off
-        #: only for the ablation benchmark's legacy arm.
+        #: the export memo, empty-insertion-point skips).  Off only for
+        #: the host oracle's reference arm.
         self.hot_path = hot_path
         self.asn = asn
         self.router_id = parse_ipv4(router_id)
@@ -172,17 +181,14 @@ class BgpSpeaker:
         self.validity_counters: Counter = Counter()
         self.stats: Counter = Counter()
         self._log: List[str] = []
-        #: Export-side encode cache: (attribute-set key, session type,
-        #: rr_client) -> encoded attribute blob.  See _encode_attributes.
-        self._encode_cache: Dict[tuple, bytes] = {}
-        #: Export-mechanics cache: (attribute-set key, session type,
-        #: source-is-eBGP, nexthop_self) -> rewritten host attributes.
-        #: See _apply_export_mechanics.
-        self._mechanics_cache: Dict[tuple, object] = {}
+        #: The export memo: (attribute-set key, target is eBGP, source
+        #: is eBGP, target rr_client, nexthop_self) -> (rewritten host
+        #: attributes, encoded attribute blob).  See _export_route.
+        self._export_cache: Dict[tuple, tuple] = {}
         #: What the running sweep has decided to send and not yet sent:
         #: peer -> encoded attribute blob -> prefixes, and peer ->
         #: withdrawn prefixes.  Emptied by _flush_bulk_export.
-        self._bulk_adv: Dict[int, Dict[bytes, List[Prefix]]] = {}
+        self._bulk_adv: Dict[int, Dict[bytes, List[Prefix]]] = _adv_queue()
         self._bulk_wd: Dict[int, List[Prefix]] = {}
 
         self._init_representation()
@@ -232,9 +238,9 @@ class BgpSpeaker:
         returns host attributes."""
         raise NotImplementedError
 
-    def _with_export_attrs(self, route, attrs, cached: bool):
-        """``route`` carrying ``attrs``; ``cached`` says the mechanics
-        cache also holds ``attrs``."""
+    def _with_export_attrs(self, route, attrs):
+        """``route`` carrying ``attrs``, which it shares with the export
+        memo and every other route exported with them."""
         raise NotImplementedError
 
     # -- profiling --------------------------------------------------------
@@ -687,7 +693,8 @@ class BgpSpeaker:
         if not candidates:
             return None
         prov = self.provenance
-        if self.vmm.attached_codes(InsertionPoint.BGP_DECISION):
+        if self.vmm.active(InsertionPoint.BGP_DECISION):
+            run = self.vmm.runner(InsertionPoint.BGP_DECISION)
             best = candidates[0]
             for candidate in candidates[1:]:
                 ctx = ExecutionContext(
@@ -703,7 +710,7 @@ class BgpSpeaker:
                         if compare_routes(c, b, config) < 0
                         else 2
                     )
-                    if self.vmm.run(ctx, native) == 1:
+                    if run(ctx, native) == 1:
                         best = candidate
                     continue
                 # When explaining, the native default notes which RFC
@@ -714,7 +721,7 @@ class BgpSpeaker:
                     verdict, step = compare_routes_explain(c, b, config)
                     note["step"] = step
                     return 1 if verdict < 0 else 2
-                picked_new = self.vmm.run(ctx, native) == 1
+                picked_new = run(ctx, native) == 1
                 winner, loser = (
                     (candidate, best) if picked_new else (best, candidate)
                 )
@@ -802,20 +809,21 @@ class BgpSpeaker:
                 # Never advertise a route back to the peer it came from.
                 self._withdraw_from(neighbor, prefix)
                 continue
+            started = perf_counter() if prof is not None else 0.0
+            export_route = self._export_filter(best, neighbor, run)
             if prof is not None:
-                started = perf_counter()
-                export_route = self._export_filter(best, neighbor, run)
                 prof.phase("bgp_outbound_filter", perf_counter() - started)
-            else:
-                export_route = self._export_filter(best, neighbor, run)
             if export_route is None:
                 if prov is not None:
                     prov.record_export(prefix, address, "suppress")
                 self._withdraw_from(neighbor, prefix)
                 continue
-            export_route = self._apply_export_mechanics(export_route, neighbor)
-            self.adj_rib_out.advertise(address, export_route)
-            self._send_route(neighbor, export_route)
+            started = perf_counter() if prof is not None else 0.0
+            sent, blob = self._export_route(export_route, neighbor)
+            if prof is not None:
+                prof.phase("bgp_encode_message", perf_counter() - started)
+            self.adj_rib_out.advertise(address, sent)
+            self._bulk_adv[address][blob].append(prefix)
             if prov is not None:
                 prov.record_export(prefix, address, "advertise")
         if phase is not None:
@@ -871,91 +879,58 @@ class BgpSpeaker:
         ctx.route = filtered
         return FILTER_ACCEPT
 
-    def _apply_export_mechanics(self, route, neighbor: Neighbor):
-        """AS-path prepend / next-hop / LOCAL_PREF handling per session type.
+    def _export_route(self, route, neighbor: Neighbor):
+        """(route as sent to ``neighbor``, its encoded attribute blob).
 
-        The rewrite is a pure function of (attribute set, session type,
-        whether the source is eBGP, nexthop_self); heavy attribute
-        sharing means it repeats across thousands of routes, so the hot
-        path memoises the rewritten host attributes.
+        Export mechanics (AS-path prepend / next-hop / LOCAL_PREF per
+        session type), then native encoding plus BGP_ENCODE_MESSAGE
+        bytes: pure functions of the key, which heavy attribute sharing
+        repeats across thousands of routes, so the hot path memoises
+        (rewritten attributes, blob) and a hit is one lookup.  Encode
+        extensions run on a miss only, so they must be deterministic in
+        (attribute set, peer class) — true for the shipped GeoLoc
+        encoder and anything derived only from attributes and peer info.
         """
-        source_ebgp = route.source is not None and route.source.is_ebgp()
-        if not self.hot_path:
-            return self._with_export_attrs(
-                route, self._export_rewrite(route, neighbor, source_ebgp), False
-            )
-        key = (
-            route.attrs_key(),
-            int(neighbor.session_type),
-            source_ebgp,
-            self.nexthop_self,
-        )
-        cache = self._mechanics_cache
-        rewritten = cache.get(key)
-        if rewritten is None:
-            rewritten = self._export_rewrite(route, neighbor, source_ebgp)
-            if len(cache) >= _CACHE_CAP:
-                cache.clear()
-            cache[key] = rewritten
-        return self._with_export_attrs(route, rewritten, True)
-
-    # -- encoding ---------------------------------------------------------
-
-    def _encode_attributes(self, route, neighbor: Neighbor) -> bytes:
-        """Native attr encoding plus BGP_ENCODE_MESSAGE extension bytes.
-
-        Memoised on (attribute set, peer export class): re-advertising
-        the same attributes to N peers of the same class encodes once.
-        Constraint: BGP_ENCODE_MESSAGE extensions must be deterministic
-        in (attribute set, peer class) — true for the shipped GeoLoc
-        encoder and anything derived only from route attributes and peer
-        info.
-        """
-        cache = None
+        source = route.source
+        source_ebgp = source is not None and source.session_type is _EBGP
+        key = None
         if self.hot_path:
-            key = (route.attrs_key(), int(neighbor.session_type), neighbor.rr_client)
-            cache = self._encode_cache
-            blob = cache.get(key)
-            if blob is not None:
-                return blob
+            key = (
+                route.attrs_key(),
+                neighbor.session_type is _EBGP,
+                source_ebgp,
+                neighbor.rr_client,
+                self.nexthop_self,
+            )
+            hit = self._export_cache.get(key)
+            if hit is not None:
+                return self._with_export_attrs(route, hit[0]), hit[1]
 
-        native = b"".join(
+        attrs = self._export_rewrite(route, neighbor, source_ebgp)
+        sent = self._with_export_attrs(route, attrs)
+        blob = b"".join(
             attribute.encode()
-            for attribute in route.attribute_list()
+            for attribute in sent.attribute_list()
             if attribute.type_code in NATIVE_ENCODABLE
         )
-        if not self.hot_path or self.vmm.active(InsertionPoint.BGP_ENCODE_MESSAGE):
+        if self.vmm.active(InsertionPoint.BGP_ENCODE_MESSAGE):
             out_buffer = bytearray()
             ctx = ExecutionContext(
                 self.host,
                 InsertionPoint.BGP_ENCODE_MESSAGE,
                 neighbor=neighbor,
-                route=route,
-                prefix=route.prefix,
+                route=sent,
+                prefix=sent.prefix,
                 out_buffer=out_buffer,
             )
             self.vmm.run(ctx, lambda: 0)
-            blob = native + bytes(out_buffer)
-        else:
-            blob = native
-        if cache is not None:
+            blob += bytes(out_buffer)
+        if key is not None:
+            cache = self._export_cache
             if len(cache) >= _CACHE_CAP:
                 cache.clear()
-            cache[key] = blob
-        return blob
-
-    def _send_route(self, neighbor: Neighbor, route) -> None:
-        """Queue ``route`` for the sweep's flush, under its encoded
-        attribute blob."""
-        prof = self.profiler
-        if prof is not None:
-            started = perf_counter()
-            attrs_blob = self._encode_attributes(route, neighbor)
-            prof.phase("bgp_encode_message", perf_counter() - started)
-        else:
-            attrs_blob = self._encode_attributes(route, neighbor)
-        groups = self._bulk_adv.setdefault(neighbor.peer_address, {})
-        groups.setdefault(attrs_blob, []).append(route.prefix)
+            cache[key] = (attrs, blob)
+        return sent, blob
 
     def _withdraw_from(self, neighbor: Neighbor, prefix: Prefix) -> None:
         if self.adj_rib_out.withdraw(neighbor.peer_address, prefix) is None:
@@ -975,7 +950,7 @@ class BgpSpeaker:
         filter runs and encode produced.
         """
         adv, wd = self._bulk_adv, self._bulk_wd
-        self._bulk_adv, self._bulk_wd = {}, {}
+        self._bulk_adv, self._bulk_wd = _adv_queue(), {}
         for peer_address, prefixes in wd.items():
             for start in range(0, len(prefixes), 512):
                 chunk = prefixes[start : start + 512]

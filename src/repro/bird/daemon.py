@@ -4,10 +4,10 @@ The RFC 4271 machine is :class:`repro.bgp.speaker.BgpSpeaker`; this
 module supplies the BIRD *representation* behind its host contract
 (mirroring what the paper leaned on in BIRD):
 
-* attributes live in flexible, wire-shaped :class:`EattrList`s, which
-  extensions and the export path mutate in place — hence copy-on-hit
-  in the mechanics cache and no decoded-object sharing across a batch
-  while a BGP_RECEIVE_MESSAGE extension is attached;
+* attributes live in flexible, wire-shaped :class:`EattrList`s, copied
+  before a write — the export rewrite's sealed list is shared by every
+  route exported with it — except at BGP_RECEIVE_MESSAGE, hence no
+  decoded-object sharing across a batch while that point is attached;
 * validated ROAs sit in a **hash table**
   (:class:`~repro.bgp.roa.HashRoaTable`) — one probe per candidate
   length, which is the speaker's default ``_validate_origin``;
@@ -75,11 +75,9 @@ class BirdDaemon(BgpSpeaker):
             if self.nexthop_self and source_ebgp:
                 next_hop = make_next_hop(self.local_address)
                 eattrs.ea_set(next_hop.type_code, next_hop.flags, next_hop.value)
-        return eattrs
+        return eattrs.seal()
 
-    def _with_export_attrs(
-        self, route: BirdRoute, eattrs: EattrList, cached: bool
-    ) -> BirdRoute:
-        # Eattr lists are mutable, so the cached master is never handed
-        # out directly: each route gets its own copy.
-        return route.with_eattrs(eattrs.copy() if cached else eattrs)
+    def _with_export_attrs(self, route: BirdRoute, eattrs: EattrList) -> BirdRoute:
+        # The rewritten list is sealed, so every route exported with it
+        # shares it, as BIRD shares an interned rta.
+        return route.with_eattrs(eattrs)

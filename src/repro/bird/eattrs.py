@@ -58,12 +58,18 @@ class Eattr:
 
 
 class EattrList:
-    """Mutable list of eattrs with BIRD's find/set/unset API."""
+    """Mutable list of eattrs with BIRD's find/set/unset API.
 
-    __slots__ = ("_attrs", "_ckey", "_write_cache")
+    A list routes share through the speaker's export memo is *sealed*:
+    a writer that forgot to :meth:`copy` first fails loudly instead of
+    rewriting every sharer.
+    """
+
+    __slots__ = ("_attrs", "_ckey", "_write_cache", "_sealed")
 
     def __init__(self, attrs: Optional[Dict[int, Eattr]] = None):
         self._attrs: Dict[int, Eattr] = dict(attrs) if attrs else {}
+        self._sealed = False
         self._ckey: Optional[Tuple[Tuple[int, int, bytes], ...]] = None
         # ``set_attr`` template cache: (code, flags, data) -> the list
         # that results from that write, pre-memoised.  Valid only for
@@ -88,11 +94,15 @@ class EattrList:
         return self._attrs.get(code)
 
     def ea_set(self, code: int, flags: int, data: bytes) -> None:
+        if self._sealed:
+            raise TypeError("sealed EattrList: copy() it before writing")
         self._attrs[code] = Eattr(code, flags, data)
         self._ckey = None
         self._write_cache = {}
 
     def ea_unset(self, code: int) -> bool:
+        if self._sealed:
+            raise TypeError("sealed EattrList: copy() it before writing")
         removed = self._attrs.pop(code, None) is not None
         if removed:
             self._ckey = None
@@ -116,6 +126,11 @@ class EattrList:
         clone._ckey = self._ckey  # same attrs, same identity
         clone._write_cache = self._write_cache  # same content, same templates
         return clone
+
+    def seal(self) -> "EattrList":
+        """Forbid writing this list in place from now on; returns it."""
+        self._sealed = True
+        return self
 
     def to_path_attributes(self) -> List[PathAttribute]:
         return [eattr.to_path_attribute() for eattr in self]

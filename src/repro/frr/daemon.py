@@ -104,10 +104,8 @@ class FrrDaemon(BgpSpeaker):
             return attrs
         return self.attr_pool.intern(attrs.replaced(**changes))
 
-    def _with_export_attrs(
-        self, route: FrrRoute, attrs: FrrAttrs, cached: bool
-    ) -> FrrRoute:
-        # Interned FrrAttrs are immutable, so the cached object is
+    def _with_export_attrs(self, route: FrrRoute, attrs: FrrAttrs) -> FrrRoute:
+        # Interned FrrAttrs are immutable, so the memo's object is
         # shared as is.
         if attrs is route.attrs:
             return route

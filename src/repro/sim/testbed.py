@@ -79,7 +79,7 @@ class _RunFields(NamedTuple):
     valley: Optional[Mapping[str, object]] = None
     #: How the extension arm runs, one of :data:`ENGINES`.
     tier: str = "jit"
-    #: False turns the *host's* caches off (encode/mechanics caches,
+    #: False turns the *host's* caches off (the export memo,
     #: lazy attribute parsing, here and in the downstream collector):
     #: the reference arm of the host fuzz oracle and of
     #: tests/integration/test_hotpath_semantics.py.

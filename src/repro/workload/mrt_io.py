@@ -33,7 +33,7 @@ from .rib_gen import RouteSpec
 __all__ = ["iter_routes_from_mrt", "routes_from_mrt"]
 
 #: Entry cap of the attribute-block memo, cleared when reached — the
-#: policy (and size) of the speaker's encode and mechanics caches.
+#: policy (and size) of the speaker's export memo.
 _MEMO_CAP = 65536
 
 #: What an attribute block decides: (as_path, origin, med, communities).

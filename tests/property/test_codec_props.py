@@ -94,6 +94,14 @@ class TestAsPathProps:
         )
         assert path.length() == expected
 
+    @given(as_paths, asns)
+    def test_memoised_length_equals_a_fresh_recompute(self, path, asn):
+        for candidate in (path, path.prepend(asn), AsPath.decode(path.encode())):
+            fresh = sum(segment.path_length() for segment in candidate.segments)
+            assert candidate.length() == fresh
+            assert candidate.length() == fresh  # served from the memo
+            assert len(candidate) == fresh
+
 
 class TestCommunityProps:
     @given(st.lists(st.integers(min_value=0, max_value=0xFFFFFFFF), max_size=20))

@@ -1,8 +1,12 @@
 """Edge-case tests for corners the main suites pass over."""
 
+import struct
+
 import pytest
 
+from repro.bgp.constants import SessionType
 from repro.bgp.peer import Neighbor
+from repro.core.abi import pack_peer_info
 from repro.core.context import ExecutionContext
 from repro.core.insertion_points import InsertionPoint
 from repro.ebpf.disassembler import disassemble, disassemble_one
@@ -69,6 +73,23 @@ class TestNeighborAndContext:
         other = Neighbor.build("10.0.0.2", 65002, "10.0.0.1", 65001)
         assert same.is_ibgp() and not same.is_ebgp()
         assert other.is_ebgp() and not other.is_ibgp()
+
+    def test_session_type_follows_later_asn_writes(self):
+        neighbor = Neighbor.build("10.0.0.2", 65002, "10.0.0.1", 65001)
+        assert neighbor.session_type is SessionType.EBGP_SESSION
+        for field, value, expected in (
+            ("peer_asn", 65001, SessionType.IBGP_SESSION),
+            ("local_asn", 65003, SessionType.EBGP_SESSION),
+            ("peer_asn", 65003, SessionType.IBGP_SESSION),
+        ):
+            pack_peer_info(neighbor)
+            assert neighbor._packed_info is not None
+            setattr(neighbor, field, value)
+            assert neighbor.session_type is expected
+            assert neighbor._packed_info is None
+            assert struct.unpack("<9I", pack_peer_info(neighbor))[0] == expected
+        with pytest.raises(AttributeError):
+            neighbor.session_type = SessionType.EBGP_SESSION
 
     def test_router_id_defaults_to_address(self):
         neighbor = Neighbor.build("10.0.0.2", 65002, "10.0.0.1", 65001)

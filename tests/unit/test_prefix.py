@@ -177,13 +177,31 @@ class TestWire:
         blob = b"".join(p.encode() for p in prefixes)
         assert list(Prefix.decode_all(blob)) == prefixes
 
+    def test_every_length_round_trips_with_host_bits_set(self):
+        for length in range(33):
+            nbytes = (length + 7) // 8
+            prefix = Prefix(0xFFFFFFFF, length)  # host bits zeroed on build
+            assert prefix.network == mask_for(length)
+            wire = prefix.encode()
+            assert wire == bytes([length]) + mask_for(length).to_bytes(4, "big")[:nbytes]
+            # Host bits set in the last network octet are zeroed on
+            # decode, and decoding stops where the prefix ends.
+            noisy = bytes([length]) + b"\xff" * nbytes + b"\x07"
+            assert Prefix.decode(noisy) == (prefix, 1 + nbytes)
+            assert Prefix.decode(b"\x00" + noisy, 1) == (prefix, 2 + nbytes)
+            assert list(Prefix.decode_all(wire + noisy[:-1])) == [prefix, prefix]
+
     def test_decode_rejects_length_over_32(self):
-        with pytest.raises(PrefixDecodeError):
+        with pytest.raises(PrefixDecodeError, match=r"^prefix length 33 > 32$"):
             Prefix.decode(bytes([33, 1, 2, 3, 4, 5]))
+        with pytest.raises(PrefixDecodeError, match=r"^prefix length 40 > 32$"):
+            list(Prefix.decode_all(bytes([8, 10, 40, 1, 2, 3, 4, 5])))
 
     def test_decode_rejects_truncated_body(self):
-        with pytest.raises(PrefixDecodeError):
+        with pytest.raises(PrefixDecodeError, match=r"^truncated prefix body$"):
             Prefix.decode(bytes([24, 192, 0]))
+        with pytest.raises(PrefixDecodeError, match=r"^truncated prefix body$"):
+            list(Prefix.decode_all(bytes([8, 10, 32, 192, 0, 2])))
 
     def test_decode_rejects_empty(self):
         with pytest.raises(PrefixDecodeError):

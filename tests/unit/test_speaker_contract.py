@@ -43,9 +43,7 @@ SHARED = [
     "_export_to",
     "_export_filter",
     "_native_export",
-    "_apply_export_mechanics",
-    "_encode_attributes",
-    "_send_route",
+    "_export_route",
     "_withdraw_from",
     "_flush_bulk_export",
     "_send_packed",
@@ -76,6 +74,17 @@ def test_pipeline_method_is_shared(name):
     shared = getattr(BgpSpeaker, name)
     assert getattr(FrrDaemon, name) is shared
     assert getattr(BirdDaemon, name) is shared
+
+
+@pytest.mark.parametrize("host", [FrrDaemon, BirdDaemon], ids=["frr", "bird"])
+def test_hooks_take_the_contract_arguments(host):
+    def arity(function):
+        return len(inspect.signature(function).parameters)
+
+    for name in HOOKS:
+        hook = vars(host).get(name)
+        if inspect.isfunction(hook):
+            assert arity(hook) == arity(getattr(BgpSpeaker, name)), name
 
 
 @pytest.mark.parametrize("host", [FrrDaemon, BirdDaemon], ids=["frr", "bird"])
