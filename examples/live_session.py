@@ -13,7 +13,7 @@ from repro.bgp import Prefix
 from repro.bgp.constants import AttrTypeCode
 from repro.bird import BirdDaemon
 from repro.frr import FrrDaemon
-from repro.net import BgpSpeaker
+from repro.net import TcpSpeaker
 from repro.plugins import geoloc
 
 
@@ -27,8 +27,8 @@ async def run() -> None:
     frr.attach_manifest(geoloc.build_manifest())
     bird = BirdDaemon(asn=65001, router_id="2.2.2.2")
 
-    frr_speaker = BgpSpeaker(frr, port=11790)
-    bird_speaker = BgpSpeaker(bird, port=11791)
+    frr_speaker = TcpSpeaker(frr, port=11790)
+    bird_speaker = TcpSpeaker(bird, port=11791)
     # Each side addresses its peer by router id.
     frr_speaker.register_neighbor("2.2.2.2", 65001)
     bird_speaker.register_neighbor("1.1.1.1", 65001)

@@ -109,6 +109,10 @@ NATIVE_ENCODABLE = frozenset(
 #: (attribute set, peer class) pairs; cleared when reached.
 _CACHE_CAP = 65536
 
+#: Bytes an attribute blob and its NLRI may fill in one UPDATE: 4,096
+#: less the 19-byte header and the two 2-byte length fields.
+_BLOB_ROOM = 4096 - 19 - 4
+
 _EBGP = SessionType.EBGP_SESSION
 
 
@@ -143,16 +147,11 @@ class BgpSpeaker:
         igp: Optional[IgpView] = None,
         xtra: Optional[Dict[str, bytes]] = None,
         vmm_config: Optional[VmmConfig] = None,
-        hot_path: bool = True,
         provenance: bool = False,
         profiling: bool = False,
     ):
         if route_reflector not in (None, "native", "extension"):
             raise ValueError(f"bad route_reflector mode {route_reflector!r}")
-        #: Enables daemon-level hot-path shortcuts (marshalling caches,
-        #: the export memo, empty-insertion-point skips).  Off only for
-        #: the host oracle's reference arm.
-        self.hot_path = hot_path
         self.asn = asn
         self.router_id = parse_ipv4(router_id)
         self.local_address = parse_ipv4(local_address or router_id)
@@ -251,9 +250,10 @@ class BgpSpeaker:
         Wires a :class:`~repro.telemetry.profiler.Profiler` into the
         VMM (per-extension PC/block counters, helper timing, memory
         watermarks) and arms the pipeline's phase hooks.  Same gating
-        discipline as :meth:`enable_provenance`: the VMM's fast-path
-        closures are rebound away while profiling is on and restored by
-        :meth:`disable_profiling`, so the off state stays free.
+        discipline as :meth:`enable_provenance`: the VMM rebinds the
+        points' step closures with the profiler's timer folded in, and
+        :meth:`disable_profiling` rebinds them without it, so the off
+        state stays free.
         """
         if profiler is None:
             profiler = Profiler(
@@ -277,9 +277,9 @@ class BgpSpeaker:
 
         Installs the tracker on the host glue (VMM + helper hooks) and
         on the Loc-RIB (best-path observer), then rebinds the VMM's
-        insertion-point chains: provenance disqualifies the single-code
-        fast-path closures, so they must be rebuilt either way the
-        toggle goes.
+        insertion-point chains: the VMM rebinds the points' step
+        closures with the provenance hooks folded in, so they must be
+        rebuilt either way the toggle goes.
         """
         if tracker is None:
             tracker = ProvenanceTracker(
@@ -467,14 +467,6 @@ class BgpSpeaker:
         if isinstance(message, RouteRefreshMessage):
             self._process_route_refresh(neighbor)
 
-    def _receive_hot(self) -> bool:
-        """True when BGP_RECEIVE_MESSAGE can be skipped: with nothing
-        attached the chain reduces to the no-op default, so the hot path
-        saves context construction and re-encoding the update."""
-        return self.hot_path and not self.vmm.active(
-            InsertionPoint.BGP_RECEIVE_MESSAGE
-        )
-
     def _run_receive_point(self, neighbor: Neighbor, update: UpdateMessage, attrs):
         """Insertion point 1: BGP_RECEIVE_MESSAGE — extension code may
         rewrite the UPDATE's attributes before import processing."""
@@ -520,7 +512,7 @@ class BgpSpeaker:
         prov = self.provenance
         prof = self.profiler
         decode = self._decode_attrs
-        receive_hot = self._receive_hot()
+        receive_hot = not self.vmm.active(InsertionPoint.BGP_RECEIVE_MESSAGE)
         import_run = self.vmm.runner(InsertionPoint.BGP_INBOUND_FILTER)
         peer_address = neighbor.peer_address
         withdraw = self.adj_rib_in.withdraw
@@ -822,6 +814,13 @@ class BgpSpeaker:
             sent, blob = self._export_route(export_route, neighbor)
             if prof is not None:
                 prof.phase("bgp_encode_message", perf_counter() - started)
+            if len(blob) > _BLOB_ROOM - 5 and len(blob) + len(prefix.encode()) > _BLOB_ROOM:
+                # Not even alone in an UPDATE does it fit: suppressed.
+                self.stats["export_oversize"] += 1
+                if prov is not None:
+                    prov.record_export(prefix, address, "suppress")
+                self._withdraw_from(neighbor, prefix)
+                continue
             self.adj_rib_out.advertise(address, sent)
             self._bulk_adv[address][blob].append(prefix)
             if prov is not None:
@@ -885,7 +884,7 @@ class BgpSpeaker:
         Export mechanics (AS-path prepend / next-hop / LOCAL_PREF per
         session type), then native encoding plus BGP_ENCODE_MESSAGE
         bytes: pure functions of the key, which heavy attribute sharing
-        repeats across thousands of routes, so the hot path memoises
+        repeats across thousands of routes, so the speaker memoises
         (rewritten attributes, blob) and a hit is one lookup.  Encode
         extensions run on a miss only, so they must be deterministic in
         (attribute set, peer class) — true for the shipped GeoLoc
@@ -893,18 +892,17 @@ class BgpSpeaker:
         """
         source = route.source
         source_ebgp = source is not None and source.session_type is _EBGP
-        key = None
-        if self.hot_path:
-            key = (
-                route.attrs_key(),
-                neighbor.session_type is _EBGP,
-                source_ebgp,
-                neighbor.rr_client,
-                self.nexthop_self,
-            )
-            hit = self._export_cache.get(key)
-            if hit is not None:
-                return self._with_export_attrs(route, hit[0]), hit[1]
+        key = (
+            route.attrs_key(),
+            neighbor.session_type is _EBGP,
+            source_ebgp,
+            neighbor.rr_client,
+            self.nexthop_self,
+        )
+        cache = self._export_cache
+        hit = cache.get(key)
+        if hit is not None:
+            return self._with_export_attrs(route, hit[0]), hit[1]
 
         attrs = self._export_rewrite(route, neighbor, source_ebgp)
         sent = self._with_export_attrs(route, attrs)
@@ -925,11 +923,9 @@ class BgpSpeaker:
             )
             self.vmm.run(ctx, lambda: 0)
             blob += bytes(out_buffer)
-        if key is not None:
-            cache = self._export_cache
-            if len(cache) >= _CACHE_CAP:
-                cache.clear()
-            cache[key] = (attrs, blob)
+        if len(cache) >= _CACHE_CAP:
+            cache.clear()
+        cache[key] = (attrs, blob)
         return sent, blob
 
     def _withdraw_from(self, neighbor: Neighbor, prefix: Prefix) -> None:
@@ -960,7 +956,8 @@ class BgpSpeaker:
         for peer_address, groups in adv.items():
             for blob, prefixes in groups.items():
                 head = struct.pack("!HH", 0, len(blob)) + blob
-                room = max(1, (4096 - 19 - len(head)) // 5)
+                # _export_to queued only blobs one NLRI fits beside.
+                room = max(1, (_BLOB_ROOM - len(blob)) // 5)
                 for start in range(0, len(prefixes), room):
                     chunk = prefixes[start : start + room]
                     nlri = b"".join(prefix.encode() for prefix in chunk)

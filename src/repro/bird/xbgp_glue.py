@@ -31,7 +31,6 @@ class BirdHost(HostImplementation):
 
     def __init__(self, daemon):
         self.daemon = daemon
-        self.hot_path = getattr(daemon, "hot_path", True)
 
     # -- attribute container resolution ---------------------------------
 
@@ -64,8 +63,6 @@ class BirdHost(HostImplementation):
         return eattr.to_path_attribute() if eattr is not None else None
 
     def get_attr_packed(self, ctx: ExecutionContext, code: int) -> Optional[bytes]:
-        if not self.hot_path:
-            return HostImplementation.get_attr_packed(self, ctx, code)
         eattrs = self._eattrs(ctx)
         if eattrs is None:
             return None
@@ -82,7 +79,7 @@ class BirdHost(HostImplementation):
 
     def set_attr(self, ctx: ExecutionContext, code: int, flags: int, value: bytes) -> bool:
         container = ctx.route
-        if self.hot_path and isinstance(container, BirdRoute):
+        if isinstance(container, BirdRoute):
             # Template cache: the same write applied to the same content
             # (an RR stamps one ORIGINATOR_ID onto every route of an
             # UPDATE) builds the resulting list once; each route then

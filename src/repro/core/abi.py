@@ -129,13 +129,11 @@ PEER_INFO_SIZE = 36
 _PEER_INFO = struct.Struct("<9I")
 
 
-def pack_peer_info(neighbor: Neighbor, cached: bool = True) -> bytes:
+def pack_peer_info(neighbor: Neighbor) -> bytes:
     # Memoized on the Neighbor: peers are long-lived and their fields
     # rarely change, but helpers ask for this struct on every route.
     # Neighbor.__setattr__ clears _packed_info on any field change.
-    # ``cached=False`` re-packs every call (a ``hot_path=False`` host,
-    # the host fuzz oracle's reference arm).
-    packed = neighbor._packed_info if cached else None
+    packed = neighbor._packed_info
     if packed is None:
         packed = _PEER_INFO.pack(
             int(neighbor.session_type),

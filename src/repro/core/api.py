@@ -87,7 +87,7 @@ def build_helper_table() -> HelperTable:
         ctx = _ctx(vm)
         if ctx.neighbor is None:
             return 0
-        return vm.memory.alloc_bytes(pack_peer_info(ctx.neighbor, ctx.host.hot_path))
+        return vm.memory.alloc_bytes(pack_peer_info(ctx.neighbor))
 
     def get_prefix(vm, *args) -> int:
         ctx = _ctx(vm)
@@ -104,7 +104,7 @@ def build_helper_table() -> HelperTable:
             source = ctx.hidden.get("source")
         if source is None:
             return 0
-        return vm.memory.alloc_bytes(pack_peer_info(source, ctx.host.hot_path))
+        return vm.memory.alloc_bytes(pack_peer_info(source))
 
     # -- attribute access -------------------------------------------------
 

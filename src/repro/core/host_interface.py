@@ -32,12 +32,6 @@ class HostImplementation(ABC):
     #: in the LoC accounting experiment.
     name: str = "abstract"
 
-    #: Whether the helper layer may use the marshalling caches
-    #: (peer-info memo, packed-attribute cache).  A daemon built with
-    #: ``hot_path=False`` flips it off (the host fuzz oracle's reference
-    #: arm); standalone hosts keep the default.
-    hot_path: bool = True
-
     #: Per-route provenance tracker
     #: (:class:`repro.telemetry.provenance.ProvenanceTracker`), or None
     #: when provenance is off.  Installed by the daemon's

@@ -44,7 +44,6 @@ class FrrHost(HostImplementation):
 
     def __init__(self, daemon):
         self.daemon = daemon
-        self.hot_path = getattr(daemon, "hot_path", True)
 
     # -- container plumbing ------------------------------------------------
 
@@ -76,8 +75,6 @@ class FrrHost(HostImplementation):
         return attrs.attr_to_wire(code)
 
     def get_attr_packed(self, ctx: ExecutionContext, code: int) -> Optional[bytes]:
-        if not self.hot_path:
-            return HostImplementation.get_attr_packed(self, ctx, code)
         attrs = self._attrs_of(ctx)
         if attrs is None:
             return None
@@ -100,26 +97,19 @@ class FrrHost(HostImplementation):
         attrs = self._attrs_of(ctx)
         if attrs is None:
             return False
-        if self.hot_path:
-            # Same write applied to the same (interned) set: reuse the
-            # interned result, skipping the wire parse and rebuild.
-            key = (code, flags, value)
-            interned = attrs._write_cache.get(key)
-            if interned is None:
-                try:
-                    interned = self.daemon.attr_pool.intern(
-                        attrs.with_attr_wire(code, flags, value)
-                    )
-                except (ValueError, IndexError):
-                    return False
-                attrs._write_cache[key] = interned
-            self._install_attrs(ctx, interned)
-            return True
-        try:
-            # Neutral -> host conversion (parse into struct attr form).
-            self._replace_attrs(ctx, attrs.with_attr_wire(code, flags, value))
-        except (ValueError, IndexError):
-            return False
+        # Same write applied to the same (interned) set: reuse the
+        # interned result, skipping the neutral -> host parse and rebuild.
+        key = (code, flags, value)
+        interned = attrs._write_cache.get(key)
+        if interned is None:
+            try:
+                interned = self.daemon.attr_pool.intern(
+                    attrs.with_attr_wire(code, flags, value)
+                )
+            except (ValueError, IndexError):
+                return False
+            attrs._write_cache[key] = interned
+        self._install_attrs(ctx, interned)
         return True
 
     def add_attr(self, ctx: ExecutionContext, code: int, flags: int, value: bytes) -> bool:

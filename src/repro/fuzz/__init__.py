@@ -1,9 +1,9 @@
 """Differential fuzzing & conformance subsystem.
 
 The repo runs one bytecode three ways and one RFC 4271 pipeline on two
-hosts with its caches on or off; the paper's §2.1 claim is that the
-*same* bytecode behaves identically on FRR and BIRD.  Each gives the
-fuzzer a free oracle:
+hosts; the paper's §2.1 claim is that FRR and BIRD are the *same*
+abstract BGP machine, so the same bytecode behaves identically on both.
+Each gives the fuzzer an oracle:
 
 * **codec** — decode → re-encode round trips (lazy verbatim re-encode
   vs eager attribute rebuild, plus stream-reassembly determinism);
@@ -13,9 +13,13 @@ fuzzer a free oracle:
   image, and on every arm a second back-to-back run equal to the first
   (the lazily zeroed heap must hide what the first run left behind);
 * **host** — the same plugin manifest on FRR and BIRD over the same
-  event stream → identical Loc-RIB and export sets, each host also
-  against itself with ``hot_path=False`` (host caches off: wire bytes
-  and stats must match bit for bit), batched and sharded.
+  event stream, each judged by :mod:`repro.fuzz.reference`, an
+  independent executable model of that machine (dict RIBs, no caches,
+  no packing, the plugins as plain Python): the downstream stream must
+  frame cleanly and carry, prefix by prefix, the reference's attribute
+  bytes and withdrawals, and Adj-RIB-Out and the Loc-RIB must equal
+  its own; then each host's batched and sharded arms must equal its
+  sequential one.
 
 :mod:`repro.fuzz.gen` produces the seeded-random inputs,
 :mod:`repro.fuzz.oracles` runs the comparisons,

@@ -60,7 +60,7 @@ def case_to_dict(case) -> Dict[str, object]:
         events = []
         for event in case.events:
             if event[0] == "frame":
-                events.append(["frame", event[1].hex()])
+                events.append(["frame", event[1].hex(), *event[2:]])
             else:
                 events.append(list(event))
         return {
@@ -100,7 +100,7 @@ def case_from_dict(data: Dict[str, object], seed=None):
         events = []
         for event in data["events"]:
             if event[0] == "frame":
-                events.append(("frame", bytes.fromhex(event[1])))
+                events.append(("frame", bytes.fromhex(event[1]), *event[2:]))
             else:
                 events.append(tuple(event))
         roas = [

@@ -14,8 +14,10 @@ Three case kinds, all derived deterministically from an integer seed:
   loads/stores through a shared and a read-only region;
 * :func:`gen_host_case` — a daemon-level scenario: a plugin manifest
   (or none), a session kind, and an event stream mixing UPDATE frames
-  with mid-stream peer-configuration mutations (the events that flush
-  the marshalling caches PR 2 added).
+  with mid-stream peer-configuration mutations (the events that must
+  flush the host's marshalling caches); some cases add a second
+  upstream whose contest for the same prefixes drives the decision
+  process.
 
 Generation is pure: the same seed always yields byte-identical cases,
 so a campaign is reproducible from its master seed alone.
@@ -60,6 +62,7 @@ SHARED_REGION = (SHARED_BASE, 64)
 READONLY_REGION = (SHARED_BASE + 64, 32)
 
 _UPSTREAM = "10.0.1.2"
+_UPSTREAM2 = "10.0.3.2"
 _PEER_FIELDS = ("rr_client", "cluster_id")
 
 
@@ -96,8 +99,10 @@ class HostCase:
     """A daemon scenario: plugin, session and an event stream.
 
     ``events`` entries are ``("frame", bytes)`` — an UPDATE fed from
-    the upstream peer — or ``("peer", role, field, value)`` — a
-    mid-stream configuration change on the upstream/downstream
+    the upstream peer — ``("frame", bytes, role)`` — one fed from a
+    second upstream, ``"upstream2"`` (eBGP) or ``"upstream2-ibgp"`` —
+    or ``("peer", role, field, value)`` — a mid-stream configuration
+    change on the upstream/downstream
     :class:`~repro.bgp.peer.Neighbor` (exactly the mutations the
     ``pack_peer_info`` memo must notice).
     """
@@ -138,12 +143,14 @@ def _gen_routes(rng: random.Random, max_routes: int) -> List[RouteSpec]:
     return generator.generate()
 
 
-def _announce_frames(rng: random.Random, routes, session: str) -> List[bytes]:
+def _announce_frames(
+    rng: random.Random, routes, session: str, sender: str = _UPSTREAM, asn: int = 0
+) -> List[bytes]:
     updates = build_updates(
         routes,
-        next_hop=parse_ipv4(_UPSTREAM),
+        next_hop=parse_ipv4(sender),
         session=session,
-        sender_asn=rng.randint(1, 64000) if session == "ebgp" else None,
+        sender_asn=(asn or rng.randint(1, 64000)) if session == "ebgp" else None,
         max_prefixes_per_update=rng.randint(1, 16),
     )
     return [update.encode() for update in updates]
@@ -539,4 +546,20 @@ def gen_host_case(seed) -> HostCase:
     if plugin == "geoloc":
         coord = (round(rng.uniform(-60.0, 60.0), 4), round(rng.uniform(-170.0, 170.0), 4))
     engine = rng.choice(("jit", "interp"))
+    if rng.random() < 0.4:
+        # A second upstream contests some of the prefixes: the same path,
+        # one hop shorter or one longer, with fresh ORIGIN and MED draws.
+        # An iBGP one also gives an eBGP case both kinds of export target.
+        kind = session if session == "ibgp" else rng.choice(("ebgp", "ibgp"))
+        contest = []
+        for spec in rng.sample(routes, rng.randint(1, len(routes))):
+            path = spec.as_path
+            path = (path[1:] or path, path, path[:1] + path)[rng.randrange(3)]
+            med = rng.choice((None, spec.med, rng.randrange(100)))
+            contest.append(spec._replace(as_path=path, med=med, origin=rng.randrange(3)))
+        frames = _announce_frames(rng, contest, kind, _UPSTREAM2, 65300)
+        _insert_withdrawals(rng, frames, contest)
+        role = "upstream2" if kind == "ebgp" else "upstream2-ibgp"
+        for frame in frames:  # all before the closing End-of-RIB
+            events.insert(rng.randint(0, len(events) - 1), ("frame", frame, role))
     return HostCase(seed, plugin, session, events, roas, coord, engine)

@@ -12,22 +12,16 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bgp.messages import UpdateMessage, decode_message, split_stream
+from ..bgp.prefix import parse_ipv4
 from ..ebpf.helpers import HelperError, HelperTable
 from ..ebpf.isa import decode_program
 from ..ebpf.jit import translate
 from ..ebpf.memory import MemoryRegion, SandboxViolation, VmMemory
 from ..ebpf.vm import ExecutionError, VirtualMachine
 from ..scale import BatchProcessor, PartitionMap, split_update
-from ..sim.testbed import (
-    DAEMONS,
-    UPSTREAM,
-    Collector,
-    RunSpec,
-    build_dut,
-    normalise_snapshot,
-    wire_dut,
-)
+from ..sim.testbed import DAEMONS, DOWNSTREAM, UPSTREAM, RunSpec, build_dut, normalise_snapshot
 from .gen import FUZZ_HELPER_IDS, HALLOC_BLOCK, READONLY_REGION, SHARED_REGION, CodecCase, EngineCase, HostCase
+from .reference import ReferenceDut
 
 __all__ = [
     "Divergence",
@@ -439,14 +433,42 @@ def _outcome_diff(left: tuple, right: tuple) -> str:
 # Fig. 4 and the repo benchmark measure (so a route-reflector case runs
 # on a host whose split horizon is relaxed for the extension, as there).
 # Peer wiring and the event loops below stay the oracle's own: they
-# drive raw frames and mid-stream peer writes and keep the downstream
+# drive raw frames and mid-stream peer writes and keep every peer's
 # wire bytes, which the testbed's replay has no business knowing about.
+# Each host's sequential arm is judged by the independent RFC 4271 model
+# in :mod:`repro.fuzz.reference`; its batched and sharded arms are then
+# held to the sequential one.
+
+#: Where a case's second upstream sits, and its AS by the role its
+#: frames name (see :class:`HostCase`): eBGP, or iBGP like the DUT.
+UPSTREAM2 = "10.0.3.2"
+_SECOND_UPSTREAMS = {"upstream2": 65300, "upstream2-ibgp": 65001}
 
 
-def _case_dut(case: HostCase, implementation: str, hot: bool):
-    """The case's DUT: its plugin's extension arm, unwired."""
+def _case_peers(case: HostCase) -> List[Tuple[str, str, int]]:
+    """``(role, address, asn)`` of every peer of the case's DUT (AS
+    65001): the Fig. 3 pair, plus the second upstream its frames name."""
+    ibgp = case.session == "ibgp"
+    peers = [
+        ("upstream", UPSTREAM, 65001 if ibgp else 65100),
+        ("downstream", DOWNSTREAM, 65001 if ibgp else 65200),
+    ]
+    second = {event[2] for event in case.events if event[0] == "frame" and len(event) > 2}
+    peers.extend((role, UPSTREAM2, _SECOND_UPSTREAMS[role]) for role in sorted(second))
+    return peers
+
+
+def _sender(event: tuple) -> str:
+    """The address a ``frame`` event arrives from."""
+    return UPSTREAM2 if len(event) > 2 else UPSTREAM
+
+
+def _case_dut(case: HostCase, implementation: str):
+    """The case's DUT: its plugin's extension arm, its peers attached and
+    established.  Returns ``(daemon, peers by role, sent)``, where
+    ``sent`` maps each peer address to the chunks sent to it."""
     feature = {None: "plain", "route_reflector": "route_reflection"}
-    return build_dut(
+    daemon = build_dut(
         RunSpec(
             implementation,
             feature.get(case.plugin, case.plugin),
@@ -454,140 +476,166 @@ def _case_dut(case: HostCase, implementation: str, hot: bool):
             roas=case.roas,
             coord=case.coord,
             tier=case.engine,
-            hot_path=hot,
         )
     )
+    peers, sent = {}, {}
+    for role, address, asn in _case_peers(case):
+        chunks = sent[parse_ipv4(address)] = []
+        neighbor = daemon.add_neighbor(
+            address, asn, chunks.append, rr_client=case.plugin == "route_reflector"
+        )
+        daemon._established[neighbor.peer_address] = True
+        neighbor.established = True
+        peers[role] = neighbor
+    return daemon, peers, sent
 
 
-def _wire_host_daemon(case: HostCase, daemon):
-    """Attach the oracle's upstream/downstream peers; return
-    ``(peers, collector, downstream_bytes)``."""
-    collector = Collector()
-    downstream_bytes: List[bytes] = []
+def _replay_stream(chunks: List[bytes]) -> Tuple[Optional[str], Dict[str, bytes], frozenset]:
+    """A peer's received stream as ``(framing error or None, prefix ->
+    attribute bytes it last carried, every prefix withdrawn)``."""
+    attributes: Dict[str, bytes] = {}
+    withdrawn = set()
+    buffer = bytearray(b"".join(chunks))
+    try:
+        for message in split_stream(buffer):
+            if not isinstance(message, UpdateMessage):
+                return f"unexpected {type(message).__name__}", attributes, frozenset(withdrawn)
+            message.attributes  # content errors surface here
+            for prefix in message.withdrawn:
+                attributes.pop(str(prefix), None)
+                withdrawn.add(str(prefix))
+            for prefix in message.nlri:
+                attributes[str(prefix)] = message._attrs_wire
+    except ValueError as exc:
+        return str(exc), attributes, frozenset(withdrawn)
+    framing = f"{len(buffer)} trailing bytes" if buffer else None
+    return framing, attributes, frozenset(withdrawn)
 
-    def downstream_send(data: bytes) -> None:
-        downstream_bytes.append(data)
-        collector.receive(data)
 
-    upstream, downstream = wire_dut(
-        daemon,
-        downstream_send,
-        ibgp=case.session == "ibgp",
-        rr_clients=case.plugin == "route_reflector",
-    )
-    return {"upstream": upstream, "downstream": downstream}, collector, downstream_bytes
-
-
-def _host_arm_report(daemon, collector, downstream_bytes) -> Dict[str, object]:
+def _views(sent, adj_rib_out, loc_rib, fallbacks: int) -> Dict[str, object]:
+    """One run, host or reference, in the form the arms are compared in:
+    each peer's stream replayed (``framing`` names the first malformed
+    or oversized message), Adj-RIB-Out and Loc-RIB as attribute sets,
+    the prefixes the downstream holds, the extension fallback count."""
+    streams = {address: _replay_stream(chunks) for address, chunks in sent.items()}
     return {
-        "snapshot": normalise_snapshot(daemon.loc_rib_snapshot()),
-        "downstream": b"".join(downstream_bytes),
-        "prefixes": frozenset(str(p) for p in collector.prefixes),
-        "withdrawn": frozenset(str(p) for p in collector.withdrawn),
-        "stats": dict(daemon.stats),
-        "fallbacks": daemon.vmm.fallbacks,
+        "framing": next((view[0] for view in streams.values() if view[0]), None),
+        "attributes": {address: view[1] for address, view in streams.items()},
+        "withdrawn": {address: view[2] for address, view in streams.items()},
+        "adj_rib_out": {
+            address: normalise_snapshot(table) for address, table in adj_rib_out.items() if table
+        },
+        "snapshot": normalise_snapshot(loc_rib),
+        "prefixes": frozenset(streams[parse_ipv4(DOWNSTREAM)][1]),
+        "fallbacks": fallbacks,
     }
 
 
-def _run_host_arm(case: HostCase, implementation: str, hot: bool) -> Dict[str, object]:
-    daemon = _case_dut(case, implementation, hot)
-    peers, collector, downstream_bytes = _wire_host_daemon(case, daemon)
+def _host_views(daemon, sent) -> Dict[str, object]:
+    adj_rib_out = {
+        address: {prefix: route.attribute_list() for prefix, route in table.items()}
+        for address, table in daemon.adj_rib_out._tables.items()
+    }
+    return _views(sent, adj_rib_out, daemon.loc_rib_snapshot(), daemon.vmm.fallbacks)
+
+
+def _run_reference(case: HostCase) -> ReferenceDut:
+    model = ReferenceDut(case.plugin, coord=case.coord)
+    peers = {
+        role: model.add_peer(address, asn, rr_client=case.plugin == "route_reflector")
+        for role, address, asn in _case_peers(case)
+    }
     for event in case.events:
         if event[0] == "frame":
-            daemon.receive_raw(UPSTREAM, event[1])
+            model.receive(_sender(event), event[1])
         else:
             _, role, field, value = event
             setattr(peers[role], field, value)
-    return _host_arm_report(daemon, collector, downstream_bytes)
+    return model
 
 
-def _run_host_arm_batched(
-    case: HostCase, implementation: str, hot: bool, batch_size: int = 8
-) -> Dict[str, object]:
-    """Same feed through :class:`~repro.scale.BatchProcessor`.
+def _reference_views(model: ReferenceDut) -> Dict[str, object]:
+    loc_rib = {prefix: route.attrs.values() for prefix, route in model.loc_rib.items()}
+    return _views(model.sent, model.adj_rib_out, loc_rib, 0)
 
-    Peer-config writes land mid-stream, so the pending batch is flushed
+
+def _run_host_arm(case: HostCase, implementation: str, batch_size: int = 0) -> Dict[str, object]:
+    """The feed through the DUT, sequentially or, with ``batch_size``,
+    through :class:`~repro.scale.BatchProcessor`; its :func:`_views`.
+
+    Peer-config writes land mid-stream, so a pending batch is flushed
     first — the ordering contract the batch docstring demands."""
-    daemon = _case_dut(case, implementation, hot)
-    peers, collector, downstream_bytes = _wire_host_daemon(case, daemon)
-    processor = BatchProcessor(daemon, batch_size=batch_size)
+    daemon, peers, sent = _case_dut(case, implementation)
+    processor = BatchProcessor(daemon, batch_size=batch_size) if batch_size else None
+    receive = daemon.receive_raw if processor is None else processor.receive_raw
     for event in case.events:
         if event[0] == "frame":
-            processor.receive_raw(UPSTREAM, event[1])
-        else:
+            receive(_sender(event), event[1])
+            continue
+        if processor is not None:
             processor.flush()
-            _, role, field, value = event
-            setattr(peers[role], field, value)
-    processor.flush()
-    return _host_arm_report(daemon, collector, downstream_bytes)
+        _, role, field, value = event
+        setattr(peers[role], field, value)
+    if processor is not None:
+        processor.flush()
+    return _host_views(daemon, sent)
 
 
 def _run_host_arm_sharded(
-    case: HostCase, implementation: str, hot: bool, shards: int = 2
+    case: HostCase, implementation: str, shards: int = 2
 ) -> Dict[str, object]:
     """Same feed split across shard daemons by prefix range.
 
     Peer-config writes and non-UPDATE control messages apply to every
     shard (each worker owns a full copy of the session state); UPDATE
-    NLRI/withdrawals route to their owning shard.  Reports merge like
+    NLRI/withdrawals route to their owning shard.  Views merge like
     :class:`~repro.scale.ShardedResult`."""
     parsed: List[tuple] = []
     prefixes: List = []
     for event in case.events:
         if event[0] == "frame":
             for message in split_stream(bytearray(event[1])):
-                parsed.append(("message", message))
+                parsed.append(("message", message, _sender(event)))
                 if isinstance(message, UpdateMessage):
                     prefixes.extend(message.nlri)
                     prefixes.extend(message.withdrawn)
         else:
             parsed.append(event)
     pmap = PartitionMap(prefixes, shards)
-    arms = []
-    for _ in range(pmap.shards):
-        daemon = _case_dut(case, implementation, hot)
-        arms.append((daemon, _wire_host_daemon(case, daemon)))
+    arms = [_case_dut(case, implementation) for _ in range(pmap.shards)]
 
     for event in parsed:
         if event[0] == "message":
-            message = event[1]
+            _, message, sender = event
             if isinstance(message, UpdateMessage) and not message.is_end_of_rib():
                 for shard, part in split_update(message, pmap).items():
-                    arms[shard][0].receive_message(UPSTREAM, part)
+                    arms[shard][0].receive_message(sender, part)
             else:
-                for daemon, _ in arms:
-                    daemon.receive_message(UPSTREAM, message)
+                for daemon, _, _ in arms:
+                    daemon.receive_message(sender, message)
         else:
             _, role, field, value = event
-            for _, (peers, _, _) in arms:
+            for _, peers, _ in arms:
                 setattr(peers[role], field, value)
 
-    snapshot: Dict[str, tuple] = {}
-    advertised: set = set()
-    withdrawn: set = set()
-    fallbacks = 0
-    for daemon, (_, collector, _) in arms:
-        snapshot.update(normalise_snapshot(daemon.loc_rib_snapshot()))
-        advertised.update(str(p) for p in collector.prefixes)
-        withdrawn.update(str(p) for p in collector.withdrawn)
-        fallbacks += daemon.vmm.fallbacks
+    views = [_host_views(daemon, sent) for daemon, _, sent in arms]
     return {
-        "snapshot": snapshot,
-        "prefixes": frozenset(advertised),
-        "withdrawn": frozenset(withdrawn),
-        "fallbacks": fallbacks,
+        "snapshot": {k: v for view in views for k, v in view["snapshot"].items()},
+        "prefixes": frozenset().union(*(view["prefixes"] for view in views)),
+        "withdrawn": {
+            address: frozenset().union(*(view["withdrawn"][address] for view in views))
+            for address in views[0]["withdrawn"]
+        },
+        "fallbacks": sum(view["fallbacks"] for view in views),
     }
 
 
-#: Keys compared across *implementations* (FRR vs BIRD).  Export
-#: batching and stats naming are host-specific, so the cross-host
-#: contract is the Loc-RIB, the reachable export set and the absence
-#: of extension fallbacks — §2.1's observable behaviour.
-_CROSS_KEYS = ("snapshot", "prefixes", "withdrawn", "fallbacks")
-#: Keys compared between the ``hot_path`` on and off arms (host caches
-#: on / off) of one implementation — these must match bit-for-bit,
-#: wire bytes included.
-_ARM_KEYS = ("snapshot", "downstream", "prefixes", "withdrawn", "stats", "fallbacks")
+#: What the reference judges on each host's sequential arm, in the order
+#: a divergence is named by: the framing of every message sent, the
+#: per-prefix attribute bytes each peer's stream leaves it with, the
+#: prefixes each peer saw withdrawn, every peer's Adj-RIB-Out, the
+#: Loc-RIB, extension fallbacks (none expected).
+_REFERENCE_KEYS = ("framing", "attributes", "withdrawn", "adj_rib_out", "snapshot", "fallbacks")
 #: Keys compared between the sequential and batched arms.  Batching
 #: legitimately collapses transient downstream traffic (an announce
 #: withdrawn inside one batch never hits the wire), so the withdraw
@@ -596,9 +644,9 @@ _ARM_KEYS = ("snapshot", "downstream", "prefixes", "withdrawn", "stats", "fallba
 _BATCH_KEYS = ("snapshot", "prefixes", "fallbacks")
 #: Keys compared between the sequential and merged sharded arms.
 #: Sharding preserves full per-prefix sequential semantics, so the
-#: withdraw set is back in; per-message extension run counts differ
+#: withdraw sets are back in; per-message extension run counts differ
 #: (a split UPDATE runs RECEIVE once per owning shard), so fallbacks
-#: compare as a boolean, separately.
+#: compare, on every arm, as a boolean too.
 _SHARD_KEYS = ("snapshot", "prefixes", "withdrawn")
 
 
@@ -611,53 +659,27 @@ def _first_key_diff(left: dict, right: dict, keys) -> Optional[str]:
 
 def run_host_case(case: HostCase) -> Optional[Divergence]:
     try:
-        arms = {
-            (implementation, hot): _run_host_arm(case, implementation, hot)
-            for implementation in DAEMONS
-            for hot in (True, False)
-        }
+        expected = _reference_views(_run_reference(case))
         for implementation in DAEMONS:
-            key = _first_key_diff(
-                arms[(implementation, True)], arms[(implementation, False)], _ARM_KEYS
+            sequential = _run_host_arm(case, implementation)
+            # The judge first; then batching and sharding must be invisible.
+            arms = (
+                ("reference", lambda: expected, _REFERENCE_KEYS),
+                ("batch", lambda: _run_host_arm(case, implementation, 8), _BATCH_KEYS),
+                ("shard", lambda: _run_host_arm_sharded(case, implementation), _SHARD_KEYS),
             )
-            if key is not None:
-                return Divergence(
-                    "host",
-                    f"host:fast-legacy:{implementation}:{key}:{case.plugin}",
-                    f"{implementation} fast vs legacy arm disagree on {key!r} "
-                    f"(plugin={case.plugin}, engine={case.engine})",
-                )
-        key = _first_key_diff(arms[("frr", True)], arms[("bird", True)], _CROSS_KEYS)
-        if key is not None:
-            return Divergence(
-                "host",
-                f"host:cross:{key}:{case.plugin}",
-                f"FRR and BIRD disagree on {key!r} "
-                f"(plugin={case.plugin}, engine={case.engine})",
-            )
-        # Scale arms: batching and sharding must be invisible.
-        for implementation in DAEMONS:
-            sequential = arms[(implementation, True)]
-            batched = _run_host_arm_batched(case, implementation, True)
-            key = _first_key_diff(sequential, batched, _BATCH_KEYS)
-            if key is not None:
-                return Divergence(
-                    "host",
-                    f"host:batch:{implementation}:{key}:{case.plugin}",
-                    f"{implementation} sequential vs batched arm disagree on "
-                    f"{key!r} (plugin={case.plugin}, engine={case.engine})",
-                )
-            sharded = _run_host_arm_sharded(case, implementation, True)
-            key = _first_key_diff(sequential, sharded, _SHARD_KEYS)
-            if key is None and bool(sequential["fallbacks"]) != bool(sharded["fallbacks"]):
-                key = "fallbacks"
-            if key is not None:
-                return Divergence(
-                    "host",
-                    f"host:shard:{implementation}:{key}:{case.plugin}",
-                    f"{implementation} sequential vs sharded arm disagree on "
-                    f"{key!r} (plugin={case.plugin}, engine={case.engine})",
-                )
+            for arm, run, keys in arms:
+                other = run()
+                key = _first_key_diff(sequential, other, keys)
+                if key is None and bool(sequential["fallbacks"]) != bool(other["fallbacks"]):
+                    key = "fallbacks"
+                if key is not None:
+                    return Divergence(
+                        "host",
+                        f"host:{arm}:{implementation}:{key}:{case.plugin}",
+                        f"{implementation}: the sequential and {arm} arms disagree on "
+                        f"{key!r} (plugin={case.plugin}, engine={case.engine})",
+                    )
     except Exception as exc:  # noqa: BLE001
         return _crash("host", "host-oracle", exc)
     return None

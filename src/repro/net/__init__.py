@@ -1,5 +1,5 @@
 """Live asyncio TCP transport speaking RFC 4271 wire format."""
 
-from .transport import BgpSession, BgpSpeaker
+from .transport import BgpSession, TcpSpeaker
 
-__all__ = ["BgpSession", "BgpSpeaker"]
+__all__ = ["BgpSession", "TcpSpeaker"]

@@ -24,7 +24,7 @@ from ..bgp.messages import (
 )
 from ..bgp.prefix import format_ipv4, parse_ipv4
 
-__all__ = ["BgpSession", "BgpSpeaker"]
+__all__ = ["BgpSession", "TcpSpeaker"]
 
 
 class BgpSession:
@@ -32,7 +32,7 @@ class BgpSession:
 
     def __init__(
         self,
-        speaker: "BgpSpeaker",
+        speaker: "TcpSpeaker",
         peer_name: str,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
@@ -132,7 +132,7 @@ class BgpSession:
             self.writer.close()
 
 
-class BgpSpeaker:
+class TcpSpeaker:
     """TCP front end for one daemon: listens and/or dials peers.
 
     The daemon's neighbors must be configured with

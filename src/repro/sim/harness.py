@@ -43,9 +43,9 @@ class ConvergenceHarness:
     the experiment, the arm and its ROAs; ``engine`` how the extension
     arm runs (the harness's name for the ``tier`` field).  Every other
     keyword is a :class:`~repro.sim.testbed.RunSpec` field with that
-    class's default (``batch``, ``shards``, ``collect``, ``hot_path``,
-    ``provenance``, ``profiling``, ``timeseries_every``, …); a name that
-    is not one raises ``TypeError``.
+    class's default (``batch``, ``shards``, ``collect``, ``provenance``,
+    ``profiling``, ``timeseries_every``, …); a name that is not one
+    raises ``TypeError``.
 
     ``telemetry`` (on by default) instruments the single-daemon DUT and,
     for ``shards > 1``, keeps the parent-side snapshot of the workers'

@@ -48,7 +48,6 @@ __all__ = [
     "build_feed",
     "build_scale_daemon",
     "normalise_snapshot",
-    "wire_dut",
 ]
 
 #: The one host registry: implementation name -> daemon class.
@@ -79,11 +78,6 @@ class _RunFields(NamedTuple):
     valley: Optional[Mapping[str, object]] = None
     #: How the extension arm runs, one of :data:`ENGINES`.
     tier: str = "jit"
-    #: False turns the *host's* caches off (the export memo,
-    #: lazy attribute parsing, here and in the downstream collector):
-    #: the reference arm of the host fuzz oracle and of
-    #: tests/integration/test_hotpath_semantics.py.
-    hot_path: bool = True
     max_prefixes_per_update: int = 64
     #: UPDATEs per decode→decision vector (1 = sequential) and worker
     #: processes the routes are partitioned across (1 = one daemon).
@@ -204,47 +198,18 @@ FEATURES: Dict[str, _Feature] = {
 }
 
 
-def wire_dut(dut, downstream_send: Callable[[bytes], None], ibgp: bool, rr_clients: bool):
-    """Attach the Fig. 3 peers to ``dut``: a silent upstream and a
-    downstream delivering to ``downstream_send``, both forced
-    Established (no OPEN exchange, no initial table dump).  Returns
-    ``(upstream, downstream)``."""
-    upstream = dut.add_neighbor(
-        UPSTREAM, 65001 if ibgp else 65100, lambda data: None, rr_client=rr_clients
-    )
-    downstream = dut.add_neighbor(
-        DOWNSTREAM, 65001 if ibgp else 65200, downstream_send, rr_client=rr_clients
-    )
-    for neighbor in (upstream, downstream):
-        dut._established[neighbor.peer_address] = True
-        neighbor.established = True
-    return upstream, downstream
-
-
 class Collector:
-    """The downstream router's receive side: counts prefixes.
+    """The downstream router's receive side: counts prefixes."""
 
-    ``eager_attributes`` forces a full path-attribute parse of every
-    received UPDATE, the behaviour every receiver had before
-    :class:`UpdateMessage` learned to decode attributes lazily — a
-    ``hot_path=False`` run (host caches off, the reference arm of the
-    host oracle) restores that per-message parse.
-    """
-
-    def __init__(self, eager_attributes: bool = False) -> None:
+    def __init__(self) -> None:
         self.prefixes: set = set()
         self.withdrawn: set = set()
-        self.updates = 0
         self._buffer = bytearray()
-        self._eager_attributes = eager_attributes
 
     def receive(self, data: bytes) -> None:
         self._buffer.extend(data)
         for message in split_stream(self._buffer):
             if isinstance(message, UpdateMessage):
-                self.updates += 1
-                if self._eager_attributes:
-                    message.attributes
                 for prefix in message.nlri:
                     self.prefixes.add(prefix)
                 for prefix in message.withdrawn:
@@ -287,7 +252,6 @@ def build_dut(spec: RunSpec):
             telemetry=spec.telemetry,
             quarantine=quarantine,
         ),
-        hot_path=spec.hot_path,
         provenance=spec.provenance,
         profiling=spec.profiling,
         **feature.host(spec),
@@ -311,13 +275,21 @@ def build_scale_daemon(config: Union[RunSpec, Mapping[str, object]]):
     mapping of its fields (any other key raises ``TypeError``).
 
     Returns ``(daemon, collector)``: the arm's native configuration or
-    program installed, upstream and downstream attached and
-    established, the downstream delivering to ``collector``.
+    program installed, a silent upstream and a downstream delivering to
+    ``collector`` attached and forced Established (no OPEN exchange, no
+    initial table dump).
     """
     spec = config if isinstance(config, RunSpec) else RunSpec(**config)
     daemon = build_dut(spec)
-    collector = Collector(eager_attributes=not spec.hot_path)
-    wire_dut(daemon, collector.receive, ibgp=spec.reflecting, rr_clients=spec.reflecting)
+    collector = Collector()
+    ibgp = spec.reflecting
+    for address, asn, send in (
+        (UPSTREAM, 65001 if ibgp else 65100, lambda data: None),
+        (DOWNSTREAM, 65001 if ibgp else 65200, collector.receive),
+    ):
+        neighbor = daemon.add_neighbor(address, asn, send, rr_client=ibgp)
+        daemon._established[neighbor.peer_address] = True
+        neighbor.established = True
     return daemon, collector
 
 

@@ -6,8 +6,9 @@ nexthop_self) whose value is (rewritten host attributes, encoded
 blob); every route exported with one rewritten set shares it, and
 PyBIRD seals that shared eattr list.  None of this may change what is
 sent or advertised: not at a cap so small the memo clears every few
-routes, not against the uncached ``hot_path=False`` arm, and not with
-extension codes that write attributes on the export path.
+routes, not against the RFC 4271 reference (``repro.fuzz.reference``,
+no caches at all), and not with extension codes that write attributes
+on the export path.
 """
 
 import io
@@ -21,9 +22,10 @@ from repro.bgp.aspath import AsPath
 from repro.bgp.attributes import PathAttribute, make_as_path, make_next_hop, make_origin
 from repro.bgp.constants import AttrTypeCode, Origin
 from repro.bgp.messages import UpdateMessage, split_stream
-from repro.bgp.prefix import Prefix, parse_ipv4
+from repro.bgp.prefix import Prefix, format_ipv4, parse_ipv4
 from repro.bird.eattrs import EattrList
 from repro.core.insertion_points import InsertionPoint
+from repro.fuzz.reference import ReferenceDut
 from repro.mrt import MrtPeer, RibEntry, write_table
 from repro.scale import build_scale_daemon
 from repro.workload import RibGenerator, build_updates, iter_routes_from_mrt, mrt_io
@@ -93,17 +95,12 @@ class Run(NamedTuple):
     adj_rib_out: dict
 
 
-def replay(implementation, feature, mode, feed, hot_path=True):
+def replay(implementation, feature, mode, feed):
     """The Fig. 3 DUT plus a second upstream and a plain iBGP peer, so
     every export class (eBGP, iBGP client, iBGP non-client) is fed."""
     reflecting = feature == "route_reflection"
     daemon, _ = build_scale_daemon(
-        {
-            "implementation": implementation,
-            "feature": feature,
-            "mode": mode,
-            "hot_path": hot_path,
-        }
+        {"implementation": implementation, "feature": feature, "mode": mode}
     )
     wire = {}
 
@@ -140,6 +137,54 @@ def replay(implementation, feature, mode, feed, hot_path=True):
     )
 
 
+def reference_replay(feature, feed):
+    """The same peers and feed through the RFC 4271 reference, as a
+    :class:`Run` (one NLRI per UPDATE on its wire)."""
+    reflecting = feature == "route_reflection"
+    plugin = {"plain": None, "route_reflection": "route_reflector"}.get(feature, feature)
+    model = ReferenceDut(plugin)
+    for address, asn in (
+        (UPSTREAM, 65100),
+        (DOWNSTREAM, 65200),
+        (SECOND_UPSTREAM, 65300),
+        (IBGP_PEER, LOCAL_ASN),
+    ):
+        client = reflecting and address != IBGP_PEER
+        model.add_peer(address, LOCAL_ASN if reflecting else asn, rr_client=client)
+    for address, update in feed:
+        model.receive(address, update.encode())
+    wire = {format_ipv4(address): b"".join(chunks) for address, chunks in model.sent.items()}
+    adj_rib_out = {
+        address: {
+            str(prefix): tuple(sorted((a.type_code, a.flags, a.value) for a in attrs))
+            for prefix, attrs in table.items()
+        }
+        for address, table in model.adj_rib_out.items()
+    }
+    return Run(model, wire, adj_rib_out)
+
+
+def held(run):
+    """What each peer ends up holding: per-prefix attribute bytes and
+    every prefix withdrawn from it, read off ``run.wire``."""
+    views = {}
+    for address, data in run.wire.items():
+        attributes, withdrawn = {}, set()
+        for message in split_stream(bytearray(data)):
+            for prefix in message.withdrawn:
+                attributes.pop(prefix, None)
+                withdrawn.add(prefix)
+            for prefix in message.nlri:
+                attributes[prefix] = message._attrs_wire
+        views[address] = (attributes, withdrawn)
+    return views
+
+
+def advertised(run):
+    """``run.adj_rib_out`` without the peers it holds nothing for."""
+    return {address: table for address, table in run.adj_rib_out.items() if table}
+
+
 def attribute_codes(data):
     """Attribute type codes carried by the UPDATEs in ``data``."""
     codes = set()
@@ -156,17 +201,20 @@ def attribute_codes(data):
 def test_a_capped_export_memo_sends_and_advertises_the_same(implementation, monkeypatch):
     feed = churn_feed("ebgp")
     uncapped = replay(implementation, "plain", "native", feed)
-    reference = replay(implementation, "plain", "native", feed, hot_path=False)
     monkeypatch.setattr(speaker, "_CACHE_CAP", 8)
     capped = replay(implementation, "plain", "native", feed)
+    reference = reference_replay("plain", feed)
 
     assert set(uncapped.wire) == {DOWNSTREAM, SECOND_UPSTREAM, IBGP_PEER}
     assert all(uncapped.wire.values())
-    assert capped.wire == uncapped.wire == reference.wire
-    assert capped.adj_rib_out == uncapped.adj_rib_out == reference.adj_rib_out
-    # The cap was hit (many times), and the reference arm memoises nothing.
+    assert capped.wire == uncapped.wire
+    assert held(uncapped) == {
+        address: view for address, view in held(reference).items() if address != UPSTREAM
+    }
+    assert capped.adj_rib_out == uncapped.adj_rib_out
+    assert advertised(uncapped) == advertised(reference)
+    # The cap was hit, many times.
     assert len(capped.daemon._export_cache) <= 8 < len(uncapped.daemon._export_cache)
-    assert not reference.daemon._export_cache
 
 
 @pytest.mark.parametrize("implementation", HOSTS)
@@ -181,8 +229,8 @@ def test_the_memo_key_holds_every_rewrite_input(implementation):
     ]
     learned, local = Prefix.parse("192.0.2.0/24"), Prefix.parse("198.51.100.0/24")
 
-    def next_hops_to_ibgp_peer(hot_path):
-        daemon = replay(implementation, "plain", "native", [], hot_path).daemon
+    def next_hops_to_ibgp_peer():
+        daemon = replay(implementation, "plain", "native", []).daemon
 
         def next_hops():
             routes = daemon.adj_rib_out.routes_to(parse_ipv4(IBGP_PEER))
@@ -196,8 +244,7 @@ def test_the_memo_key_holds_every_rewrite_input(implementation):
         daemon.session_up(IBGP_PEER)
         return before, next_hops()
 
-    before, after = next_hops_to_ibgp_peer(True)
-    assert (before, after) == next_hops_to_ibgp_peer(False)
+    before, after = next_hops_to_ibgp_peer()
     dut, upstream = parse_ipv4(DUT), parse_ipv4(UPSTREAM)
     assert before == {learned: dut, local: upstream}
     assert after == {learned: upstream, local: upstream}
@@ -266,22 +313,23 @@ def test_a_sealed_list_refuses_in_place_writes():
     [("route_reflection", "ibgp"), ("geoloc", "ebgp")],
     ids=["rr-set_attr", "geoloc-remove_attr-write_buf"],
 )
-def test_bird_export_writers_match_the_uncached_arm(feature, session):
+def test_bird_export_writers_match_the_reference(feature, session):
     """RR's outbound code writes with ``set_attr``; GeoLoc's removes its
     attribute towards eBGP and writes it into the encoded bytes towards
     iBGP.  Both write next to lists the memo shares."""
     feed = churn_feed(session)
     fast = replay("bird", feature, "extension", feed)
-    slow = replay("bird", feature, "extension", feed, hot_path=False)
+    reference = reference_replay(feature, feed)
 
-    assert fast.wire == slow.wire
-    assert fast.adj_rib_out == slow.adj_rib_out
-    assert fast.daemon.vmm.fallbacks == slow.daemon.vmm.fallbacks == 0
-    # Encode codes run on a memo miss only, every other code per route.
-    fast_stats, slow_stats = fast.daemon.vmm.stats(), slow.daemon.vmm.stats()
+    assert held(fast) == {
+        address: view for address, view in held(reference).items() if address in fast.wire
+    }
+    assert advertised(fast) == advertised(reference)
+    assert fast.daemon.vmm.fallbacks == 0
+    # Encode codes run on a memo miss only: once per memo entry.
+    stats = fast.daemon.vmm.stats()
     for name in fast.daemon.vmm.attached_codes(InsertionPoint.BGP_ENCODE_MESSAGE):
-        assert 0 < fast_stats.pop(name)["executions"] < slow_stats.pop(name)["executions"]
-    assert fast_stats == slow_stats
+        assert stats[name]["executions"] == len(fast.daemon._export_cache)
     if feature == "route_reflection":
         stamped = {AttrTypeCode.ORIGINATOR_ID, AttrTypeCode.CLUSTER_LIST}
         assert stamped <= attribute_codes(fast.wire[DOWNSTREAM])

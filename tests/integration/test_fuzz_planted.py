@@ -2,12 +2,14 @@
 
 Plants a deliberate cache-invalidation bug — ``Neighbor.__setattr__``
 keeps the stale ``pack_peer_info`` memo across field writes, so the
-fast path serves outdated peer-info bytes — and asserts the host
-oracle campaign finds it, ddmin shrinks the event stream, and the
+helpers serve outdated peer-info bytes — and asserts the host oracle's
+RFC 4271 reference catches it, ddmin shrinks the event stream, and the
 persisted corpus entry reproduces the divergence (with the plant) and
 replays clean (without it).  This is the acceptance test for the whole
 find → dedup → minimize → persist → replay loop.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,9 @@ from repro.bgp.peer import Neighbor
 from repro.fuzz.corpus import iter_entries, load_entry, replay_entry
 from repro.fuzz.runner import FuzzRunner
 
-PLANT_SIGNATURE = "host:fast-legacy:frr:downstream:route_reflector"
+PLANT_SIGNATURE = "host:reference:frr:attributes:route_reflector"
+#: The checked-in witness of this bug (see tests/fuzz_corpus/README.md).
+WITNESS = Path(__file__).resolve().parent.parent / "fuzz_corpus" / "host-8a8e0ac165.json"
 
 
 @pytest.fixture
@@ -76,6 +80,11 @@ def test_planted_entry_replays_clean_without_plant(stale_peer_cache, tmp_path, m
     # exactly the contract the checked-in corpus relies on.
     monkeypatch.undo()
     assert replay_entry(entry) is None
+
+
+def test_the_checked_in_witness_still_sees_the_plant(stale_peer_cache):
+    divergence = replay_entry(load_entry(WITNESS))
+    assert divergence is not None and divergence.signature == PLANT_SIGNATURE
 
 
 def test_clean_campaign_without_plant():

@@ -10,7 +10,7 @@ from repro.bgp.aspath import AsPath
 from repro.bgp.constants import Origin
 from repro.bird import BirdDaemon
 from repro.frr import FrrDaemon
-from repro.net import BgpSpeaker
+from repro.net import TcpSpeaker
 
 PREFIX = Prefix.parse("203.0.113.0/24")
 
@@ -27,8 +27,8 @@ async def _wait_for(predicate, timeout=5.0):
 async def _pair(port_a, port_b, asn_a=65001, asn_b=65001):
     a = FrrDaemon(asn=asn_a, router_id="1.1.1.1")
     b = BirdDaemon(asn=asn_b, router_id="2.2.2.2")
-    speaker_a = BgpSpeaker(a, port=port_a)
-    speaker_b = BgpSpeaker(b, port=port_b)
+    speaker_a = TcpSpeaker(a, port=port_a)
+    speaker_b = TcpSpeaker(b, port=port_b)
     speaker_a.register_neighbor("2.2.2.2", asn_b)
     speaker_b.register_neighbor("1.1.1.1", asn_a)
     await speaker_b.listen()

@@ -6,7 +6,7 @@ The fast path memoises marshalled helper structs in three places —
 ``_packed`` memo plus the ``EattrList`` write/identity caches.  Each
 cache is only sound if any mutation of the underlying object produces
 fresh bytes; these tests mutate after a pack and assert the
-re-marshalled bytes change (and match an uncached pack).
+re-marshalled bytes change (and match a freshly packed struct).
 """
 
 import struct
@@ -40,6 +40,22 @@ _PACKED_FIELDS = (
 )
 
 
+def _fresh_peer_info(neighbor):
+    """The peer struct packed from the neighbor's fields right now."""
+    return struct.pack(
+        "<9I",
+        int(neighbor.session_type),
+        neighbor.peer_asn,
+        neighbor.peer_router_id,
+        neighbor.local_asn,
+        neighbor.local_router_id,
+        neighbor.peer_address,
+        neighbor.local_address,
+        1 if neighbor.rr_client else 0,
+        neighbor.cluster_id,
+    )
+
+
 def _neighbor(peer_asn, local_asn, peer_addr, local_addr):
     return Neighbor(
         peer_address=peer_addr or 1,
@@ -71,7 +87,7 @@ def test_neighbor_mutation_invalidates_packed_info(
     # The memo is filled and a second cached pack returns identical bytes.
     assert neighbor._packed_info == packed
     assert pack_peer_info(neighbor) == packed
-    assert pack_peer_info(neighbor, cached=False) == packed
+    assert _fresh_peer_info(neighbor) == packed
 
     old = getattr(neighbor, field)
     if field == "rr_client":
@@ -82,27 +98,25 @@ def test_neighbor_mutation_invalidates_packed_info(
             new = (old + 1) & 0xFFFFFFFF
     setattr(neighbor, field, new)
 
-    # __setattr__ dropped the memo, and the repack (cached or not)
-    # reflects the new field value.
+    # __setattr__ dropped the memo, and the repack reflects the new
+    # field value.
     assert neighbor._packed_info is None
     repacked = pack_peer_info(neighbor)
-    assert repacked == pack_peer_info(neighbor, cached=False)
+    assert repacked == _fresh_peer_info(neighbor)
     assert repacked != packed
 
 
 @settings(max_examples=25, deadline=None)
 @given(peer_asn=asns, local_asn=asns)
 def test_neighbor_stale_cache_would_diverge(peer_asn, local_asn):
-    # The fast/legacy split the host oracle compares: cached=True serves
-    # the memo, cached=False repacks.  After a mutation they must agree —
-    # i.e. a cache that survived the write would be observable.
+    # After a mutation the memo must serve what a fresh pack of the
+    # fields gives — i.e. a cache that survived the write would be
+    # observable.
     neighbor = _neighbor(peer_asn, local_asn, 0x0A000102, 0x0A000101)
     stale = pack_peer_info(neighbor)
     neighbor.rr_client = True
     neighbor.cluster_id = 0xC1C1C1C1
-    assert pack_peer_info(neighbor, cached=True) == pack_peer_info(
-        neighbor, cached=False
-    )
+    assert pack_peer_info(neighbor) == _fresh_peer_info(neighbor)
     assert pack_peer_info(neighbor) != stale
 
 
