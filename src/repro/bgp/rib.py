@@ -36,6 +36,8 @@ class RouteView:
     prefix: Prefix
     #: The neighbor the route was learned from (None = locally originated).
     source: Optional[Neighbor]
+    #: The host's attribute-set object, which routes share.
+    attrs: object
 
     def attribute(self, type_code: int) -> Optional[PathAttribute]:
         """Return the attribute in neutral form, or None."""

@@ -27,9 +27,8 @@ hooks
     ``_stamp_reflection(route)``       native RFC 4456 attribute stamping
     ``_export_rewrite(route, neighbor, source_ebgp)``
                                        per-session-type attribute rewrite
-    ``_with_export_attrs(route, attrs)``
-                                       route carrying the rewritten attributes
-                                       (shared by the memo: never written)
+    ``_share_attrs(route, attrs)``     route carrying ``attrs``, which a memo
+                                       shares: never written
 
 Everything else a host needs to answer goes through the
 :class:`~repro.bgp.rib.RouteView` accessors, so nothing here asks which
@@ -51,7 +50,7 @@ from ..core.abi import FILTER_ACCEPT, FILTER_REJECT
 from ..core.context import ExecutionContext
 from ..core.insertion_points import InsertionPoint
 from ..core.manifest import Manifest
-from ..core.vmm import VirtualMachineManager, VmmConfig
+from ..core.vmm import BlockMemo, VirtualMachineManager, VmmConfig
 from ..igp.spf import IgpView
 from ..telemetry import Profiler, ProvenanceTracker
 from .aspath import AsPath
@@ -237,9 +236,9 @@ class BgpSpeaker:
         returns host attributes."""
         raise NotImplementedError
 
-    def _with_export_attrs(self, route, attrs):
-        """``route`` carrying ``attrs``, which it shares with the export
-        memo and every other route exported with them."""
+    def _share_attrs(self, route, attrs):
+        """``route`` carrying ``attrs``, which it shares with a memo and
+        every other route rebuilt from it."""
         raise NotImplementedError
 
     # -- profiling --------------------------------------------------------
@@ -499,7 +498,10 @@ class BgpSpeaker:
           consecutive NLRI chunks);
         - the BGP_INBOUND_FILTER dispatch is bound once via
           :meth:`VirtualMachineManager.runner` instead of probed per
-          route (the extension still runs once per route);
+          route, and a chain of block-pure codes runs once per
+          attribute set, its outcome and written attributes shared by
+          the vector's other routes (native import still runs per
+          route: its policies may read the prefix);
         - the decision process runs once per dirty prefix, in one
           :meth:`_sweep` at the end of the vector, whose exports leave
           packed by attribute set.
@@ -507,13 +509,18 @@ class BgpSpeaker:
         Final Adj-RIB-In/Loc-RIB/Adj-RIB-Out state does not depend on
         how a feed is cut into vectors; only transient downstream
         traffic collapses (an announce superseded within the same
-        vector is never advertised).
+        vector is never advertised).  Known defect: a peer-field write
+        (``rr_client``, ``cluster_id``) re-exports nothing, so what a
+        peer holds afterwards depends on which later UPDATEs touch each
+        prefix, and so on how the feed is cut.
         """
         prov = self.provenance
         prof = self.profiler
         decode = self._decode_attrs
         receive_hot = not self.vmm.active(InsertionPoint.BGP_RECEIVE_MESSAGE)
         import_run = self.vmm.runner(InsertionPoint.BGP_INBOUND_FILTER)
+        # Only a keyed chain (block-pure, no provenance) uses a memo.
+        memo = BlockMemo(self._share_attrs) if import_run.keyed else None
         peer_address = neighbor.peer_address
         withdraw = self.adj_rib_in.withdraw
         # A BGP_RECEIVE_MESSAGE extension may write to the decoded
@@ -560,7 +567,7 @@ class BgpSpeaker:
 
                 for prefix in update.nlri:
                     started = perf_counter() if prof is not None else 0.0
-                    imported = self._import_route(neighbor, prefix, attrs, import_run)
+                    imported = self._import_route(neighbor, prefix, attrs, import_run, memo)
                     if prof is not None:
                         prof.phase("bgp_inbound_filter", perf_counter() - started)
                     if imported:
@@ -571,9 +578,10 @@ class BgpSpeaker:
             if prov is not None:
                 prov.end_update()
 
-    def _import_route(self, neighbor: Neighbor, prefix: Prefix, attrs, run) -> bool:
+    def _import_route(self, neighbor: Neighbor, prefix: Prefix, attrs, run, memo) -> bool:
         """Run import processing for one NLRI through ``run``, the bound
-        BGP_INBOUND_FILTER dispatch; returns True if the RIB changed."""
+        BGP_INBOUND_FILTER dispatch, with the vector's ``memo``; returns
+        True if the RIB changed."""
         prov = self.provenance
         if prov is not None:
             prov.begin_route(prefix, neighbor)
@@ -594,7 +602,8 @@ class BgpSpeaker:
             route=route,
             prefix=prefix,
         )
-        verdict = run(ctx, lambda: self._native_import(ctx))
+        key = route.attrs_key() if memo is not None else None
+        verdict = run(ctx, lambda: self._native_import(ctx), memo, key)
         route = ctx.route  # may have been rewritten copy-on-write
 
         if verdict == FILTER_REJECT:
@@ -656,7 +665,10 @@ class BgpSpeaker:
         Loc-RIB entry changed; with ``decide`` off, re-exports the
         standing best paths (to ``peers`` only, when given).  What the
         prefixes share is resolved once: the decision configuration,
-        the Established targets and the BGP_OUTBOUND_FILTER dispatch.
+        the Established targets, the BGP_OUTBOUND_FILTER dispatch and
+        its memo, where a block-pure chain's outcome is kept per
+        (attribute set, source, target) and native RFC 4456 stamping
+        per (attribute set, source).
         Nothing is sent before :meth:`_flush_bulk_export` — in
         ``finally``, so a sweep that raises still puts on the wire what
         Adj-RIB-Out already recorded.
@@ -672,10 +684,13 @@ class BgpSpeaker:
             igp_metric=self.igp.metric_to if self.igp is not None else None,
         )
         export_run = self.vmm.runner(InsertionPoint.BGP_OUTBOUND_FILTER)
+        memo = None
+        if export_run.keyed or self.route_reflector == "native":
+            memo = BlockMemo(self._share_attrs)
         try:
             for prefix in prefixes:
                 if not decide or self._run_decision(prefix, config):
-                    self._export_to(prefix, targets, export_run)
+                    self._export_to(prefix, targets, export_run, memo)
         finally:
             self._flush_bulk_export()
 
@@ -785,9 +800,10 @@ class BgpSpeaker:
         self._sweep(list(self.loc_rib.prefixes()), (address,), decide=False)
         self._send_update(address, UpdateMessage.end_of_rib())
 
-    def _export_to(self, prefix: Prefix, targets: List[Neighbor], run) -> None:
+    def _export_to(self, prefix: Prefix, targets: List[Neighbor], run, memo) -> None:
         """Decide, per target, what ``prefix``'s best path becomes on
-        that session; ``run`` is the bound BGP_OUTBOUND_FILTER dispatch."""
+        that session; ``run`` is the bound BGP_OUTBOUND_FILTER dispatch,
+        ``memo`` the sweep's."""
         prov = self.provenance
         prof = self.profiler
         phase = prov.begin_phase("export", prefix) if prov is not None else None
@@ -802,7 +818,7 @@ class BgpSpeaker:
                 self._withdraw_from(neighbor, prefix)
                 continue
             started = perf_counter() if prof is not None else 0.0
-            export_route = self._export_filter(best, neighbor, run)
+            export_route = self._export_filter(best, neighbor, run, memo)
             if prof is not None:
                 prof.phase("bgp_outbound_filter", perf_counter() - started)
             if export_route is None:
@@ -828,7 +844,7 @@ class BgpSpeaker:
         if phase is not None:
             prov.end_phase(phase)
 
-    def _export_filter(self, route, neighbor: Neighbor, run):
+    def _export_filter(self, route, neighbor: Neighbor, run, memo):
         """Insertion point 4: BGP_OUTBOUND_FILTER around native export."""
         ctx = ExecutionContext(
             self.host,
@@ -837,13 +853,14 @@ class BgpSpeaker:
             route=route,
             prefix=route.prefix,
         )
-        verdict = run(ctx, lambda: self._native_export(ctx))
+        key = (route.attrs_key(), route.source, neighbor) if run.keyed else None
+        verdict = run(ctx, lambda: self._native_export(ctx, memo), memo, key)
         if verdict == FILTER_REJECT:
             self.stats["export_rejected"] += 1
             return None
         return ctx.route
 
-    def _native_export(self, ctx: ExecutionContext) -> int:
+    def _native_export(self, ctx: ExecutionContext, memo: Optional[BlockMemo]) -> int:
         route = ctx.route
         neighbor = ctx.neighbor
         source = route.source
@@ -854,9 +871,11 @@ class BgpSpeaker:
                 # to clients only (RFC 4456 §6).
                 if not (source.rr_client or neighbor.rr_client):
                     return FILTER_REJECT
-                reflected = self._stamp_reflection(route)
-                ctx.route = reflected
-                route = reflected
+                key = (route.attrs_key(), source)
+                stamped = memo.get(key)
+                if stamped is None:
+                    stamped = memo[key] = self._stamp_reflection(route).attrs
+                route = ctx.route = self._share_attrs(route, stamped)
             elif self.route_reflector == "extension":
                 # Host is RR-unaware: relaxed split horizon; the
                 # extension outbound code is responsible for loop
@@ -902,10 +921,10 @@ class BgpSpeaker:
         cache = self._export_cache
         hit = cache.get(key)
         if hit is not None:
-            return self._with_export_attrs(route, hit[0]), hit[1]
+            return self._share_attrs(route, hit[0]), hit[1]
 
         attrs = self._export_rewrite(route, neighbor, source_ebgp)
-        sent = self._with_export_attrs(route, attrs)
+        sent = self._share_attrs(route, attrs)
         blob = b"".join(
             attribute.encode()
             for attribute in sent.attribute_list()

@@ -5,8 +5,8 @@ module supplies the BIRD *representation* behind its host contract
 (mirroring what the paper leaned on in BIRD):
 
 * attributes live in flexible, wire-shaped :class:`EattrList`s, copied
-  before a write — the export rewrite's sealed list is shared by every
-  route exported with it — except at BGP_RECEIVE_MESSAGE, hence no
+  before a write — a list a memo shares is sealed, so every route
+  rebuilt from it shares it — except at BGP_RECEIVE_MESSAGE, hence no
   decoded-object sharing across a batch while that point is attached;
 * validated ROAs sit in a **hash table**
   (:class:`~repro.bgp.roa.HashRoaTable`) — one probe per candidate
@@ -77,7 +77,8 @@ class BirdDaemon(BgpSpeaker):
                 eattrs.ea_set(next_hop.type_code, next_hop.flags, next_hop.value)
         return eattrs.seal()
 
-    def _with_export_attrs(self, route: BirdRoute, eattrs: EattrList) -> BirdRoute:
-        # The rewritten list is sealed, so every route exported with it
-        # shares it, as BIRD shares an interned rta.
-        return route.with_eattrs(eattrs)
+    def _share_attrs(self, route: BirdRoute, eattrs: EattrList) -> BirdRoute:
+        # Sealed once shared, as BIRD shares an interned rta.  A list
+        # still in the receive point's hands is never shared: that point
+        # has run on every list before its routes reach a memo.
+        return route if eattrs is route.eattrs else route.with_eattrs(eattrs.seal())

@@ -55,6 +55,10 @@ class BirdRoute(RouteView):
         self.eattrs = eattrs
         self.validity: Optional[RouteOriginValidity] = None
 
+    @property
+    def attrs(self):
+        return self.eattrs
+
     # -- RouteView contract ------------------------------------------------
 
     def attribute(self, type_code: int) -> Optional[PathAttribute]:

@@ -43,9 +43,9 @@ from .extension import ExtensionCode, NativeExtensionCode, ProgramState, XbgpPro
 from .host_interface import HostImplementation
 from .insertion_points import InsertionPoint
 
-__all__ = ["VmmConfig", "VirtualMachineManager", "AttachError"]
+__all__ = ["VmmConfig", "VirtualMachineManager", "AttachError", "BlockMemo", "block_pure"]
 
-Runner = Callable[[ExecutionContext, Callable[[], int]], int]
+Runner = Callable[..., int]
 
 #: What a step returns instead of a result: the code delegated with
 #: ``next()`` (or the breaker skipped it) / the code faulted and the
@@ -57,6 +57,45 @@ ABORTED = object()
 #: on the bytecode path is a bug in this repo and propagates.  A
 #: host-native code is arbitrary Python, so every exception is a fault.
 _SANDBOX_FAULTS = (SandboxViolation, ExecutionError, HelperError)
+
+#: The helpers whose answers depend on nothing but the peers' info, the
+#: attribute set and router-wide configuration, and that write nothing
+#: but the attribute set and the run's own heap (§2.1: the manifest
+#: lists every helper a code may call, and the verifier enforces it).
+_BLOCK_PURE_HELPERS = frozenset({
+    "next", "get_peer_info", "get_src_peer_info", "get_attr", "set_attr",
+    "add_attr", "remove_attr", "ebpf_memcpy", "get_nexthop", "get_xtra",
+    "ctx_malloc", "sqrt64",
+})
+_MAP_READERS = frozenset({"map_lookup", "map_lookup_idx", "map_size"})
+_MAP_WRITERS = frozenset({"map_new", "map_update"})
+
+
+def block_pure(code, program: XbgpProgram) -> bool:
+    """Does ``code`` compute a function of the attribute block alone?
+
+    True for a bytecode whose manifest lists only block-pure helpers,
+    map reads included when no code of ``program`` writes a map: it can
+    neither read the prefix (``get_arg``, ``get_prefix``) nor keep state
+    across runs (``ctx_shm*``, ``rib_announce``, ``ebpf_print``).
+    """
+    allowed = _BLOCK_PURE_HELPERS
+    if not any(_MAP_WRITERS.intersection(other.helper_names) for other in program.codes):
+        allowed = allowed | _MAP_READERS
+    return isinstance(code, ExtensionCode) and allowed.issuperset(code.helper_names)
+
+
+class BlockMemo(dict):
+    """One UPDATE vector's or sweep's memo: per block key, a block-pure
+    chain's outcome (verdict, or ``NEXT``: fell through to native), the
+    attribute set as it left it and the credits of the codes that ran.
+    A hit takes ``share(route, attrs)``, the host's route carrying the
+    stored attribute set.  The host may keep entries of its own in it."""
+
+    __slots__ = ("share",)
+
+    def __init__(self, share: Callable):
+        self.share = share
 
 
 class AttachError(Exception):
@@ -120,13 +159,17 @@ class _Attached:
         "fallbacks",
         "health",
         "profile",
+        "pure",
+        "hits",
     )
 
-    def __init__(self, code, vm: Optional[VirtualMachine], state: ProgramState, health):
+    def __init__(self, code, vm: Optional[VirtualMachine], state: ProgramState, health, pure: bool):
         self.code = code
         self.vm = vm
         self.state = state
         self.executions = 0
+        self.hits = 0
+        self.pure = pure
         self.errors = 0
         self.fallbacks = 0
         #: The code's breaker state; stays ``closed`` unless something
@@ -143,7 +186,7 @@ class _Watch(NamedTuple):
     ``returned(ctx, result)`` / ``delegated(ctx)`` / ``faulted(ctx,
     exc)`` after it; ``skipped(ctx)`` when the breaker withholds the
     run; ``observe(seconds)`` with the run's wall time, however it
-    ended.
+    ended; ``hit()`` when a memoised run stands in for one.
     """
 
     enter: Optional[Callable] = None
@@ -152,6 +195,7 @@ class _Watch(NamedTuple):
     faulted: Optional[Callable] = None
     skipped: Optional[Callable] = None
     observe: Optional[Callable] = None
+    hit: Optional[Callable] = None
 
 
 def _ignore(*_args) -> None:
@@ -190,9 +234,12 @@ def _verdict(result) -> Optional[int]:
     return result if isinstance(result, int) else None
 
 
-def _native_only(ctx: ExecutionContext, default_fn: Callable[[], int]) -> int:
+def _native_only(ctx: ExecutionContext, default_fn: Callable[[], int], memo=None, key=None) -> int:
     """The runner of a point with nothing attached."""
     return default_fn()
+
+
+_native_only.keyed = False
 
 
 class VirtualMachineManager:
@@ -274,9 +321,8 @@ class VirtualMachineManager:
         touched = set()
         for code, vm in zip(program.codes, vms):
             point = code.insertion_point
-            item = _Attached(
-                code, vm, state, self.breaker.state_for(point.value, code.name)
-            )
+            health = self.breaker.state_for(point.value, code.name)
+            item = _Attached(code, vm, state, health, block_pure(code, program))
             if self.profiler is not None:
                 self._profile_item(item)
             chain = self._chains.setdefault(point, [])
@@ -375,12 +421,15 @@ class VirtualMachineManager:
         return bool(self._chains.get(point))
 
     def stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-code execution, error and caused-fallback counters."""
+        """Per-code run, route, error and caused-fallback counters:
+        ``routes`` adds to the runs the routes a memoised run stood in
+        for, so unlike runs it does not depend on how a feed is cut."""
         result: Dict[str, Dict[str, int]] = {}
         for chain in self._chains.values():
             for item in chain:
                 result[item.code.name] = {
                     "executions": item.executions,
+                    "routes": item.executions + item.hits,
                     "errors": item.errors,
                     "fallbacks": item.fallbacks,
                 }
@@ -459,6 +508,13 @@ class VirtualMachineManager:
         :meth:`run`.  The binding stays valid for the whole batch: the
         events that rebind a point (attach/detach, provenance or
         profiling toggles) cannot happen mid-batch.
+
+        With ``(memo, key)``, a chain of block-pure codes runs once per
+        key while no code's breaker has an error pending (so quarantine
+        counts per route as without the memo); a faulted run is never
+        stored.  ``keyed`` says whether it does, and the host passes a
+        key only then: other chains, and all while provenance explains
+        each route, are not keyed.
         """
         return self._runners.get(point, _native_only)
 
@@ -482,24 +538,45 @@ class VirtualMachineManager:
         if not chain:
             self._runners.pop(point, None)
             return
-        steps = tuple(self._bind_step(item) for item in chain)
+        steps, credits = zip(*(self._bind_step(item) for item in chain))
         exhausted = _fan_out(self._exhausted_hooks(point.value)) or _ignore
+        healths = tuple(item.health for item in chain)
+        pure = self.host.provenance is None and all(item.pure for item in chain)
 
-        def run_point(ctx: ExecutionContext, default_fn: Callable[[], int]) -> int:
-            for step in steps:
+        def run_point(ctx: ExecutionContext, default_fn: Callable[[], int], memo=None, key=None) -> int:
+            if key is not None:
+                for health in healths:  # one not closed has an error pending
+                    if health.consecutive_errors:
+                        key = None
+                        break
+                else:
+                    hit = memo.get(key)
+                    if hit is not None:
+                        outcome, attrs, ran = hit
+                        for credit in ran:
+                            credit()
+                        ctx.route = memo.share(ctx.route, attrs)
+                        return default_fn() if outcome is NEXT else outcome
+            for index, step in enumerate(steps):
                 result = step(ctx)
                 if result is NEXT:
                     continue
                 if result is ABORTED:
                     return default_fn()
+                if key is not None:
+                    memo[key] = (result, ctx.route.attrs, credits[: index + 1])
                 return result
             exhausted(ctx)
+            if key is not None:
+                memo[key] = (NEXT, ctx.route.attrs, credits)
             return default_fn()
 
+        run_point.keyed = pure
         self._runners[point] = run_point
 
-    def _bind_step(self, item: _Attached) -> Callable[[ExecutionContext], object]:
-        """``item`` as one ``step(ctx) -> result | NEXT | ABORTED``.
+    def _bind_step(self, item: _Attached):
+        """``item`` as one ``step(ctx) -> result | NEXT | ABORTED``, and
+        the ``credit()`` of a memo hit standing in for a run of it.
 
         The hooks that fire on every run (``enter``/``returned``, the
         timer) are folded into the callable the step executes, so a
@@ -513,6 +590,11 @@ class VirtualMachineManager:
         delegated = _fan_out(watch.delegated for watch in watches) or _ignore
         faulted = _fan_out(watch.faulted for watch in watches) or _ignore
         skipped = _fan_out(watch.skipped for watch in watches) or _ignore
+        hit = _fan_out(watch.hit for watch in watches) or _ignore
+
+        def credit() -> None:
+            item.hits += 1
+            hit()
 
         vm = item.vm
         if vm is None:
@@ -562,7 +644,7 @@ class VirtualMachineManager:
                 faulted(ctx, exc)
                 return ABORTED
 
-        return step
+        return step, credit
 
     # -- what watches a run ------------------------------------------------
 
@@ -621,6 +703,9 @@ class VirtualMachineManager:
         m_exec = registry.counter(
             "xbgp_extension_executions", "extension code invocations", **labels
         )
+        m_routes = registry.counter(
+            "xbgp_extension_routes", "routes decided, by a run or a memoised one", **labels
+        )
         m_err = registry.counter(
             "xbgp_extension_errors", "aborted extension runs", **labels
         )
@@ -650,6 +735,7 @@ class VirtualMachineManager:
 
         def enter(ctx):
             m_exec.inc()
+            m_routes.inc()
             record("enter", point, name)
 
         def returned(ctx, result):
@@ -677,7 +763,7 @@ class VirtualMachineManager:
         def skipped(ctx):
             record("skip", point, name, reason="quarantined")
 
-        return _Watch(enter, returned, delegated, faulted, skipped, hist.observe)
+        return _Watch(enter, returned, delegated, faulted, skipped, hist.observe, m_routes.inc)
 
     @staticmethod
     def _watch_provenance(item: _Attached, prov) -> _Watch:

@@ -104,9 +104,7 @@ class FrrDaemon(BgpSpeaker):
             return attrs
         return self.attr_pool.intern(attrs.replaced(**changes))
 
-    def _with_export_attrs(self, route: FrrRoute, attrs: FrrAttrs) -> FrrRoute:
+    def _share_attrs(self, route: FrrRoute, attrs: FrrAttrs) -> FrrRoute:
         # Interned FrrAttrs are immutable, so the memo's object is
         # shared as is.
-        if attrs is route.attrs:
-            return route
-        return route.with_frr_attrs(attrs)
+        return route if attrs is route.attrs else route.with_frr_attrs(attrs)

@@ -17,7 +17,8 @@ Three case kinds, all derived deterministically from an integer seed:
   with mid-stream peer-configuration mutations (the events that must
   flush the host's marshalling caches); some cases add a second
   upstream whose contest for the same prefixes drives the decision
-  process.
+  process, and some reflection cases make it a non-client re-sending a
+  client's attribute block byte for byte.
 
 Generation is pure: the same seed always yields byte-identical cases,
 so a campaign is reproducible from its master seed alone.
@@ -562,4 +563,15 @@ def gen_host_case(seed) -> HostCase:
         role = "upstream2" if kind == "ebgp" else "upstream2-ibgp"
         for frame in frames:  # all before the closing End-of-RIB
             events.insert(rng.randint(0, len(events) - 1), ("frame", frame, role))
+    if plugin == "route_reflector" and len(routes) > 1 and rng.random() < 0.5:
+        # A non-client sends one of the client's blocks for one prefix;
+        # then the client withdraws that prefix while announcing another
+        # with the same block, so one sweep exports the block from both.
+        shared, other = rng.sample(routes, 2)
+        block = build_updates([shared], parse_ipv4(_UPSTREAM))[0].attributes
+        events.insert(0, ("peer", "upstream2-ibgp", "rr_client", False))
+        events[-1:-1] = [
+            ("frame", UpdateMessage(attributes=block, nlri=[shared.prefix]).encode(), "upstream2-ibgp"),
+            ("frame", UpdateMessage([shared.prefix], block, [other.prefix]).encode()),
+        ]
     return HostCase(seed, plugin, session, events, roas, coord, engine)

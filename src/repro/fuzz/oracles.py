@@ -13,11 +13,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bgp.messages import UpdateMessage, decode_message, split_stream
 from ..bgp.prefix import parse_ipv4
+from ..core.insertion_points import InsertionPoint
 from ..ebpf.helpers import HelperError, HelperTable
 from ..ebpf.isa import decode_program
 from ..ebpf.jit import translate
 from ..ebpf.memory import MemoryRegion, SandboxViolation, VmMemory
 from ..ebpf.vm import ExecutionError, VirtualMachine
+from ..plugins.origin_validation import read_validity_counters
 from ..scale import BatchProcessor, PartitionMap, split_update
 from ..sim.testbed import DAEMONS, DOWNSTREAM, UPSTREAM, RunSpec, build_dut, normalise_snapshot
 from .gen import FUZZ_HELPER_IDS, HALLOC_BLOCK, READONLY_REGION, SHARED_REGION, CodecCase, EngineCase, HostCase
@@ -512,11 +514,12 @@ def _replay_stream(chunks: List[bytes]) -> Tuple[Optional[str], Dict[str, bytes]
     return framing, attributes, frozenset(withdrawn)
 
 
-def _views(sent, adj_rib_out, loc_rib, fallbacks: int) -> Dict[str, object]:
+def _views(sent, adj_rib_out, loc_rib, fallbacks: int, validity) -> Dict[str, object]:
     """One run, host or reference, in the form the arms are compared in:
     each peer's stream replayed (``framing`` names the first malformed
     or oversized message), Adj-RIB-Out and Loc-RIB as attribute sets,
-    the prefixes the downstream holds, the extension fallback count."""
+    the prefixes the downstream holds, the extension fallback count, the
+    origin-validation counters."""
     streams = {address: _replay_stream(chunks) for address, chunks in sent.items()}
     return {
         "framing": next((view[0] for view in streams.values() if view[0]), None),
@@ -528,6 +531,7 @@ def _views(sent, adj_rib_out, loc_rib, fallbacks: int) -> Dict[str, object]:
         "snapshot": normalise_snapshot(loc_rib),
         "prefixes": frozenset(streams[parse_ipv4(DOWNSTREAM)][1]),
         "fallbacks": fallbacks,
+        "validity": validity,
     }
 
 
@@ -536,11 +540,15 @@ def _host_views(daemon, sent) -> Dict[str, object]:
         address: {prefix: route.attribute_list() for prefix, route in table.items()}
         for address, table in daemon.adj_rib_out._tables.items()
     }
-    return _views(sent, adj_rib_out, daemon.loc_rib_snapshot(), daemon.vmm.fallbacks)
+    chain = daemon.vmm._chains.get(InsertionPoint.BGP_INBOUND_FILTER, ())
+    validity = [read_validity_counters(i.state) for i in chain if i.code.name == "rov_import"]
+    return _views(
+        sent, adj_rib_out, daemon.loc_rib_snapshot(), daemon.vmm.fallbacks, validity[0] if validity else {}
+    )
 
 
 def _run_reference(case: HostCase) -> ReferenceDut:
-    model = ReferenceDut(case.plugin, coord=case.coord)
+    model = ReferenceDut(case.plugin, coord=case.coord, roas=case.roas)
     peers = {
         role: model.add_peer(address, asn, rr_client=case.plugin == "route_reflector")
         for role, address, asn in _case_peers(case)
@@ -556,7 +564,7 @@ def _run_reference(case: HostCase) -> ReferenceDut:
 
 def _reference_views(model: ReferenceDut) -> Dict[str, object]:
     loc_rib = {prefix: route.attrs.values() for prefix, route in model.loc_rib.items()}
-    return _views(model.sent, model.adj_rib_out, loc_rib, 0)
+    return _views(model.sent, model.adj_rib_out, loc_rib, 0, model.validity)
 
 
 def _run_host_arm(case: HostCase, implementation: str, batch_size: int = 0) -> Dict[str, object]:
@@ -634,14 +642,17 @@ def _run_host_arm_sharded(
 #: a divergence is named by: the framing of every message sent, the
 #: per-prefix attribute bytes each peer's stream leaves it with, the
 #: prefixes each peer saw withdrawn, every peer's Adj-RIB-Out, the
-#: Loc-RIB, extension fallbacks (none expected).
-_REFERENCE_KEYS = ("framing", "attributes", "withdrawn", "adj_rib_out", "snapshot", "fallbacks")
+#: Loc-RIB, extension fallbacks (none expected), origin-validation counts.
+_REFERENCE_KEYS = (
+    "framing", "attributes", "withdrawn", "adj_rib_out", "snapshot", "fallbacks", "validity"
+)
 #: Keys compared between the sequential and batched arms.  Batching
 #: legitimately collapses transient downstream traffic (an announce
 #: withdrawn inside one batch never hits the wire), so the withdraw
 #: event stream and raw bytes are out; the Loc-RIB, the effective
-#: advertised set and the fallback count must be identical.
-_BATCH_KEYS = ("snapshot", "prefixes", "fallbacks")
+#: advertised set, the fallback count and the per-route validity
+#: counts must be identical.
+_BATCH_KEYS = ("snapshot", "prefixes", "fallbacks", "validity")
 #: Keys compared between the sequential and merged sharded arms.
 #: Sharding preserves full per-prefix sequential semantics, so the
 #: withdraw sets are back in; per-message extension run counts differ

@@ -9,9 +9,10 @@ attaches are modelled as what they compute — ``route_reflector``: RFC
 ORIGINATOR_ID / CLUSTER_LIST stamping, a verdict the host's native
 export does not revisit; ``geoloc``: tag eBGP-learned routes with this
 router's site, drop routes stamped too far away, strip the tag towards
-eBGP, put it on the wire towards iBGP; ``origin_validation``: counts,
-never changes a route.  Peer-field writes (``rr_client``,
-``cluster_id``) take effect at the event that makes them.
+eBGP, put it on the wire towards iBGP; ``origin_validation``: counts
+each eBGP route's RFC 6811 validity, never changes a route.  Peer-field
+writes (``rr_client``, ``cluster_id``) take effect at the event that
+makes them.
 
 It imports the codec only, never the speaker, its RIBs, decision
 process or policies, the daemons, their glue, :mod:`repro.core` or the
@@ -108,7 +109,8 @@ class _Route:
 class ReferenceDut:
     """The DUT: AS ``asn``, router id = local address, next-hop-self on,
     ``plugin`` (None or a paper plugin name) attached as extension code,
-    ``coord`` its site (the testbed's default when None)."""
+    ``coord`` its site (the testbed's default when None), ``roas`` what
+    origin validation checks against."""
 
     def __init__(
         self,
@@ -116,8 +118,16 @@ class ReferenceDut:
         asn: int = 65001,
         router_id: str = "10.0.0.1",
         coord: Optional[Tuple[float, float]] = None,
+        roas=(),
     ):
         self.plugin = plugin
+        self.roas = roas
+        #: Validity name -> eBGP routes imported with it.
+        self.validity: Dict[str, int] = (
+            dict.fromkeys(("VALID", "NOT_FOUND", "INVALID"), 0)
+            if plugin == "origin_validation"
+            else {}
+        )
         self.asn = asn
         self.router_id = parse_ipv4(router_id)
         latitude, longitude = coord or (50.85, 4.35)
@@ -165,7 +175,7 @@ class ReferenceDut:
             if table.pop(prefix, None) is not None:
                 changed[prefix] = None
         for prefix in update.nlri:
-            if self._accepts(peer, attrs):
+            if self._accepts(peer, prefix, attrs):
                 table = self.adj_rib_in.setdefault(peer.address, table)
                 table[prefix] = _Route(prefix, peer, attrs)
                 changed[prefix] = None
@@ -174,9 +184,11 @@ class ReferenceDut:
         for prefix in changed:
             self._decide(prefix)
 
-    def _accepts(self, peer: Peer, attrs: Dict[int, PathAttribute]) -> bool:
+    def _accepts(self, peer: Peer, prefix: Prefix, attrs: Dict[int, PathAttribute]) -> bool:
         if not peer.ibgp and any(self.asn in s.asns for s in _segments(attrs)):
             return False  # AS_PATH loop
+        if self.plugin == "origin_validation" and not peer.ibgp and AS_PATH in attrs:
+            self.validity[self._rov(prefix, attrs)] += 1
         if self.plugin == "route_reflector" and peer.ibgp:
             if _attr_u32(attrs, ORIGINATOR_ID, 0) == self.router_id:
                 return False
@@ -190,6 +202,18 @@ class ReferenceDut:
             d_lat, d_lon = (abs(a - b) // 1000 for a, b in zip(stamp, here))
             return d_lat * d_lat + d_lon * d_lon <= _GEOLOC_RANGE_SQ
         return True
+
+    def _rov(self, prefix: Prefix, attrs: Dict[int, PathAttribute]) -> str:
+        """RFC 6811 as the ROV code computes it: the origin is the last
+        AS of the last non-empty AS_SEQUENCE; ROAs under /8 are unseen."""
+        sequences = [
+            s.asns for s in _segments(attrs) if s.kind == AsPathSegmentType.AS_SEQUENCE and s.asns
+        ]
+        origin = sequences[-1][-1] if sequences else 0
+        covering = [r for r in self.roas if r.prefix.length >= 8 and r.prefix.contains(prefix)]
+        if any(r.asn == origin != 0 and prefix.length <= r.max_length for r in covering):
+            return "VALID"
+        return "INVALID" if covering else "NOT_FOUND"
 
     def _decide(self, prefix: Prefix) -> None:
         best: Optional[_Route] = None

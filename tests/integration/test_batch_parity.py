@@ -20,7 +20,7 @@ from repro.bgp import Prefix
 from repro.bgp.aspath import AsPath
 from repro.bgp.attributes import make_as_path, make_geoloc, make_next_hop, make_origin
 from repro.bgp.constants import Origin
-from repro.bgp.messages import UpdateMessage
+from repro.bgp.messages import UpdateMessage, decode_message, encode_attributes
 from repro.bgp.prefix import parse_ipv4
 from repro.bgp.roa import make_roas_for_prefixes
 from repro.scale import (
@@ -221,12 +221,50 @@ def execution_counters(registry):
     return out
 
 
+#: Counters of runs and of what runs do: a block-pure code runs once per
+#: attribute block of a vector, so these depend on how a feed is cut into
+#: UPDATEs, vectors and shards; every other counter does not.
+RUN_FAMILIES = ("executions", "instructions", "helper_calls", "next")
+
+
+def block_runs(replay):
+    """Runs a block-pure code makes in ``replay``: one per distinct
+    attribute block in each vector (``spec.batch`` UPDATEs) of each
+    shard's feed."""
+    spec, partition = replay.spec, replay.partition
+    buckets = [[] for _ in range(partition.shards)]
+    for route in replay.routes:
+        buckets[partition.shard_of(route.prefix)].append(route)
+    runs = 0
+    for bucket in buckets:
+        updates = [decode_message(data)[0] for data in build_feed(spec, bucket)[0]]
+        for start in range(0, len(updates), spec.batch):
+            vector = updates[start : start + spec.batch]
+            runs += len({encode_attributes(update.attributes) for update in vector if update.nlri})
+    return runs
+
+
+def assert_runs_pinned(counts, seq_counts, runs, seq_runs):
+    """Per-route counters equal; each code ran ``runs`` times (``seq_runs``
+    sequentially), and each run did what a sequential run does: the same
+    instructions, helper calls and ``next()`` per run."""
+    assert counts.keys() == seq_counts.keys()
+    for (name, labels), value in counts.items():
+        kind = name.replace("xbgp_extension_", "")
+        if kind not in RUN_FAMILIES:
+            assert value == seq_counts[(name, labels)], name
+            continue
+        executions = ("xbgp_extension_executions", labels)
+        assert counts[executions] == runs and seq_counts[executions] == seq_runs
+        assert value * seq_runs == seq_counts[(name, labels)] * runs, name
+
+
 def vmm_stats(registry):
     """``vmm.stats()`` rebuilt from a (merged) registry's counters."""
     out = {}
     for family in registry.families():
         kind = family.name.replace("xbgp_extension_", "")
-        if family.kind == "counter" and kind in ("executions", "errors", "fallbacks"):
+        if family.kind == "counter" and kind in ("executions", "routes", "errors", "fallbacks"):
             for values, child in family.children.items():
                 labels = dict(zip(family.label_names, values))
                 out.setdefault(labels["extension"], {})[kind] = child.value
@@ -256,10 +294,13 @@ def test_harness_and_sharded_replay_are_one_testbed(feature, arm, implementation
     spec = RunSpec(implementation, feature, mode, roas, tier=tier, **run)
     assert harness.spec == spec
     hand, hand_collector = build_scale_daemon(spec)
-    for payload in build_feed(spec, routes)[0]:
+    feed = build_feed(spec, routes)[0]
+    for payload in feed:
         hand.receive_raw(UPSTREAM, payload)
-    inline = ShardedReplay(spec, routes, shards=1, backend="inline").run()
-    forked = ShardedReplay(spec, routes, shards=2).run()
+    inline_replay = ShardedReplay(spec, routes, shards=1, backend="inline")
+    forked_replay = ShardedReplay(spec, routes, shards=2)
+    inline = inline_replay.run()
+    forked = forked_replay.run()
     assert forked.shards == 2
 
     snapshot = normalise_snapshot(hand.loc_rib_snapshot())
@@ -275,15 +316,27 @@ def test_harness_and_sharded_replay_are_one_testbed(feature, arm, implementation
     assert inline.withdrawn == forked.withdrawn == withdrawn
 
     stats = hand.vmm.stats()
-    ran = sum(code["executions"] for code in stats.values())
+    ran = sum(code["routes"] for code in stats.values())
     assert ran == 0 if arm == "native" else ran >= len(routes)
+    # Both RR codes are block-pure: they run once per attribute block of
+    # a vector; every other code once per route.
+    pure = feature == "route_reflection" and arm == "jit"
+
+    def with_runs(runs):
+        return {
+            name: dict(row, executions=runs if pure else row["routes"])
+            for name, row in stats.items()
+        }
+
+    # Hand-fed, every UPDATE is a vector (the last is End-of-RIB).
+    assert stats == with_runs(len(feed) - 1)
     assert harness.dut.vmm.stats() == stats
     # Workers ship no VMM, but their merged counters say the same thing
     # (instruction totals are left out: origin validation fills its
     # persistent map once per DUT, so they grow with the shard count).
     assert vmm_stats(hand.vmm.telemetry.registry) == stats
-    assert vmm_stats(inline.merged_registry(shard_labels=False)) == stats
-    assert vmm_stats(forked.merged_registry(shard_labels=False)) == stats
+    assert vmm_stats(inline.merged_registry(shard_labels=False)) == with_runs(block_runs(inline_replay))
+    assert vmm_stats(forked.merged_registry(shard_labels=False)) == with_runs(block_runs(forked_replay))
 
 
 @pytest.mark.parametrize("implementation", ["frr", "bird"])
@@ -308,7 +361,9 @@ def test_merged_shard_counters_match_sequential(implementation):
     expected = execution_counters(sequential.merged_registry(shard_labels=False))
     merged = execution_counters(sharded.merged_registry(shard_labels=False))
     assert expected  # instrumentation engaged at all
-    assert merged == expected
+    runs = block_runs(ShardedReplay(implementation, routes, shards=2, **kwargs))
+    seq_runs = block_runs(ShardedReplay(implementation, routes, shards=1, **kwargs))
+    assert_runs_pinned(merged, expected, runs, seq_runs)
 
 
 @pytest.mark.parametrize("implementation", ["frr", "bird"])

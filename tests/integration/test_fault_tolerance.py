@@ -269,7 +269,7 @@ class TestQuarantine:
             assert len(collector.prefixes) == 50
             if crasher:
                 assert daemon.vmm.stats()["crash"] == {
-                    "executions": 3, "errors": 3, "fallbacks": 3
+                    "executions": 3, "routes": 3, "errors": 3, "fallbacks": 3
                 }
                 assert daemon.vmm.fallbacks == 3
                 assert daemon.vmm.quarantined_codes() == ["crash"]

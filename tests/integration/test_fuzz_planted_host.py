@@ -7,16 +7,17 @@ oracle, and the way BGPFuzz judges a fuzzer — by seeded faults found.
 Each mutant changes one token of a function the host oracle executes
 (the speaker's import, export and flush paths, the decision ladder,
 both hosts' export rewrites, route accessors and xBGP glue, the
-peer-info memo, the helper table): the function's source is
+peer-info memo, the helper table, the block-purity proof and the
+block memo's key and lifetime): the function's source is
 re-compiled with the edit and monkeypatched in, and a host campaign of
 at most ``CASES`` cases must report a divergence.  The same cases on
 the unmutated tree must stay clean.
 
 ``python tests/integration/test_fuzz_planted_host.py`` prints, for
 every mutant, which oracle arms caught it over all ``CASES`` cases —
-the k/N-per-arm record EXPERIMENTS.md quotes.  The file only touches
-names that exist on both sides of the change that introduced it, so
-the same file scores the tree before it.
+the k/N-per-arm record EXPERIMENTS.md quotes.  The block-memo mutants
+need a tree that has the block memo; the others only touch names that
+exist on both sides of the change that introduced them.
 """
 
 import inspect
@@ -132,6 +133,38 @@ def withdrawals_never_flushed(monkeypatch):
     )
 
 
+# -- the block memo ---------------------------------------------------------
+
+
+def rov_import_classified_block_pure(monkeypatch):
+    _edit(
+        monkeypatch, vmm, "block_pure",
+        "and allowed.issuperset(code.helper_names)", "and True",
+    )
+
+
+def block_memo_key_drops_the_source(monkeypatch):
+    _edit(
+        monkeypatch, Speaker, "_export_filter",
+        "(route.attrs_key(), route.source, neighbor)", "(route.attrs_key(), neighbor)",
+    )
+
+
+def block_memo_key_drops_the_target(monkeypatch):
+    _edit(
+        monkeypatch, Speaker, "_export_filter",
+        "(route.attrs_key(), route.source, neighbor)", "(route.attrs_key(), route.source)",
+    )
+
+
+def block_memo_outlives_its_sweep(monkeypatch):
+    _edit(
+        monkeypatch, Speaker, "_sweep",
+        "memo = BlockMemo(self._share_attrs)",
+        'memo = self.__dict__.setdefault("_memo", BlockMemo(self._share_attrs))',
+    )
+
+
 # -- the decision ladder ----------------------------------------------------
 
 
@@ -198,6 +231,10 @@ MUTANTS = (
     export_memo_key_ignores_the_target_session,
     encode_extension_bytes_dropped,
     withdrawals_never_flushed,
+    rov_import_classified_block_pure,
+    block_memo_key_drops_the_source,
+    block_memo_key_drops_the_target,
+    block_memo_outlives_its_sweep,
     ladder_prefers_the_longer_as_path,
     ladder_prefers_the_higher_origin,
     bird_missing_med_counts_as_worst,

@@ -109,7 +109,7 @@ def test_the_harness_run_equals_the_reference(implementation, feature, engine):
     harness.run()
 
     reflecting = feature == "route_reflection"
-    model = ReferenceDut("route_reflector" if reflecting else "origin_validation")
+    model = ReferenceDut("route_reflector" if reflecting else "origin_validation", roas=roas)
     model.add_peer(UPSTREAM, 65001 if reflecting else 65100, rr_client=reflecting)
     model.add_peer(DOWNSTREAM, 65001 if reflecting else 65200, rr_client=reflecting)
     for frame in harness.feed:

@@ -161,6 +161,6 @@ class TestAtScale:
         harness = ConvergenceHarness("frr", "route_reflection", "extension", routes)
         harness.run()
         stats = harness.extension_stats()
-        assert stats["rr_import"]["executions"] == 50
+        assert stats["rr_import"]["routes"] == 50
         assert stats["rr_import"]["errors"] == 0
         assert stats["rr_export"]["errors"] == 0

@@ -14,9 +14,11 @@ import urllib.request
 
 import pytest
 
+from repro.bgp.messages import decode_message, encode_attributes
 from repro.cli import main
 from repro.scale import ShardedReplay
 from repro.sim.harness import ConvergenceHarness
+from repro.sim.testbed import build_feed
 from repro.telemetry import EventLog, ReplayProgress, TelemetryExporter
 from repro.telemetry.events import validate_jsonl
 from repro.telemetry.metrics import MetricsRegistry
@@ -33,7 +35,19 @@ def counter_values(registry, prefix="xbgp_extension"):
     return out
 
 
-def run_replay(implementation, routes, shards, **kwargs):
+#: Counters of runs and of what runs do: a block-pure code runs once per
+#: attribute block of a vector, and a shard holds part of a block, so
+#: these depend on the partition; every other counter,
+#: ``xbgp_extension_routes`` included, does not.
+RUN_FAMILIES = (
+    "xbgp_extension_executions",
+    "xbgp_extension_instructions",
+    "xbgp_extension_helper_calls",
+    "xbgp_extension_next",
+)
+
+
+def make_replay(implementation, routes, shards, **kwargs):
     return ShardedReplay(
         implementation,
         routes,
@@ -44,7 +58,29 @@ def run_replay(implementation, routes, shards, **kwargs):
         backend="inline",
         telemetry=True,
         **kwargs,
-    ).run()
+    )
+
+
+def run_replay(implementation, routes, shards, **kwargs):
+    return make_replay(implementation, routes, shards, **kwargs).run()
+
+
+def block_runs(implementation, routes, shards):
+    """Runs each (block-pure) RR code makes in a ``shards``-way replay:
+    one per distinct attribute block in each vector of each shard's
+    feed."""
+    replay = make_replay(implementation, routes, shards)
+    spec, partition = replay.spec, replay.partition
+    buckets = [[] for _ in range(shards)]
+    for route in routes:
+        buckets[partition.shard_of(route.prefix)].append(route)
+    runs = 0
+    for bucket in buckets:
+        updates = [decode_message(data)[0] for data in build_feed(spec, bucket)[0]]
+        for start in range(0, len(updates), spec.batch):
+            vector = updates[start : start + spec.batch]
+            runs += len({encode_attributes(update.attributes) for update in vector if update.nlri})
+    return runs
 
 
 @pytest.mark.parametrize("implementation", ["frr", "bird"])
@@ -57,7 +93,18 @@ def test_merged_worker_counters_match_sequential(implementation):
     seq_counts = counter_values(sequential.merged_registry(shard_labels=False))
     sharded_counts = counter_values(sharded.merged_registry(shard_labels=False))
     assert seq_counts  # the extension actually executed
-    assert sharded_counts == seq_counts
+    assert sharded_counts.keys() == seq_counts.keys()
+    runs = block_runs(implementation, routes, 3)
+    seq_runs = block_runs(implementation, routes, 1)
+    for (name, labels), value in sharded_counts.items():
+        if name not in RUN_FAMILIES:
+            assert value == seq_counts[(name, labels)], name
+            continue
+        # One run per (block, shard) pair, each doing what a sequential
+        # run does: the same instructions, helper calls, next() per run.
+        executions = ("xbgp_extension_executions", labels)
+        assert sharded_counts[executions] == runs and seq_counts[executions] == seq_runs
+        assert value * seq_runs == seq_counts[(name, labels)] * runs, name
 
     # The shard-labeled view carries the same totals, attributed.
     labeled = sharded.merged_registry(shard_labels=True)
@@ -72,7 +119,7 @@ def test_merged_worker_counters_match_sequential(implementation):
         labeled_totals[(name, stripped)] = (
             labeled_totals.get((name, stripped), 0) + value
         )
-    assert labeled_totals == seq_counts
+    assert labeled_totals == sharded_counts
 
 
 def test_event_log_tells_a_coherent_story():
@@ -239,20 +286,30 @@ def test_merged_timeseries_final_sample_matches_sequential(implementation):
     seq_final = sequential.merged_timeseries(shard_labels=False)[-1]
     merged = sharded.merged_timeseries()
     final = merged[-1]
+    # Two RR codes, each running once per (block, shard) pair.
+    runs = 2 * block_runs(implementation, routes, 3)
+    seq_runs = 2 * block_runs(implementation, routes, 1)
+    assert counter_total(final, "xbgp_extension_executions") == runs
+    assert counter_total(seq_final, "xbgp_extension_executions") == seq_runs
     for family in (
+        "xbgp_extension_routes",
         "xbgp_extension_executions",
         "xbgp_extension_instructions",
         "xbgp_extension_next",
     ):
         seq_total = counter_total(seq_final, family)
         assert seq_total is not None and seq_total > 0
-        assert counter_total(final, family) == seq_total
+        total = counter_total(final, family)
+        if family in RUN_FAMILIES:
+            assert total * seq_runs == seq_total * runs  # same work per run
+        else:
+            assert total == seq_total
         # The shard attribution partitions the total exactly.
         per_shard = [
             counter_total(final, family, {"shard": str(index)}) or 0.0
             for index in range(3)
         ]
-        assert sum(per_shard) == seq_total
+        assert sum(per_shard) == total
         assert all(value > 0 for value in per_shard)
 
     # Counters are monotone along the merged series.

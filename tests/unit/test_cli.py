@@ -141,7 +141,7 @@ class TestStats:
         snapshot = json.loads(output)
         assert snapshot["run"]["routes"] == 40
         codes = snapshot["run"]["vmm"]["codes"]
-        assert codes["rr_import"]["executions"] == 40
+        assert codes["rr_import"]["routes"] == 40
         assert codes["rr_import"]["errors"] == 0
         points = snapshot["run"]["vmm"]["points"]
         assert points["bgp_inbound_filter"]["fallbacks"] == 0
@@ -195,7 +195,7 @@ class TestStats:
         # The json arm parses cleanly on its own.
         snapshot = json.loads((tmp_path / "stats.json").read_text())
         assert snapshot["run"]["routes"] == 20
-        assert snapshot["run"]["vmm"]["codes"]["rr_import"]["executions"] == 20
+        assert snapshot["run"]["vmm"]["codes"]["rr_import"]["routes"] == 20
 
 
 class TestStatsMerge:
@@ -223,7 +223,7 @@ class TestStatsMerge:
         line = next(
             l
             for l in output.splitlines()
-            if l.startswith("xbgp_extension_executions_total")
+            if l.startswith("xbgp_extension_routes_total")
             and 'extension="rr_import"' in l
         )
         assert line.endswith(" 60")  # 30 + 30

@@ -221,7 +221,7 @@ class TestFastPath:
         faults = 3 if "*(u64 *)" in source else 0
         assert observed["results"] == [expected] * 3
         assert observed["stats"] == {
-            "x": {"executions": 3, "errors": faults, "fallbacks": faults}
+            "x": {"executions": 3, "routes": 3, "errors": faults, "fallbacks": faults}
         }
         assert observed["fallbacks"] == faults
         assert observed["points"] == {
@@ -258,6 +258,7 @@ class TestFastPath:
         nexts = 3 if helpers else 0
         wanted = {
             "xbgp_extension_executions": [3],
+            "xbgp_extension_routes": [3],
             "xbgp_extension_errors": [faults],
             "xbgp_extension_fallbacks": [faults],
             "xbgp_extension_next": [nexts],
@@ -281,7 +282,7 @@ class TestFastPath:
         vmm.attach_program(XbgpProgram("p", [code]))
         observed = _exercise(vmm)
         assert observed["results"] == [123] * 3
-        assert observed["stats"] == {"py": {"executions": 3, "errors": 0, "fallbacks": 0}}
+        assert observed["stats"] == {"py": {"executions": 3, "routes": 3, "errors": 0, "fallbacks": 0}}
         assert observed["fallbacks"] == 0
         if telemetry:
             assert [event["kind"] for event in observed["trace"]] == ["enter", "exit"] * 3
@@ -308,7 +309,7 @@ class TestFastPath:
         assert vmm.run(ExecutionContext(vmm.host, point), lambda: 77) == 9
         vmm.detach_program("p2")
         assert vmm.run(ExecutionContext(vmm.host, point), lambda: 77) == 77
-        assert vmm.stats() == {"solo": {"executions": 2, "errors": 0, "fallbacks": 0}}
+        assert vmm.stats() == {"solo": {"executions": 2, "routes": 2, "errors": 0, "fallbacks": 0}}
         vmm.detach_program("p1")
         assert vmm.run(ExecutionContext(vmm.host, point), lambda: 77) == 77
         assert vmm.stats() == {} and not vmm.active(point)

@@ -65,7 +65,7 @@ HOOKS = {
     "_validate_origin",
     "_stamp_reflection",
     "_export_rewrite",
-    "_with_export_attrs",
+    "_share_attrs",
 }
 
 

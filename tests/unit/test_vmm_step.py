@@ -91,7 +91,7 @@ WATCHERS = ("nothing", "telemetry", "telemetry+provenance", "telemetry+profiler"
 EXPECTED = {
     "bytecode": {
         "results": [5, 5],
-        "stats": {"x": {"executions": 2, "errors": 0, "fallbacks": 0}},
+        "stats": {"x": {"executions": 2, "routes": 2, "errors": 0, "fallbacks": 0}},
         "points": {"bgp_inbound_filter": {"executions": 2, "errors": 0, "fallbacks": 0}},
         "errors": [(None, None), (None, None)],
         "trace": [("enter", None), ("exit", "return")] * 2,
@@ -99,7 +99,7 @@ EXPECTED = {
     },
     "host_native": {
         "results": [123, 123],
-        "stats": {"py": {"executions": 2, "errors": 0, "fallbacks": 0}},
+        "stats": {"py": {"executions": 2, "routes": 2, "errors": 0, "fallbacks": 0}},
         "points": {"bgp_inbound_filter": {"executions": 2, "errors": 0, "fallbacks": 0}},
         "errors": [(None, None), (None, None)],
         "trace": [("enter", None), ("exit", "return")] * 2,
@@ -108,8 +108,8 @@ EXPECTED = {
     "next_then_return": {
         "results": [2, 2],
         "stats": {
-            "first": {"executions": 2, "errors": 0, "fallbacks": 0},
-            "second": {"executions": 2, "errors": 0, "fallbacks": 0},
+            "first": {"executions": 2, "routes": 2, "errors": 0, "fallbacks": 0},
+            "second": {"executions": 2, "routes": 2, "errors": 0, "fallbacks": 0},
         },
         "points": {"bgp_inbound_filter": {"executions": 4, "errors": 0, "fallbacks": 0}},
         "errors": [(None, None), (None, None)],
@@ -121,7 +121,7 @@ EXPECTED = {
     },
     "all_delegate": {
         "results": [DEFAULT, DEFAULT],
-        "stats": {"x": {"executions": 2, "errors": 0, "fallbacks": 0}},
+        "stats": {"x": {"executions": 2, "routes": 2, "errors": 0, "fallbacks": 0}},
         "points": {"bgp_inbound_filter": {"executions": 2, "errors": 0, "fallbacks": 0}},
         "errors": [(None, None), (None, None)],
         "trace": [
@@ -131,7 +131,7 @@ EXPECTED = {
     },
     "sandbox_fault": {
         "results": [DEFAULT, DEFAULT],
-        "stats": {"x": {"executions": 2, "errors": 2, "fallbacks": 2}},
+        "stats": {"x": {"executions": 2, "routes": 2, "errors": 2, "fallbacks": 2}},
         "points": {"bgp_inbound_filter": {"executions": 2, "errors": 2, "fallbacks": 2}},
         "errors": [
             ("x: read of 8 bytes at 0x10 outside sandbox", "x"),
@@ -142,7 +142,7 @@ EXPECTED = {
     },
     "budget": {
         "results": [DEFAULT],
-        "stats": {"x": {"executions": 1, "errors": 1, "fallbacks": 1}},
+        "stats": {"x": {"executions": 1, "routes": 1, "errors": 1, "fallbacks": 1}},
         "points": {"bgp_inbound_filter": {"executions": 1, "errors": 1, "fallbacks": 1}},
         "errors": [("budget", "x")],
         "trace": [("enter", None), ("exit", "error"), ("fallback", None)],
@@ -150,7 +150,7 @@ EXPECTED = {
     },
     "host_native_raises": {
         "results": [DEFAULT, DEFAULT],
-        "stats": {"py": {"executions": 2, "errors": 2, "fallbacks": 2}},
+        "stats": {"py": {"executions": 2, "routes": 2, "errors": 2, "fallbacks": 2}},
         "points": {"bgp_inbound_filter": {"executions": 2, "errors": 2, "fallbacks": 2}},
         "errors": [("py: boom", "py"), ("py: boom", "py")],
         "trace": [("enter", None), ("exit", "error"), ("fallback", None)] * 2,
@@ -160,7 +160,7 @@ EXPECTED = {
     # starts probation and runs; two clean trial runs re-arm it.
     "quarantine_cycle": {
         "results": [DEFAULT, DEFAULT, DEFAULT, 9, 9, 9, 9],
-        "stats": {"py": {"executions": 6, "errors": 2, "fallbacks": 2}},
+        "stats": {"py": {"executions": 6, "routes": 6, "errors": 2, "fallbacks": 2}},
         "points": {"bgp_inbound_filter": {"executions": 6, "errors": 2, "fallbacks": 2}},
         "errors": [("py: flaky", "py"), ("py: flaky", "py")] + [(None, None)] * 5,
         "trace": [
