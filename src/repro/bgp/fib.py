@@ -64,10 +64,6 @@ class Fib:
         match = self._trie.lookup_address(address)
         return match[1] if match else None
 
-    def lookup_prefix(self, prefix: Prefix) -> Optional[FibEntry]:
-        match = self._trie.longest_match(prefix)
-        return match[1] if match else None
-
     def entries(self) -> Iterator[FibEntry]:
         for _, entry in self._trie.items():
             yield entry

@@ -443,14 +443,16 @@ def _cmd_spans(args) -> int:
     )
     routers = (("up", up), ("dut", dut), ("down", down))
     if args.output:
-        import json as _json
+        from .telemetry.records import write_jsonl
 
-        total = 0
-        with open(args.output, "w") as handle:
-            for name, daemon in routers:
-                for span in daemon.provenance.spans.spans():
-                    handle.write(_json.dumps({"node": name, **span}) + "\n")
-                    total += 1
+        total = write_jsonl(
+            (
+                {"node": name, **span}
+                for name, daemon in routers
+                for span in daemon.provenance.spans.spans()
+            ),
+            args.output,
+        )
         print(f"# wrote {total} spans to {args.output}", file=sys.stderr)
         return 0
     for name, daemon in routers:

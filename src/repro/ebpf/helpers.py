@@ -58,16 +58,9 @@ class HelperTable:
     def get(self, helper_id: int) -> Optional[Helper]:
         return self._by_id.get(helper_id)
 
-    def by_name(self, name: str) -> Optional[Helper]:
-        return self._by_name.get(name)
-
     def name_to_id(self) -> Dict[str, int]:
         """Mapping for the assembler/compiler (``call get_attr``)."""
         return {name: helper.helper_id for name, helper in self._by_name.items()}
-
-    def id_to_name(self) -> Dict[int, str]:
-        """Mapping for the disassembler."""
-        return {helper.helper_id: helper.name for helper in self._by_id.values()}
 
     def ids(self) -> Iterable[int]:
         return self._by_id.keys()

@@ -46,9 +46,6 @@ class Divergence:
         self.signature = signature
         self.detail = detail
 
-    def to_dict(self) -> Dict[str, str]:
-        return {"oracle": self.oracle, "signature": self.signature, "detail": self.detail}
-
     def __repr__(self) -> str:
         return f"Divergence({self.signature!r})"
 

@@ -46,12 +46,6 @@ class IgpTopology:
         self._adjacency[a].pop(b, None)
         self._adjacency[b].pop(a, None)
 
-    def set_cost(self, a: str, b: str, cost: int) -> None:
-        if b not in self._adjacency.get(a, {}):
-            raise KeyError(f"no link {a}-{b}")
-        self._adjacency[a][b] = cost
-        self._adjacency[b][a] = cost
-
     # -- queries -------------------------------------------------------
 
     def nodes(self) -> Iterator[str]:

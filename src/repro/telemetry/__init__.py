@@ -125,14 +125,9 @@ __all__ = [
 class Telemetry:
     """Registry + trace + quarantine engine wired together."""
 
-    def __init__(
-        self,
-        policy: Optional[QuarantinePolicy] = None,
-        trace_capacity: int = DEFAULT_TRACE_CAPACITY,
-        trace_timestamps: bool = False,
-    ):
+    def __init__(self, policy: Optional[QuarantinePolicy] = None):
         self.registry = MetricsRegistry()
-        self.trace = TraceRing(trace_capacity, timestamps=trace_timestamps)
+        self.trace = TraceRing()
         self.health = QuarantineEngine(policy, on_transition=self._on_transition)
         #: Optional structured event log; when set, breaker transitions
         #: also become schema'd ``quarantine`` events.

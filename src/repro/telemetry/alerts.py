@@ -39,6 +39,7 @@ import re
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .events import EventLog
+from .records import numbered_lines
 from .timeseries import counter_total, histogram_quantiles
 
 __all__ = [
@@ -238,9 +239,8 @@ def load_rules(path: str) -> List[AlertRule]:
     """Load rules from a file: one expression per line, ``#`` comments."""
     rules: List[AlertRule] = []
     with open(path) as handle:
-        for line_number, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+        for line_number, line in numbered_lines(handle):
+            if line.startswith("#"):
                 continue
             try:
                 rules.append(parse_rule(line))

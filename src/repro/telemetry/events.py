@@ -15,10 +15,10 @@ lifecycle moments the tentpole subsystems emit:
 * ``convergence`` / ``oscillation`` — signals from the provenance
   tracker's convergence detector.
 
-:class:`EventLog` buffers a bounded ring (old events evicted, eviction
-counted) and optionally streams every event to a JSONL file as it is
-emitted, so a crash loses nothing already written.  ``xbgp events``
-tails, filters, validates and re-renders these files.
+:class:`EventLog` is a bounded :class:`~repro.telemetry.records.Ring`
+that optionally streams every event to a JSONL file as it is emitted,
+so a crash loses nothing already written.  ``xbgp events`` tails,
+filters, validates and re-renders these files.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
+
+from .records import JsonlSink, Ring, numbered_lines, read_jsonl
 
 __all__ = [
     "DEFAULT_EVENT_CAPACITY",
-    "EVENT_SCHEMA_VERSION",
     "EVENT_TYPES",
     "EventLog",
     "EventSchemaError",
@@ -43,8 +43,6 @@ __all__ = [
     "validate_event",
     "validate_jsonl",
 ]
-
-EVENT_SCHEMA_VERSION = 1
 
 DEFAULT_EVENT_CAPACITY = 4096
 
@@ -84,20 +82,17 @@ def validate_event(event: object) -> Dict[str, object]:
     return event
 
 
-class EventLog:
+class EventLog(Ring):
     """Bounded event ring with optional write-through JSONL file.
 
     ``path=None`` keeps events in memory only (the ``/events`` endpoint
-    ring); with a path, every event is appended to the file as emitted
-    and flushed, so tailers see it immediately.
-
-    ``max_bytes`` caps the write-through file for long-running serves:
-    before a write would push the file past the cap, the current file
-    rotates to ``<path>.1`` (replacing any previous rotation) and a
-    fresh file starts, so disk use is bounded by ~2×``max_bytes`` while
-    the most recent events are always on disk.  ``0`` disables
-    rotation (the default — short bench runs keep one file).
+    ring); with a path, every event goes through a
+    :class:`~repro.telemetry.records.JsonlSink` as emitted.
+    ``max_bytes`` caps that file for long-running serves; ``0`` (the
+    default — short bench runs keep one file) disables rotation.
     """
+
+    kind_field = "event"
 
     def __init__(
         self,
@@ -106,27 +101,15 @@ class EventLog:
         clock=time.time,
         max_bytes: int = 0,
     ) -> None:
-        if capacity < 1:
-            raise ValueError("event capacity must be >= 1")
+        super().__init__(capacity, "event")
         if max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
-        self.path = path
-        self.capacity = capacity
-        self.max_bytes = max_bytes
-        self.rotations = 0
         self._clock = clock
-        self._ring: Deque[Dict[str, object]] = deque(maxlen=capacity)
-        self._seq = 0
-        self._written_bytes = 0
-        self._handle = open(path, "w") if path else None
-
-    # -- recording -------------------------------------------------------
+        self._sink = JsonlSink(path, max_bytes) if path else None
 
     def emit(self, event: str, **fields: object) -> Dict[str, object]:
         """Build, validate, buffer (and stream) one event."""
-        record: Dict[str, object] = {"event": event, "ts": self._clock()}
-        record.update(fields)
-        return self.append(record)
+        return self.append({"event": event, "ts": self._clock(), **fields})
 
     def append(self, event: Dict[str, object]) -> Dict[str, object]:
         """Record a pre-built event (e.g. one shipped from a worker).
@@ -140,62 +123,23 @@ class EventLog:
         self._seq += 1
         event["seq"] = self._seq
         self._ring.append(event)
-        if self._handle is not None:
-            line = json.dumps(event) + "\n"
-            if (
-                self.max_bytes
-                and self._written_bytes
-                and self._written_bytes + len(line) > self.max_bytes
-            ):
-                self._rotate()
-            self._handle.write(line)
-            self._handle.flush()
-            self._written_bytes += len(line)
+        if self._sink is not None:
+            self._sink.write(event)
         return event
 
-    def _rotate(self) -> None:
-        """Roll the write-through file to ``<path>.1`` and start fresh."""
-        self._handle.close()
-        os.replace(self.path, self.path + ".1")
-        self._handle = open(self.path, "w")
-        self._written_bytes = 0
-        self.rotations += 1
-
-    # -- inspection ------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._ring)
+    events = Ring.records
 
     @property
-    def recorded(self) -> int:
-        return self._seq
-
-    @property
-    def evicted(self) -> int:
-        return self._seq - len(self._ring)
-
-    def events(self, kind: Optional[str] = None) -> List[Dict[str, object]]:
-        if kind is None:
-            return list(self._ring)
-        return [event for event in self._ring if event["event"] == kind]
+    def rotations(self) -> int:
+        """How many times the write-through file rolled to ``<path>.1``."""
+        return self._sink.rotations if self._sink is not None else 0
 
     def tail(self, count: int) -> List[Dict[str, object]]:
-        if count <= 0:
-            return []
-        return list(self._ring)[-count:]
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "capacity": self.capacity,
-            "buffered": len(self._ring),
-            "recorded": self._seq,
-            "evicted": self.evicted,
-        }
+        return self.records()[-count:] if count > 0 else []
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        if self._sink is not None:
+            self._sink.close()
 
 
 # -- file-side tooling (the ``xbgp events`` surface) ----------------------
@@ -215,22 +159,7 @@ def rotated_paths(path: str) -> List[str]:
 
 def read_events(path: str) -> List[Dict[str, object]]:
     """Load and validate a JSONL event log; raises on the first bad line."""
-    events = []
-    with open(path) as handle:
-        for line_number, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise EventSchemaError(f"{path}:{line_number}: not JSON ({exc})")
-            try:
-                validate_event(event)
-            except EventSchemaError as exc:
-                raise EventSchemaError(f"{path}:{line_number}: {exc}")
-            events.append(event)
-    return events
+    return read_jsonl(path, validate_event, EventSchemaError)
 
 
 def validate_jsonl(path: str) -> Tuple[int, List[str]]:
@@ -238,10 +167,7 @@ def validate_jsonl(path: str) -> Tuple[int, List[str]]:
     valid = 0
     errors: List[str] = []
     with open(path) as handle:
-        for line_number, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
+        for line_number, line in numbered_lines(handle):
             try:
                 validate_event(json.loads(line))
                 valid += 1

@@ -36,15 +36,25 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 from urllib.parse import parse_qs, urlparse
 
 from .metrics import MetricsRegistry, render_prometheus
+from .records import Ring
 
 __all__ = ["TelemetryExporter"]
 
 #: Every JSON endpoint declares its charset explicitly, like /metrics.
 _JSON_TYPE = "application/json; charset=utf-8"
+
+
+def _limited(items: List[Dict[str, object]], query: Dict[str, List[str]]):
+    """The last ``?limit=<n>`` items; all of them unless ``n`` > 0."""
+    try:
+        limit = int(query.get("limit", ["0"])[0])
+    except ValueError:
+        limit = 0
+    return items[-limit:] if limit > 0 else items
 
 
 class TelemetryExporter:
@@ -106,13 +116,12 @@ class TelemetryExporter:
         rows = self._resolve(self._health_source)
         return list(rows) if rows is not None else []
 
-    def event_list(self) -> List[Dict[str, object]]:
-        source = self._resolve(self._events_source)
+    def _records(self, source) -> List[Dict[str, object]]:
+        """A recorder's buffered records, or a plain list of them."""
+        source = self._resolve(source)
         if source is None:
             return []
-        if hasattr(source, "events"):
-            return source.events()
-        return list(source)
+        return source.records() if isinstance(source, Ring) else list(source)
 
     def alerts_snapshot(self):
         source = self._resolve(self._alerts_source)
@@ -121,14 +130,6 @@ class TelemetryExporter:
         if hasattr(source, "snapshot"):
             return source.snapshot()
         return source
-
-    def timeseries_samples(self) -> List[Dict[str, object]]:
-        source = self._resolve(self._timeseries_source)
-        if source is None:
-            return []
-        if hasattr(source, "samples"):
-            return source.samples()
-        return list(source)
 
     def replace_sources(
         self,
@@ -176,19 +177,12 @@ class TelemetryExporter:
 
     def _render_events(self, query: Dict[str, List[str]]) -> bytes:
         with self.lock:
-            events = self.event_list()
+            events = self._records(self._events_source)
         kinds = query.get("event")
         if kinds:
             wanted = {k for value in kinds for k in value.split(",")}
             events = [e for e in events if e.get("event") in wanted]
-        limits = query.get("limit")
-        if limits:
-            try:
-                limit = int(limits[0])
-            except ValueError:
-                limit = 0
-            if limit > 0:
-                events = events[-limit:]
+        events = _limited(events, query)
         return json.dumps({"count": len(events), "events": events}).encode()
 
     def _render_alerts(self) -> bytes:
@@ -198,15 +192,7 @@ class TelemetryExporter:
 
     def _render_timeseries(self, query: Dict[str, List[str]]) -> bytes:
         with self.lock:
-            samples = self.timeseries_samples()
-        limits = query.get("limit")
-        if limits:
-            try:
-                limit = int(limits[0])
-            except ValueError:
-                limit = 0
-            if limit > 0:
-                samples = samples[-limit:]
+            samples = _limited(self._records(self._timeseries_source), query)
         return json.dumps({"count": len(samples), "samples": samples}).encode()
 
     # -- lifecycle ---------------------------------------------------------

@@ -242,12 +242,6 @@ class MetricsRegistry:
 
         return snapshot_registry(self)
 
-    @classmethod
-    def from_snapshot(cls, snapshot: Dict[str, object]) -> "MetricsRegistry":
-        from .aggregate import registry_from_snapshot
-
-        return registry_from_snapshot(snapshot)
-
     def to_json(self) -> Dict[str, object]:
         """JSON-able view: one entry per family, one row per label set."""
         out: Dict[str, object] = {}

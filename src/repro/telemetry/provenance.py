@@ -35,14 +35,14 @@ and every hook site is a single None check.
 from __future__ import annotations
 
 import io
-import json
 import time
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from ..bgp.constants import AttrTypeCode
 from ..bgp.prefix import format_ipv4
-from .spans import DEFAULT_SPAN_CAPACITY, SpanRecorder
+from .records import write_jsonl
+from .spans import SpanRecorder
 
 __all__ = ["ProvenanceTracker", "DEFAULT_STORIES_PER_PREFIX", "attr_name"]
 
@@ -80,7 +80,6 @@ class ProvenanceTracker:
         router: str,
         implementation: str = "",
         stories_per_prefix: int = DEFAULT_STORIES_PER_PREFIX,
-        span_capacity: int = DEFAULT_SPAN_CAPACITY,
         clock: Optional[Callable[[], float]] = None,
     ):
         if stories_per_prefix < 1:
@@ -88,7 +87,7 @@ class ProvenanceTracker:
         self.router = router
         self.implementation = implementation
         self.clock: Callable[[], float] = clock or time.monotonic
-        self.spans = SpanRecorder(router, span_capacity, clock=self.clock)
+        self.spans = SpanRecorder(router, clock=self.clock)
         self.stories_per_prefix = stories_per_prefix
         self._stories: Dict[str, Deque[Dict[str, object]]] = {}
         #: Parent span ref delivered with the bytes currently being
@@ -179,27 +178,7 @@ class ProvenanceTracker:
         extension runs rewrite attributes *before* per-prefix import)
         are copied in: they are part of this route's causality.
         """
-        root = self._stack[0] if self._stack else None
-        story: Dict[str, object] = {
-            "router": self.router,
-            "implementation": self.implementation,
-            "prefix": str(prefix),
-            "peer": _peer_name(neighbor),
-            "session": (
-                "ebgp" if neighbor is not None and neighbor.is_ebgp() else "ibgp"
-            )
-            if neighbor is not None
-            else "local",
-            "trace": root["trace"] if root is not None else None,
-            "ts": self.clock(),
-            "events": list(self._update_events),
-        }
-        ring = self._stories.get(story["prefix"])
-        if ring is None:
-            ring = deque(maxlen=self.stories_per_prefix)
-            self._stories[story["prefix"]] = ring
-        ring.append(story)
-        return story
+        return self._open_story(str(prefix), neighbor, list(self._update_events))
 
     def _story_for(self, prefix) -> Dict[str, object]:
         """Latest story for ``prefix``, synthesising one if needed.
@@ -208,22 +187,29 @@ class ProvenanceTracker:
         import (a withdrawal elsewhere re-runs the decision); those
         events still deserve a home.
         """
-        key = str(prefix)
-        ring = self._stories.get(key)
+        ring = self._stories.get(str(prefix))
         if ring:
             return ring[-1]
+        return self._open_story(str(prefix), None, [])
+
+    def _open_story(self, key: str, neighbor, events: List[Dict[str, object]]):
         root = self._stack[0] if self._stack else None
         story: Dict[str, object] = {
             "router": self.router,
             "implementation": self.implementation,
             "prefix": key,
-            "peer": None,
-            "session": "local",
+            "peer": _peer_name(neighbor),
+            "session": "local" if neighbor is None else (
+                "ebgp" if neighbor.is_ebgp() else "ibgp"
+            ),
             "trace": root["trace"] if root is not None else None,
             "ts": self.clock(),
-            "events": [],
+            "events": events,
         }
-        self._stories[key] = deque([story], maxlen=self.stories_per_prefix)
+        ring = self._stories.get(key)
+        if ring is None:
+            ring = self._stories[key] = deque(maxlen=self.stories_per_prefix)
+        ring.append(story)
         return story
 
     def _record(self, prefix, event: Dict[str, object]) -> None:
@@ -523,18 +509,11 @@ class ProvenanceTracker:
 
     def export_jsonl(self, destination: Union[str, io.TextIOBase]) -> int:
         """Stories + spans + convergence report as JSON Lines."""
-        records: List[Dict[str, object]] = []
-        for ring in self._stories.values():
-            for story in ring:
-                records.append({"type": "story", **story})
-        for span in self.spans.spans():
-            records.append({"type": "span", **span})
+        records = [
+            {"type": "story", **story}
+            for ring in self._stories.values()
+            for story in ring
+        ]
+        records += [{"type": "span", **span} for span in self.spans.spans()]
         records.append({"type": "convergence", **self.convergence_report()})
-        if isinstance(destination, str):
-            with open(destination, "w") as handle:
-                for record in records:
-                    handle.write(json.dumps(record) + "\n")
-        else:
-            for record in records:
-                destination.write(json.dumps(record) + "\n")
-        return len(records)
+        return write_jsonl(records, destination)

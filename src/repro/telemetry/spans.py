@@ -9,20 +9,19 @@ router's UPDATE span adopts the sender's trace id, so one trace spans
 routers and the full causal chain of a route can be reconstructed
 end-to-end.
 
-The recorder is a bounded ring (like :class:`~repro.telemetry.trace
-.TraceRing`): long-lived daemons keep recording, old spans are evicted
-and the eviction is counted.  Timestamps come from an injectable
+The recorder is a bounded :class:`~repro.telemetry.records.Ring`:
+long-lived daemons keep recording, old spans are evicted and the
+eviction is counted.  Timestamps come from an injectable
 ``clock`` — wall-clock monotonic by default, the simulator's virtual
 clock when a :class:`~repro.sim.network.Network` wires it up.
 """
 
 from __future__ import annotations
 
-import io
-import json
 import time
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
+
+from .records import Ring
 
 __all__ = ["SpanRecorder", "DEFAULT_SPAN_CAPACITY"]
 
@@ -34,7 +33,7 @@ DEFAULT_SPAN_CAPACITY = 8192
 SpanRef = Tuple[str, str]
 
 
-class SpanRecorder:
+class SpanRecorder(Ring):
     """Fixed-capacity ring of span dicts for one router."""
 
     def __init__(
@@ -43,19 +42,9 @@ class SpanRecorder:
         capacity: int = DEFAULT_SPAN_CAPACITY,
         clock: Optional[Callable[[], float]] = None,
     ):
-        if capacity < 1:
-            raise ValueError("span capacity must be >= 1")
+        super().__init__(capacity, "span")
         self.router = router
-        self.capacity = capacity
         self.clock: Callable[[], float] = clock or time.monotonic
-        self._spans: Deque[Dict[str, object]] = deque(maxlen=capacity)
-        self._seq = 0
-
-    # -- recording -------------------------------------------------------
-
-    def _next_id(self) -> str:
-        self._seq += 1
-        return f"{self.router}#{self._seq}"
 
     def start(
         self,
@@ -70,13 +59,13 @@ class SpanRecorder:
         the new span joins the parent's trace either way.  With no
         parent the span roots a fresh trace.
         """
-        span_id = self._next_id()
+        self._seq += 1
+        span_id = f"{self.router}#{self._seq}"
         if parent is None:
             trace_id = span_id
             parent_id: Optional[str] = None
         elif isinstance(parent, dict):
-            trace_id = parent["trace"]  # type: ignore[assignment]
-            parent_id = parent["span"]  # type: ignore[assignment]
+            trace_id, parent_id = self.ref(parent)
         else:
             trace_id, parent_id = parent
         span: Dict[str, object] = {
@@ -89,7 +78,7 @@ class SpanRecorder:
         }
         if fields:
             span.update(fields)
-        self._spans.append(span)
+        self._ring.append(span)
         return span
 
     def finish(self, span: Dict[str, object], **fields: object) -> Dict[str, object]:
@@ -115,49 +104,8 @@ class SpanRecorder:
         """The portable (trace, span) reference of ``span``."""
         return (span["trace"], span["span"])  # type: ignore[return-value]
 
-    # -- inspection -------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._spans)
-
-    @property
-    def recorded(self) -> int:
-        return self._seq
-
-    @property
-    def evicted(self) -> int:
-        return self._seq - len(self._spans)
-
-    def spans(self, kind: Optional[str] = None) -> List[Dict[str, object]]:
-        if kind is None:
-            return list(self._spans)
-        return [span for span in self._spans if span["kind"] == kind]
+    spans = Ring.records
 
     def for_trace(self, trace_id: str) -> List[Dict[str, object]]:
         """Every buffered span belonging to ``trace_id``, in start order."""
-        return [span for span in self._spans if span["trace"] == trace_id]
-
-    def clear(self) -> None:
-        self._spans.clear()
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "capacity": self.capacity,
-            "buffered": len(self._spans),
-            "recorded": self._seq,
-            "evicted": self.evicted,
-        }
-
-    # -- export -----------------------------------------------------------
-
-    def export_jsonl(self, destination: Union[str, io.TextIOBase]) -> int:
-        """Write buffered spans as JSON Lines; returns the span count."""
-        spans = list(self._spans)
-        if isinstance(destination, str):
-            with open(destination, "w") as handle:
-                for span in spans:
-                    handle.write(json.dumps(span) + "\n")
-        else:
-            for span in spans:
-                destination.write(json.dumps(span) + "\n")
-        return len(spans)
+        return [span for span in self._ring if span["trace"] == trace_id]

@@ -15,8 +15,8 @@ merges) stamped with a wall-clock ``ts`` and a per-series ``seq``:
 :meth:`~TimeSeriesSampler.maybe_sample`) at whatever cadence the host
 loop has — per heartbeat, per N routes, per scrape.  Optional
 write-through JSONL mirrors every sample to disk as it is taken, so a
-crash loses nothing already written (the same discipline as
-:class:`~repro.telemetry.events.EventLog`).
+crash loses nothing already written (the same
+:class:`~repro.telemetry.records.JsonlSink` the event log streams to).
 
 Derived series are computed *from* samples, never stored: counter
 rates between consecutive samples, per-window histogram quantiles from
@@ -41,11 +41,11 @@ from __future__ import annotations
 
 import json
 import time
-from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .aggregate import merge_into, snapshot_registry
 from .metrics import MetricsRegistry
+from .records import JsonlSink, Ring, read_jsonl, write_jsonl
 
 __all__ = [
     "DEFAULT_TIMESERIES_CAPACITY",
@@ -107,7 +107,7 @@ def validate_sample(sample: object) -> Dict[str, object]:
     return sample
 
 
-class TimeSeries:
+class TimeSeries(Ring):
     """Bounded ring of registry samples (see module docstring)."""
 
     def __init__(
@@ -115,12 +115,8 @@ class TimeSeries:
         capacity: int = DEFAULT_TIMESERIES_CAPACITY,
         labels: Optional[Dict[str, str]] = None,
     ) -> None:
-        if capacity < 1:
-            raise ValueError("time-series capacity must be >= 1")
-        self.capacity = capacity
+        super().__init__(capacity, "time-series")
         self.labels = {str(k): str(v) for k, v in (labels or {}).items()}
-        self._ring: Deque[Dict[str, object]] = deque(maxlen=capacity)
-        self._seq = 0
 
     def append(
         self,
@@ -130,9 +126,7 @@ class TimeSeries:
     ) -> Dict[str, object]:
         """Record one snapshot; stamps ``seq`` and the series labels."""
         self._seq += 1
-        merged_labels = dict(self.labels)
-        if labels:
-            merged_labels.update({str(k): str(v) for k, v in labels.items()})
+        merged_labels = {**self.labels, **(labels or {})}
         sample = make_sample(
             registry_snapshot, ts, self._seq, merged_labels or None
         )
@@ -147,30 +141,7 @@ class TimeSeries:
         self._ring.append(sample)
         return sample
 
-    def samples(self) -> List[Dict[str, object]]:
-        return list(self._ring)
-
-    def last(self) -> Optional[Dict[str, object]]:
-        return self._ring[-1] if self._ring else None
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    @property
-    def recorded(self) -> int:
-        return self._seq
-
-    @property
-    def evicted(self) -> int:
-        return self._seq - len(self._ring)
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "capacity": self.capacity,
-            "buffered": len(self._ring),
-            "recorded": self._seq,
-            "evicted": self.evicted,
-        }
+    samples = Ring.records
 
 
 class TimeSeriesSampler:
@@ -200,17 +171,15 @@ class TimeSeriesSampler:
         self.every_seconds = float(every_seconds)
         self._clock = clock
         self._last_sample_at: Optional[float] = None
-        self.path = path
-        self._handle = open(path, "w") if path else None
+        self._sink = JsonlSink(path) if path else None
 
     def sample(self) -> Dict[str, object]:
         """Take one sample now, unconditionally."""
         now = self._clock()
         self._last_sample_at = now
         sample = self.series.append(snapshot_registry(self.registry), now)
-        if self._handle is not None:
-            self._handle.write(json.dumps(sample) + "\n")
-            self._handle.flush()
+        if self._sink is not None:
+            self._sink.write(sample)
         return sample
 
     def maybe_sample(self) -> Optional[Dict[str, object]]:
@@ -221,9 +190,8 @@ class TimeSeriesSampler:
         return self.sample()
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        if self._sink is not None:
+            self._sink.close()
 
     def __enter__(self) -> "TimeSeriesSampler":
         return self
@@ -237,32 +205,12 @@ class TimeSeriesSampler:
 
 def read_timeseries(path: str) -> List[Dict[str, object]]:
     """Load and validate a JSONL time-series file."""
-    samples: List[Dict[str, object]] = []
-    with open(path) as handle:
-        for line_number, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                sample = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_number}: not JSON ({exc})")
-            try:
-                validate_sample(sample)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_number}: {exc}")
-            samples.append(sample)
-    return samples
+    return read_jsonl(path, validate_sample)
 
 
 def write_timeseries(samples: Iterable[Dict[str, object]], path: str) -> int:
     """Write samples as JSONL; returns the count written."""
-    count = 0
-    with open(path, "w") as handle:
-        for sample in samples:
-            handle.write(json.dumps(sample) + "\n")
-            count += 1
-    return count
+    return write_jsonl(samples, path)
 
 
 # -- derived series --------------------------------------------------------

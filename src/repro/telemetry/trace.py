@@ -11,18 +11,17 @@ offline analysis.
 
 from __future__ import annotations
 
-import io
-import json
 import time
-from collections import deque
-from typing import Deque, Dict, List, Optional, Union
+from typing import Dict, Optional
+
+from .records import Ring
 
 __all__ = ["TraceRing", "DEFAULT_TRACE_CAPACITY"]
 
 DEFAULT_TRACE_CAPACITY = 4096
 
 
-class TraceRing:
+class TraceRing(Ring):
     """Fixed-capacity ring buffer of event dicts."""
 
     def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY, timestamps: bool = False):
@@ -30,14 +29,8 @@ class TraceRing:
         ``time.monotonic()`` — monotonic so inter-event deltas survive
         wall-clock adjustments; the stamps ride along into
         :meth:`export_jsonl`."""
-        if capacity < 1:
-            raise ValueError("trace capacity must be >= 1")
-        self.capacity = capacity
+        super().__init__(capacity, "trace")
         self.timestamps = timestamps
-        self._events: Deque[Dict[str, object]] = deque(maxlen=capacity)
-        self._seq = 0
-
-    # -- recording -------------------------------------------------------
 
     def record(
         self,
@@ -57,57 +50,7 @@ class TraceRing:
             event["ts"] = time.monotonic()
         if fields:
             event.update(fields)
-        self._events.append(event)
+        self._ring.append(event)
         return event
 
-    # -- inspection -------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    @property
-    def recorded(self) -> int:
-        """Total events ever recorded (including evicted ones)."""
-        return self._seq
-
-    @property
-    def evicted(self) -> int:
-        return self._seq - len(self._events)
-
-    def events(self, kind: Optional[str] = None) -> List[Dict[str, object]]:
-        if kind is None:
-            return list(self._events)
-        return [event for event in self._events if event["kind"] == kind]
-
-    def last(self, kind: Optional[str] = None) -> Optional[Dict[str, object]]:
-        if kind is None:
-            return self._events[-1] if self._events else None
-        for event in reversed(self._events):
-            if event["kind"] == kind:
-                return event
-        return None
-
-    def clear(self) -> None:
-        self._events.clear()
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "capacity": self.capacity,
-            "buffered": len(self._events),
-            "recorded": self._seq,
-            "evicted": self.evicted,
-        }
-
-    # -- export -----------------------------------------------------------
-
-    def export_jsonl(self, destination: Union[str, io.TextIOBase]) -> int:
-        """Write buffered events as JSON Lines; returns the event count."""
-        events = list(self._events)
-        if isinstance(destination, str):
-            with open(destination, "w") as handle:
-                for event in events:
-                    handle.write(json.dumps(event) + "\n")
-        else:
-            for event in events:
-                destination.write(json.dumps(event) + "\n")
-        return len(events)
+    events = Ring.records

@@ -211,10 +211,6 @@ class TestTraceRing:
         assert ring.export_jsonl(buffer) == 2
         assert buffer.getvalue().count("\n") == 2
 
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            TraceRing(capacity=0)
-
     def test_timestamps_off_by_default(self):
         ring = TraceRing()
         ring.record("enter", "p", "a")

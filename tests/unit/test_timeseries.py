@@ -112,11 +112,6 @@ class TestTimeSeriesRing:
         with pytest.raises(ValueError):
             series.append_sample({"ts": 1.0})
 
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError, match="capacity"):
-            TimeSeries(capacity=0)
-
-
 class TestSampler:
     def test_sample_snapshots_current_registry(self):
         registry = _registry()
