@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import struct
 from collections import Counter, defaultdict
+from functools import partial
 from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
@@ -113,6 +114,11 @@ _CACHE_CAP = 65536
 _BLOB_ROOM = 4096 - 19 - 4
 
 _EBGP = SessionType.EBGP_SESSION
+
+
+def _no_native() -> int:
+    """The default of the points that have no native function."""
+    return 0
 
 
 def _adv_queue() -> Dict[int, Dict[bytes, List[Prefix]]]:
@@ -466,20 +472,16 @@ class BgpSpeaker:
         if isinstance(message, RouteRefreshMessage):
             self._process_route_refresh(neighbor)
 
-    def _run_receive_point(self, neighbor: Neighbor, update: UpdateMessage, attrs):
-        """Insertion point 1: BGP_RECEIVE_MESSAGE — extension code may
-        rewrite the UPDATE's attributes before import processing."""
+    def _run_receive_point(self, ctx: ExecutionContext, update: UpdateMessage, attrs):
+        """Insertion point 1: BGP_RECEIVE_MESSAGE, on the vector's
+        context ``ctx`` — extension code may rewrite the UPDATE's
+        attributes before import processing."""
         prof = self.profiler
         started = perf_counter() if prof is not None else 0.0
         container = self._receive_container(attrs)
-        ctx = ExecutionContext(
-            self.host,
-            InsertionPoint.BGP_RECEIVE_MESSAGE,
-            neighbor=neighbor,
-            route=container,
-            message=update.encode(),
-        )
-        self.vmm.run(ctx, lambda: 0)
+        ctx.message = update.encode()
+        ctx.rebind(container, None)
+        self.vmm.run(ctx, _no_native)
         if prof is not None:
             prof.phase("bgp_receive_message", perf_counter() - started)
         return self._received_attrs(container)
@@ -493,12 +495,13 @@ class BgpSpeaker:
         :class:`~repro.scale.batch.BatchProcessor` a batch.  What the
         UPDATEs of a vector share is done once:
 
-        - the attribute block is decoded once per distinct raw attribute
-          wire (a full-table feed repeats the same block across
-          consecutive NLRI chunks);
+        - the attribute block is decoded, and checked for an eBGP AS-path
+          loop, once per distinct raw attribute wire (a full-table feed
+          repeats the same block across consecutive NLRI chunks);
         - the BGP_INBOUND_FILTER dispatch is bound once via
           :meth:`VirtualMachineManager.runner` instead of probed per
-          route, and a chain of block-pure codes runs once per
+          route, its runs share one :class:`ExecutionContext` rebound
+          per route, and a chain of block-pure codes runs once per
           attribute set, its outcome and written attributes shared by
           the vector's other routes (native import still runs per
           route: its policies may read the prefix);
@@ -518,7 +521,13 @@ class BgpSpeaker:
         prof = self.profiler
         decode = self._decode_attrs
         receive_hot = not self.vmm.active(InsertionPoint.BGP_RECEIVE_MESSAGE)
+        receive_ctx = (
+            None if receive_hot
+            else ExecutionContext(self.host, InsertionPoint.BGP_RECEIVE_MESSAGE, neighbor=neighbor)
+        )
         import_run = self.vmm.runner(InsertionPoint.BGP_INBOUND_FILTER)
+        import_ctx = ExecutionContext(self.host, InsertionPoint.BGP_INBOUND_FILTER, neighbor=neighbor)
+        native_import = partial(self._native_import, import_ctx)
         # Only a keyed chain (block-pure, no provenance) uses a memo.
         memo = BlockMemo(self._share_attrs) if import_run.keyed else None
         peer_address = neighbor.peer_address
@@ -526,7 +535,9 @@ class BgpSpeaker:
         # A BGP_RECEIVE_MESSAGE extension may write to the decoded
         # object, so sharing it across UPDATEs is only sound when that
         # point is empty or the host's container isolates the writes.
-        attr_memo: Optional[Dict[bytes, object]] = (
+        # Values: (decoded attributes, eBGP loop check or False while
+        # that point may still rewrite them).
+        attr_memo: Optional[Dict[bytes, tuple]] = (
             {} if receive_hot or self.receive_isolates_writes else None
         )
         dirty: Dict[Prefix, None] = {}  # ordered set
@@ -545,19 +556,20 @@ class BgpSpeaker:
                     continue
 
                 started = perf_counter() if prof is not None else 0.0
-                wire = update._attrs_wire
-                if attr_memo is not None and wire is not None:
-                    attrs = attr_memo.get(wire)
-                    if attrs is None:
-                        attrs = decode(update.attributes)
-                        attr_memo[wire] = attrs
-                else:
+                wire = update._attrs_wire if attr_memo is not None else None
+                block = attr_memo.get(wire) if wire is not None else None
+                if block is None:
                     attrs = decode(update.attributes)
+                    block = (attrs, receive_hot and self._looped(neighbor, attrs))
+                    if wire is not None:
+                        attr_memo[wire] = block
+                attrs, looped = block
                 if prof is not None:
                     prof.phase("decode", perf_counter() - started)
 
                 if not receive_hot:
-                    attrs = self._run_receive_point(neighbor, update, attrs)
+                    attrs = self._run_receive_point(receive_ctx, update, attrs)
+                    looped = self._looped(neighbor, attrs)
 
                 for prefix in update.withdrawn:
                     if withdraw(peer_address, prefix) is not None:
@@ -567,7 +579,9 @@ class BgpSpeaker:
 
                 for prefix in update.nlri:
                     started = perf_counter() if prof is not None else 0.0
-                    imported = self._import_route(neighbor, prefix, attrs, import_run, memo)
+                    imported = self._import_route(
+                        import_ctx, native_import, prefix, attrs, looped, import_run, memo
+                    )
                     if prof is not None:
                         prof.phase("bgp_inbound_filter", perf_counter() - started)
                     if imported:
@@ -578,32 +592,34 @@ class BgpSpeaker:
             if prov is not None:
                 prov.end_update()
 
-    def _import_route(self, neighbor: Neighbor, prefix: Prefix, attrs, run, memo) -> bool:
-        """Run import processing for one NLRI through ``run``, the bound
-        BGP_INBOUND_FILTER dispatch, with the vector's ``memo``; returns
+    def _looped(self, neighbor: Neighbor, attrs) -> bool:
+        """Mandatory RFC 4271 sanity, a function of the attribute block:
+        does an eBGP route carrying ``attrs`` loop through our AS?"""
+        return neighbor.is_ebgp() and self.route_class(None, neighbor, attrs).path_contains(self.asn)
+
+    def _import_route(
+        self, ctx: ExecutionContext, native, prefix: Prefix, attrs, looped: bool, run, memo
+    ) -> bool:
+        """Run import processing for one NLRI of a block whose loop check
+        said ``looped``: through ``run``, the bound BGP_INBOUND_FILTER
+        dispatch, on the vector's context ``ctx`` with ``native`` (the
+        native import bound to it) and the vector's ``memo``; returns
         True if the RIB changed."""
+        neighbor = ctx.neighbor
         prov = self.provenance
         if prov is not None:
             prov.begin_route(prefix, neighbor)
-        route = self.route_class(prefix, neighbor, attrs)
-
-        # Mandatory RFC 4271 sanity: AS-path loop detection.
-        if neighbor.is_ebgp() and route.path_contains(self.asn):
+        if looped:
             self.stats["loop_rejected"] += 1
             if prov is not None:
                 prov.record_filter(prefix, "loop_rejected")
             return self._treat_as_withdraw(neighbor, prefix)
 
         # Insertion point 2: BGP_INBOUND_FILTER.
-        ctx = ExecutionContext(
-            self.host,
-            InsertionPoint.BGP_INBOUND_FILTER,
-            neighbor=neighbor,
-            route=route,
-            prefix=prefix,
-        )
+        route = self.route_class(prefix, neighbor, attrs)
+        ctx.rebind(route, prefix)
         key = route.attrs_key() if memo is not None else None
-        verdict = run(ctx, lambda: self._native_import(ctx), memo, key)
+        verdict = run(ctx, native, memo, key)
         route = ctx.route  # may have been rewritten copy-on-write
 
         if verdict == FILTER_REJECT:
@@ -665,10 +681,11 @@ class BgpSpeaker:
         Loc-RIB entry changed; with ``decide`` off, re-exports the
         standing best paths (to ``peers`` only, when given).  What the
         prefixes share is resolved once: the decision configuration,
-        the Established targets, the BGP_OUTBOUND_FILTER dispatch and
-        its memo, where a block-pure chain's outcome is kept per
-        (attribute set, source, target) and native RFC 4456 stamping
-        per (attribute set, source).
+        the Established targets, the BGP_OUTBOUND_FILTER dispatch with
+        its context and its memo, where a block-pure chain's outcome is
+        kept per (attribute set, source, target) and native RFC 4456
+        stamping per (attribute set, source), and the
+        BGP_ENCODE_MESSAGE context.
         Nothing is sent before :meth:`_flush_bulk_export` — in
         ``finally``, so a sweep that raises still puts on the wire what
         Adj-RIB-Out already recorded.
@@ -687,10 +704,14 @@ class BgpSpeaker:
         memo = None
         if export_run.keyed or self.route_reflector == "native":
             memo = BlockMemo(self._share_attrs)
+        export_filter = self._export_filter(export_run, memo)
+        encode_ctx = None
+        if self.vmm.active(InsertionPoint.BGP_ENCODE_MESSAGE):
+            encode_ctx = ExecutionContext(self.host, InsertionPoint.BGP_ENCODE_MESSAGE)
         try:
             for prefix in prefixes:
                 if not decide or self._run_decision(prefix, config):
-                    self._export_to(prefix, targets, export_run, memo)
+                    self._export_to(prefix, targets, export_filter, encode_ctx)
         finally:
             self._flush_bulk_export()
 
@@ -702,43 +723,36 @@ class BgpSpeaker:
         prov = self.provenance
         if self.vmm.active(InsertionPoint.BGP_DECISION):
             run = self.vmm.runner(InsertionPoint.BGP_DECISION)
-            best = candidates[0]
-            for candidate in candidates[1:]:
-                ctx = ExecutionContext(
-                    self.host,
-                    InsertionPoint.BGP_DECISION,
-                    route=candidate,
-                    best_route=best,
-                    prefix=candidate.prefix,
-                )
+            ctx = ExecutionContext(self.host, InsertionPoint.BGP_DECISION)
+            step_note: Dict[str, str] = {}
+
+            def native() -> int:
+                """Compare the pair the loop below is at."""
                 if prov is None:
-                    native = (
-                        lambda c=candidate, b=best: 1
-                        if compare_routes(c, b, config) < 0
-                        else 2
-                    )
-                    if run(ctx, native) == 1:
-                        best = candidate
-                    continue
+                    return 1 if compare_routes(candidate, best, config) < 0 else 2
                 # When explaining, the native default notes which RFC
                 # 4271 ladder step decided — absent that note, the
                 # verdict came from the extension chain.
-                step_note: Dict[str, str] = {}
-                def native(c=candidate, b=best, note=step_note):
-                    verdict, step = compare_routes_explain(c, b, config)
-                    note["step"] = step
-                    return 1 if verdict < 0 else 2
+                verdict, step = compare_routes_explain(candidate, best, config)
+                step_note["step"] = step
+                return 1 if verdict < 0 else 2
+
+            best = candidates[0]
+            for candidate in candidates[1:]:
+                ctx.rebind(candidate, candidate.prefix, best)
+                step_note.clear()
                 picked_new = run(ctx, native) == 1
-                winner, loser = (
-                    (candidate, best) if picked_new else (best, candidate)
-                )
-                prov.record_elimination(
-                    candidate.prefix,
-                    step_note.get("step", "extension"),
-                    loser,
-                    winner,
-                    by="native" if "step" in step_note else "extension",
-                )
+                if prov is not None:
+                    winner, loser = (
+                        (candidate, best) if picked_new else (best, candidate)
+                    )
+                    prov.record_elimination(
+                        candidate.prefix,
+                        step_note.get("step", "extension"),
+                        loser,
+                        winner,
+                        by="native" if "step" in step_note else "extension",
+                    )
                 if picked_new:
                     best = candidate
             return best
@@ -800,10 +814,12 @@ class BgpSpeaker:
         self._sweep(list(self.loc_rib.prefixes()), (address,), decide=False)
         self._send_update(address, UpdateMessage.end_of_rib())
 
-    def _export_to(self, prefix: Prefix, targets: List[Neighbor], run, memo) -> None:
+    def _export_to(
+        self, prefix: Prefix, targets: List[Neighbor], export_filter, encode_ctx
+    ) -> None:
         """Decide, per target, what ``prefix``'s best path becomes on
-        that session; ``run`` is the bound BGP_OUTBOUND_FILTER dispatch,
-        ``memo`` the sweep's."""
+        that session, through the sweep's ``export_filter`` and, if the
+        point is active, its BGP_ENCODE_MESSAGE context."""
         prov = self.provenance
         prof = self.profiler
         phase = prov.begin_phase("export", prefix) if prov is not None else None
@@ -818,7 +834,7 @@ class BgpSpeaker:
                 self._withdraw_from(neighbor, prefix)
                 continue
             started = perf_counter() if prof is not None else 0.0
-            export_route = self._export_filter(best, neighbor, run, memo)
+            export_route = export_filter(best, neighbor)
             if prof is not None:
                 prof.phase("bgp_outbound_filter", perf_counter() - started)
             if export_route is None:
@@ -827,7 +843,7 @@ class BgpSpeaker:
                 self._withdraw_from(neighbor, prefix)
                 continue
             started = perf_counter() if prof is not None else 0.0
-            sent, blob = self._export_route(export_route, neighbor)
+            sent, blob = self._export_route(export_route, neighbor, encode_ctx)
             if prof is not None:
                 prof.phase("bgp_encode_message", perf_counter() - started)
             if len(blob) > _BLOB_ROOM - 5 and len(blob) + len(prefix.encode()) > _BLOB_ROOM:
@@ -844,21 +860,26 @@ class BgpSpeaker:
         if phase is not None:
             prov.end_phase(phase)
 
-    def _export_filter(self, route, neighbor: Neighbor, run, memo):
-        """Insertion point 4: BGP_OUTBOUND_FILTER around native export."""
-        ctx = ExecutionContext(
-            self.host,
-            InsertionPoint.BGP_OUTBOUND_FILTER,
-            neighbor=neighbor,
-            route=route,
-            prefix=route.prefix,
-        )
-        key = (route.attrs_key(), route.source, neighbor) if run.keyed else None
-        verdict = run(ctx, lambda: self._native_export(ctx, memo), memo, key)
-        if verdict == FILTER_REJECT:
-            self.stats["export_rejected"] += 1
-            return None
-        return ctx.route
+    def _export_filter(self, run, memo) -> Callable:
+        """Insertion point 4 for one sweep: ``export_filter(route,
+        neighbor)``, the route to send or None, runs ``run`` — the bound
+        BGP_OUTBOUND_FILTER dispatch — around native export on one
+        context, with the sweep's ``memo``."""
+        ctx = ExecutionContext(self.host, InsertionPoint.BGP_OUTBOUND_FILTER)
+        native = partial(self._native_export, ctx, memo)
+        keyed = run.keyed
+        stats = self.stats
+
+        def export_filter(route, neighbor: Neighbor):
+            ctx.neighbor = neighbor
+            ctx.rebind(route, route.prefix)
+            key = (route.attrs_key(), route.source, neighbor) if keyed else None
+            if run(ctx, native, memo, key) == FILTER_REJECT:
+                stats["export_rejected"] += 1
+                return None
+            return ctx.route
+
+        return export_filter
 
     def _native_export(self, ctx: ExecutionContext, memo: Optional[BlockMemo]) -> int:
         route = ctx.route
@@ -897,8 +918,10 @@ class BgpSpeaker:
         ctx.route = filtered
         return FILTER_ACCEPT
 
-    def _export_route(self, route, neighbor: Neighbor):
-        """(route as sent to ``neighbor``, its encoded attribute blob).
+    def _export_route(self, route, neighbor: Neighbor, encode_ctx: Optional[ExecutionContext]):
+        """(route as sent to ``neighbor``, its encoded attribute blob);
+        ``encode_ctx`` is the sweep's BGP_ENCODE_MESSAGE context, None
+        while nothing is attached there.
 
         Export mechanics (AS-path prepend / next-hop / LOCAL_PREF per
         session type), then native encoding plus BGP_ENCODE_MESSAGE
@@ -930,17 +953,11 @@ class BgpSpeaker:
             for attribute in sent.attribute_list()
             if attribute.type_code in NATIVE_ENCODABLE
         )
-        if self.vmm.active(InsertionPoint.BGP_ENCODE_MESSAGE):
-            out_buffer = bytearray()
-            ctx = ExecutionContext(
-                self.host,
-                InsertionPoint.BGP_ENCODE_MESSAGE,
-                neighbor=neighbor,
-                route=sent,
-                prefix=sent.prefix,
-                out_buffer=out_buffer,
-            )
-            self.vmm.run(ctx, lambda: 0)
+        if encode_ctx is not None:
+            out_buffer = encode_ctx.out_buffer = bytearray()
+            encode_ctx.neighbor = neighbor
+            encode_ctx.rebind(sent, sent.prefix)
+            self.vmm.run(encode_ctx, _no_native)
             blob += bytes(out_buffer)
         if len(cache) >= _CACHE_CAP:
             cache.clear()

@@ -1,20 +1,23 @@
 """The xBGP API: helper implementations shared by every host.
 
-Each helper pulls the current :class:`ExecutionContext` from the VM it
-is servicing and delegates host-specific work to the
-:class:`HostImplementation` glue.  All BGP payload bytes cross this
-boundary in network byte order (the neutral representation); struct
-headers use little-endian fields per the eBPF load convention.
+The helpers of one extension code are bound when it is attached: each
+is a closure over that code's VM memory, its program's
+:class:`~repro.core.extension.ProgramState` and the
+:class:`HostImplementation` glue, so a call reads nothing per call but
+the :class:`ExecutionContext` the VMM put on the VM.  All BGP payload
+bytes cross this boundary in network byte order (the neutral
+representation); struct headers use little-endian fields per the eBPF
+load convention.
 """
 
 from __future__ import annotations
 
 import math
-import struct
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..bgp.prefix import Prefix, PrefixDecodeError
 from ..ebpf.helpers import HelperError, HelperTable
+from ..ebpf.memory import VmMemory
 from .abi import (
     ARG_MESSAGE,
     ARG_PREFIX,
@@ -26,234 +29,217 @@ from .abi import (
     pack_nexthop_info,
     pack_peer_info,
 )
-from .context import ExecutionContext, NextRequested
+from .extension import ProgramState
+from .host_interface import HostImplementation
 
 __all__ = ["build_helper_table"]
 
 
-def _ctx(vm) -> ExecutionContext:
-    # Plain attribute access (VirtualMachine initialises ``ctx`` to
-    # None); helpers run a few times per route, so the getattr-with-
-    # default form was measurable.
-    ctx = vm.ctx
-    if ctx is None:
-        raise HelperError("helper called outside an insertion point")
-    return ctx
+def build_helper_table(
+    names: Iterable[str], memory: VmMemory, state: ProgramState, host: HostImplementation
+) -> HelperTable:
+    """The xBGP helpers ``names`` (a manifest's list) of one VM, bound
+    to its ``memory``, its program's ``state`` and the ``host`` glue.
 
-
-def _state(vm):
-    state = vm.program_state
-    if state is None:
-        raise HelperError("extension has no program state")
-    return state
-
-
-def build_helper_table() -> HelperTable:
-    """Build the full xBGP helper table.
-
-    The VMM narrows this to each bytecode's manifest-declared subset
-    with :meth:`HelperTable.restricted`.
+    Every helper takes the VM and the five argument registers, which
+    reach it as u64 ints, so nothing is cast.  The
+    host's provenance tracker is captured as it is now: the VMM binds
+    the table again whenever it is toggled (``rebind_all``).  Raises
+    KeyError on a name the API does not define.
     """
     table = HelperTable()
     ids = HELPER_IDS
+    alloc = memory.alloc_bytes
+    read = memory.read_bytes
+    maps = state.maps
+    shm_offsets = state.shm_offsets
+    shm_base = state.shared.base
+    prov = host.provenance
+
+    def table_of(map_id):
+        found = maps.get(map_id)
+        if found is None:
+            raise HelperError(f"no map {map_id}")
+        return found
 
     # -- control flow ---------------------------------------------------
 
-    def helper_next(vm, *args) -> int:
-        _ctx(vm)  # HelperError outside an insertion point
-        # A fresh instance per raise: CPython prepends to an instance's
-        # __traceback__ on every raise, so a shared one would pin every
-        # run's frames (and the contexts and routes they hold).
-        raise NextRequested()
+    def helper_next(vm, r1, r2, r3, r4, r5) -> int:
+        """Terminal: the engine ends the run after the call."""
+        return 0
 
     # -- argument / peer access ------------------------------------------
 
-    def get_arg(vm, arg_id, *args) -> int:
-        ctx = _ctx(vm)
+    def get_arg(vm, arg_id, r2, r3, r4, r5) -> int:
+        ctx = vm.ctx
         payload: Optional[bytes] = None
         if arg_id == ARG_MESSAGE:
             payload = ctx.message
         elif arg_id == ARG_PREFIX:
             payload = ctx.prefix.encode() if ctx.prefix is not None else None
         elif arg_id == ARG_ROUTE_NEW and ctx.route is not None:
-            payload = ctx.host.encode_route_attributes(ctx, ctx.route)
+            payload = host.encode_route_attributes(ctx, ctx.route)
         elif arg_id == ARG_ROUTE_BEST and ctx.best_route is not None:
-            payload = ctx.host.encode_route_attributes(ctx, ctx.best_route)
+            payload = host.encode_route_attributes(ctx, ctx.best_route)
         if payload is None:
             return 0
-        return vm.memory.alloc_bytes(pack_arg(payload))
+        return alloc(pack_arg(payload))
 
-    def get_peer_info(vm, *args) -> int:
-        ctx = _ctx(vm)
-        if ctx.neighbor is None:
+    def get_peer_info(vm, r1, r2, r3, r4, r5) -> int:
+        neighbor = vm.ctx.neighbor
+        if neighbor is None:
             return 0
-        return vm.memory.alloc_bytes(pack_peer_info(ctx.neighbor))
+        return alloc(pack_peer_info(neighbor))
 
-    def get_prefix(vm, *args) -> int:
-        ctx = _ctx(vm)
-        if ctx.prefix is None:
+    def get_prefix(vm, r1, r2, r3, r4, r5) -> int:
+        prefix = vm.ctx.prefix
+        if prefix is None:
             return 0
-        return vm.memory.alloc_bytes(pack_arg(ctx.prefix.encode()))
+        return alloc(pack_arg(prefix.encode()))
 
-    def get_src_peer_info(vm, *args) -> int:
+    def get_src_peer_info(vm, r1, r2, r3, r4, r5) -> int:
         """Peer info of the neighbor the route in scope was *learned
         from* (on export, ``get_peer_info`` reports the destination)."""
-        ctx = _ctx(vm)
+        ctx = vm.ctx
         source = getattr(ctx.route, "source", None)
         if source is None:
             source = ctx.hidden.get("source")
         if source is None:
             return 0
-        return vm.memory.alloc_bytes(pack_peer_info(source))
+        return alloc(pack_peer_info(source))
 
     # -- attribute access -------------------------------------------------
 
-    def get_attr(vm, code, *args) -> int:
-        ctx = _ctx(vm)
-        packed = ctx.host.get_attr_packed(ctx, int(code))
-        prov = ctx.host.provenance
+    def get_attr(vm, code, r2, r3, r4, r5) -> int:
+        ctx = vm.ctx
+        packed = host.get_attr_packed(ctx, code)
         if prov is not None:
-            prov.record_api(ctx, "get_attr", code=int(code), found=packed is not None)
+            prov.record_api(ctx, "get_attr", code=code, found=packed is not None)
         if packed is None:
             return 0
-        return vm.memory.alloc_bytes(packed)
+        return alloc(packed)
 
-    def set_attr(vm, code, flags, data_ptr, length, *args) -> int:
-        ctx = _ctx(vm)
-        value = vm.memory.read_bytes(data_ptr, length) if length else b""
-        ok = ctx.host.set_attr(ctx, int(code), int(flags), value)
-        prov = ctx.host.provenance
+    def set_attr(vm, code, flags, data_ptr, length, r5) -> int:
+        ctx = vm.ctx
+        value = read(data_ptr, length) if length else b""
+        ok = host.set_attr(ctx, code, flags, value)
         if prov is not None:
-            prov.record_api(ctx, "set_attr", code=int(code), value=value, ok=ok)
+            prov.record_api(ctx, "set_attr", code=code, value=value, ok=ok)
         return 1 if ok else 0
 
-    def add_attr(vm, code, flags, data_ptr, length, *args) -> int:
-        ctx = _ctx(vm)
-        value = vm.memory.read_bytes(data_ptr, length) if length else b""
-        ok = ctx.host.add_attr(ctx, int(code), int(flags), value)
-        prov = ctx.host.provenance
+    def add_attr(vm, code, flags, data_ptr, length, r5) -> int:
+        ctx = vm.ctx
+        value = read(data_ptr, length) if length else b""
+        ok = host.add_attr(ctx, code, flags, value)
         if prov is not None:
-            prov.record_api(ctx, "add_attr", code=int(code), value=value, ok=ok)
+            prov.record_api(ctx, "add_attr", code=code, value=value, ok=ok)
         return 1 if ok else 0
 
-    def remove_attr(vm, code, *args) -> int:
-        ctx = _ctx(vm)
-        ok = ctx.host.remove_attr(ctx, int(code))
-        prov = ctx.host.provenance
+    def remove_attr(vm, code, r2, r3, r4, r5) -> int:
+        ctx = vm.ctx
+        ok = host.remove_attr(ctx, code)
         if prov is not None:
-            prov.record_api(ctx, "remove_attr", code=int(code), ok=ok)
+            prov.record_api(ctx, "remove_attr", code=code, ok=ok)
         return 1 if ok else 0
 
     # -- topology / configuration -------------------------------------------
 
-    def get_nexthop(vm, *args) -> int:
-        ctx = _ctx(vm)
-        address, metric, reachable = ctx.host.get_nexthop(ctx)
-        prov = ctx.host.provenance
+    def get_nexthop(vm, r1, r2, r3, r4, r5) -> int:
+        ctx = vm.ctx
+        address, metric, reachable = host.get_nexthop(ctx)
         if prov is not None:
             prov.record_api(
                 ctx, "get_nexthop", address=address, metric=metric, reachable=reachable
             )
-        return vm.memory.alloc_bytes(pack_nexthop_info(address, metric, reachable))
+        return alloc(pack_nexthop_info(address, metric, reachable))
 
-    def get_xtra(vm, key_ptr, *args) -> int:
-        ctx = _ctx(vm)
-        key = vm.memory.read_cstring(key_ptr).decode("ascii", "replace")
-        value = ctx.host.get_xtra(ctx, key)
+    def get_xtra(vm, key_ptr, r2, r3, r4, r5) -> int:
+        key = memory.read_cstring(key_ptr).decode("ascii", "replace")
+        value = host.get_xtra(vm.ctx, key)
         if value is None:
             return 0
-        return vm.memory.alloc_bytes(pack_arg(value))
+        return alloc(pack_arg(value))
 
     # -- output ------------------------------------------------------------
 
-    def write_buf(vm, data_ptr, length, *args) -> int:
-        ctx = _ctx(vm)
+    def write_buf(vm, data_ptr, length, r3, r4, r5) -> int:
+        ctx = vm.ctx
         if ctx.out_buffer is None:
             raise HelperError("write_buf outside BGP_ENCODE_MESSAGE")
         if length:
-            ctx.out_buffer.extend(vm.memory.read_bytes(data_ptr, length))
-        prov = ctx.host.provenance
+            ctx.out_buffer.extend(read(data_ptr, length))
         if prov is not None:
-            prov.record_api(ctx, "write_buf", length=int(length))
-        return int(length)
+            prov.record_api(ctx, "write_buf", length=length)
+        return length
 
     # -- memory utilities -----------------------------------------------------
 
-    def ebpf_memcpy(vm, dst, src, length, *args) -> int:
+    def ebpf_memcpy(vm, dst, src, length, r4, r5) -> int:
         if length:
-            vm.memory.write_bytes(dst, vm.memory.read_bytes(src, length))
-        return int(dst)
+            memory.write_bytes(dst, read(src, length))
+        return dst
 
-    def ebpf_print(vm, str_ptr, *args) -> int:
-        ctx = _ctx(vm)
-        text = vm.memory.read_cstring(str_ptr).decode("ascii", "replace")
-        ctx.host.log(f"[xbgp] {text}")
+    def ebpf_print(vm, str_ptr, r2, r3, r4, r5) -> int:
+        text = memory.read_cstring(str_ptr).decode("ascii", "replace")
+        host.log(f"[xbgp] {text}")
         return 0
 
-    def ctx_malloc(vm, size, *args) -> int:
-        return vm.memory.alloc(int(size))
+    def ctx_malloc(vm, size, r2, r3, r4, r5) -> int:
+        return memory.alloc(size)
 
-    def ctx_shmnew(vm, key, size, *args) -> int:
-        return _state(vm).shm_new(int(key), int(size))
+    def ctx_shmnew(vm, key, size, r3, r4, r5) -> int:
+        return state.shm_new(key, size)
 
-    def ctx_shmget(vm, key, *args) -> int:
-        return _state(vm).shm_get(int(key))
+    def ctx_shmget(vm, key, r2, r3, r4, r5) -> int:
+        offset = shm_offsets.get(key)
+        return 0 if offset is None else shm_base + offset
 
     # -- RIB -------------------------------------------------------------------
 
-    def rib_announce(vm, prefix_ptr, next_hop, *args) -> int:
-        ctx = _ctx(vm)
-        header = vm.memory.read_bytes(prefix_ptr, 1)
+    def rib_announce(vm, prefix_ptr, next_hop, r3, r4, r5) -> int:
+        ctx = vm.ctx
+        header = read(prefix_ptr, 1)
         nbytes = (header[0] + 7) // 8
-        raw = vm.memory.read_bytes(prefix_ptr, 1 + nbytes)
+        raw = read(prefix_ptr, 1 + nbytes)
         try:
             prefix, _ = Prefix.decode(raw)
         except PrefixDecodeError as exc:
             raise HelperError(f"rib_announce: {exc}") from exc
-        ok = ctx.host.rib_announce(ctx, prefix, int(next_hop))
-        prov = ctx.host.provenance
+        ok = host.rib_announce(ctx, prefix, next_hop)
         if prov is not None:
             prov.record_api(ctx, "rib_announce", prefix=str(prefix), ok=ok)
         return 1 if ok else 0
 
     # -- maps --------------------------------------------------------------------
 
-    def map_new(vm, *args) -> int:
-        return _state(vm).map_new()
+    def map_new(vm, r1, r2, r3, r4, r5) -> int:
+        return state.map_new()
 
-    def map_update(vm, map_id, key, value, *args) -> int:
-        try:
-            _state(vm).map_update(int(map_id), int(key), int(value))
-        except KeyError as exc:
-            raise HelperError(str(exc)) from exc
+    def map_update(vm, map_id, key, value, r4, r5) -> int:
+        table_of(map_id).setdefault(key, []).append(value)
         return 0
 
-    def map_lookup(vm, map_id, key, *args) -> int:
-        try:
-            value = _state(vm).map_lookup(int(map_id), int(key))
-        except KeyError as exc:
-            raise HelperError(str(exc)) from exc
-        return MAP_NO_ENTRY if value is None else value
+    def map_lookup(vm, map_id, key, r3, r4, r5) -> int:
+        return map_lookup_idx(vm, map_id, key, 0, r4, r5)
 
-    def map_lookup_idx(vm, map_id, key, index, *args) -> int:
-        try:
-            value = _state(vm).map_lookup(int(map_id), int(key), int(index))
-        except KeyError as exc:
-            raise HelperError(str(exc)) from exc
-        return MAP_NO_ENTRY if value is None else value
+    def map_lookup_idx(vm, map_id, key, index, r4, r5) -> int:
+        found = maps.get(map_id)  # table_of inlined: a per-route helper
+        if found is None:
+            raise HelperError(f"no map {map_id}")
+        values = found.get(key)
+        if values is None or index >= len(values):
+            return MAP_NO_ENTRY
+        return values[index]
 
-    def map_size(vm, map_id, *args) -> int:
-        try:
-            return _state(vm).map_size(int(map_id))
-        except KeyError as exc:
-            raise HelperError(str(exc)) from exc
+    def map_size(vm, map_id, r2, r3, r4, r5) -> int:
+        return len(table_of(map_id))
 
     # -- arithmetic -----------------------------------------------------------------
 
-    def sqrt64(vm, value, *args) -> int:
-        return math.isqrt(int(value))
+    def sqrt64(vm, value, r2, r3, r4, r5) -> int:
+        return math.isqrt(value)
 
-    table.register(ids["next"], "next", helper_next)
+    table.register(ids["next"], "next", helper_next, terminal=True)
     table.register(ids["get_arg"], "get_arg", get_arg)
     table.register(ids["get_peer_info"], "get_peer_info", get_peer_info)
     table.register(ids["get_attr"], "get_attr", get_attr)
@@ -277,4 +263,4 @@ def build_helper_table() -> HelperTable:
     table.register(ids["map_lookup_idx"], "map_lookup_idx", map_lookup_idx)
     table.register(ids["map_size"], "map_size", map_size)
     table.register(ids["sqrt64"], "sqrt64", sqrt64)
-    return table
+    return table.restricted(names)

@@ -19,9 +19,10 @@ __all__ = ["ExecutionContext", "NextRequested"]
 
 
 class NextRequested(Exception):
-    """Raised by the ``next`` helper to end the current extension code
-    and delegate the operation to the next code in the chain (or the
-    host's native implementation)."""
+    """Raised by a host-native code (:class:`~repro.core.extension.
+    NativeExtensionCode`) to delegate the operation to the next code in
+    the chain (or the host's native implementation).  Bytecode delegates
+    with the terminal ``next`` helper and raises nothing."""
 
 
 class ExecutionContext:
@@ -29,7 +30,7 @@ class ExecutionContext:
 
     Which fields are populated depends on the insertion point:
 
-    ================== ========================================these====
+    ================== ==============================================
     point               populated fields
     ================== ==============================================
     RECEIVE_MESSAGE     neighbor, message, route (being built)
@@ -41,7 +42,12 @@ class ExecutionContext:
 
     ``hidden`` carries host-private arguments that helper glue may use
     but that are invisible to the extension code (the paper's RIB
-    example) — e.g. PyFRR stashes its interned attribute set there.
+    example) — e.g. PyBIRD notes there that a run's writes already went
+    copy-on-write.
+
+    A host builds one context per UPDATE vector, sweep or selection and
+    :meth:`rebind` s it to each route, which resets everything one run
+    may leave behind.
     """
 
     __slots__ = (
@@ -91,6 +97,18 @@ class ExecutionContext:
         #: provenance tracker is on, None otherwise.  Helpers and glue
         #: can use it to tie their own records into the causal chain.
         self.span = None
+
+    def rebind(self, route: Any, prefix: Optional[Prefix], best_route: Any = None) -> None:
+        """Point the context at the next route, as if it were new: the
+        per-route fields take the given values, and what a run wrote
+        (``hidden``, ``error``, ``faulted_extension``, ``span``) is
+        cleared."""
+        self.route = route
+        self.prefix = prefix
+        self.best_route = best_route
+        if self.hidden:
+            self.hidden = {}
+        self.error = self.faulted_extension = self.span = None
 
     def __repr__(self) -> str:
         return (

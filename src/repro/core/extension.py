@@ -119,7 +119,9 @@ class ProgramState:
 
     def __init__(self, shared_size: int = DEFAULT_SHARED_SIZE):
         self.shared = MemoryRegion(SHARED_BASE, shared_size, writable=True, label="shm")
-        self._shm_offsets: Dict[int, int] = {}
+        #: shm key -> offset into ``shared`` (the bound ``ctx_shmget``
+        #: reads it directly).
+        self.shm_offsets: Dict[int, int] = {}
         self._shm_used = 0
         self.maps: Dict[int, Dict[int, List[int]]] = {}
         self._next_map_id = 1
@@ -128,19 +130,19 @@ class ProgramState:
 
     def shm_new(self, key: int, size: int) -> int:
         """Allocate ``size`` shared bytes under ``key``; return VM address."""
-        if key in self._shm_offsets:
+        if key in self.shm_offsets:
             raise SandboxViolation(f"shm key {key} already allocated")
         aligned = (size + 7) & ~7
         if self._shm_used + aligned > len(self.shared.data):
             raise SandboxViolation("shared memory exhausted")
         offset = self._shm_used
         self._shm_used += aligned
-        self._shm_offsets[key] = offset
+        self.shm_offsets[key] = offset
         return self.shared.base + offset
 
     def shm_get(self, key: int) -> int:
         """VM address for ``key``, or 0 when never allocated."""
-        offset = self._shm_offsets.get(key)
+        offset = self.shm_offsets.get(key)
         return 0 if offset is None else self.shared.base + offset
 
     # -- maps ----------------------------------------------------------------

@@ -8,7 +8,9 @@ of its native function at every insertion point.  The VMM:
 2. otherwise runs the first code in manifest order;
 3. a code either *returns a result* (which the VMM hands back to the
    host) or calls ``next()`` to delegate to the following code, falling
-   back to the default function at chain end;
+   back to the default function at chain end — ``next`` is a terminal
+   helper, so the run simply returns
+   :data:`~repro.ebpf.helpers.TERMINATED`;
 4. execution is monitored: a sandbox violation, a blown instruction
    budget or a helper error aborts the code, notifies the host and
    falls back to the default function.
@@ -24,7 +26,10 @@ the router converging.  Everything that merely *watches* a run —
 metrics and the trace ring of a :class:`repro.telemetry.Telemetry`,
 breaker bookkeeping, the host's provenance tracker, a profiler — is a
 :class:`_Watch`, composed into the step when the point is bound, so a
-run nobody watches executes the bare code.
+run nobody watches executes the bare code.  Each code's helpers are
+bound to its VM when it is attached
+(:func:`repro.core.api.build_helper_table`) and again on every rebind,
+since they capture the host's provenance tracker.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 
-from ..ebpf.helpers import HelperError, HelperTable
+from ..ebpf.helpers import TERMINATED, HelperError
 from ..ebpf.memory import SandboxViolation, VmMemory
 from ..ebpf.verifier import VerifierConfig, VerifierError, verify
 from ..ebpf.vm import ExecutionError, VirtualMachine
@@ -253,7 +258,6 @@ class VirtualMachineManager:
     ):
         self.host = host
         self.config = config or VmmConfig()
-        self.helper_table: HelperTable = build_helper_table()
         self._chains: Dict[InsertionPoint, List[_Attached]] = {}
         #: The bound runner of every point with at least one code.
         self._runners: Dict[InsertionPoint, Runner] = {}
@@ -292,8 +296,10 @@ class VirtualMachineManager:
                 continue
             if not isinstance(code, ExtensionCode):
                 raise AttachError(f"unsupported code object {code!r}")
+            memory = VmMemory(heap_size=self.config.heap_size)
+            memory.attach(state.shared, shared=True)
             try:
-                helpers = self.helper_table.restricted(code.helper_names)
+                helpers = build_helper_table(code.helper_names, memory, state, self.host)
             except KeyError as exc:
                 raise AttachError(f"{code.name}: {exc}") from exc
             verifier_config = VerifierConfig(
@@ -305,8 +311,6 @@ class VirtualMachineManager:
                 verify(code.instructions, verifier_config)
             except VerifierError as exc:
                 raise AttachError(f"{code.name}: verification failed: {exc}") from exc
-            memory = VmMemory(heap_size=self.config.heap_size)
-            memory.attach(state.shared, shared=True)
             vm = VirtualMachine(
                 code.instructions,
                 helpers,
@@ -315,7 +319,6 @@ class VirtualMachineManager:
                 tier=self.config.tier,
                 trusted_layout=code.layout_hint,
             )
-            vm.program_state = state
             vm.prepare()  # pay translation cost at attach, not first run
             vms.append(vm)
         touched = set()
@@ -355,12 +358,18 @@ class VirtualMachineManager:
             self._bind(point)
 
     def rebind_all(self) -> None:
-        """Bind every point again.
+        """Bind every code's helpers and every point again.
 
-        Called after anything the bound steps captured changes —
-        toggling the host's provenance tracker or this manager's
-        profiler on or off.
+        Called after anything the bound helpers or steps captured
+        changes — toggling the host's provenance tracker or this
+        manager's profiler on or off.
         """
+        for chain in self._chains.values():
+            for item in chain:
+                if item.vm is not None:
+                    item.vm.set_helpers(build_helper_table(
+                        item.code.helper_names, item.vm.memory, item.state, self.host
+                    ))
         for point in list(self._chains):
             self._bind(point)
 
@@ -578,10 +587,10 @@ class VirtualMachineManager:
         """``item`` as one ``step(ctx) -> result | NEXT | ABORTED``, and
         the ``credit()`` of a memo hit standing in for a run of it.
 
-        The hooks that fire on every run (``enter``/``returned``, the
+        The hooks that fire before or around every run (``enter``, the
         timer) are folded into the callable the step executes, so a
-        step nobody watches executes the bare code; the hooks of the
-        rarer outcomes are plain calls that default to a no-op.
+        step nobody watches executes the bare code; the outcome hooks
+        are plain calls that default to a no-op.
         """
         watches = self._watches(item)
         observe = _fan_out(watch.observe for watch in watches)
@@ -616,15 +625,14 @@ class VirtualMachineManager:
                 reset_heap()
                 return run()
 
-        if enter is not None or returned is not None:
-            bare, enter, returned = execute, enter or _ignore, returned or _ignore
+        if enter is not None:
+            bare = execute
 
             def execute(ctx):
                 enter(ctx)
-                result = bare(ctx)
-                returned(ctx, result)
-                return result
+                return bare(ctx)
 
+        returned = returned or _ignore
         health = item.health
         allow = self.breaker.allow
         note_fallback = self._note_fallback
@@ -635,14 +643,19 @@ class VirtualMachineManager:
                 return NEXT
             item.executions += 1
             try:
-                return execute(ctx)
-            except NextRequested:
+                result = execute(ctx)
+            except NextRequested:  # a host-native code delegated
                 delegated(ctx)
                 return NEXT
             except faults as exc:  # must never crash the host
                 note_fallback(item, ctx, exc)
                 faulted(ctx, exc)
                 return ABORTED
+            if result is TERMINATED:  # the bytecode called next()
+                delegated(ctx)
+                return NEXT
+            returned(ctx, result)
+            return result
 
         return step, credit
 

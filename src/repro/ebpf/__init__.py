@@ -9,7 +9,7 @@ runtime.
 
 from .assembler import AssemblerError, assemble
 from .disassembler import disassemble
-from .helpers import Helper, HelperError, HelperTable
+from .helpers import TERMINATED, Helper, HelperError, HelperTable
 from .isa import Instruction, decode_program, encode_program
 from .memory import MemoryRegion, SandboxViolation, VmMemory
 from .verifier import VerifierConfig, VerifierError, verify
@@ -22,6 +22,7 @@ __all__ = [
     "Helper",
     "HelperError",
     "HelperTable",
+    "TERMINATED",
     "Instruction",
     "decode_program",
     "encode_program",

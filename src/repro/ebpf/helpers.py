@@ -12,10 +12,14 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Optional
 
-__all__ = ["Helper", "HelperTable", "HelperError"]
+__all__ = ["Helper", "HelperTable", "HelperError", "TERMINATED"]
 
 #: Signature: helper(vm, r1, r2, r3, r4, r5) -> u64
 HelperFn = Callable[..., int]
+
+#: What a run returns, instead of r0, when it ended in a call to a
+#: *terminal* helper: the helper ran, and nothing after the call did.
+TERMINATED = object()
 
 
 class HelperError(Exception):
@@ -23,16 +27,22 @@ class HelperError(Exception):
 
 
 class Helper:
-    """One registered helper function."""
+    """One registered helper function.
 
-    __slots__ = ("helper_id", "name", "fn")
+    A ``terminal`` helper ends the run that calls it: both engines count
+    the call, publish the run's counters and return :data:`TERMINATED`
+    instead of executing what follows (xBGP's ``next()``).
+    """
 
-    def __init__(self, helper_id: int, name: str, fn: HelperFn):
+    __slots__ = ("helper_id", "name", "fn", "terminal")
+
+    def __init__(self, helper_id: int, name: str, fn: HelperFn, terminal: bool = False):
         if helper_id < 0:
             raise ValueError(f"negative helper id {helper_id}")
         self.helper_id = helper_id
         self.name = name
         self.fn = fn
+        self.terminal = terminal
 
     def __repr__(self) -> str:
         return f"Helper({self.helper_id}, {self.name!r})"
@@ -45,12 +55,14 @@ class HelperTable:
         self._by_id: Dict[int, Helper] = {}
         self._by_name: Dict[str, Helper] = {}
 
-    def register(self, helper_id: int, name: str, fn: HelperFn) -> Helper:
+    def register(
+        self, helper_id: int, name: str, fn: HelperFn, terminal: bool = False
+    ) -> Helper:
         if helper_id in self._by_id:
             raise ValueError(f"helper id {helper_id} already registered")
         if name in self._by_name:
             raise ValueError(f"helper name {name!r} already registered")
-        helper = Helper(helper_id, name, fn)
+        helper = Helper(helper_id, name, fn, terminal)
         self._by_id[helper_id] = helper
         self._by_name[name] = helper
         return helper
@@ -77,7 +89,7 @@ class HelperTable:
             helper = self._by_name.get(name)
             if helper is None:
                 raise KeyError(f"unknown helper {name!r}")
-            table.register(helper.helper_id, helper.name, helper.fn)
+            table.register(helper.helper_id, helper.name, helper.fn, helper.terminal)
         return table
 
     def __len__(self) -> int:

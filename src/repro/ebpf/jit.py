@@ -19,7 +19,9 @@ shares:
   fast paths for the heap, the stack and the program's shared region
   (:attr:`VmMemory.shared_region`; stores only while it is writable),
   falling back to :class:`VmMemory` for every other address;
-* helper calls dispatch directly to the bound Python callables;
+* helper calls dispatch directly to the bound Python callables, and
+  a call to a *terminal* helper publishes the counters and returns
+  :data:`~repro.ebpf.helpers.TERMINATED` right there;
 * control flow the structurer cannot express runs on a ``while True``
   dispatch loop over block leaders (:func:`emit_dispatch_loop`): the
   tail of a partly structured program, and the whole of one the
@@ -40,7 +42,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from .helpers import HelperTable
+from .helpers import TERMINATED, HelperTable
 from .isa import (
     ALU_OPS,
     BPF_ALU,
@@ -66,7 +68,7 @@ from .isa import (
 from .memory import MemoryRegion, VmMemory
 from .vm import ExecutionError
 
-__all__ = ["translate", "JitError"]
+__all__ = ["translate", "helper_globals", "JitError"]
 
 _M64 = (1 << 64) - 1
 
@@ -304,6 +306,17 @@ def emit_dispatch_loop(
     emit_dispatch(0, len(leaders), indent)
 
 
+def helper_globals(helpers: HelperTable) -> Dict[str, object]:
+    """``H<id>`` -> callable: the globals translated code calls its
+    helpers through (:meth:`VirtualMachine.set_helpers` swaps them)."""
+    return {f"H{helper_id}": helpers.get(helper_id).fn for helper_id in helpers.ids()}
+
+
+def terminal_ids(helpers: HelperTable) -> Set[int]:
+    """Ids of the helpers whose call ends the run."""
+    return {helper_id for helper_id in helpers.ids() if helpers.get(helper_id).terminal}
+
+
 def _namespace(
     helpers: HelperTable, memory: VmMemory, step_budget: int, vm, profile
 ) -> Dict[str, object]:
@@ -326,6 +339,7 @@ def _namespace(
         "mem_read": memory.read,
         "mem_write": memory.write,
         "vm": vm,
+        "TERMINATED": TERMINATED,
         "ExecBudget": lambda pc: ExecutionError(pc, message),
         "BaseException": BaseException,
         "FP": memory.frame_pointer(),
@@ -338,8 +352,7 @@ def _namespace(
     }
     if shared is not None:
         namespace.update(MB=shared.base, MS=len(shared.data), shm=shared.data)
-    for helper_id in helpers.ids():
-        namespace[f"H{helper_id}"] = helpers.get(helper_id).fn
+    namespace.update(helper_globals(helpers))
     if profile is not None:
         namespace["PB"] = profile.block_entries
         namespace["PI"] = profile.block_insns
@@ -366,8 +379,8 @@ def _emit_prologue(w: "_Writer", slots: Set[int]) -> None:
 def _finish(w: "_Writer", namespace: Dict[str, object], filename: str):
     """Close the function and compile it; returns ``(run, source)``.
 
-    Aborted runs (budget, sandbox fault, helper error, next()) still
-    publish their counters before the exception propagates.
+    Aborted runs (budget, sandbox fault, helper error) still publish
+    their counters before the exception propagates.
     """
     w.emit(1, "except BaseException:")
     w.emit(2, "vm.steps_executed = steps; vm.helper_calls = hc")
@@ -396,8 +409,7 @@ def translate(
     structurer declines, and (through :func:`emit_dispatch_loop`) the
     tail of a program it structures in part.
 
-    ``vm`` is passed through to helper functions (they read ``vm.ctx``
-    and ``vm.memory``).  ``trusted_layout`` asserts the xc frame
+    ``vm`` is passed through to helper functions (they read ``vm.ctx``).  ``trusted_layout`` asserts the xc frame
     convention (scalars above ``-SCALAR_LIMIT``, blocks below), enabling
     scalar-slot promotion in programs that take stack addresses.
 
@@ -412,7 +424,8 @@ def translate(
     leaders = _leaders(program)
     slots = _promotable_slots(program, trusted_layout) if profile is None else set()
     emitter = _BlockEmitter(
-        program, slots, profiled=profile is not None, shared=memory.shared_region
+        program, slots, profiled=profile is not None, shared=memory.shared_region,
+        terminal=terminal_ids(helpers),
     )
     w = _Writer()
     _emit_prologue(w, slots)
@@ -443,10 +456,13 @@ class _BlockEmitter:
         slots: Set[int],
         profiled: bool = False,
         shared: Optional[MemoryRegion] = None,
+        terminal: Set[int] = frozenset(),
     ):
         self.program = program
         self.slots = slots
         self.profiled = profiled
+        #: Ids of the terminal helpers: a call to one ends the run.
+        self.terminal = terminal
         #: The program's shared region, probed inline after heap and stack.
         self.shared = shared
         #: Leader of the block currently being emitted; maintained by
@@ -610,9 +626,14 @@ class _BlockEmitter:
         return terminated
 
     def emit_call(self, w: _Writer, indent: int, helper_id: int) -> None:
-        """A helper call (steps already flushed): count, call, clobber."""
+        """A helper call (steps already flushed): count, call, clobber —
+        or, for a terminal helper, count, call, publish the counters and
+        return (what the emitters put after it is dead code)."""
+        terminal = helper_id in self.terminal
         w.emit(indent, "hc += 1")
-        call = f"r0 = H{helper_id}(vm, r1, r2, r3, r4, r5) & {_M64}"
+        call = f"H{helper_id}(vm, r1, r2, r3, r4, r5)"
+        if not terminal:
+            call = f"r0 = {call} & {_M64}"
         if self.profiled:
             w.emit(indent, "_t = perf()")
             w.emit(indent, call)
@@ -620,6 +641,10 @@ class _BlockEmitter:
             w.emit(indent, f"HK[{helper_id}] += 1")
         else:
             w.emit(indent, call)
+        if terminal:
+            w.emit(indent, "vm.steps_executed = steps; vm.helper_calls = hc")
+            w.emit(indent, "return TERMINATED")
+            return
         w.emit(indent, "r1 = r2 = r3 = r4 = r5 = 0")
         self.mirrors.kill_regs(range(0, 6))
 

@@ -83,6 +83,7 @@ from .jit import (
     _promotable_slots,
     _reg,
     emit_dispatch_loop,
+    terminal_ids,
     translate,
 )
 from .memory import VmMemory
@@ -255,8 +256,8 @@ class _NativeEmitter(_BlockEmitter):
     the dispatch loop's.
     """
 
-    def __init__(self, program, slots, profiled, stack_size, shared):
-        super().__init__(program, slots, profiled, shared)
+    def __init__(self, program, slots, profiled, stack_size, shared, terminal):
+        super().__init__(program, slots, profiled, shared, terminal)
         self.stack_size = stack_size
         self.fp_delta: Dict[int, int] = {}
         #: promoted-slot offset -> FP delta, for pointers that round-trip
@@ -693,12 +694,14 @@ def translate_native(
     namespace = _namespace(helpers, memory, step_budget, vm, profile)
     namespace["Bail"] = _Bail
     namespace["XErr"] = ExecutionError
+    terminal = terminal_ids(helpers)
     emitter = _NativeEmitter(
         program,
         slots,
         profiled=profile is not None,
         stack_size=len(memory.stack.data),
         shared=memory.shared_region,
+        terminal=terminal,
     )
 
     w = _Writer()
@@ -729,7 +732,8 @@ def translate_native(
         w.emit(3, "pc = _b.pc")
         w.emit(3, "while True:")
         tail = _BlockEmitter(
-            program, slots, profiled=profile is not None, shared=memory.shared_region
+            program, slots, profiled=profile is not None, shared=memory.shared_region,
+            terminal=terminal,
         )
         emit_dispatch_loop(
             w, program, leaders, tail, step_budget, 4, profile is not None

@@ -13,7 +13,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Optional, Sequence
 
-from .helpers import HelperError, HelperTable
+from .helpers import TERMINATED, HelperError, HelperTable
 from .isa import (
     ALU_OPS,
     BPF_ALU,
@@ -94,11 +94,10 @@ class VirtualMachine:
         #: Optional :class:`repro.telemetry.profiler.VmProfile` fed by
         #: profiled runs; installed/cleared via :meth:`set_profile`.
         self.profile = None
-        #: Execution context / per-extension state, bound by the VMM
-        #: around each run.  Initialised here so helper implementations
-        #: can read them with plain attribute access.
+        #: Execution context, bound by the VMM around each run.
+        #: Initialised here so helper implementations can read it with
+        #: plain attribute access.
         self.ctx = None
-        self.program_state = None
 
     def prepare(self):
         """Translate now (compiled tier) so the first run pays no compile cost.
@@ -124,6 +123,16 @@ class VirtualMachine:
             )
         return self._compiled
 
+    def set_helpers(self, helpers: HelperTable) -> None:
+        """Swap in ``helpers``: the same ids, names and terminal flags,
+        other callables.  The compiled tier reads its helpers from the
+        translated function's globals, so no re-translation is needed."""
+        self.helpers = helpers
+        if self._compiled is not None:
+            from .jit import helper_globals
+
+            self._compiled.__globals__.update(helper_globals(helpers))
+
     def set_profile(self, profile) -> None:
         """Install (or, with ``None``, remove) a hotspot profile.
 
@@ -140,14 +149,15 @@ class VirtualMachine:
             self.prepare()
 
     def run(self, r1: int = 0, r2: int = 0, r3: int = 0, r4: int = 0, r5: int = 0) -> int:
-        """Execute until ``exit``; return r0.
+        """Execute until ``exit`` and return r0, or until a terminal
+        helper's call and return :data:`~repro.ebpf.helpers.TERMINATED`.
 
         May raise :class:`ExecutionError`, :class:`SandboxViolation` or
         :class:`HelperError` — the VMM treats all three as "extension
         code failed, fall back to native".
 
         ``steps_executed`` and ``helper_calls`` report this run's
-        instruction/helper counts afterwards — on returning, delegating
+        instruction/helper counts afterwards — on returning, terminated
         (``next()``) and faulting runs alike, and identically under
         both tiers (a budget blowout under the compiled tier reports
         the instructions executed before the block that blew the
@@ -269,6 +279,10 @@ class VirtualMachine:
                             raise ExecutionError(pc, f"unknown helper {insn.imm}")
                         helper_calls += 1
                         result = helper.fn(self, regs[1], regs[2], regs[3], regs[4], regs[5])
+                        if helper.terminal:
+                            self.steps_executed = steps
+                            self.helper_calls = helper_calls
+                            return TERMINATED
                         regs[0] = int(result) & _U64
                         regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
                         pc += 1
@@ -327,9 +341,9 @@ class VirtualMachine:
                     raise ExecutionError(pc, f"unknown opcode {opcode:#x}")
                 pc += 1
         except Exception:
-            # Aborted runs — faults, but also NextRequested escaping a
+            # Aborted runs — faults, or any exception escaping a
             # helper — still report how far they got, so telemetry can
-            # charge budget blowouts and delegations their instructions.
+            # charge budget blowouts their instructions.
             self.steps_executed = steps
             self.helper_calls = helper_calls
             raise
@@ -463,6 +477,10 @@ class VirtualMachine:
                         )
                         helper_seconds[insn.imm] += perf_counter() - started
                         helper_count[insn.imm] += 1
+                        if helper.terminal:
+                            self.steps_executed = steps
+                            self.helper_calls = helper_calls
+                            return TERMINATED
                         regs[0] = int(result) & _U64
                         regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
                         pc += 1

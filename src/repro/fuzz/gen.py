@@ -52,7 +52,7 @@ __all__ = [
 
 #: Helper ids for the engine oracle's self-contained helper table
 #: (:func:`repro.fuzz.oracles.make_fuzz_helpers`) — not the xBGP ABI.
-FUZZ_HELPER_IDS = {"probe": 1, "halloc": 2, "peek": 3, "checkz": 4}
+FUZZ_HELPER_IDS = {"probe": 1, "halloc": 2, "peek": 3, "checkz": 4, "stop": 5}
 
 #: Size of every ``halloc`` heap block; generated accesses stay inside.
 HALLOC_BLOCK = 64
@@ -304,7 +304,7 @@ class _ProgramEmitter:
 
     def emit_helper(self) -> None:
         rng = self.rng
-        kind = rng.choice(("probe", "halloc", "peek", "heap_rw", "checkz"))
+        kind = rng.choice(("probe", "halloc", "peek", "heap_rw", "checkz", "stop"))
         if kind == "probe":
             for reg in rng.sample(range(1, 6), rng.randint(0, 3)):
                 self.lines.append(f"mov r{reg}, {rng.randrange(-(1 << 15), 1 << 15)}")
@@ -339,6 +339,15 @@ class _ProgramEmitter:
             imm = 0 if rng.random() < 0.12 else rng.randint(1, 7)
             self.lines.append(f"mov r1, {imm}")
             self.lines.append("call checkz")
+        elif kind == "stop":
+            # A terminal call that ends about half the runs: jset on a
+            # live register's low bit skips it on the others.
+            label = self.label()
+            reg = rng.choice(sorted(r for r in self.inited if r != 10))
+            self.lines.append(f"jset r{reg}, 1, {label}")
+            self.lines.append(f"mov r1, r{reg}")
+            self.lines.append("call stop")
+            self.lines.append(f"{label}:")
         else:
             self.lines.append("call probe")
 

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..bgp.messages import UpdateMessage, decode_message, split_stream
 from ..bgp.prefix import parse_ipv4
 from ..core.insertion_points import InsertionPoint
-from ..ebpf.helpers import HelperError, HelperTable
+from ..ebpf.helpers import TERMINATED, HelperError, HelperTable
 from ..ebpf.isa import decode_program
 from ..ebpf.jit import translate
 from ..ebpf.memory import MemoryRegion, SandboxViolation, VmMemory
@@ -218,8 +218,9 @@ def make_fuzz_helpers(calls: list) -> HelperTable:
     ``probe`` mixes its five arguments (and the call ordinal) into a
     deterministic value, ``halloc`` hands out :data:`HALLOC_BLOCK`-byte
     heap blocks, ``peek`` reads VM memory (and can fault), ``checkz``
-    raises :class:`HelperError` on a zero argument — covering the
-    return/abort paths the xBGP helper glue exercises.
+    raises :class:`HelperError` on a zero argument and ``stop`` is
+    terminal, like xBGP's ``next()`` — covering the return, abort and
+    terminal-exit paths the xBGP helper glue exercises.
     """
     table = HelperTable()
 
@@ -248,7 +249,12 @@ def make_fuzz_helpers(calls: list) -> HelperTable:
     table.register(FUZZ_HELPER_IDS["probe"], "probe", probe)
     table.register(FUZZ_HELPER_IDS["halloc"], "halloc", halloc)
     table.register(FUZZ_HELPER_IDS["peek"], "peek", peek)
+    def stop(vm, r1, r2, r3, r4, r5):
+        calls.append(("stop", r1))
+        return 0
+
     table.register(FUZZ_HELPER_IDS["checkz"], "checkz", checkz)
+    table.register(FUZZ_HELPER_IDS["stop"], "stop", stop, terminal=True)
     return table
 
 
@@ -308,9 +314,10 @@ def _engine_outcome(run, vm: VirtualMachine, memory: VmMemory, calls: list, inpu
     # never materialise in ``stack.data``), and that privacy is the
     # point — registers are observable through the epilogue fold into
     # r0, heap blocks through the helper traffic below.
+    stopped = result is TERMINATED
     return (
-        "return",
-        result,
+        "stop" if stopped else "return",
+        None if stopped else result,
         vm.steps_executed,
         vm.helper_calls,
         tuple(calls),
@@ -392,7 +399,9 @@ def run_engine_case(
             # Compiled code checks the budget per *block* (at the
             # leader), the interpreter per step — so near the budget
             # one arm may report the blowout while the other faults
-            # first inside that block.  All arms must still abort.
+            # first inside that block.  All arms must still abort or,
+            # since the block check also counts what follows a terminal
+            # call, stop.
             returned = [arm for arm, o in per_arm.items() if o[0] == "return"]
             if returned:
                 return Divergence(

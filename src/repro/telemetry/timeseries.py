@@ -466,17 +466,10 @@ def load_snapshot_source(path: str) -> Dict[str, object]:
     try:
         document = json.loads(text)
     except json.JSONDecodeError:
-        # Not one JSON document — try JSONL: the final line is the most
-        # recent sample of a recorded time-series.
-        lines = [line for line in text.splitlines() if line.strip()]
-        try:
-            sample = json.loads(lines[-1])
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not JSON ({exc})")
-        try:
-            return validate_sample(sample)["registry"]  # type: ignore[return-value]
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}")
+        # Not one JSON document: a time-series JSONL file, every line
+        # checked as read_timeseries checks it; the final sample is the
+        # most recent.
+        return read_timeseries(path)[-1]["registry"]  # type: ignore[return-value]
     if not isinstance(document, dict):
         raise ValueError(f"{path}: expected a JSON object")
     if "timeseries_version" in document:

@@ -12,7 +12,7 @@ seeds on the unmutated tree must stay clean.
 every mutant, which oracle arms killed it over the full campaign — the
 k/N-per-arm record EXPERIMENTS.md quotes.  The file only touches names
 that exist on both sides of the change that introduced it, so the same
-file scores the tree before it.
+file scores the tree before it, terminal helpers excepted.
 """
 
 import inspect
@@ -89,6 +89,16 @@ def shared_probe_ignores_writable(monkeypatch):
     )
 
 
+def terminal_return_skips_the_counter_flush(monkeypatch):
+    # A run ended by a terminal helper returns without publishing its
+    # steps and helper calls (on both compiled arms: they share the
+    # call emitter).
+    _edit(
+        monkeypatch, jit._BlockEmitter, "emit_call",
+        'w.emit(indent, "vm.steps_executed = steps; vm.helper_calls = hc")', "pass",
+    )
+
+
 MUTANTS = (
     alloc_skips_the_lazy_scrub,
     swapped_conditional_in_the_jump_table,
@@ -97,6 +107,7 @@ MUTANTS = (
     helper_result_truncated_to_32_bits,
     shared_probe_bound_off_by_one,
     shared_probe_ignores_writable,
+    terminal_return_skips_the_counter_flush,
 )
 
 

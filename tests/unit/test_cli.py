@@ -496,14 +496,17 @@ class TestBench:
         assert record["median_wall_seconds"] > 0
         assert record["instructions"] > 0
 
+        # Both directions of the gate, each far past run-to-run noise:
+        # against a baseline 100x slower the compare passes, against
+        # one 100x faster it trips.  (Comparing against the record as
+        # made depended on wall time; a mere 2x shrink flaked too.)
+        median = record["median_wall_seconds"]
+        record["median_wall_seconds"] = median * 100.0
+        path.write_text(json.dumps(record))
         code, _ = run_cli(argv + ["--compare", str(baseline_dir)], capsys)
         assert code == 0
 
-        # Synthetic slowdown: shrink the recorded baseline median far
-        # past any run-to-run noise — the gate must trip.  (A mere 2x
-        # shrink flaked: a warm compare run can be >25% faster than
-        # the just-recorded median, slipping under the 1.5x gate.)
-        record["median_wall_seconds"] /= 100.0
+        record["median_wall_seconds"] = median / 100.0
         path.write_text(json.dumps(record))
         code, _ = run_cli(
             argv + ["--compare", str(baseline_dir), "--threshold", "0.5"], capsys
@@ -655,6 +658,20 @@ class TestStatsDiff:
         junk.write_text('{"hello": "world"}')
         with pytest.raises(SystemExit, match="not a registry snapshot"):
             main(["stats", "--diff", str(junk), str(junk)])
+
+    def test_diff_names_the_broken_line_of_a_timeseries(self, tmp_path, capsys):
+        # Only the final sample is diffed, but every line is checked,
+        # the way read_timeseries checks it: a broken first line fails.
+        import json
+
+        from repro.telemetry.timeseries import make_sample
+
+        good = self._record(tmp_path, capsys, "run.json", 60)
+        sample = make_sample(json.loads(good.read_text())["registry"], 1.0)
+        series = tmp_path / "ts.jsonl"
+        series.write_text("{broken\n" + json.dumps(sample) + "\n")
+        with pytest.raises(SystemExit, match=r"ts\.jsonl:1: not JSON"):
+            main(["stats", "--diff", str(series), str(good)])
 
     def test_diff_and_merge_are_exclusive(self, tmp_path, capsys):
         path = tmp_path / "x.json"

@@ -25,7 +25,7 @@ from repro.core import (
 from repro.core.abi import pack_peer_info
 from repro.core.extension import ExtensionCode
 from repro.ebpf.assembler import assemble
-from repro.ebpf.helpers import HelperError, HelperTable
+from repro.ebpf.helpers import TERMINATED, HelperError, HelperTable
 from repro.ebpf.vm import VirtualMachine
 from repro.telemetry import QuarantinePolicy
 
@@ -84,6 +84,19 @@ class TestEngineCountParity:
         assert outcome == ("raise", "NextRequested")
         assert steps == 3  # two movs plus the call itself
         assert helper_calls == 1
+
+    def test_terminal_helper_ends_the_run_at_its_call(self):
+        calls = []
+        helpers = HelperTable()
+        helpers.register(1, "stop", lambda vm, r1, *args: calls.append(r1) or 0, terminal=True)
+        program = assemble(
+            "mov r1, 1\nmov r2, 2\ncall stop\nmov r0, 7\nexit", helpers.name_to_id()
+        )
+        outcome, steps, helper_calls = run_both(program, helpers)
+        assert outcome == ("return", TERMINATED)
+        assert steps == 3  # two movs plus the call; nothing after it
+        assert helper_calls == 1
+        assert calls == [1, 1]  # called once per engine
 
     def test_faulting_run_counts_the_faulting_load(self):
         # lddw + a dereference outside every region: the faulting
@@ -341,6 +354,57 @@ class TestFastPath:
         assert not vmm.active(InsertionPoint.BGP_ENCODE_MESSAGE)
         vmm.detach_program("p")
         assert not vmm.active(InsertionPoint.BGP_INBOUND_FILTER)
+
+
+class _ApiRecorder:
+    """A provenance tracker that keeps only the API calls it hears."""
+
+    def __init__(self):
+        self.api = []
+
+    def record_api(self, ctx, op, **detail):
+        self.api.append(op)
+
+    def __getattr__(self, name):  # the VMM's span hooks: ignored
+        return lambda *args, **kwargs: None
+
+
+class TestHelpersBoundAtAttach:
+    def test_provenance_toggle_rebinds_the_helpers(self):
+        host = _make_host()
+        vmm = VirtualMachineManager(host, VmmConfig(telemetry=False))
+        code = _bytecode("reader", "u64 f(u64 a) { get_attr(2); return 1; }", ("get_attr",))
+        vmm.attach_program(XbgpProgram("p", [code]))
+        point = InsertionPoint.BGP_INBOUND_FILTER
+        recorder = _ApiRecorder()
+        host.provenance = recorder
+        vmm.rebind_all()
+        assert vmm.run(ExecutionContext(host, point), lambda: 77) == 1
+        assert recorder.api == ["get_attr"]
+        host.provenance = None
+        vmm.rebind_all()
+        assert vmm.run(ExecutionContext(host, point), lambda: 77) == 1
+        assert recorder.api == ["get_attr"]
+
+    def test_map_helpers_read_the_program_state(self):
+        vmm = VirtualMachineManager(_make_host(), VmmConfig(telemetry=False))
+        code = _bytecode(
+            "maps",
+            "u64 f(u64 a) { map_update(1, 5, 9); return map_lookup_idx(1, 5, 0) + map_size(1); }",
+            ("map_update", "map_lookup_idx", "map_size"),
+        )
+        program = XbgpProgram("p", [code], map_data={"t": {}})
+        vmm.attach_program(program)
+        ctx = ExecutionContext(vmm.host, InsertionPoint.BGP_INBOUND_FILTER)
+        assert vmm.run(ctx, lambda: 77) == 10
+
+    def test_an_unknown_map_faults_the_run(self):
+        vmm = VirtualMachineManager(_make_host(), VmmConfig(telemetry=False))
+        code = _bytecode("maps", "u64 f(u64 a) { return map_lookup(7, 5); }", ("map_lookup",))
+        vmm.attach_program(XbgpProgram("p", [code]))
+        ctx = ExecutionContext(vmm.host, InsertionPoint.BGP_INBOUND_FILTER)
+        assert vmm.run(ctx, lambda: 77) == 77
+        assert ctx.error == "maps: no map 7"
 
 
 class TestDetachClearsQuarantine:
