@@ -523,10 +523,10 @@ class BgpSpeaker:
         receive_hot = not self.vmm.active(InsertionPoint.BGP_RECEIVE_MESSAGE)
         receive_ctx = (
             None if receive_hot
-            else ExecutionContext(self.host, InsertionPoint.BGP_RECEIVE_MESSAGE, neighbor=neighbor)
+            else ExecutionContext(InsertionPoint.BGP_RECEIVE_MESSAGE, neighbor=neighbor)
         )
         import_run = self.vmm.runner(InsertionPoint.BGP_INBOUND_FILTER)
-        import_ctx = ExecutionContext(self.host, InsertionPoint.BGP_INBOUND_FILTER, neighbor=neighbor)
+        import_ctx = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER, neighbor=neighbor)
         native_import = partial(self._native_import, import_ctx)
         # Only a keyed chain (block-pure, no provenance) uses a memo.
         memo = BlockMemo(self._share_attrs) if import_run.keyed else None
@@ -707,7 +707,7 @@ class BgpSpeaker:
         export_filter = self._export_filter(export_run, memo)
         encode_ctx = None
         if self.vmm.active(InsertionPoint.BGP_ENCODE_MESSAGE):
-            encode_ctx = ExecutionContext(self.host, InsertionPoint.BGP_ENCODE_MESSAGE)
+            encode_ctx = ExecutionContext(InsertionPoint.BGP_ENCODE_MESSAGE)
         try:
             for prefix in prefixes:
                 if not decide or self._run_decision(prefix, config):
@@ -723,7 +723,7 @@ class BgpSpeaker:
         prov = self.provenance
         if self.vmm.active(InsertionPoint.BGP_DECISION):
             run = self.vmm.runner(InsertionPoint.BGP_DECISION)
-            ctx = ExecutionContext(self.host, InsertionPoint.BGP_DECISION)
+            ctx = ExecutionContext(InsertionPoint.BGP_DECISION)
             step_note: Dict[str, str] = {}
 
             def native() -> int:
@@ -865,7 +865,7 @@ class BgpSpeaker:
         neighbor)``, the route to send or None, runs ``run`` — the bound
         BGP_OUTBOUND_FILTER dispatch — around native export on one
         context, with the sweep's ``memo``."""
-        ctx = ExecutionContext(self.host, InsertionPoint.BGP_OUTBOUND_FILTER)
+        ctx = ExecutionContext(InsertionPoint.BGP_OUTBOUND_FILTER)
         native = partial(self._native_export, ctx, memo)
         keyed = run.keyed
         stats = self.stats

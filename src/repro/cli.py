@@ -53,6 +53,7 @@ import sys
 from typing import Dict, List, Optional
 
 from .core.abi import HELPER_IDS, PLUGIN_CONSTANTS
+from .core.vmm import TIERS
 
 __all__ = ["main"]
 
@@ -1009,7 +1010,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["route_reflection", "origin_validation"],
         default="route_reflection",
     )
-    p.add_argument("--engine", choices=["jit", "interp", "pyext"], default="jit")
+    p.add_argument("--engine", choices=TIERS, default="jit")
     p.add_argument("--routes", type=int, default=2500)
     p.add_argument("--runs", type=int, default=7)
     p.add_argument("--seed", type=int, default=20200604)
@@ -1033,7 +1034,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="route_reflection",
     )
     p.add_argument("--mode", choices=["extension", "native"], default="extension")
-    p.add_argument("--engine", choices=["jit", "interp", "pyext"], default="jit")
+    p.add_argument("--engine", choices=TIERS, default="jit")
     p.add_argument("--routes", type=int, default=500)
     p.add_argument("--seed", type=int, default=20200604)
     p.add_argument(
@@ -1098,7 +1099,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("prefix", help="prefix to explain, e.g. 198.51.100.0/24")
     p.add_argument("--implementation", choices=["frr", "bird"], default="frr")
-    p.add_argument("--engine", choices=["jit", "interp", "pyext"], default="jit")
+    p.add_argument("--engine", choices=TIERS, default="jit")
     p.add_argument(
         "--router", choices=["up", "dut", "down"], default="dut",
         help="whose provenance to read (default: the route reflector DUT)",
@@ -1113,7 +1114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spans", help="print the cross-router span tree")
     p.add_argument("prefix", help="prefix to trace, e.g. 198.51.100.0/24")
     p.add_argument("--implementation", choices=["frr", "bird"], default="frr")
-    p.add_argument("--engine", choices=["jit", "interp", "pyext"], default="jit")
+    p.add_argument("--engine", choices=TIERS, default="jit")
     p.add_argument(
         "-o", "--output", metavar="FILE", default=None,
         help="export every router's spans as JSON Lines instead of text",
@@ -1149,7 +1150,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario", choices=sorted(_SCENARIO_FEATURES), default="route-reflection"
     )
     p.add_argument("--impl", choices=["frr", "bird"], default="frr")
-    p.add_argument("--engine", choices=["jit", "interp"], default="jit")
+    p.add_argument("--engine", choices=TIERS, default="jit")
     p.add_argument("--routes", type=int, default=400)
     p.add_argument("--seed", type=int, default=20200604)
     p.add_argument(
@@ -1179,7 +1180,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario", choices=sorted(_SCENARIO_FEATURES), default="route-reflection"
     )
     p.add_argument("--impl", choices=["frr", "bird"], default="frr")
-    p.add_argument("--engine", choices=["jit", "interp"], default="jit")
+    p.add_argument("--engine", choices=TIERS, default="jit")
     p.add_argument("--routes", type=int, default=400)
     p.add_argument("--runs", type=int, default=5)
     p.add_argument("--seed", type=int, default=20200604)

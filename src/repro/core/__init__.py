@@ -15,8 +15,8 @@ Public surface:
 
 from .abi import FILTER_ACCEPT, FILTER_REJECT, HELPER_IDS, MAP_NO_ENTRY, PLUGIN_CONSTANTS
 from .api import build_helper_table
-from .context import ExecutionContext, NextRequested
-from .extension import ExtensionCode, NativeExtensionCode, ProgramState, XbgpProgram
+from .context import ExecutionContext
+from .extension import ExtensionCode, ProgramState, XbgpProgram
 from .host_interface import HostImplementation
 from .insertion_points import InsertionPoint
 from .manifest import Manifest, ManifestError
@@ -30,9 +30,7 @@ __all__ = [
     "PLUGIN_CONSTANTS",
     "build_helper_table",
     "ExecutionContext",
-    "NextRequested",
     "ExtensionCode",
-    "NativeExtensionCode",
     "ProgramState",
     "XbgpProgram",
     "HostImplementation",

@@ -15,14 +15,7 @@ from ..bgp.peer import Neighbor
 from ..bgp.prefix import Prefix
 from .insertion_points import InsertionPoint
 
-__all__ = ["ExecutionContext", "NextRequested"]
-
-
-class NextRequested(Exception):
-    """Raised by a host-native code (:class:`~repro.core.extension.
-    NativeExtensionCode`) to delegate the operation to the next code in
-    the chain (or the host's native implementation).  Bytecode delegates
-    with the terminal ``next`` helper and raises nothing."""
+__all__ = ["ExecutionContext"]
 
 
 class ExecutionContext:
@@ -51,7 +44,6 @@ class ExecutionContext:
     """
 
     __slots__ = (
-        "host",
         "insertion_point",
         "neighbor",
         "route",
@@ -67,7 +59,6 @@ class ExecutionContext:
 
     def __init__(
         self,
-        host: Any,
         insertion_point: InsertionPoint,
         neighbor: Optional[Neighbor] = None,
         route: Any = None,
@@ -77,7 +68,6 @@ class ExecutionContext:
         out_buffer: Optional[bytearray] = None,
         hidden: Optional[Dict[str, Any]] = None,
     ):
-        self.host = host
         self.insertion_point = insertion_point
         self.neighbor = neighbor
         self.route = route

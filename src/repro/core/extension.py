@@ -10,8 +10,7 @@ are fully isolated from one another.
 
 from __future__ import annotations
 
-import struct
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..ebpf.isa import Instruction
 from ..ebpf.memory import MemoryRegion, SandboxViolation
@@ -19,7 +18,6 @@ from .insertion_points import InsertionPoint
 
 __all__ = [
     "ExtensionCode",
-    "NativeExtensionCode",
     "XbgpProgram",
     "ProgramState",
     "SHARED_BASE",
@@ -64,46 +62,11 @@ class ExtensionCode:
         self.seq = seq
         self.layout_hint = layout_hint
 
-    @property
-    def is_native(self) -> bool:
-        return False
-
     def __repr__(self) -> str:
         return (
             f"ExtensionCode({self.name!r}, {self.insertion_point.name}, "
             f"seq={self.seq}, {len(self.instructions)} insns)"
         )
-
-
-class NativeExtensionCode:
-    """A Python-callable extension, used by the ablation benchmarks to
-    separate "plugin architecture cost" from "eBPF interpretation cost".
-
-    The callable receives ``(ctx, host)`` and returns a u64 result, or
-    raises :class:`repro.core.context.NextRequested` to delegate.
-    """
-
-    __slots__ = ("name", "fn", "insertion_point", "seq", "helper_names")
-
-    def __init__(
-        self,
-        name: str,
-        fn: Callable,
-        insertion_point: InsertionPoint,
-        seq: int = 0,
-    ):
-        self.name = name
-        self.fn = fn
-        self.insertion_point = insertion_point
-        self.seq = seq
-        self.helper_names: List[str] = []
-
-    @property
-    def is_native(self) -> bool:
-        return True
-
-    def __repr__(self) -> str:
-        return f"NativeExtensionCode({self.name!r}, {self.insertion_point.name})"
 
 
 class ProgramState:
@@ -181,7 +144,7 @@ class XbgpProgram:
     def __init__(
         self,
         name: str,
-        codes: Sequence[object],
+        codes: Sequence[ExtensionCode],
         map_data: Optional[Dict[str, Dict[int, List[int]]]] = None,
         shared_size: int = DEFAULT_SHARED_SIZE,
     ):

@@ -43,14 +43,17 @@ from ..ebpf.verifier import VerifierConfig, VerifierError, verify
 from ..ebpf.vm import ExecutionError, VirtualMachine
 from ..telemetry import QuarantineEngine, QuarantinePolicy, Telemetry
 from .api import build_helper_table
-from .context import ExecutionContext, NextRequested
-from .extension import ExtensionCode, NativeExtensionCode, ProgramState, XbgpProgram
+from .context import ExecutionContext
+from .extension import ExtensionCode, ProgramState, XbgpProgram
 from .host_interface import HostImplementation
 from .insertion_points import InsertionPoint
 
-__all__ = ["VmmConfig", "VirtualMachineManager", "AttachError", "BlockMemo", "block_pure"]
+__all__ = ["TIERS", "VmmConfig", "VirtualMachineManager", "AttachError", "BlockMemo", "block_pure"]
 
 Runner = Callable[..., int]
+
+#: The execution tiers of attached bytecode (see :class:`VmmConfig`).
+TIERS = ("jit", "interp")
 
 #: What a step returns instead of a result: the code delegated with
 #: ``next()`` (or the breaker skipped it) / the code faulted and the
@@ -59,8 +62,7 @@ NEXT = object()
 ABORTED = object()
 
 #: The faults a bytecode run is allowed to end in; anything else raised
-#: on the bytecode path is a bug in this repo and propagates.  A
-#: host-native code is arbitrary Python, so every exception is a fault.
+#: on the bytecode path is a bug in this repo and propagates.
 _SANDBOX_FAULTS = (SandboxViolation, ExecutionError, HelperError)
 
 #: The helpers whose answers depend on nothing but the peers' info, the
@@ -76,7 +78,7 @@ _MAP_READERS = frozenset({"map_lookup", "map_lookup_idx", "map_size"})
 _MAP_WRITERS = frozenset({"map_new", "map_update"})
 
 
-def block_pure(code, program: XbgpProgram) -> bool:
+def block_pure(code: ExtensionCode, program: XbgpProgram) -> bool:
     """Does ``code`` compute a function of the attribute block alone?
 
     True for a bytecode whose manifest lists only block-pure helpers,
@@ -87,7 +89,7 @@ def block_pure(code, program: XbgpProgram) -> bool:
     allowed = _BLOCK_PURE_HELPERS
     if not any(_MAP_WRITERS.intersection(other.helper_names) for other in program.codes):
         allowed = allowed | _MAP_READERS
-    return isinstance(code, ExtensionCode) and allowed.issuperset(code.helper_names)
+    return allowed.issuperset(code.helper_names)
 
 
 class BlockMemo(dict):
@@ -141,7 +143,7 @@ class VmmConfig:
         telemetry: bool = True,
         quarantine: Optional[QuarantinePolicy] = None,
     ):
-        if tier not in ("jit", "interp"):
+        if tier not in TIERS:
             raise ValueError(f"bad tier {tier!r}")
         self.step_budget = step_budget
         self.heap_size = heap_size
@@ -168,7 +170,9 @@ class _Attached:
         "hits",
     )
 
-    def __init__(self, code, vm: Optional[VirtualMachine], state: ProgramState, health, pure: bool):
+    def __init__(
+        self, code: ExtensionCode, vm: VirtualMachine, state: ProgramState, health, pure: bool
+    ):
         self.code = code
         self.vm = vm
         self.state = state
@@ -221,14 +225,14 @@ def _fan_out(hooks: Iterable[Optional[Callable]]) -> Optional[Callable]:
 
 
 def _timed(run, observe):
-    """``run`` with its wall time reported to ``observe`` on every
-    outcome — the ``finally`` also times runs that end in ``next()``, a
-    fault, or an exception that propagates out of the VMM."""
+    """``run()`` with its wall time reported to ``observe`` on every
+    outcome — the ``finally`` also times runs that end in a fault or an
+    exception that propagates out of the VMM."""
 
-    def timed(*args):
+    def timed():
         start = perf_counter()
         try:
-            return run(*args)
+            return run()
         finally:
             observe(perf_counter() - start)
 
@@ -289,11 +293,8 @@ class VirtualMachineManager:
         if program.name in self._programs:
             raise AttachError(f"program {program.name!r} already attached")
         state = program.build_state()
-        vms: List[Optional[VirtualMachine]] = []
+        vms: List[VirtualMachine] = []
         for code in program.codes:
-            if isinstance(code, NativeExtensionCode):
-                vms.append(None)
-                continue
             if not isinstance(code, ExtensionCode):
                 raise AttachError(f"unsupported code object {code!r}")
             memory = VmMemory(heap_size=self.config.heap_size)
@@ -366,10 +367,9 @@ class VirtualMachineManager:
         """
         for chain in self._chains.values():
             for item in chain:
-                if item.vm is not None:
-                    item.vm.set_helpers(build_helper_table(
-                        item.code.helper_names, item.vm.memory, item.state, self.host
-                    ))
+                item.vm.set_helpers(build_helper_table(
+                    item.code.helper_names, item.vm.memory, item.state, self.host
+                ))
         for point in list(self._chains):
             self._bind(point)
 
@@ -398,20 +398,18 @@ class VirtualMachineManager:
         for chain in self._chains.values():
             for item in chain:
                 item.profile = None
-                if item.vm is not None:
-                    item.vm.set_profile(None)
+                item.vm.set_profile(None)
         self.rebind_all()
 
     def _profile_item(self, item: _Attached) -> None:
         """Give ``item`` its profile and put its VM on the profiled path."""
         point = item.code.insertion_point.value
         item.profile = self.profiler.profile_for(point, item.code.name, item.vm)
-        if item.vm is not None:
-            item.vm.set_profile(item.profile)
-            # set_profile re-translates the compiled tier and the
-            # compiler's verdict may differ under profiling, so refresh
-            # the attribution captured at profile creation.
-            item.profile.compiled = item.vm.compile_info
+        item.vm.set_profile(item.profile)
+        # set_profile re-translates the compiled tier and the compiler's
+        # verdict may differ under profiling, so refresh the attribution
+        # captured at profile creation.
+        item.profile.compiled = item.vm.compile_info
 
     # -- inspection ----------------------------------------------------------
 
@@ -465,18 +463,14 @@ class VirtualMachineManager:
     def tiers(self) -> Dict[str, Dict[str, object]]:
         """Per-code execution-tier attribution.
 
-        Maps code name to its tier — ``"host"`` for host-native (pyext)
-        codes — and, on the compiled tier, to what the compiler did with
-        the program (:meth:`repro.ebpf.native.NativeInfo.summary`:
+        Maps code name to its tier and, on the compiled tier, to what
+        the compiler did with the program (:meth:`repro.ebpf.native.NativeInfo.summary`:
         structured / tail / dispatch-only block counts and, if the
         structurer declined it, why).
         """
         result: Dict[str, Dict[str, object]] = {}
         for chain in self._chains.values():
             for item in chain:
-                if item.vm is None:
-                    result[item.code.name] = {"tier": "host"}
-                    continue
                 entry: Dict[str, object] = {"tier": item.vm.tier}
                 if item.vm.compile_info is not None:
                     entry["compiled"] = item.vm.compile_info.summary()
@@ -606,24 +600,13 @@ class VirtualMachineManager:
             hit()
 
         vm = item.vm
-        if vm is None:
-            faults = Exception
-            fn, host = item.code.fn, self.host
+        run = vm.prepare() if observe is None else _timed(vm.prepare(), observe)
+        reset_heap = vm.memory.reset_heap
 
-            def execute(ctx):
-                return fn(ctx, host)
-
-            if observe is not None:
-                execute = _timed(execute, observe)
-        else:
-            faults = _SANDBOX_FAULTS
-            run = vm.prepare() if observe is None else _timed(vm.prepare(), observe)
-            reset_heap = vm.memory.reset_heap
-
-            def execute(ctx):
-                vm.ctx = ctx
-                reset_heap()
-                return run()
+        def execute(ctx):
+            vm.ctx = ctx
+            reset_heap()
+            return run()
 
         if enter is not None:
             bare = execute
@@ -644,10 +627,7 @@ class VirtualMachineManager:
             item.executions += 1
             try:
                 result = execute(ctx)
-            except NextRequested:  # a host-native code delegated
-                delegated(ctx)
-                return NEXT
-            except faults as exc:  # must never crash the host
+            except _SANDBOX_FAULTS as exc:  # must never crash the host
                 note_fallback(item, ctx, exc)
                 faulted(ctx, exc)
                 return ABORTED
@@ -672,12 +652,12 @@ class VirtualMachineManager:
             watches.append(self._watch_provenance(item, self.host.provenance))
         if item.profile is not None:
             note_run = item.profile.note_run
-            memory = item.vm.memory if item.vm is not None else None
+            memory = item.vm.memory
 
             def observe(seconds):
                 # reset_heap precedes each run, so heap_used afterwards
                 # is this run's allocation high watermark.
-                note_run(seconds, memory.heap_used if memory is not None else 0)
+                note_run(seconds, memory.heap_used)
 
             watches.append(_Watch(observe=observe))
         return watches
@@ -738,13 +718,10 @@ class VirtualMachineManager:
             "xbgp_extension_run_seconds", "per-run latency", **labels
         )
         vm = item.vm
-        if vm is None:
-            count_work = _ignore
-        else:
 
-            def count_work():
-                m_insns.inc(vm.steps_executed)
-                m_helpers.inc(vm.helper_calls)
+        def count_work():
+            m_insns.inc(vm.steps_executed)
+            m_helpers.inc(vm.helper_calls)
 
         def enter(ctx):
             m_exec.inc()

@@ -7,8 +7,8 @@ Covered ablations:
 
 * ROA store: trie browse (FRR style) vs hash probe (BIRD style) vs the
   extension's program-map probe — the §3.4 mechanism;
-* execution engine: interpreter vs JIT vs host-speed plugin for the
-  same bytecode/logic;
+* execution engine: interpreter vs compiled tier for the same
+  bytecode;
 * ``next()`` chain length: cost of stacking extension codes on one
   insertion point;
 * verifier cost per program size.
@@ -151,7 +151,7 @@ def engine_fn(engine: str) -> Callable[[], int]:
         ],
     )
     vmm.attach_program(manifest.load())
-    ctx = ExecutionContext(host, InsertionPoint.BGP_INBOUND_FILTER)
+    ctx = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER)
 
     def run() -> int:
         return vmm.run(ctx, lambda: 0)
@@ -185,7 +185,7 @@ def chain_fn(length: int) -> Callable[[], int]:
     if codes:
         manifest = Manifest(name=f"chain_{length}", codes=codes)
         vmm.attach_program(manifest.load())
-    ctx = ExecutionContext(host, InsertionPoint.BGP_INBOUND_FILTER)
+    ctx = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER)
 
     def run() -> int:
         return vmm.run(ctx, lambda: 0)

@@ -11,13 +11,16 @@
   validation with a hash map;
 * :mod:`repro.plugins.closest_exit` — our extension: GeoLoc-based
   tie-breaking on the BGP_DECISION insertion point;
-* :mod:`repro.plugins.pynative` — host-speed twins of the RR and OV
-  programs (the benchmarks' ``pyext`` arm);
+* :mod:`repro.plugins.conditional_default` — our extension: a default
+  route originated through ``rib_announce`` while a trigger prefix is
+  received;
 * :mod:`repro.plugins.faulty` — a deliberately crashing filter for
-  fault-injection drills (the seeded quarantine workload).
+  fault-injection drills (the seeded quarantine workload);
+* :mod:`repro.plugins.bad_gadget` — a deliberately divergent decision
+  policy, the oscillation detector's true positive.
 
-Every program is plain eBPF once compiled; the *same* manifest loads
-into PyFRR and PyBIRD.
+Every program is eBPF bytecode, the one kind of extension code the VMM
+runs; the *same* manifest loads into PyFRR and PyBIRD.
 """
 
 from . import (
@@ -27,7 +30,6 @@ from . import (
     geoloc,
     igp_filter,
     origin_validation,
-    pynative,
     route_reflector,
     valley_free,
 )
@@ -39,7 +41,6 @@ __all__ = [
     "geoloc",
     "igp_filter",
     "origin_validation",
-    "pynative",
     "route_reflector",
     "valley_free",
 ]

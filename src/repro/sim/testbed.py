@@ -20,7 +20,7 @@ from ..bgp.messages import UpdateMessage, split_stream
 from ..bgp.prefix import parse_ipv4
 from ..bgp.roa import HashRoaTable, Roa, TrieRoaTable
 from ..bird.daemon import BirdDaemon
-from ..core.vmm import VmmConfig
+from ..core.vmm import TIERS, VmmConfig
 # ``ebpf.vm`` imports the compiled tier on the first attach; loading it
 # here keeps that out of every timed DUT build (forked shard workers
 # inherit the whole host stack with this module).
@@ -31,7 +31,6 @@ from ..plugins import (
     faulty,
     geoloc,
     origin_validation,
-    pynative,
     route_reflector,
     valley_free,
 )
@@ -53,9 +52,8 @@ __all__ = [
 #: The one host registry: implementation name -> daemon class.
 DAEMONS = {"frr": FrrDaemon, "bird": BirdDaemon}
 
-#: How an extension arm runs: a bytecode tier, or the plugin as host
-#: Python (``pyext``, attached on the default tier's VMM).
-ENGINES = ("jit", "interp", "pyext")
+#: How an extension arm runs: the VMM's bytecode tiers.
+ENGINES = TIERS
 
 UPSTREAM = "10.0.1.2"
 DUT = "10.0.0.1"
@@ -146,13 +144,11 @@ class RunSpec(_RunFields):
 
 class _Feature(NamedTuple):
     """One experiment: the daemon keywords of its arm, the manifest its
-    extension arm attaches, the ``pynative`` twin ``tier="pyext"``
-    attaches instead, and whether the hosts have a native arm at all
-    (without one the program is attached in both modes)."""
+    extension arm attaches, and whether the hosts have a native arm at
+    all (without one the program is attached in both modes)."""
 
     host: Callable[[RunSpec], Dict[str, object]] = lambda spec: {}
     manifest: Optional[Callable[[RunSpec], object]] = None
-    pyext: Optional[Callable[[RunSpec], object]] = None
     native_arm: bool = True
 
 
@@ -183,12 +179,10 @@ FEATURES: Dict[str, _Feature] = {
     "route_reflection": _Feature(
         lambda spec: {"route_reflector": spec.mode},
         lambda spec: route_reflector.build_manifest(),
-        lambda spec: pynative.route_reflector_program(),
     ),
     "origin_validation": _Feature(
         _roa_table,
         lambda spec: origin_validation.build_manifest(list(spec.roas)),
-        lambda spec: pynative.origin_validation_program(spec.roas),
     ),
     "valley_free": _Feature(manifest=_valley_manifest, native_arm=False),
     "geoloc": _Feature(_coord, lambda spec: geoloc.build_manifest(), native_arm=False),
@@ -237,7 +231,6 @@ def build_dut(spec: RunSpec):
     host fuzz oracle and ``xbgp explain`` bring their own.
     """
     feature = FEATURES[spec.feature]
-    pyext = spec.tier == "pyext"
     quarantine = (
         QuarantinePolicy(error_threshold=spec.quarantine_after)
         if spec.quarantine_after > 0
@@ -248,7 +241,7 @@ def build_dut(spec: RunSpec):
         router_id=DUT,
         local_address=DUT,
         vmm_config=VmmConfig(
-            tier="jit" if pyext else spec.tier,
+            tier=spec.tier,
             telemetry=spec.telemetry,
             quarantine=quarantine,
         ),
@@ -259,12 +252,7 @@ def build_dut(spec: RunSpec):
     if feature.manifest is not None and (
         spec.mode == "extension" or not feature.native_arm
     ):
-        if not pyext:
-            daemon.attach_manifest(feature.manifest(spec))
-        elif feature.pyext is not None:
-            daemon.attach_program(feature.pyext(spec))
-        else:
-            raise ValueError(f"feature {spec.feature!r} has no pyext twin")
+        daemon.attach_manifest(feature.manifest(spec))
     if spec.inject_crasher:
         daemon.attach_manifest(faulty.build_manifest())
     return daemon

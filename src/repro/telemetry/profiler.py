@@ -60,10 +60,10 @@ class VmProfile:
     counter moves.  ``block_entries``/``block_insns`` (compiled tier)
     are indexed by block-leader slot.  ``stack_low`` is a one-element
     list so generated code can close over it as a mutable cell.
-    ``engine`` is the code's tier (``host`` for host-native codes);
-    ``compiled`` is the compiler's :class:`~repro.ebpf.native.NativeInfo`
-    on the compiled tier — what it structured, what runs on the
-    dispatch loop, and why if it declined the program.
+    ``engine`` is the code's tier; ``compiled`` is the compiler's
+    :class:`~repro.ebpf.native.NativeInfo` on the compiled tier — what
+    it structured, what runs on the dispatch loop, and why if it
+    declined the program.
     """
 
     __slots__ = (
@@ -84,23 +84,15 @@ class VmProfile:
         "run_seconds",
     )
 
-    def __init__(self, point: str, extension: str, vm=None):
+    def __init__(self, point: str, extension: str, vm):
         self.point = point
         self.extension = extension
-        if vm is None:
-            # Host-native (pyext) codes run no VM at all.
-            self.engine = "host"
-            self.compiled = None
-            self.program = []
-            self.helper_names = {}
-        else:
-            self.engine = vm.tier
-            self.compiled = vm.compile_info
-            self.program = vm.program
-            self.helper_names = {
-                helper_id: vm.helpers.get(helper_id).name
-                for helper_id in vm.helpers.ids()
-            }
+        self.engine = vm.tier
+        self.compiled = vm.compile_info
+        self.program = vm.program
+        self.helper_names = {
+            helper_id: vm.helpers.get(helper_id).name for helper_id in vm.helpers.ids()
+        }
         size = len(self.program)
         self.pc_counts = [0] * size
         self.block_entries = [0] * size
@@ -289,7 +281,7 @@ class Profiler:
             entry[0] += 1
             entry[1] += seconds
 
-    def profile_for(self, point: str, extension: str, vm=None) -> VmProfile:
+    def profile_for(self, point: str, extension: str, vm) -> VmProfile:
         """The (point, extension) profile, created on first use."""
         key = (point, extension)
         profile = self._profiles.get(key)
@@ -347,8 +339,6 @@ class Profiler:
                 f" {profile.run_seconds * 1000:.2f} ms,"
                 f" {profile.instructions()} insns) =="
             )
-            if profile.engine == "host":
-                continue
             if profile.compiled is not None:
                 done = profile.compiled.summary()
                 lines.append(

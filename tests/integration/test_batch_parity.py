@@ -272,13 +272,13 @@ def vmm_stats(registry):
 
 
 @pytest.mark.parametrize("implementation", ["frr", "bird"])
-@pytest.mark.parametrize("arm", ["native", "jit", "pyext"])
+@pytest.mark.parametrize("arm", ["native", "jit"])
 @pytest.mark.parametrize("feature", ["route_reflection", "origin_validation"])
 def test_harness_and_sharded_replay_are_one_testbed(feature, arm, implementation):
     """The Fig. 4 harness, the inline and the forked shard workers and a
     hand-driven ``build_scale_daemon`` DUT are the same testbed: one run
     description gives the same Loc-RIB, downstream sets and extension
-    executions through all four — ``pyext`` across shards included."""
+    executions through all four."""
     routes = RibGenerator(n_routes=160, seed=13).generate()
     roas = []
     if feature == "origin_validation":

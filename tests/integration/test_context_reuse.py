@@ -5,7 +5,10 @@ A run may leave state on it: PyBIRD's glue notes a copy-on-write in
 ``hidden["cow"]``, and a fault sets ``error`` and ``faulted_extension``.
 Here route 1 of an UPDATE writes an attribute or faults, and a spy
 that runs first at every route checks that route 2, in the same
-UPDATE, starts from a clean context.  Both hosts, provenance on and off.
+UPDATE, starts from a clean context.  The spy is a bytecode that calls
+``get_nexthop`` and delegates; the test wraps that helper's host glue
+before attaching, so the wrapper sees the context each run starts
+from.  Both hosts, provenance on and off.
 """
 
 import pytest
@@ -17,9 +20,7 @@ from repro.bgp.constants import AttrTypeCode, Origin
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.prefix import parse_ipv4
 from repro.bird import BirdDaemon
-from repro.core import Manifest, NextRequested
-from repro.core.extension import NativeExtensionCode, XbgpProgram
-from repro.core.insertion_points import InsertionPoint
+from repro.core import Manifest
 from repro.frr import FrrDaemon
 
 PEER = "10.0.0.9"
@@ -35,6 +36,14 @@ u64 writer(u64 args) {
         *(u32 *)(buf) = htonl(0x01020304);
         set_attr(ATTR_ORIGINATOR_ID, FLAG_OPTIONAL, buf, 4);
     }
+    next();
+}
+"""
+
+#: Runs first at every route: one host call, then delegates.
+SPY = """
+u64 spy(u64 args) {
+    get_nexthop();
     next();
 }
 """
@@ -56,30 +65,33 @@ def daemon_with(daemon_cls, name, source, helpers, provenance):
     daemon.add_neighbor(PEER, 65100, lambda data: None)
     daemon._established[parse_ipv4(PEER)] = True
     seen = []
+    get_nexthop = daemon.host.get_nexthop
 
-    def spy(ctx, host):
+    def spying_get_nexthop(ctx):
         seen.append(
             (ctx.prefix, ctx.route.prefix, dict(ctx.hidden), ctx.error, ctx.faulted_extension)
         )
-        raise NextRequested()
+        return get_nexthop(ctx)
 
-    daemon.attach_program(
-        XbgpProgram("spy", [NativeExtensionCode("spy", spy, InsertionPoint.BGP_INBOUND_FILTER)])
-    )
-    daemon.attach_manifest(
-        Manifest(
-            name=name,
-            codes=[
-                {
-                    "name": name,
-                    "insertion_point": "BGP_INBOUND_FILTER",
-                    "seq": 1,
-                    "helpers": list(helpers),
-                    "source": source,
-                }
-            ],
+    # Wrapped before anything attaches, so every spy run goes through it.
+    daemon.host.get_nexthop = spying_get_nexthop
+    for seq, (code, code_source, code_helpers) in enumerate(
+        (("spy", SPY, ("get_nexthop", "next")), (name, source, helpers))
+    ):
+        daemon.attach_manifest(
+            Manifest(
+                name=code,
+                codes=[
+                    {
+                        "name": code,
+                        "insertion_point": "BGP_INBOUND_FILTER",
+                        "seq": seq,
+                        "helpers": list(code_helpers),
+                        "source": code_source,
+                    }
+                ],
+            )
         )
-    )
     update = UpdateMessage(
         attributes=[
             make_origin(Origin.IGP),

@@ -9,6 +9,8 @@ routing survives: the chain falls back to native behavior, errors are
 counted and logged, and well-behaved programs keep working.
 """
 
+import struct
+
 import pytest
 
 from repro.bgp import Prefix
@@ -18,8 +20,7 @@ from repro.bgp.constants import Origin
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.prefix import parse_ipv4
 from repro.bird import BirdDaemon
-from repro.core import Manifest, NextRequested, VmmConfig
-from repro.core.extension import NativeExtensionCode, XbgpProgram
+from repro.core import Manifest, VmmConfig
 from repro.core.insertion_points import InsertionPoint
 from repro.frr import FrrDaemon
 from repro.telemetry import QuarantinePolicy
@@ -160,19 +161,28 @@ class TestFaultFallback:
         assert daemon.loc_rib.lookup(PREFIX) is not None
 
 
-def flaky_program(name, fail_times):
-    """A native extension that errors its first ``fail_times`` runs,
-    then delegates cleanly forever after."""
-    calls = {"n": 0}
+def flaky_manifest(name, fail_times):
+    """A bytecode that faults on its first ``fail_times`` runs, then
+    delegates cleanly forever after; it counts its runs in shared
+    memory (see :func:`runs_of`)."""
+    source = f"""
+    u64 flaky(u64 args) {{
+        u64 runs = ctx_shmget(1);
+        if (runs == 0) {{ runs = ctx_shmnew(1, 8); }}
+        *(u64 *)(runs) = *(u64 *)(runs) + 1;
+        if (*(u64 *)(runs) <= {fail_times}) {{ return *(u64 *)(0); }}
+        next();
+    }}
+    """
+    return manifest_for(name, source, helpers=("next", "ctx_shmget", "ctx_shmnew"))
 
-    def fn(ctx, host):
-        calls["n"] += 1
-        if calls["n"] <= fail_times:
-            raise RuntimeError(f"flaky failure #{calls['n']}")
-        raise NextRequested()
 
-    code = NativeExtensionCode(name, fn, InsertionPoint.BGP_INBOUND_FILTER)
-    return XbgpProgram(name, [code]), calls
+def runs_of(daemon, name):
+    """How often the flaky code ``name`` ran, read from its counter."""
+    chain = daemon.vmm._chains[InsertionPoint.BGP_INBOUND_FILTER]
+    (state,) = [item.state for item in chain if item.code.name == name]
+    offset = state.shm_get(1) - state.shared.base
+    return struct.unpack_from("<Q", state.shared.data, offset)[0]
 
 
 @pytest.mark.parametrize("daemon_cls", [FrrDaemon, BirdDaemon], ids=["frr", "bird"])
@@ -283,14 +293,13 @@ class TestQuarantine:
             error_threshold=2, probation_after=2, probation_successes=2
         )
         daemon = make_daemon(daemon_cls, VmmConfig(quarantine=policy))
-        program, calls = flaky_program("flaky", fail_times=2)
-        daemon.attach_program(program)
+        daemon.attach_manifest(flaky_manifest("flaky", fail_times=2))
         for index in range(6):
             feed(daemon, Prefix(0x0A000000 + (index << 8), 24))
         # Timeline: errors on feeds 1-2 (-> open), skip on feed 3,
         # probation trials on feeds 4-5 (clean -> closed), normal on 6.
         assert len(daemon.loc_rib) == 6
-        assert calls["n"] == 5  # feed 3 is the only skipped invocation
+        assert runs_of(daemon, "flaky") == 5  # feed 3 is the only skipped run
         health = daemon.vmm.telemetry.health.state_for(
             InsertionPoint.BGP_INBOUND_FILTER.value, "flaky"
         )
@@ -306,8 +315,7 @@ class TestQuarantine:
     def test_probation_failure_reopens_quarantine(self, daemon_cls):
         policy = QuarantinePolicy(error_threshold=2, probation_after=1)
         daemon = make_daemon(daemon_cls, VmmConfig(quarantine=policy))
-        program, calls = flaky_program("hopeless", fail_times=10_000)
-        daemon.attach_program(program)
+        daemon.attach_manifest(flaky_manifest("hopeless", fail_times=10_000))
         for index in range(5):
             feed(daemon, Prefix(0x0A000000 + (index << 8), 24))
         # Every probation trial fails, so the breaker keeps re-opening —

@@ -139,7 +139,7 @@ def withdrawals_never_flushed(monkeypatch):
 def rov_import_classified_block_pure(monkeypatch):
     _edit(
         monkeypatch, vmm, "block_pure",
-        "and allowed.issuperset(code.helper_names)", "and True",
+        "return allowed.issuperset(code.helper_names)", "return True",
     )
 
 

@@ -64,30 +64,6 @@ class TestValidation:
 
 
 class TestEngines:
-    def test_pyext_counters_match_bytecode(self):
-        routes = RibGenerator(n_routes=300, seed=25).generate()
-        roas = make_roas_for_prefixes(origins_of(routes), 0.75, seed=25)
-
-        bytecode = ConvergenceHarness("bird", "origin_validation", "extension", routes, roas)
-        bytecode.run()
-        jit_counts = extension_counters(bytecode)
-
-        pyext = ConvergenceHarness(
-            "bird", "origin_validation", "extension", routes, roas, engine="pyext"
-        )
-        pyext.run()
-        chain = pyext.dut.vmm._chains[InsertionPoint.BGP_INBOUND_FILTER]
-        # The pyext program records into its own state object.
-        from repro.plugins.pynative import OriginValidationState
-
-        state = None
-        for program in pyext.dut.vmm._programs.values():
-            state = getattr(program, "py_state", None)
-            if state is not None:
-                break
-        assert state is not None
-        assert state.counters == jit_counts
-
     def test_interp_engine_agrees_with_jit(self):
         routes = RibGenerator(n_routes=120, seed=26).generate()
         roas = make_roas_for_prefixes(origins_of(routes), 0.75, seed=26)

@@ -3,8 +3,7 @@
 A code is block-pure when its manifest lists only helpers that read
 the peers' info, the attribute set and router-wide configuration, so
 the VMM may run it once per attribute block instead of once per route.
-The table pins the bit for every code the plugins ship, bytecode and
-host-native alike.
+The table pins the bit for every code the plugins ship.
 """
 
 import pytest
@@ -20,7 +19,6 @@ from repro.plugins import (
     geoloc,
     igp_filter,
     origin_validation,
-    pynative,
     route_reflector,
     valley_free,
 )
@@ -39,8 +37,6 @@ PROGRAMS = {
     ).load(),
     "closest_exit": lambda: closest_exit.build_manifest().load(),
     "bad_gadget": lambda: bad_gadget.build_manifest().load(),
-    "route_reflector_py": pynative.route_reflector_program,
-    "origin_validation_py": lambda: pynative.origin_validation_program(ROAS),
 }
 
 #: (program, code) -> block-pure?
@@ -58,9 +54,6 @@ TABLE = {
     ("conditional_default", "watch_trigger"): False,  # get_arg, rib_announce
     ("closest_exit", "prefer_closest"): False,  # get_arg
     ("bad_gadget", "prefer_gadget"): False,  # get_arg
-    ("route_reflector_py", "rr_import_py"): False,  # host-native
-    ("route_reflector_py", "rr_export_py"): False,
-    ("origin_validation_py", "rov_import_py"): False,
 }
 
 

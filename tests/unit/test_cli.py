@@ -107,7 +107,7 @@ class TestReports:
                 "--feature",
                 "route_reflection",
                 "--engine",
-                "pyext",
+                "jit",
                 "--routes",
                 "60",
                 "--runs",
@@ -370,7 +370,7 @@ class TestExplainAndSpans:
         out = tmp_path / "prov.jsonl"
         code, output = run_cli(
             [
-                "explain", "198.51.100.0/24", "--engine", "pyext",
+                "explain", "198.51.100.0/24", "--engine", "jit",
                 "--json", "--output", str(out),
             ],
             capsys,
@@ -387,7 +387,7 @@ class TestExplainAndSpans:
     def test_explain_downstream_router_view(self, capsys):
         code, output = run_cli(
             [
-                "explain", "198.51.100.0/24", "--engine", "pyext",
+                "explain", "198.51.100.0/24", "--engine", "jit",
                 "--router", "down",
             ],
             capsys,
@@ -403,7 +403,7 @@ class TestExplainAndSpans:
 
     def test_spans_share_one_trace_across_routers(self, capsys):
         code, output = run_cli(
-            ["spans", "198.51.100.0/24", "--engine", "pyext"], capsys
+            ["spans", "198.51.100.0/24", "--engine", "jit"], capsys
         )
         assert code == 0
         for node in ("up (10.0.1.1)", "dut (10.0.0.1)", "down (10.0.2.2)"):
@@ -421,7 +421,7 @@ class TestExplainAndSpans:
         out = tmp_path / "spans.jsonl"
         code, _ = run_cli(
             [
-                "spans", "198.51.100.0/24", "--engine", "pyext",
+                "spans", "198.51.100.0/24", "--engine", "jit",
                 "--output", str(out),
             ],
             capsys,

@@ -14,8 +14,6 @@ from repro.core import (
     InsertionPoint,
     Manifest,
     ManifestError,
-    NativeExtensionCode,
-    NextRequested,
     VirtualMachineManager,
     VmmConfig,
     XbgpProgram,
@@ -219,21 +217,21 @@ class TestVmm:
 
     def test_default_runs_when_nothing_attached(self):
         vmm = VirtualMachineManager(NullHost())
-        ctx = ExecutionContext(vmm.host, InsertionPoint.BGP_INBOUND_FILTER)
+        ctx = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER)
         assert vmm.run(ctx, lambda: 77) == 77
 
     def test_extension_result_returned(self):
         vmm = VirtualMachineManager(NullHost())
         code = self._code("x", "u64 f(u64 a) { return 5; }", helpers=())
         vmm.attach_program(XbgpProgram("p", [code]))
-        ctx = ExecutionContext(vmm.host, InsertionPoint.BGP_INBOUND_FILTER)
+        ctx = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER)
         assert vmm.run(ctx, lambda: 77) == 5
 
     def test_next_falls_back_to_default(self):
         vmm = VirtualMachineManager(NullHost())
         code = self._code("x", "u64 f(u64 a) { next(); return 5; }")
         vmm.attach_program(XbgpProgram("p", [code]))
-        ctx = ExecutionContext(vmm.host, InsertionPoint.BGP_INBOUND_FILTER)
+        ctx = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER)
         assert vmm.run(ctx, lambda: 77) == 77
 
     def test_chain_order_and_next(self):
@@ -241,7 +239,7 @@ class TestVmm:
         first = self._code("first", "u64 f(u64 a) { next(); return 1; }", seq=0)
         second = self._code("second", "u64 f(u64 a) { return 2; }", helpers=(), seq=1)
         vmm.attach_program(XbgpProgram("p", [first, second]))
-        ctx = ExecutionContext(vmm.host, InsertionPoint.BGP_INBOUND_FILTER)
+        ctx = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER)
         assert vmm.run(ctx, lambda: 77) == 2
         assert vmm.attached_codes(InsertionPoint.BGP_INBOUND_FILTER) == ["first", "second"]
 
@@ -251,7 +249,7 @@ class TestVmm:
         # Dereference of NULL: sandbox violation at runtime.
         code = self._code("bad", "u64 f(u64 a) { return *(u64 *)(0); }", helpers=())
         vmm.attach_program(XbgpProgram("p", [code]))
-        ctx = ExecutionContext(host, InsertionPoint.BGP_INBOUND_FILTER)
+        ctx = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER)
         assert vmm.run(ctx, lambda: 77) == 77
         assert vmm.fallbacks == 1
         assert vmm.stats()["bad"]["errors"] == 1
@@ -283,54 +281,37 @@ class TestVmm:
         code = self._code("x", "u64 f(u64 a) { return 5; }", helpers=())
         vmm.attach_program(XbgpProgram("p", [code]))
         vmm.detach_program("p")
-        ctx = ExecutionContext(vmm.host, InsertionPoint.BGP_INBOUND_FILTER)
+        ctx = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER)
         assert vmm.run(ctx, lambda: 77) == 77
         with pytest.raises(KeyError):
             vmm.detach_program("p")
 
-    def test_native_extension_code(self):
+    def test_attach_rejects_a_code_that_is_not_bytecode(self):
+        """Bytecode is the one kind of extension code: a Python callable
+        posing as one is refused, and nothing of its program attaches."""
+
+        class PythonCode:
+            name = "py"
+            insertion_point = InsertionPoint.BGP_DECISION
+            seq = 0
+            helper_names = []
+
+            def fn(self, ctx):
+                return 123
+
         vmm = VirtualMachineManager(NullHost())
-
-        def logic(ctx, host):
-            return 123
-
-        vmm.attach_program(
-            XbgpProgram("p", [NativeExtensionCode("py", logic, InsertionPoint.BGP_DECISION)])
-        )
-        ctx = ExecutionContext(vmm.host, InsertionPoint.BGP_DECISION)
-        assert vmm.run(ctx, lambda: 0) == 123
-
-    def test_native_extension_next(self):
-        vmm = VirtualMachineManager(NullHost())
-
-        def logic(ctx, host):
-            raise NextRequested()
-
-        vmm.attach_program(
-            XbgpProgram("p", [NativeExtensionCode("py", logic, InsertionPoint.BGP_DECISION)])
-        )
-        ctx = ExecutionContext(vmm.host, InsertionPoint.BGP_DECISION)
-        assert vmm.run(ctx, lambda: 9) == 9
-
-    def test_native_extension_error_falls_back(self):
-        host = NullHost()
-        vmm = VirtualMachineManager(host)
-
-        def logic(ctx, host_):
-            raise RuntimeError("oops")
-
-        vmm.attach_program(
-            XbgpProgram("p", [NativeExtensionCode("py", logic, InsertionPoint.BGP_DECISION)])
-        )
-        ctx = ExecutionContext(host, InsertionPoint.BGP_DECISION)
-        assert vmm.run(ctx, lambda: 9) == 9
-        assert vmm.fallbacks == 1
+        good = self._code("x", "u64 f(u64 a) { return 5; }", helpers=())
+        with pytest.raises(AttachError, match="unsupported code object"):
+            vmm.attach_program(XbgpProgram("p", [good, PythonCode()]))
+        assert vmm.stats() == {}
+        ctx = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER)
+        assert vmm.run(ctx, lambda: 77) == 77
 
     def test_interp_engine_configurable(self):
         vmm = VirtualMachineManager(NullHost(), VmmConfig(tier="interp"))
         code = self._code("x", "u64 f(u64 a) { return 5; }", helpers=())
         vmm.attach_program(XbgpProgram("p", [code]))
-        ctx = ExecutionContext(vmm.host, InsertionPoint.BGP_INBOUND_FILTER)
+        ctx = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER)
         assert vmm.run(ctx, lambda: 0) == 5
 
     def test_bad_engine_rejected(self):
@@ -369,13 +350,13 @@ class TestHelpers:
         }
         """
         vmm, host = self._vmm_with(source, ["get_xtra"])
-        ctx = ExecutionContext(host, InsertionPoint.BGP_INBOUND_FILTER)
+        ctx = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER)
         assert vmm.run(ctx, lambda: 0) == 5 * 256 + ord("v")
 
     def test_get_xtra_missing_returns_null(self):
         source = 'u64 f(u64 a) { return get_xtra("nope"); }'
         vmm, host = self._vmm_with(source, ["get_xtra"])
-        ctx = ExecutionContext(host, InsertionPoint.BGP_INBOUND_FILTER)
+        ctx = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER)
         assert vmm.run(ctx, lambda: 0) == 0
 
     def test_get_nexthop_struct(self):
@@ -386,7 +367,7 @@ class TestHelpers:
         }
         """
         vmm, host = self._vmm_with(source, ["get_nexthop"])
-        ctx = ExecutionContext(host, InsertionPoint.BGP_INBOUND_FILTER)
+        ctx = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER)
         assert vmm.run(ctx, lambda: 0) == 25
 
     def test_add_attr_then_get_attr(self):
@@ -401,7 +382,7 @@ class TestHelpers:
         }
         """
         vmm, host = self._vmm_with(source, ["add_attr", "get_attr"])
-        ctx = ExecutionContext(host, InsertionPoint.BGP_INBOUND_FILTER)
+        ctx = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER)
         assert vmm.run(ctx, lambda: 0) == 4  # length field of the view
 
     def test_write_buf_requires_encode_context(self):
@@ -413,12 +394,12 @@ class TestHelpers:
         }
         """
         vmm, host = self._vmm_with(source, ["write_buf"])
-        ctx = ExecutionContext(host, InsertionPoint.BGP_INBOUND_FILTER)
+        ctx = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER)
         # No out_buffer: helper errors, VMM falls back to default.
         assert vmm.run(ctx, lambda: 55) == 55
         assert vmm.fallbacks == 1
         out = bytearray()
-        ctx2 = ExecutionContext(host, InsertionPoint.BGP_INBOUND_FILTER, out_buffer=out)
+        ctx2 = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER, out_buffer=out)
         # With a buffer the bytecode writes two bytes and returns the count.
         assert vmm.run(ctx2, lambda: 55) == 2
         assert bytes(out) == (7).to_bytes(2, "little")
@@ -433,7 +414,7 @@ class TestHelpers:
         }
         """
         vmm, host = self._vmm_with(source, ["map_lookup"], maps={"t": [[5, 99]]})
-        ctx = ExecutionContext(host, InsertionPoint.BGP_INBOUND_FILTER)
+        ctx = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER)
         assert vmm.run(ctx, lambda: 0) == 99
 
     def test_shared_memory_persists_between_runs(self):
@@ -446,7 +427,7 @@ class TestHelpers:
         }
         """
         vmm, host = self._vmm_with(source, ["ctx_shmget", "ctx_shmnew"])
-        ctx = ExecutionContext(host, InsertionPoint.BGP_INBOUND_FILTER)
+        ctx = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER)
         assert vmm.run(ctx, lambda: 0) == 1
         assert vmm.run(ctx, lambda: 0) == 2
         assert vmm.run(ctx, lambda: 0) == 3
@@ -454,7 +435,7 @@ class TestHelpers:
     def test_ebpf_print_reaches_host_log(self):
         source = 'u64 f(u64 a) { ebpf_print("hello"); return 0; }'
         vmm, host = self._vmm_with(source, ["ebpf_print"])
-        ctx = ExecutionContext(host, InsertionPoint.BGP_INBOUND_FILTER)
+        ctx = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER)
         vmm.run(ctx, lambda: 0)
         assert any("hello" in line for line in host.logged)
 
@@ -484,7 +465,7 @@ class TestHelpers:
                 ],
             )
             vmm.attach_program(manifest.load())
-        ctx = ExecutionContext(host, InsertionPoint.BGP_INBOUND_FILTER)
+        ctx = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER)
         # Only the first program in the chain returns; run twice.
         assert vmm.run(ctx, lambda: 0) == 1
         assert vmm.run(ctx, lambda: 0) == 2

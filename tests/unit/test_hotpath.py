@@ -16,8 +16,6 @@ from repro.core import (
     HELPER_IDS,
     ExecutionContext,
     InsertionPoint,
-    NativeExtensionCode,
-    NextRequested,
     VirtualMachineManager,
     VmmConfig,
     XbgpProgram,
@@ -71,17 +69,23 @@ class TestEngineCountParity:
         assert steps == 5 and helper_calls == 0
 
     def test_delegating_run_counts_up_to_the_next_call(self):
+        """A helper that leaves the run by raising (no sandbox fault):
+        the call itself is counted, nothing after it."""
+
+        class Delegate(Exception):
+            pass
+
         helpers = HelperTable()
 
         def helper_next(vm, *args):
-            raise NextRequested()
+            raise Delegate()
 
         helpers.register(1, "next", helper_next)
         program = assemble(
             "mov r1, 1\nmov r2, 2\ncall next\nexit", helpers.name_to_id()
         )
         outcome, steps, helper_calls = run_both(program, helpers)
-        assert outcome == ("raise", "NextRequested")
+        assert outcome == ("raise", "Delegate")
         assert steps == 3  # two movs plus the call itself
         assert helper_calls == 1
 
@@ -194,7 +198,7 @@ def _exercise(vmm):
     point = InsertionPoint.BGP_INBOUND_FILTER
     results = []
     for _ in range(3):
-        ctx = ExecutionContext(vmm.host, point)
+        ctx = ExecutionContext(point)
         results.append(vmm.run(ctx, lambda: 77))
     observables = {
         "results": results,
@@ -212,8 +216,7 @@ def _exercise(vmm):
 
 
 class TestFastPath:
-    """Single-code points: rebinding on attach/detach, host-native
-    codes, the breaker."""
+    """Single-code points: rebinding on attach/detach, the breaker."""
 
     @pytest.mark.parametrize("telemetry", [True, False])
     @pytest.mark.parametrize(
@@ -286,28 +289,12 @@ class TestFastPath:
         assert values == wanted
         assert observed["metrics"]["xbgp_extension_run_seconds"]["series"][0]["count"] == 3
 
-    @pytest.mark.parametrize("telemetry", [True, False])
-    def test_native_extension_fast_path(self, telemetry):
-        vmm = VirtualMachineManager(_make_host(), VmmConfig(telemetry=telemetry))
-        code = NativeExtensionCode(
-            "py", lambda ctx, h: 123, InsertionPoint.BGP_INBOUND_FILTER
-        )
-        vmm.attach_program(XbgpProgram("p", [code]))
-        observed = _exercise(vmm)
-        assert observed["results"] == [123] * 3
-        assert observed["stats"] == {"py": {"executions": 3, "routes": 3, "errors": 0, "fallbacks": 0}}
-        assert observed["fallbacks"] == 0
-        if telemetry:
-            assert [event["kind"] for event in observed["trace"]] == ["enter", "exit"] * 3
-            series = observed["metrics"]["xbgp_extension_instructions"]["series"]
-            assert [row["value"] for row in series] == [0]  # no VM ran
-
     def test_multi_code_chain_bypasses_fast_path(self):
         vmm = VirtualMachineManager(_make_host(), VmmConfig())
         first = _bytecode("first", "u64 f(u64 a) { next(); return 1; }", ("next",), seq=0)
         second = _bytecode("second", "u64 f(u64 a) { return 2; }", (), seq=1)
         vmm.attach_program(XbgpProgram("p", [first, second]))
-        ctx = ExecutionContext(vmm.host, InsertionPoint.BGP_INBOUND_FILTER)
+        ctx = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER)
         assert vmm.run(ctx, lambda: 77) == 2
 
     def test_fast_path_rebinds_when_chain_shrinks_to_one(self):
@@ -319,12 +306,12 @@ class TestFastPath:
         before = vmm.runner(point)
         vmm.attach_program(XbgpProgram("p2", [other]))
         assert vmm.runner(point) is not before  # bound again on attach
-        assert vmm.run(ExecutionContext(vmm.host, point), lambda: 77) == 9
+        assert vmm.run(ExecutionContext(point), lambda: 77) == 9
         vmm.detach_program("p2")
-        assert vmm.run(ExecutionContext(vmm.host, point), lambda: 77) == 77
+        assert vmm.run(ExecutionContext(point), lambda: 77) == 77
         assert vmm.stats() == {"solo": {"executions": 2, "routes": 2, "errors": 0, "fallbacks": 0}}
         vmm.detach_program("p1")
-        assert vmm.run(ExecutionContext(vmm.host, point), lambda: 77) == 77
+        assert vmm.run(ExecutionContext(point), lambda: 77) == 77
         assert vmm.stats() == {} and not vmm.active(point)
 
     def test_fast_path_honours_quarantine(self):
@@ -337,7 +324,7 @@ class TestFastPath:
         vmm.attach_program(XbgpProgram("p", [crasher]))
         point = InsertionPoint.BGP_INBOUND_FILTER
         for _ in range(4):
-            ctx = ExecutionContext(vmm.host, point)
+            ctx = ExecutionContext(point)
             assert vmm.run(ctx, lambda: 77) == 77
         assert vmm.quarantined_codes() == ["crasher"]
         # Once open, runs are skipped (executions stop growing).
@@ -379,11 +366,11 @@ class TestHelpersBoundAtAttach:
         recorder = _ApiRecorder()
         host.provenance = recorder
         vmm.rebind_all()
-        assert vmm.run(ExecutionContext(host, point), lambda: 77) == 1
+        assert vmm.run(ExecutionContext(point), lambda: 77) == 1
         assert recorder.api == ["get_attr"]
         host.provenance = None
         vmm.rebind_all()
-        assert vmm.run(ExecutionContext(host, point), lambda: 77) == 1
+        assert vmm.run(ExecutionContext(point), lambda: 77) == 1
         assert recorder.api == ["get_attr"]
 
     def test_map_helpers_read_the_program_state(self):
@@ -395,14 +382,14 @@ class TestHelpersBoundAtAttach:
         )
         program = XbgpProgram("p", [code], map_data={"t": {}})
         vmm.attach_program(program)
-        ctx = ExecutionContext(vmm.host, InsertionPoint.BGP_INBOUND_FILTER)
+        ctx = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER)
         assert vmm.run(ctx, lambda: 77) == 10
 
     def test_an_unknown_map_faults_the_run(self):
         vmm = VirtualMachineManager(_make_host(), VmmConfig(telemetry=False))
         code = _bytecode("maps", "u64 f(u64 a) { return map_lookup(7, 5); }", ("map_lookup",))
         vmm.attach_program(XbgpProgram("p", [code]))
-        ctx = ExecutionContext(vmm.host, InsertionPoint.BGP_INBOUND_FILTER)
+        ctx = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER)
         assert vmm.run(ctx, lambda: 77) == 77
         assert ctx.error == "maps: no map 7"
 
@@ -419,7 +406,7 @@ class TestDetachClearsQuarantine:
         point = InsertionPoint.BGP_INBOUND_FILTER
         crasher = _bytecode("ext", "u64 f(u64 a) { return *(u64 *)(16); }", ())
         vmm.attach_program(XbgpProgram("p", [crasher]))
-        ctx = ExecutionContext(vmm.host, point)
+        ctx = ExecutionContext(point)
         assert vmm.run(ctx, lambda: 77) == 77  # faults, breaker opens
         assert vmm.quarantined_codes() == ["ext"]
 
@@ -428,7 +415,7 @@ class TestDetachClearsQuarantine:
 
         fixed = _bytecode("ext", "u64 f(u64 a) { return 5; }", ())
         vmm.attach_program(XbgpProgram("p", [fixed]))
-        ctx = ExecutionContext(vmm.host, point)
+        ctx = ExecutionContext(point)
         assert vmm.run(ctx, lambda: 77) == 5  # runs: fresh closed breaker
         assert vmm.telemetry.health.state_for(point.value, "ext").state == "closed"
 

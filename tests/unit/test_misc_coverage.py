@@ -96,7 +96,7 @@ class TestNeighborAndContext:
         assert neighbor.peer_router_id == neighbor.peer_address
 
     def test_context_defaults(self):
-        ctx = ExecutionContext(host=None, insertion_point=InsertionPoint.BGP_DECISION)
+        ctx = ExecutionContext(InsertionPoint.BGP_DECISION)
         assert ctx.error is None
         assert ctx.hidden == {}
         assert "BGP_DECISION" in repr(ctx)

@@ -16,7 +16,8 @@ import pytest
 
 from repro.scale import ShardedReplay, build_scale_daemon, replay_feed
 from repro.sim.harness import ConvergenceHarness
-from repro.sim.testbed import FEATURES, RunSpec, build_feed
+from repro.core.vmm import TIERS
+from repro.sim.testbed import ENGINES, FEATURES, RunSpec, build_feed
 from repro.telemetry import EventLog
 from repro.workload import RibGenerator
 
@@ -119,11 +120,12 @@ class TestOneRunDescription:
         with pytest.raises(ValueError):
             RunSpec(**{"implementation": "frr", **bad})
 
-    def test_pyext_needs_a_twin(self):
-        with pytest.raises(ValueError, match="pyext"):
-            build_scale_daemon(
-                {"implementation": "frr", "feature": "geoloc", "tier": "pyext"}
-            )
+    def test_the_engines_are_the_vmm_tiers(self):
+        """An extension arm runs bytecode on one of the VMM's tiers;
+        there is no other kind of extension code to select."""
+        assert ENGINES == TIERS == ("jit", "interp")
+        with pytest.raises(ValueError):
+            RunSpec("frr", tier="host")
 
 
 #: Run in a fresh interpreter: what is in sys.modules is the point.
@@ -141,7 +143,7 @@ for implementation in ("frr", "bird"):
     for feature in ("route_reflection", "origin_validation"):
         build_scale_daemon(
             {{"implementation": implementation, "feature": feature,
-              "mode": "extension", "tier": "pyext", "inject_crasher": True}}
+              "mode": "extension", "tier": "interp", "inject_crasher": True}}
         )
 late = sorted(m for m in set(sys.modules) - before if m.startswith("repro"))
 print(late)

@@ -114,9 +114,7 @@ class TestBirdParseOnce:
         sibling = self.route()
         route = self.route(sibling.eattrs)
         assert route.as_path_length() == 2  # memoise before the write
-        ctx = ExecutionContext(
-            daemon.host, InsertionPoint.BGP_INBOUND_FILTER, route=route, prefix=route.prefix
-        )
+        ctx = ExecutionContext(InsertionPoint.BGP_INBOUND_FILTER, route=route, prefix=route.prefix)
         path = make_as_path(AsPath.from_sequence([65007, 65008, 65009]))
         assert daemon.host.set_attr(ctx, path.type_code, path.flags, path.value)
         assert ctx.route.as_path() == AsPath.from_sequence([65007, 65008, 65009])

@@ -7,7 +7,11 @@ trace events and provenance ops whatever is watching — and exactly the
 ones in ``EXPECTED``, which were captured from the general chain loop of
 the last tree that had one (commit 8a7467e, fast closures off).  The
 ``quarantine_cycle`` row differs from that capture in one respect: there
-the breaker only existed with telemetry on; here it works without.
+the breaker only existed with telemetry on; here it works without.  The
+``host_native``, ``host_native_raises`` and ``quarantine_cycle`` codes
+are bytecode, so their results and fault messages are not the captured
+Python callables'; the two ``host_native`` shapes reach host code
+through a helper's glue, which answers or raises.
 """
 
 import pytest
@@ -16,7 +20,6 @@ from repro.bgp import Prefix
 from repro.core import (
     ExecutionContext,
     InsertionPoint,
-    NativeExtensionCode,
     VirtualMachineManager,
     VmmConfig,
     XbgpProgram,
@@ -31,26 +34,35 @@ DEFAULT = 77
 
 
 def flaky(failures):
-    """A host-native code that raises ``failures`` times, then returns 9."""
-    calls = []
-
-    def fn(ctx, host):
-        calls.append(None)
-        if len(calls) <= failures:
-            raise RuntimeError("flaky")
-        return 9
-
-    return fn
-
-
-def boom(ctx, host):
-    raise RuntimeError("boom")
+    """A bytecode that faults on its first ``failures`` runs, then
+    returns 9: its run counter lives in the program's shared memory."""
+    source = f"""
+    u64 f(u64 a) {{
+        u64 runs = ctx_shmget(1);
+        if (runs == 0) {{ runs = ctx_shmnew(1, 8); }}
+        *(u64 *)(runs) = *(u64 *)(runs) + 1;
+        if (*(u64 *)(runs) <= {failures}) {{ return *(u64 *)(16); }}
+        return 9;
+    }}
+    """
+    return bytecode("flaky", source, ("ctx_shmget", "ctx_shmnew"))
 
 
 #: shape -> (VmmConfig keywords, codes, number of runs)
 SHAPES = {
     "bytecode": ({}, lambda: [bytecode("x", "u64 f(u64 a) { return 5; }")], 2),
-    "host_native": ({}, lambda: [NativeExtensionCode("py", lambda ctx, h: 123, POINT)], 2),
+    # the host answers: a helper's glue reads the context (prefix length)
+    "host_native": (
+        {},
+        lambda: [
+            bytecode(
+                "x",
+                "u64 f(u64 a) { u64 pfx = get_arg(ARG_PREFIX); return *(u8 *)(pfx + 4); }",
+                ("get_arg",),
+            )
+        ],
+        2,
+    ),
     "next_then_return": (
         {},
         lambda: [
@@ -74,17 +86,24 @@ SHAPES = {
         lambda: [bytecode("x", "u64 f(u64 a) { u64 i = 0; while (1) { i += 1; } return i; }")],
         1,
     ),
-    "host_native_raises": ({}, lambda: [NativeExtensionCode("py", boom, POINT)], 2),
+    # the host raises: a helper's glue fails the run (no such map)
+    "host_native_raises": (
+        {},
+        lambda: [bytecode("x", "u64 f(u64 a) { return map_lookup(9, 1); }", ("map_lookup",))],
+        2,
+    ),
     "quarantine_cycle": (
         {
             "quarantine": QuarantinePolicy(
                 error_threshold=2, probation_after=2, probation_successes=2
             )
         },
-        lambda: [NativeExtensionCode("py", flaky(2), POINT)],
+        lambda: [flaky(2)],
         7,
     ),
 }
+
+FLAKY_FAULT = "flaky: read of 8 bytes at 0x10 outside sandbox"
 
 WATCHERS = ("nothing", "telemetry", "telemetry+provenance", "telemetry+profiler")
 
@@ -98,8 +117,8 @@ EXPECTED = {
         "provenance": [("extension", "return")] * 2,
     },
     "host_native": {
-        "results": [123, 123],
-        "stats": {"py": {"executions": 2, "routes": 2, "errors": 0, "fallbacks": 0}},
+        "results": [24, 24],
+        "stats": {"x": {"executions": 2, "routes": 2, "errors": 0, "fallbacks": 0}},
         "points": {"bgp_inbound_filter": {"executions": 2, "errors": 0, "fallbacks": 0}},
         "errors": [(None, None), (None, None)],
         "trace": [("enter", None), ("exit", "return")] * 2,
@@ -150,9 +169,9 @@ EXPECTED = {
     },
     "host_native_raises": {
         "results": [DEFAULT, DEFAULT],
-        "stats": {"py": {"executions": 2, "routes": 2, "errors": 2, "fallbacks": 2}},
+        "stats": {"x": {"executions": 2, "routes": 2, "errors": 2, "fallbacks": 2}},
         "points": {"bgp_inbound_filter": {"executions": 2, "errors": 2, "fallbacks": 2}},
-        "errors": [("py: boom", "py"), ("py: boom", "py")],
+        "errors": [("x: no map 9", "x"), ("x: no map 9", "x")],
         "trace": [("enter", None), ("exit", "error"), ("fallback", None)] * 2,
         "provenance": [("extension", "error"), ("fallback", None)] * 2,
     },
@@ -160,9 +179,9 @@ EXPECTED = {
     # starts probation and runs; two clean trial runs re-arm it.
     "quarantine_cycle": {
         "results": [DEFAULT, DEFAULT, DEFAULT, 9, 9, 9, 9],
-        "stats": {"py": {"executions": 6, "routes": 6, "errors": 2, "fallbacks": 2}},
+        "stats": {"flaky": {"executions": 6, "routes": 6, "errors": 2, "fallbacks": 2}},
         "points": {"bgp_inbound_filter": {"executions": 6, "errors": 2, "fallbacks": 2}},
-        "errors": [("py: flaky", "py"), ("py: flaky", "py")] + [(None, None)] * 5,
+        "errors": [(FLAKY_FAULT, "flaky")] * 2 + [(None, None)] * 5,
         "trace": [
             ("enter", None), ("exit", "error"), ("fallback", None),
             ("enter", None), ("quarantine", "open"), ("exit", "error"), ("fallback", None),
@@ -201,7 +220,7 @@ def observe(shape, watching):
     seen = {"results": [], "errors": []}
     run_point = vmm.runner(POINT)
     for index in range(runs):
-        ctx = ExecutionContext(host, POINT, prefix=PREFIX)
+        ctx = ExecutionContext(POINT, prefix=PREFIX)
         # both doors into the one path
         run = vmm.run if index % 2 else run_point
         seen["results"].append(run(ctx, lambda: DEFAULT))
@@ -267,4 +286,4 @@ def test_a_bug_on_the_bytecode_path_is_not_absorbed():
     item.vm.memory.reset_heap = broken
     vmm.rebind_all()
     with pytest.raises(ZeroDivisionError):
-        vmm.run(ExecutionContext(vmm.host, POINT), lambda: DEFAULT)
+        vmm.run(ExecutionContext(POINT), lambda: DEFAULT)
