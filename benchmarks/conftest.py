@@ -7,16 +7,9 @@ Knobs (environment variables):
   you have the time budget);
 * ``REPRO_FIG4_RUNS``  — measurement repetitions per arm (default 7;
   the paper used 15).
-
-Continuous perf tracking: run with ``--bench-record [DIR]`` and the
-scenario benchmarks additionally write schema'd ``BENCH_<scenario>.json``
-records (median/p95 wall time, routes/sec, instruction counts, git SHA,
-timestamp) into DIR (default: current directory).  Compare a later run
-against a committed record with ``xbgp bench --compare``.
 """
 
 import os
-from datetime import datetime, timezone
 
 import pytest
 
@@ -26,59 +19,6 @@ from repro.workload import RibGenerator, origins_of
 FIG4_ROUTES = int(os.environ.get("REPRO_FIG4_ROUTES", "2500"))
 FIG4_RUNS = int(os.environ.get("REPRO_FIG4_RUNS", "7"))
 SEED = 20200604
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--bench-record",
-        action="store",
-        nargs="?",
-        const=".",
-        default=None,
-        metavar="DIR",
-        help="write BENCH_<scenario>.json perf records into DIR",
-    )
-
-
-class BenchRecorder:
-    """Session-wide sink for benchmark records.
-
-    Disabled (``record()`` is a no-op returning None) unless the run
-    passed ``--bench-record``, so recording costs nothing by default.
-    """
-
-    def __init__(self, directory):
-        self.directory = directory
-        self.written = []
-
-    @property
-    def enabled(self):
-        return self.directory is not None
-
-    def record(self, scenario, wall_seconds, routes, instructions=0, extra=None):
-        if not self.enabled:
-            return None
-        from repro.eval import bench
-
-        record = bench.make_record(
-            scenario,
-            wall_seconds,
-            routes,
-            instructions=instructions,
-            timestamp=datetime.now(timezone.utc).isoformat(),
-            extra=extra,
-        )
-        path = bench.write_record(record, self.directory)
-        self.written.append(path)
-        return path
-
-
-@pytest.fixture(scope="session")
-def bench_recorder(request):
-    recorder = BenchRecorder(request.config.getoption("--bench-record"))
-    if recorder.enabled:
-        os.makedirs(recorder.directory, exist_ok=True)
-    return recorder
 
 
 @pytest.fixture(scope="session")

@@ -218,39 +218,3 @@ def test_timeseries_sampler_overhead_measured(benchmark):
     # work: anything past 50% means the sampler leaked onto the hot
     # path (e.g. snapshotting per update).
     assert overhead < 0.50
-
-
-def test_record_route_reflection_scenario(benchmark, bench_recorder):
-    """The continuous-tracking record for the ablation's headline
-    scenario.  With ``--bench-record`` this writes
-    ``BENCH_route-reflection-frr-jit.json``; without, it is just one
-    more measured convergence run."""
-    routes = RibGenerator(n_routes=ROUTES, seed=SEED).generate()
-
-    def run():
-        harness = ConvergenceHarness(
-            "frr", "route_reflection", "extension", routes, engine="jit"
-        )
-        harness.run()
-        return harness
-
-    warm = run()  # warm (JIT translation, allocator)
-    wall, harness = [], warm
-    for _ in range(5):
-        harness = ConvergenceHarness(
-            "frr", "route_reflection", "extension", routes, engine="jit"
-        )
-        wall.append(harness.run())
-    benchmark.pedantic(lambda: run() and None, rounds=1, iterations=1)
-    snapshot = harness.telemetry_snapshot()
-    series = snapshot["metrics"].get("xbgp_extension_instructions", {}).get("series", [])
-    instructions = sum(int(s["value"]) for s in series)
-    path = bench_recorder.record(
-        "route-reflection-frr-jit",
-        wall,
-        ROUTES,
-        instructions=instructions,
-        extra={"implementation": "frr", "engine": "jit", "seed": SEED},
-    )
-    if path is not None:
-        print(f"\nwrote {path}")

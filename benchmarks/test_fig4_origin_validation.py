@@ -29,7 +29,7 @@ from repro.sim.harness import ConvergenceHarness
 
 @pytest.mark.parametrize("implementation", ["frr", "bird"])
 def test_fig4_origin_validation(
-    benchmark, implementation, fig4_routes, fig4_roas, fig4_params, bench_recorder
+    benchmark, implementation, fig4_routes, fig4_roas, fig4_params
 ):
     engine = "jit"
     result = fig4.run_cell(
@@ -58,26 +58,6 @@ def test_fig4_origin_validation(
         iterations=1,
         warmup_rounds=0,
     )
-
-    if bench_recorder.enabled:
-        wall = [
-            ConvergenceHarness(
-                implementation,
-                "origin_validation",
-                "extension",
-                fig4_routes,
-                fig4_roas,
-                engine=engine,
-                telemetry=False,
-            ).run()
-            for _ in range(3)
-        ]
-        bench_recorder.record(
-            f"origin-validation-{implementation}-{engine}",
-            wall,
-            fig4_params["routes"],
-            extra={"implementation": implementation, "engine": engine},
-        )
 
     assert stats["median"] < 300.0  # bounded interpretation tax
 

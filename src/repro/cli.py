@@ -32,9 +32,9 @@ Subcommands:
 * ``profile``  — drive one scenario with the profiler on and print the
   hot-path phase breakdown plus per-extension PC/block-level hotspots
   (optionally a collapsed-stack file for speedscope/flamegraph.pl);
-* ``bench``    — run one scenario as a benchmark; ``--record`` writes
-  a schema'd ``BENCH_<scenario>.json``, ``--compare`` diffs against a
-  committed baseline and exits non-zero past the noise threshold;
+* ``bench``    — run one scenario (the sharded replay, the telemetry
+  plane and alert drills) ``--runs`` times and print a JSON summary:
+  median wall time, routes per second, instructions, per-shard rows;
   ``--telemetry``/``--serve``/``--events`` attach the cross-process
   telemetry plane (merged worker registries, live progress over HTTP,
   streamed lifecycle events); ``--timeseries`` samples the registry
@@ -781,14 +781,12 @@ def _bench_final_sources(harness):
 
 
 def _cmd_bench(args) -> int:
-    """Run one scenario as a benchmark; record and/or compare."""
+    """Run one scenario ``--runs`` times and print a JSON summary."""
     import json as _json
-    import os as _os
-    from datetime import datetime, timezone
+    import statistics
 
-    from .eval import bench
-
-    scenario = f"{args.scenario}-{args.impl}-{args.engine}"
+    if args.runs < 1:
+        raise SystemExit("xbgp bench: --runs must be >= 1")
     timeseries_on = getattr(args, "timeseries", None) is not None
     if timeseries_on:
         args._timeseries_every = max(1, getattr(args, "timeseries_every", 200))
@@ -797,10 +795,15 @@ def _cmd_bench(args) -> int:
             print("# --timeseries implies --telemetry", file=sys.stderr)
             args.telemetry = True
     alert_engine = _bench_alert_engine(args)
+    # Built before the telemetry plane, so a refused run field (a
+    # RunSpec ValueError) leaves no exporter or event log behind.
+    try:
+        warm = _scenario_harness(args)
+    except ValueError as exc:
+        raise SystemExit(f"xbgp bench: {exc}")
     event_log, on_heartbeat, exporter = _bench_telemetry_plane(args, alert_engine)
+    warm.run()  # warm (JIT translation, allocator)
     wall = []
-    _scenario_harness(args).run()  # warm (JIT translation, allocator)
-    harness = None
     for _ in range(args.runs):
         harness = _scenario_harness(
             args, events=event_log, progress=on_heartbeat
@@ -838,7 +841,14 @@ def _cmd_bench(args) -> int:
         else []
     )
     instructions = sum(int(s["value"]) for s in series)
-    extra = {
+    median = statistics.median(wall)
+    summary = {
+        "scenario": f"{args.scenario}-{args.impl}-{args.engine}",
+        "runs": len(wall),
+        "routes": args.routes,
+        "median_wall_seconds": median,
+        "routes_per_second": args.routes / median if median > 0 else 0.0,
+        "instructions": instructions,
         "implementation": args.impl,
         "engine": args.engine,
         "seed": args.seed,
@@ -846,9 +856,9 @@ def _cmd_bench(args) -> int:
         "shards": getattr(args, "shards", 1),
     }
     if alert_engine is not None:
-        extra["alerts_fired"] = alert_engine.ever_fired()
+        summary["alerts_fired"] = alert_engine.ever_fired()
     if harness.shard_result is not None:
-        extra["per_shard"] = [
+        summary["per_shard"] = [
             {
                 "shard": s["shard"],
                 "routes": s["routes"],
@@ -859,37 +869,10 @@ def _cmd_bench(args) -> int:
             }
             for s in harness.shard_result.per_shard
         ]
-    record = bench.make_record(
-        scenario,
-        wall,
-        args.routes,
-        instructions=instructions,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        extra=extra,
-    )
-    print(_json.dumps(record, indent=2, sort_keys=True))
+    print(_json.dumps(summary, indent=2, sort_keys=True))
     if getattr(args, "profile_dir", None):
         _write_shard_profiles(args)
-    if args.record is not None:
-        path = bench.write_record(record, args.record)
-        print(f"# wrote {path}", file=sys.stderr)
     exit_code = 0
-    if args.compare is not None:
-        baseline_path = args.compare
-        if _os.path.isdir(baseline_path):
-            baseline_path = _os.path.join(baseline_path, bench.bench_filename(scenario))
-        try:
-            baseline = bench.load_record(baseline_path)
-        except FileNotFoundError:
-            raise SystemExit(f"xbgp bench: no baseline at {baseline_path}")
-        except ValueError as exc:
-            raise SystemExit(f"xbgp bench: {exc}")
-        try:
-            result = bench.compare(record, baseline, threshold=args.threshold)
-        except ValueError as exc:
-            raise SystemExit(f"xbgp bench: {exc}")
-        print(bench.render_compare(result), file=sys.stderr)
-        exit_code = 1 if result["regression"] else 0
     if alert_engine is not None:
         critical = alert_engine.ever_fired("critical")
         if critical:
@@ -1174,7 +1157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_profile)
 
     p = sub.add_parser(
-        "bench", help="benchmark one scenario; record/compare BENCH_*.json"
+        "bench", help="run one scenario N times; print a JSON summary"
     )
     p.add_argument(
         "--scenario", choices=sorted(_SCENARIO_FEATURES), default="route-reflection"
@@ -1200,19 +1183,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile-dir", metavar="DIR", default=None,
         help="after the timed runs, run once profiled and write "
         "per-shard profile JSON artifacts here",
-    )
-    p.add_argument(
-        "--record", nargs="?", const=".", default=None, metavar="DIR",
-        help="write BENCH_<scenario>.json into DIR (default: .)",
-    )
-    p.add_argument(
-        "--compare", metavar="PATH", default=None,
-        help="baseline BENCH_*.json file (or directory holding it); "
-        "exits 1 on regression",
-    )
-    p.add_argument(
-        "--threshold", type=float, default=0.5,
-        help="regression threshold as a fraction over baseline (default 0.5)",
     )
     p.add_argument(
         "--telemetry", action="store_true",

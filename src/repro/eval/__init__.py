@@ -2,4 +2,4 @@
 
 from . import ablation, fig1, fig4, loc_report
 
-__all__ = ["ablation", "bench", "fig1", "fig4", "loc_report"]
+__all__ = ["ablation", "fig1", "fig4", "loc_report"]

@@ -13,7 +13,6 @@ Three invariants carry the subsystem:
   existing telemetry counters (no separate, subtly different count).
 """
 
-import json
 import re
 
 import pytest
@@ -31,7 +30,6 @@ from repro.bgp.messages import UpdateMessage
 from repro.bgp.prefix import parse_ipv4
 from repro.bgp.roa import Roa
 from repro.core.vmm import VmmConfig
-from repro.eval import bench
 from repro.frr import FrrDaemon
 from repro.plugins import (
     closest_exit,
@@ -347,63 +345,3 @@ class TestCollapsedStacks:
         path = tmp_path / "collapsed.txt"
         count = profiler.export_collapsed(str(path), weights="instructions")
         assert count == len(path.read_text().splitlines()) > 0
-
-
-class TestBenchRecords:
-    """BENCH_*.json schema, round-trip and the regression gate."""
-
-    def _record(self, scenario="route-reflection-frr-jit", median=0.1):
-        return bench.make_record(
-            scenario,
-            [median, median, median * 1.2, median * 0.9, median],
-            400,
-            instructions=12345,
-            timestamp="2026-08-06T00:00:00+00:00",
-            sha="deadbeef",
-        )
-
-    def test_make_record_statistics(self):
-        record = self._record()
-        assert record["schema_version"] == bench.SCHEMA_VERSION
-        assert record["runs"] == 5
-        assert record["median_wall_seconds"] == pytest.approx(0.1)
-        assert record["p95_wall_seconds"] == pytest.approx(0.12)
-        assert record["routes_per_second"] == pytest.approx(4000.0)
-        assert record["instructions"] == 12345
-        assert record["git_sha"] == "deadbeef"
-
-    def test_write_load_round_trip(self, tmp_path):
-        record = self._record()
-        path = bench.write_record(record, str(tmp_path))
-        assert path.endswith("BENCH_route-reflection-frr-jit.json")
-        assert bench.load_record(path) == record
-
-    def test_load_rejects_unknown_schema(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        path.write_text(json.dumps({"schema_version": 999, "scenario": "x"}))
-        with pytest.raises(ValueError):
-            bench.load_record(str(path))
-
-    def test_compare_within_noise_passes(self):
-        baseline = self._record(median=0.1)
-        current = self._record(median=0.11)
-        result = bench.compare(current, baseline)
-        assert not result["regression"]
-        assert "ok" in bench.render_compare(result)
-
-    def test_compare_flags_synthetic_2x_slowdown(self):
-        baseline = self._record(median=0.1)
-        current = self._record(median=0.2)
-        result = bench.compare(current, baseline)
-        assert result["regression"]
-        assert result["ratio"] == pytest.approx(2.0)
-        assert "REGRESSION" in bench.render_compare(result)
-
-    def test_compare_threshold_is_honored(self):
-        baseline = self._record(median=0.1)
-        current = self._record(median=0.2)
-        assert not bench.compare(current, baseline, threshold=1.5)["regression"]
-
-    def test_compare_rejects_scenario_mismatch(self):
-        with pytest.raises(ValueError):
-            bench.compare(self._record("a"), self._record("b"))
