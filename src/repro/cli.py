@@ -583,6 +583,8 @@ def _cmd_profile(args) -> int:
     """Profile one scenario: phases, hotspots, collapsed stacks."""
     import json as _json
 
+    from .telemetry.aggregate import select
+
     harness = _scenario_harness(args, profiling=True)
     elapsed = harness.run()
     profiler = harness.dut.profiler
@@ -603,13 +605,11 @@ def _cmd_profile(args) -> int:
         }
         # The VMM's own instruction counters, for cross-checking that
         # profile sums match what telemetry already counted.
-        snapshot = harness.telemetry_snapshot()
-        series = (
-            snapshot["metrics"].get("xbgp_extension_instructions", {}).get("series", [])
-        )
+        registry, _ = harness.run_registry()
+        _, rows = select(registry.snapshot(), "xbgp_extension_instructions")
         report["telemetry_instructions"] = {
-            f"{s['labels']['point']}/{s['labels']['extension']}": s["value"]
-            for s in series
+            f"{labels['point']}/{labels['extension']}": row["value"]
+            for labels, row in rows
         }
         report["tiers"] = harness.dut.vmm.tiers()
         print(_json.dumps(report, indent=2))
@@ -763,27 +763,12 @@ def _bench_telemetry_plane(args, alert_engine=None):
     return event_log, on_heartbeat, exporter
 
 
-def _bench_final_sources(harness):
-    """The registry + health rows /metrics and /health should serve
-    once the replay finished: the workers' merged shard-labeled
-    registry for a telemetry-on sharded run, the DUT's live registry
-    for a single-daemon run, else None (keep serving progress)."""
-    shard_result = harness.shard_result
-    if shard_result is not None and shard_result.telemetry is not None:
-        return (
-            shard_result.merged_registry(shard_labels=True),
-            shard_result.telemetry["health"],
-        )
-    dut = harness.dut
-    if dut is not None and dut.vmm.telemetry is not None:
-        return dut.vmm.telemetry.registry, dut.vmm.telemetry.health.snapshot()
-    return None, None
-
-
 def _cmd_bench(args) -> int:
     """Run one scenario ``--runs`` times and print a JSON summary."""
     import json as _json
     import statistics
+
+    from .telemetry.aggregate import select
 
     if args.runs < 1:
         raise SystemExit("xbgp bench: --runs must be >= 1")
@@ -810,9 +795,10 @@ def _cmd_bench(args) -> int:
         )
         wall.append(harness.run())
     final_series = harness.timeseries
+    sources = harness.run_registry()
     if exporter is not None:
-        registry, health_rows = _bench_final_sources(harness)
-        if registry is not None:
+        if sources is not None:
+            registry, health_rows = sources
             exporter.replace_sources(registry=registry, health=health_rows)
         if final_series:
             # /timeseries switches from the live progress feed to the
@@ -834,13 +820,10 @@ def _cmd_bench(args) -> int:
             f"# wrote {count} time-series sample(s) to {args.timeseries}",
             file=sys.stderr,
         )
-    snapshot = harness.telemetry_snapshot()
-    series = (
-        snapshot["metrics"].get("xbgp_extension_instructions", {}).get("series", [])
-        if snapshot is not None
-        else []
-    )
-    instructions = sum(int(s["value"]) for s in series)
+    instructions = 0
+    if sources is not None:
+        _, rows = select(sources[0].snapshot(), "xbgp_extension_instructions")
+        instructions = sum(int(row["value"]) for _, row in rows)
     median = statistics.median(wall)
     summary = {
         "scenario": f"{args.scenario}-{args.impl}-{args.engine}",
@@ -1263,6 +1246,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "routes", 1) < 1:
+        raise SystemExit(f"xbgp {args.command}: --routes must be >= 1")
     try:
         return args.fn(args)
     except BrokenPipeError:  # e.g. `xbgp disasm ... | head`

@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import gc
 import statistics
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..bgp.roa import Roa, make_roas_for_prefixes
+from ..bgp.roa import Roa
 from ..sim.harness import ConvergenceHarness
-from ..workload.rib_gen import RibGenerator, RouteSpec, origins_of
+from ..telemetry.aggregate import select
+from ..workload.rib_gen import RouteSpec
 
-__all__ = ["Fig4Result", "run_cell", "run_figure", "render_table", "boxplot_stats"]
+__all__ = ["Fig4Result", "run_cell", "render_table", "boxplot_stats"]
 
 
 class Fig4Result:
@@ -161,30 +162,9 @@ def _vm_busy(
         implementation, feature, "extension", routes, roas, engine=engine, telemetry=True
     )
     harness.run()
-    family = harness.dut.vmm.telemetry.registry.to_json()["xbgp_extension_run_seconds"]
-    return sum(series["sum"] for series in family["series"])
-
-
-def run_figure(
-    n_routes: int = 5000,
-    runs: int = 15,
-    seed: int = 20200604,
-    engines: Sequence[str] = ("jit",),
-    implementations: Sequence[str] = ("frr", "bird"),
-    features: Sequence[str] = ("route_reflection", "origin_validation"),
-) -> List[Fig4Result]:
-    """Run the whole figure; returns one result per cell."""
-    generator = RibGenerator(n_routes=n_routes, seed=seed)
-    routes = generator.generate()
-    roas = make_roas_for_prefixes(origins_of(routes), valid_fraction=0.75, seed=seed)
-    results = []
-    for engine in engines:
-        for implementation in implementations:
-            for feature in features:
-                results.append(
-                    run_cell(implementation, feature, routes, roas, runs, engine)
-                )
-    return results
+    registry, _ = harness.run_registry()
+    _, rows = select(registry.snapshot(), "xbgp_extension_run_seconds")
+    return sum(row["sum"] for _, row in rows)
 
 
 def render_table(results: Sequence[Fig4Result], n_routes: int, runs: int) -> str:

@@ -17,18 +17,13 @@ DUT's.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..bgp.prefix import Prefix
 from ..bgp.roa import Roa
 from ..bird.daemon import BirdDaemon
 from ..scale import ShardedReplay, replay_feed
-from ..telemetry import (
-    Telemetry,
-    TimeSeriesSampler,
-    emit_convergence_events,
-    merge_into,
-)
+from ..telemetry import MetricsRegistry, TimeSeriesSampler, emit_convergence_events
 from ..workload.rib_gen import RouteSpec
 from .network import Network
 from .testbed import Collector, RunSpec, build_dut, build_feed, build_scale_daemon
@@ -47,11 +42,10 @@ class ConvergenceHarness:
     ``profiling``, ``timeseries_every``, …); a name that is not one
     raises ``TypeError``.
 
-    ``telemetry`` (on by default) instruments the single-daemon DUT and,
-    for ``shards > 1``, keeps the parent-side snapshot of the workers'
-    counters; ``shard_telemetry`` runs the shard *workers* with telemetry
-    on and merges what they ship back — separate so the telemetry-off
-    sharded bench stays at its baseline cost.
+    ``telemetry`` (on by default) instruments the single-daemon DUT;
+    ``shard_telemetry`` runs the shard *workers* with telemetry on and
+    merges what they ship back — separate so the telemetry-off sharded
+    bench stays at its baseline cost.
 
     ``events`` is an optional :class:`~repro.telemetry.EventLog`.  It
     receives the ``quarantine`` transitions of every DUT that runs with
@@ -90,12 +84,8 @@ class ConvergenceHarness:
             spec = spec.replace(telemetry=shard_telemetry)
         self.spec = spec
         self.routes = routes
-        self.telemetry_enabled = telemetry
         self.events = events
         self.progress = progress
-        #: Telemetry snapshot of the most recent :meth:`run` (or None
-        #: when the DUT runs uninstrumented).
-        self.last_telemetry: Optional[Dict[str, object]] = None
         #: Per-shard reports of the most recent sharded :meth:`run`.
         self.shard_result = None
         #: Samples of the most recent :meth:`run` (shard-labeled and
@@ -148,10 +138,11 @@ class ConvergenceHarness:
                 f"{len(self.collector)}/{expected} prefixes "
                 f"(vmm fallbacks={self.dut.vmm.fallbacks})"
             )
-        self.last_telemetry = self.telemetry_snapshot()
+        if telemetry is not None:
+            # Scrapes and the final sample see the peer and RIB gauges
+            # as the replay left them.
+            self.dut.update_telemetry_gauges()
         if sampler is not None:
-            # Final post-replay sample with gauges refreshed by the
-            # telemetry_snapshot() call above.
             sampler.sample()
             self.timeseries = sampler.series.samples()
         if self.events is not None:
@@ -179,78 +170,29 @@ class ConvergenceHarness:
                 f"{held}/{expected} prefixes across "
                 f"{result.shards} shards"
             )
-        self.last_telemetry = self.telemetry_snapshot()
         return result.wall_seconds
 
     def extension_stats(self) -> Dict[str, Dict[str, int]]:
         return self.dut.vmm.stats() if self.dut is not None else {}
 
-    def telemetry_snapshot(self) -> Optional[Dict[str, object]]:
-        """Current telemetry state (gauges refreshed), or None.
+    def run_registry(
+        self,
+    ) -> Optional[Tuple[MetricsRegistry, List[Dict[str, object]]]]:
+        """The run's live registry and breaker rows, or None.
 
-        A sharded run has no parent DUT; instead, the workers' per-shard
-        counters are re-registered into a parent-side registry so the
-        ``xbgp stats`` surface (and the bench instruction totals) keep
-        working with ``shards > 1``.  When the workers themselves ran
-        with telemetry on (``shard_telemetry=True``), their full
-        registries merge in too — every family shard-labeled — and the
-        snapshot's health table becomes the workers' breaker rows.
+        A single-daemon run gives the DUT's own; a sharded run whose
+        workers ran with telemetry gives their merged, shard-labeled
+        registry and their breaker rows; any other run has none.
         """
-        if self.dut is None:
-            if not self.telemetry_enabled or self.shard_result is None:
+        if self.dut is not None:
+            telemetry = self.dut.vmm.telemetry
+            if telemetry is None:
                 return None
-            telemetry = Telemetry()
-            registry = telemetry.registry
-            worker_telemetry = self.shard_result.telemetry
-            if worker_telemetry is not None:
-                merge_into(registry, worker_telemetry["registry"])
-            for report in self.shard_result.per_shard:
-                shard = str(report["shard"])
-                registry.counter(
-                    "xbgp_shard_routes", "routes replayed per shard", shard=shard
-                ).inc(report["routes"])
-                registry.counter(
-                    "xbgp_shard_updates", "UPDATEs replayed per shard", shard=shard
-                ).inc(report["updates"])
-                registry.counter(
-                    "xbgp_shard_batches", "UPDATE batches flushed per shard", shard=shard
-                ).inc(report["batches"])
-                registry.gauge(
-                    "xbgp_shard_build_seconds",
-                    "worker DUT + feed build wall-clock",
-                    shard=shard,
-                ).set(report["build_seconds"])
-                registry.gauge(
-                    "xbgp_shard_replay_seconds",
-                    "worker replay wall-clock",
-                    shard=shard,
-                ).set(report["replay_seconds"])
-                pool = report.get("attr_pool") or {}
-                registry.counter(
-                    "xbgp_shard_attr_pool_hits",
-                    "worker AttrPool hits (incl. shipped intern table)",
-                    shard=shard,
-                ).inc(pool.get("hits", 0))
-                registry.counter(
-                    "xbgp_shard_attr_pool_misses",
-                    "worker AttrPool misses",
-                    shard=shard,
-                ).inc(pool.get("misses", 0))
-                registry.counter(
-                    "xbgp_shard_fallbacks", "worker VMM fallbacks", shard=shard
-                ).inc(report["fallbacks"])
-            snapshot = telemetry.snapshot()
-            if worker_telemetry is not None:
-                snapshot["health"] = worker_telemetry["health"]
-                snapshot["trace"] = {
-                    "tail_events": len(worker_telemetry["trace_tail"])
-                }
-            return snapshot
-        telemetry = self.dut.vmm.telemetry
-        if telemetry is None:
+            return telemetry.registry, telemetry.health.snapshot()
+        result = self.shard_result
+        if result is None or result.telemetry is None:
             return None
-        self.dut.update_telemetry_gauges()
-        return telemetry.snapshot()
+        return result.merged_registry(), result.telemetry["health"]
 
     def convergence_report(self) -> Optional[Dict[str, object]]:
         """The DUT's provenance convergence report, or None when the

@@ -1,21 +1,21 @@
 """Serializable, mergeable metrics snapshots (the cross-process plane).
 
 :class:`~repro.telemetry.metrics.MetricsRegistry` lives in one process;
-the sharded full-table replay runs many.  This module makes registries
-*portable*: :func:`snapshot_registry` captures one with full fidelity
-(exact histogram buckets, not quantile summaries), the snapshot is
-plain JSON-able data that survives pickling through a ``multiprocessing``
-pipe or a file on disk, and :func:`merge_into` folds any number of
-snapshots back into a single registry under well-defined per-kind
-semantics:
+the sharded full-table replay runs many.  This module owns the snapshot
+format that makes registries *portable*: :func:`snapshot_registry`
+writes one with full fidelity (exact histogram buckets, not quantile
+summaries), :func:`merge_into` folds any number of snapshots back into
+a single registry, and :func:`select` / :func:`family_names` are the
+only readers of its rows — time-series rates, quantiles, diffs, alerts
+and the dashboard all go through them.  A snapshot is plain JSON-able
+data that survives pickling through a ``multiprocessing`` pipe or a
+file on disk.  The merge has well-defined per-kind semantics:
 
 * **counters** add — each process counted disjoint events;
 * **histograms** merge bucket-wise (boundaries must be identical,
   mismatches raise);
-* **gauges** follow a per-family policy: ``max`` (default — keeps the
-  merge commutative and associative), ``min``, ``sum``, or ``last``
-  (last snapshot wins, for "current value" gauges where order means
-  something);
+* **gauges** keep the maximum, which keeps the merge commutative and
+  associative;
 * **label sets** union; a family whose label *names* disagree between
   snapshots is a schema collision and raises.
 
@@ -23,31 +23,28 @@ semantics:
 which is how the parent of a sharded replay keeps per-shard
 attribution while still exposing one registry on ``/metrics``.
 
-With the default policies the merge is a commutative monoid with the
-empty snapshot as identity — pinned by the merge-law tests, and the
-reason offline aggregation (``xbgp stats --merge``) needs no ordering
-discipline.
+The merge is a commutative monoid with the empty snapshot as identity
+— pinned by the merge-law tests, and the reason offline aggregation
+(``xbgp stats --merge``) needs no ordering discipline.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 __all__ = [
     "SNAPSHOT_VERSION",
-    "GAUGE_POLICIES",
+    "family_names",
     "merge_into",
     "merge_snapshots",
     "registry_from_snapshot",
+    "select",
     "snapshot_registry",
 ]
 
 SNAPSHOT_VERSION = 1
-
-#: Valid gauge merge policies.
-GAUGE_POLICIES = ("max", "min", "sum", "last")
 
 
 def snapshot_registry(registry: MetricsRegistry) -> Dict[str, object]:
@@ -91,6 +88,44 @@ def snapshot_registry(registry: MetricsRegistry) -> Dict[str, object]:
     return {"snapshot_version": SNAPSHOT_VERSION, "families": families}
 
 
+def family_names(
+    snapshot: Dict[str, object], kind: Optional[str] = None
+) -> List[str]:
+    """Sorted names of the snapshot's families (of one ``kind`` if given)."""
+    return sorted(
+        name
+        for name, info in snapshot.get("families", {}).items()
+        if kind is None or info.get("kind") == kind
+    )
+
+
+def select(
+    snapshot: Dict[str, object],
+    family: str,
+    selector: Optional[Dict[str, str]] = None,
+) -> Tuple[Optional[Dict[str, object]], List[Tuple[Dict[str, str], Dict[str, object]]]]:
+    """The rows of ``family`` whose labels match ``selector``.
+
+    Returns ``(family info, [(labels, row), ...])``: the info carries
+    ``kind``, ``help`` and ``buckets``; each row its ``value`` (counters,
+    gauges) or ``counts``/``sum``/``count`` (histograms), and ``labels``
+    maps label name to value.  ``(None, [])`` when the family is absent.
+    """
+    info = snapshot.get("families", {}).get(family)
+    if info is None:
+        return None, []
+    label_names = info.get("label_names", [])
+    rows = []
+    for row in info.get("series", []):
+        labels = dict(zip(label_names, [str(v) for v in row.get("labels", [])]))
+        if selector and any(
+            labels.get(key) != str(value) for key, value in selector.items()
+        ):
+            continue
+        rows.append((labels, row))
+    return info, rows
+
+
 def _check_snapshot(snapshot: Dict[str, object]) -> Dict[str, Dict[str, object]]:
     if not isinstance(snapshot, dict) or "families" not in snapshot:
         raise ValueError("not a registry snapshot (missing 'families')")
@@ -113,20 +148,14 @@ def merge_into(
     registry: MetricsRegistry,
     snapshot: Dict[str, object],
     labels: Optional[Dict[str, str]] = None,
-    gauge_policy: Optional[Dict[str, str]] = None,
 ) -> MetricsRegistry:
     """Fold ``snapshot`` into ``registry`` (see module docstring).
 
     ``labels`` adds constant labels to every merged series (e.g.
     ``{"shard": "2"}``); a name already used by a family is a collision
-    and raises.  ``gauge_policy`` maps family name → one of
-    :data:`GAUGE_POLICIES`; unlisted gauge families use ``max``.
+    and raises.
     """
     extra = dict(labels or {})
-    policies = gauge_policy or {}
-    for value in policies.values():
-        if value not in GAUGE_POLICIES:
-            raise ValueError(f"unknown gauge policy {value!r}")
     incoming_families = _check_snapshot(snapshot)
     for name in sorted(incoming_families):
         family = incoming_families[name]
@@ -153,7 +182,6 @@ def merge_into(
                     f"metric {name!r} labels {existing.label_names} != "
                     f"{merged_names} (label-set collision)"
                 )
-        policy = policies.get(name, "max")
         for row in family["series"]:
             values = [str(v) for v in row["labels"]]
             if len(values) != len(label_names):
@@ -179,14 +207,7 @@ def merge_into(
                 )
                 gauge: Gauge = registry.gauge(name, help_text, **all_labels)
                 incoming = float(row["value"])
-                if policy == "last" or fresh:
-                    gauge.set(incoming)
-                elif policy == "max":
-                    gauge.set(max(gauge.get(), incoming))
-                elif policy == "min":
-                    gauge.set(min(gauge.get(), incoming))
-                else:  # sum
-                    gauge.set(gauge.get() + incoming)
+                gauge.set(incoming if fresh else max(gauge.get(), incoming))
             else:
                 hist: Histogram = registry.histogram(
                     name, help_text, buckets=buckets, **all_labels
@@ -208,12 +229,9 @@ def merge_into(
     return registry
 
 
-def merge_snapshots(
-    snapshots: Iterable[Dict[str, object]],
-    gauge_policy: Optional[Dict[str, str]] = None,
-) -> Dict[str, object]:
+def merge_snapshots(snapshots: Iterable[Dict[str, object]]) -> Dict[str, object]:
     """Merge many snapshots into one (fresh-registry fold)."""
     registry = MetricsRegistry()
     for snapshot in snapshots:
-        merge_into(registry, snapshot, gauge_policy=gauge_policy)
+        merge_into(registry, snapshot)
     return snapshot_registry(registry)

@@ -40,7 +40,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .events import EventLog
 from .records import numbered_lines
-from .timeseries import counter_total, histogram_quantiles
+from .timeseries import counter_rates, counter_total, histogram_quantiles
 
 __all__ = [
     "ALERT_SEVERITIES",
@@ -155,30 +155,18 @@ class AlertRule:
     ) -> Optional[float]:
         """The signal's value at ``sample`` (None = not measurable)."""
         if self.signal == "absent":
+            # Any matching series, histograms included, counts as present.
             present = counter_total(sample, self.family, self.selector)
-            if present is None:
-                summary = None
-                try:
-                    summary = histogram_quantiles(
-                        sample, self.family, (), self.selector
-                    )
-                except ValueError:
-                    summary = None
-                present = summary["count"] if summary else None
             return 0.0 if present is not None else None
         if self.signal == "value":
             return counter_total(sample, self.family, self.selector)
         if self.signal == "rate":
             if prev_sample is None:
                 return None
-            now = counter_total(sample, self.family, self.selector)
-            before = counter_total(prev_sample, self.family, self.selector)
-            if now is None or before is None:
-                return None
-            dt = float(sample["ts"]) - float(prev_sample["ts"])
-            if dt <= 0:
-                return None
-            return max(0.0, (now - before) / dt)
+            rates = counter_rates(
+                [prev_sample, sample], self.family, self.selector
+            )
+            return rates[-1][1] if rates else None
         q = {"p50": 0.5, "p95": 0.95, "p99": 0.99}[self.signal]
         summary = histogram_quantiles(sample, self.family, (q,), self.selector)
         if summary is None or summary["count"] <= 0:

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .timeseries import counter_rates, gauge_value, histogram_quantiles
+from .aggregate import family_names, select
+from .timeseries import counter_rates, counter_total, histogram_quantiles
 
 __all__ = ["render_dashboard", "sparkline"]
 
@@ -58,49 +59,30 @@ def _bar(ratio: float, width: int = 24) -> str:
     return "█" * filled + "·" * (width - filled)
 
 
+def _by_shard(
+    snapshot: Dict[str, object], family: str
+) -> Optional[Dict[str, float]]:
+    """``{shard: value}`` of a progress gauge (None when absent)."""
+    info, rows = select(snapshot, family)
+    if info is None:
+        return None
+    return {
+        labels["shard"]: float(row.get("value", 0.0))
+        for labels, row in rows
+        if "shard" in labels
+    }
+
+
 def _shard_rows(sample: Dict[str, object]) -> List[Tuple[str, float, float]]:
     """``(shard, done, total)`` per shard from the progress gauges."""
-    families = sample["registry"].get("families", {})
-    done_info = families.get(_PROGRESS_DONE)
-    total_info = families.get(_PROGRESS_TOTAL)
-    if not done_info or not total_info:
+    done = _by_shard(sample["registry"], _PROGRESS_DONE)
+    total = _by_shard(sample["registry"], _PROGRESS_TOTAL)
+    if done is None or total is None:
         return []
-
-    def _by_shard(info) -> Dict[str, float]:
-        names = list(info.get("label_names", []))
-        out: Dict[str, float] = {}
-        for row in info.get("series", []):
-            labels = dict(zip(names, [str(v) for v in row.get("labels", [])]))
-            shard = labels.get("shard")
-            if shard is not None:
-                out[shard] = float(row.get("value", 0.0))
-        return out
-
-    done = _by_shard(done_info)
-    total = _by_shard(total_info)
-    rows = []
-    for shard in sorted(total, key=lambda s: (len(s), s)):
-        rows.append((shard, done.get(shard, 0.0), total[shard]))
-    return rows
-
-
-def _counter_families(sample: Dict[str, object]) -> List[str]:
-    families = sample["registry"].get("families", {})
-    return sorted(
-        name
-        for name, info in families.items()
-        if info.get("kind") == "counter"
-        and not name.startswith(_PROGRESS_PREFIX)
-    )
-
-
-def _histogram_families(sample: Dict[str, object]) -> List[str]:
-    families = sample["registry"].get("families", {})
-    return sorted(
-        name
-        for name, info in families.items()
-        if info.get("kind") == "histogram"
-    )
+    return [
+        (shard, done.get(shard, 0.0), total[shard])
+        for shard in sorted(total, key=lambda s: (len(s), s))
+    ]
 
 
 def render_dashboard(
@@ -138,7 +120,7 @@ def render_dashboard(
     shard_rows = _shard_rows(last)
     if shard_rows:
         lines.append(rule)
-        ratio = gauge_value(last, _PROGRESS_RATIO)
+        ratio = counter_total(last, _PROGRESS_RATIO)
         header = "replay progress"
         if ratio is not None:
             header += f" · total {min(1.0, ratio) * 100.0:.1f}%"
@@ -151,30 +133,31 @@ def render_dashboard(
             )
 
     # -- counter rates ---------------------------------------------------
-    counters = _counter_families(last)
+    counters = [
+        name
+        for name in family_names(last["registry"], "counter")
+        if not name.startswith(_PROGRESS_PREFIX)
+    ]
     if counters:
         lines.append(rule)
         lines.append("counters (rate/s, total)")
-        ranked = sorted(
-            counters,
-            key=lambda name: -(gauge_value(last, name) or 0.0),
-        )[:max_counters]
+        totals = {name: counter_total(last, name) or 0.0 for name in counters}
+        ranked = sorted(counters, key=lambda name: -totals[name])[:max_counters]
         name_width = max(len(name) for name in ranked)
         for name in ranked:
             rates = counter_rates(samples, name)
             current = rates[-1][1] if rates else 0.0
-            total = gauge_value(last, name) or 0.0
             lines.append(
                 f"  {name:<{name_width}} "
                 f"{sparkline([rate for _, rate in rates])}"
-                f" {current:>10.1f}/s {total:>12g}"
+                f" {current:>10.1f}/s {totals[name]:>12g}"
             )
         dropped = len(counters) - len(ranked)
         if dropped > 0:
             lines.append(f"  … {dropped} more counter familie(s) not shown")
 
     # -- histogram summaries ---------------------------------------------
-    histograms = _histogram_families(last)
+    histograms = family_names(last["registry"], "histogram")
     if histograms:
         lines.append(rule)
         lines.append("histograms (cumulative)")

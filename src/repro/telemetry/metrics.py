@@ -23,6 +23,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "bucket_quantile",
     "log_buckets",
 ]
 
@@ -39,6 +40,29 @@ def log_buckets(start: float = 1e-6, factor: float = 2.0, count: int = 24) -> Li
         boundaries.append(value)
         value *= factor
     return boundaries
+
+
+def bucket_quantile(
+    boundaries: Sequence[float], counts: Sequence[float], q: float
+) -> float:
+    """Upper bound of the bucket holding the q-quantile (0 if empty).
+
+    ``counts`` has one entry per boundary plus the +Inf overflow bucket.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("quantile must be in [0, 1]")
+    total = sum(counts)
+    if total <= 0:
+        return 0.0
+    rank = q * total
+    seen = 0
+    for index, bucket_count in enumerate(counts):
+        seen += bucket_count
+        if seen >= rank and bucket_count:
+            if index < len(boundaries):
+                return boundaries[index]
+            return float("inf")
+    return float("inf")
 
 
 class Counter:
@@ -115,19 +139,7 @@ class Histogram:
 
     def quantile(self, q: float) -> float:
         """Upper bound of the bucket holding the q-quantile (0 if empty)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for index, bucket_count in enumerate(self.counts):
-            seen += bucket_count
-            if seen >= rank and bucket_count:
-                if index < len(self.boundaries):
-                    return self.boundaries[index]
-                return float("inf")
-        return float("inf")
+        return bucket_quantile(self.boundaries, self.counts, q)
 
     def summary(self) -> Dict[str, float]:
         mean = self.sum / self.count if self.count else 0.0

@@ -18,10 +18,12 @@ write-through JSONL mirrors every sample to disk as it is taken, so a
 crash loses nothing already written (the same
 :class:`~repro.telemetry.records.JsonlSink` the event log streams to).
 
-Derived series are computed *from* samples, never stored: counter
-rates between consecutive samples, per-window histogram quantiles from
-bucket-count deltas, gauge last-value.  That keeps a sample a pure
-snapshot — mergeable, diffable, replayable.
+Derived series are computed *from* samples, never stored: counter and
+gauge totals, counter rates between consecutive samples, cumulative
+histogram quantiles.  They read a sample's rows through
+:func:`~repro.telemetry.aggregate.select`, the one reader of the
+snapshot format.  That keeps a sample a pure snapshot — mergeable,
+diffable, replayable.
 
 :func:`merge_timeseries` folds per-shard series into one shard-labeled
 series the same way ``aggregate`` merges registries: at the union of
@@ -43,8 +45,8 @@ import json
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .aggregate import merge_into, snapshot_registry
-from .metrics import MetricsRegistry
+from .aggregate import family_names, merge_into, select, snapshot_registry
+from .metrics import MetricsRegistry, bucket_quantile
 from .records import JsonlSink, Ring, read_jsonl, write_jsonl
 
 __all__ = [
@@ -55,9 +57,7 @@ __all__ = [
     "counter_rates",
     "counter_total",
     "diff_samples",
-    "gauge_value",
     "histogram_quantiles",
-    "histogram_windows",
     "load_snapshot_source",
     "make_sample",
     "merge_timeseries",
@@ -130,14 +130,6 @@ class TimeSeries(Ring):
         sample = make_sample(
             registry_snapshot, ts, self._seq, merged_labels or None
         )
-        self._ring.append(sample)
-        return sample
-
-    def append_sample(self, sample: Dict[str, object]) -> Dict[str, object]:
-        """Record a pre-built sample (e.g. one shipped from a worker)."""
-        validate_sample(sample)
-        self._seq += 1
-        sample = {**sample, "seq": self._seq}
         self._ring.append(sample)
         return sample
 
@@ -216,28 +208,6 @@ def write_timeseries(samples: Iterable[Dict[str, object]], path: str) -> int:
 # -- derived series --------------------------------------------------------
 
 
-def _match_series(
-    registry_snapshot: Dict[str, object],
-    family: str,
-    selector: Optional[Dict[str, str]] = None,
-) -> Tuple[Optional[Dict[str, object]], List[Dict[str, object]]]:
-    """Rows of ``family`` whose labels satisfy ``selector``."""
-    families = registry_snapshot.get("families", {})
-    info = families.get(family)
-    if info is None:
-        return None, []
-    label_names: List[str] = list(info.get("label_names", []))
-    rows = []
-    for row in info.get("series", []):
-        labels = dict(zip(label_names, [str(v) for v in row.get("labels", [])]))
-        if selector and any(
-            labels.get(key) != str(value) for key, value in selector.items()
-        ):
-            continue
-        rows.append(row)
-    return info, rows
-
-
 def counter_total(
     sample: Dict[str, object],
     family: str,
@@ -248,19 +218,10 @@ def counter_total(
     ``None`` when the family is absent or no series matches — the
     caller distinguishes "zero" from "not there" (absence alerts).
     """
-    info, rows = _match_series(sample["registry"], family, selector)
-    if info is None or not rows:
+    _, rows = select(sample["registry"], family, selector)
+    if not rows:
         return None
-    return float(sum(row.get("value", 0) for row in rows))
-
-
-def gauge_value(
-    sample: Dict[str, object],
-    family: str,
-    selector: Optional[Dict[str, str]] = None,
-) -> Optional[float]:
-    """Gauge reading at one sample (summed across matching series)."""
-    return counter_total(sample, family, selector)
+    return float(sum(row.get("value", 0) for _, row in rows))
 
 
 def counter_rates(
@@ -289,20 +250,25 @@ def counter_rates(
     return points
 
 
-def _histogram_totals(
-    registry_snapshot: Dict[str, object],
+def histogram_quantiles(
+    sample: Dict[str, object],
     family: str,
+    quantiles: Sequence[float] = (0.5, 0.95),
     selector: Optional[Dict[str, str]] = None,
-) -> Optional[Tuple[List[float], List[float], float, float]]:
-    """Matching histogram series summed: (boundaries, counts, sum, count)."""
-    info, rows = _match_series(registry_snapshot, family, selector)
+) -> Optional[Dict[str, float]]:
+    """Cumulative distribution summary at one sample, matching series
+    summed bucket-wise.
+
+    Returns ``{"count", "sum", "p50", "p95", ...}`` or ``None`` when
+    the family is absent / has no matching series.
+    """
+    info, rows = select(sample["registry"], family, selector)
     if info is None or info.get("kind") != "histogram" or not rows:
         return None
     boundaries = [float(b) for b in (info.get("buckets") or [])]
     counts = [0.0] * (len(boundaries) + 1)
-    total_sum = 0.0
-    total_count = 0.0
-    for row in rows:
+    out: Dict[str, float] = {"count": 0.0, "sum": 0.0}
+    for _, row in rows:
         row_counts = row.get("counts", [])
         if len(row_counts) != len(counts):
             # Bucket layouts differ between series; refuse a lossy sum.
@@ -311,84 +277,11 @@ def _histogram_totals(
             )
         for index, count in enumerate(row_counts):
             counts[index] += count
-        total_sum += float(row.get("sum", 0.0))
-        total_count += float(row.get("count", 0))
-    return boundaries, counts, total_sum, total_count
-
-
-def _bucket_quantile(
-    boundaries: Sequence[float], counts: Sequence[float], q: float
-) -> float:
-    """Upper bound of the bucket holding the q-quantile (0 if empty)."""
-    total = sum(counts)
-    if total <= 0:
-        return 0.0
-    rank = q * total
-    seen = 0.0
-    for index, count in enumerate(counts):
-        seen += count
-        if seen >= rank and count:
-            if index < len(boundaries):
-                return float(boundaries[index])
-            return float("inf")
-    return float("inf")
-
-
-def histogram_quantiles(
-    sample: Dict[str, object],
-    family: str,
-    quantiles: Sequence[float] = (0.5, 0.95),
-    selector: Optional[Dict[str, str]] = None,
-) -> Optional[Dict[str, float]]:
-    """Cumulative distribution summary at one sample.
-
-    Returns ``{"count", "sum", "p50", "p95", ...}`` or ``None`` when
-    the family is absent / has no matching series.
-    """
-    totals = _histogram_totals(sample["registry"], family, selector)
-    if totals is None:
-        return None
-    boundaries, counts, total_sum, total_count = totals
-    out: Dict[str, float] = {"count": total_count, "sum": total_sum}
+        out["sum"] += float(row.get("sum", 0.0))
+        out["count"] += float(row.get("count", 0))
     for q in quantiles:
-        out[f"p{int(round(q * 100))}"] = _bucket_quantile(boundaries, counts, q)
+        out[f"p{int(round(q * 100))}"] = bucket_quantile(boundaries, counts, q)
     return out
-
-
-def histogram_windows(
-    samples: Sequence[Dict[str, object]],
-    family: str,
-    quantiles: Sequence[float] = (0.5, 0.95),
-    selector: Optional[Dict[str, str]] = None,
-) -> List[Dict[str, float]]:
-    """Per-window quantiles from bucket-count *deltas* between samples.
-
-    One row per consecutive sample pair that saw new observations:
-    ``{"ts", "count", "p50", "p95", ...}`` — the distribution of just
-    that window, not the whole run.  Counter-reset windows (negative
-    deltas) are skipped.
-    """
-    rows: List[Dict[str, float]] = []
-    prev: Optional[Tuple[List[float], List[float], float, float]] = None
-    for sample in samples:
-        totals = _histogram_totals(sample["registry"], family, selector)
-        if totals is None:
-            continue
-        if prev is not None and totals[0] == prev[0]:
-            deltas = [now - before for now, before in zip(totals[1], prev[1])]
-            window_count = totals[3] - prev[3]
-            if window_count > 0 and all(delta >= 0 for delta in deltas):
-                row: Dict[str, float] = {
-                    "ts": float(sample["ts"]),
-                    "count": window_count,
-                }
-                for q in quantiles:
-                    row[f"p{int(round(q * 100))}"] = _bucket_quantile(
-                        totals[0], deltas, q
-                    )
-                rows.append(row)
-        prev = totals
-    return rows
 
 
 # -- the shard merge path --------------------------------------------------
@@ -397,7 +290,6 @@ def histogram_windows(
 def merge_timeseries(
     shard_series: Sequence[Sequence[Dict[str, object]]],
     shard_labels: bool = True,
-    gauge_policy: Optional[Dict[str, str]] = None,
 ) -> List[Dict[str, object]]:
     """Fold per-shard sample lists into one merged, shard-labeled series.
 
@@ -438,12 +330,7 @@ def merge_timeseries(
             if sample is None:
                 continue
             labels = {"shard": str(index)} if shard_labels else None
-            merge_into(
-                registry,
-                sample["registry"],
-                labels=labels,
-                gauge_policy=gauge_policy,
-            )
+            merge_into(registry, sample["registry"], labels=labels)
         merged.append(make_sample(snapshot_registry(registry), ts, seq))
     return merged
 
@@ -484,26 +371,29 @@ def load_snapshot_source(path: str) -> Dict[str, object]:
     )
 
 
-def _snapshot_rows(
-    snapshot: Dict[str, object],
-) -> Dict[str, Dict[str, object]]:
-    """Flatten a snapshot to ``{family: {kind, rows: {labelkey: row}}}``."""
-    out: Dict[str, Dict[str, object]] = {}
-    for name, info in snapshot.get("families", {}).items():
-        label_names = list(info.get("label_names", []))
-        rows: Dict[str, Dict[str, object]] = {}
-        for row in info.get("series", []):
-            labels = dict(
-                zip(label_names, [str(v) for v in row.get("labels", [])])
-            )
-            key = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
-            rows[key] = row
-        out[name] = {
-            "kind": info.get("kind"),
-            "buckets": info.get("buckets"),
-            "rows": rows,
-        }
-    return out
+def _keyed_rows(
+    snapshot: Dict[str, object], family: str
+) -> Tuple[Optional[Dict[str, object]], Dict[str, Dict[str, object]]]:
+    """``family``'s info and its rows keyed ``"name=value,..."``."""
+    info, rows = select(snapshot, family)
+    keyed = {
+        ",".join(f"{k}={labels[k]}" for k in sorted(labels)): row
+        for labels, row in rows
+    }
+    return info, keyed
+
+
+def _histogram_summary(
+    boundaries: Sequence[float], row: Optional[Dict[str, object]]
+) -> Optional[Dict[str, float]]:
+    if row is None:
+        return None
+    counts = row.get("counts", [])
+    return {
+        "count": float(row.get("count", 0)),
+        "p50": bucket_quantile(boundaries, counts, 0.5),
+        "p95": bucket_quantile(boundaries, counts, 0.95),
+    }
 
 
 def diff_samples(
@@ -516,17 +406,15 @@ def diff_samples(
     before/after/delta for counters and gauges, and count/p50/p95
     shifts for histograms.  Unchanged series are omitted.
     """
-    rows_a = _snapshot_rows(before)
-    rows_b = _snapshot_rows(after)
-    added = sorted(set(rows_b) - set(rows_a))
-    removed = sorted(set(rows_a) - set(rows_b))
+    names_a = set(family_names(before))
+    names_b = set(family_names(after))
     changes: List[Dict[str, object]] = []
-    for family in sorted(set(rows_a) | set(rows_b)):
-        info_a = rows_a.get(family)
-        info_b = rows_b.get(family)
-        kind = (info_b or info_a)["kind"]
-        series_a = info_a["rows"] if info_a else {}
-        series_b = info_b["rows"] if info_b else {}
+    for family in sorted(names_a | names_b):
+        info_a, series_a = _keyed_rows(before, family)
+        info_b, series_b = _keyed_rows(after, family)
+        info = info_b or info_a
+        kind = info.get("kind")
+        boundaries = [float(b) for b in info.get("buckets") or []]
         for key in sorted(set(series_a) | set(series_b)):
             row_a = series_a.get(key)
             row_b = series_b.get(key)
@@ -546,20 +434,8 @@ def diff_samples(
                     }
                 )
             else:
-                buckets = (info_b or info_a).get("buckets") or []
-
-                def _summary(row):
-                    if row is None:
-                        return None
-                    counts = row.get("counts", [])
-                    return {
-                        "count": float(row.get("count", 0)),
-                        "p50": _bucket_quantile(buckets, counts, 0.5),
-                        "p95": _bucket_quantile(buckets, counts, 0.95),
-                    }
-
-                summary_a = _summary(row_a)
-                summary_b = _summary(row_b)
+                summary_a = _histogram_summary(boundaries, row_a)
+                summary_b = _histogram_summary(boundaries, row_b)
                 if summary_a == summary_b:
                     continue
                 changes.append(
@@ -572,8 +448,8 @@ def diff_samples(
                     }
                 )
     return {
-        "added_families": added,
-        "removed_families": removed,
+        "added_families": sorted(names_b - names_a),
+        "removed_families": sorted(names_a - names_b),
         "changes": changes,
     }
 

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from repro.cli import main
+from repro.ebpf.isa import OP_LDDW
 
 
 @pytest.fixture
@@ -479,6 +480,89 @@ class TestProfile:
         assert "rr_import" in output
         assert "closed" in output
         assert "0 quarantined" in output
+
+
+class TestProfileListing:
+    """``xbgp profile --listing``: the annotated disassembly per code."""
+
+    def _listings(self, engine, capsys, monkeypatch):
+        import repro.cli as cli
+
+        built = []
+
+        def recording(*args, **kwargs):
+            harness = scenario_harness(*args, **kwargs)
+            built.append(harness)
+            return harness
+
+        scenario_harness = cli._scenario_harness
+        monkeypatch.setattr(cli, "_scenario_harness", recording)
+        code, output = run_cli(
+            [
+                "profile", "--scenario", "origin-validation", "--impl", "bird",
+                "--routes", "30", "--engine", engine, "--listing",
+            ],
+            capsys,
+        )
+        assert code == 0
+        profiles = list(built[0].dut.profiler.profiles())
+        assert profiles
+        listings = []
+        for profile in profiles:
+            title = f"\n== {profile.point}/{profile.extension} ({engine}) ==\n"
+            assert output.count(title) == 1
+            section = output.split(title)[1].split("\n\n")[0]
+            header, *lines = section.rstrip("\n").split("\n")
+            assert header.startswith(f"{profile.point}/{profile.extension} ")
+            rows = [(line[0], int(line[1:6]), int(line[7:17])) for line in lines]
+            slots, pc = [], 0
+            while pc < len(profile.program):
+                slots.append(pc)
+                pc += 2 if profile.program[pc].opcode == OP_LDDW else 1
+            # Each instruction slot once, in order; an LDDW's second
+            # half is not a slot of its own.
+            assert [row_pc for _, row_pc, _ in rows] == slots
+            listings.append((profile, rows))
+        assert any(len(rows) < len(p.program) for p, rows in listings)
+        return listings
+
+    def test_interp_margin_counts_sum_to_instructions(self, capsys, monkeypatch):
+        for profile, rows in self._listings("interp", capsys, monkeypatch):
+            assert {mark for mark, _, _ in rows} == {" "}
+            assert sum(count for _, _, count in rows) == profile.instructions() > 0
+
+    def test_jit_marks_every_leader_with_its_entry_count(self, capsys, monkeypatch):
+        for profile, rows in self._listings("jit", capsys, monkeypatch):
+            blocks = profile.block_profile()
+            leaders = set(profile._leaders())
+            assert blocks and set(blocks) <= leaders
+            marked = {pc: count for mark, pc, count in rows if mark == "▸"}
+            assert set(marked) == leaders
+            for leader, count in marked.items():
+                assert count == blocks.get(leader, (0, 0))[0]
+
+
+class TestRoutesRefused:
+    @pytest.mark.parametrize("routes", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "command", ["bench", "fig4", "stats", "profile", "gen-table"]
+    )
+    def test_routes_below_one_is_one_usage_line(
+        self, monkeypatch, tmp_path, command, routes
+    ):
+        from repro.workload import RibGenerator
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a route count below 1 reached the generator")
+
+        monkeypatch.setattr(RibGenerator, "generate", refuse)
+        argv = [command, "--routes", routes]
+        if command == "gen-table":
+            argv.insert(1, str(tmp_path / "table.mrt"))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == f"xbgp {command}: --routes must be >= 1"
+        assert not (tmp_path / "table.mrt").exists()
 
 
 class TestBench:

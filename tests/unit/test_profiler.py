@@ -40,6 +40,7 @@ from repro.plugins import (
 )
 from repro.sim.harness import ConvergenceHarness
 from repro.telemetry import PHASES, Profiler
+from repro.telemetry.aggregate import select
 from repro.workload import RibGenerator
 
 PREFIX = Prefix.parse("203.0.113.0/24")
@@ -275,15 +276,11 @@ class TestAccountingClosure:
             profiling=True,
         )
         harness.run()
-        snapshot = harness.telemetry_snapshot()
-        series = (
-            snapshot["metrics"]
-            .get("xbgp_extension_instructions", {})
-            .get("series", [])
-        )
+        registry, _ = harness.run_registry()
+        _, rows = select(registry.snapshot(), "xbgp_extension_instructions")
         counted = {
-            (s["labels"]["point"], s["labels"]["extension"]): s["value"]
-            for s in series
+            (labels["point"], labels["extension"]): row["value"]
+            for labels, row in rows
         }
         profiles = list(harness.dut.profiler.profiles())
         assert profiles

@@ -19,6 +19,7 @@ from repro.sim.harness import ConvergenceHarness
 from repro.core.vmm import TIERS
 from repro.sim.testbed import ENGINES, FEATURES, RunSpec, build_feed
 from repro.telemetry import EventLog
+from repro.telemetry.aggregate import select
 from repro.workload import RibGenerator
 
 FIELDS = set(RunSpec._fields)
@@ -231,3 +232,51 @@ class TestOneReplayLoop:
         assert seen == list(range(1, len(feed) + 1))
         assert ticked_collector.prefixes == bare_collector.prefixes
         assert ticked.vmm.stats() == bare.vmm.stats()
+
+
+class TestRunRegistry:
+    """``run_registry()``: the one way to find a finished run's registry."""
+
+    @staticmethod
+    def _rows(registry, family):
+        return select(registry.snapshot(), family)[1]
+
+    def test_single_daemon_gives_the_dut_registry_with_fresh_gauges(self):
+        harness = ConvergenceHarness(
+            "frr", "route_reflection", "extension", routes()
+        )
+        harness.run()
+        registry, health = harness.run_registry()
+        assert registry is harness.dut.vmm.telemetry.registry
+        assert {row["extension"] for row in health} == {"rr_import", "rr_export"}
+        loc_rib = {
+            labels["rib"]: row["value"]
+            for labels, row in self._rows(registry, "xbgp_rib_routes")
+        }["loc_rib"]
+        assert loc_rib == 40
+
+    def test_uninstrumented_runs_have_none(self):
+        for shards in (1, 2):
+            harness = ConvergenceHarness(
+                "frr", "route_reflection", "extension", routes(),
+                telemetry=False, shards=shards,
+            )
+            harness.run()
+            assert harness.run_registry() is None
+
+    def test_sharded_run_gives_the_workers_merged_registry(self):
+        harness = ConvergenceHarness(
+            "frr", "route_reflection", "extension", routes(),
+            shards=2, shard_telemetry=True,
+        )
+        harness.run()
+        registry, health = harness.run_registry()
+        assert {row["shard"] for row in health} == {0, 1}
+        labelled = self._rows(registry, "xbgp_extension_instructions")
+        assert {labels["shard"] for labels, _ in labelled} == {"0", "1"}
+        unlabelled = self._rows(
+            harness.shard_result.merged_registry(shard_labels=False),
+            "xbgp_extension_instructions",
+        )
+        total = sum(row["value"] for _, row in labelled)
+        assert total == sum(row["value"] for _, row in unlabelled) > 0

@@ -2,7 +2,7 @@
 
 Covers the sample schema, the bounded ring, the sampler (cadence
 gating, write-through JSONL), the derived series (counter rates,
-windowed histogram quantiles, gauge last-value), the shard merge path
+cumulative histogram quantiles, gauge last-value), the shard merge path
 and its partition-invariance law, and the run-diff helpers behind
 ``xbgp stats --diff``.
 """
@@ -20,9 +20,7 @@ from repro.telemetry.timeseries import (
     counter_rates,
     counter_total,
     diff_samples,
-    gauge_value,
     histogram_quantiles,
-    histogram_windows,
     load_snapshot_source,
     make_sample,
     merge_timeseries,
@@ -103,14 +101,6 @@ class TestTimeSeriesRing:
         )
         assert sample["labels"] == {"host": "frr", "shard": "0"}
 
-    def test_append_sample_revalidates_and_restamps(self):
-        series = TimeSeries()
-        shipped = _sample(5.0, updates=1)
-        shipped["seq"] = 42
-        stored = series.append_sample(shipped)
-        assert stored["seq"] == 1
-        with pytest.raises(ValueError):
-            series.append_sample({"ts": 1.0})
 
 class TestSampler:
     def test_sample_snapshots_current_registry(self):
@@ -179,8 +169,8 @@ class TestDerivedSeries:
 
     def test_gauge_last_value(self):
         sample = _sample(1.0, depth=17)
-        assert gauge_value(sample, "queue_depth") == 17.0
-        assert gauge_value(sample, "missing") is None
+        assert counter_total(sample, "queue_depth") == 17.0
+        assert counter_total(sample, "missing") is None
 
     def test_histogram_quantiles_cumulative(self):
         sample = _sample(1.0, latencies=[0.001] * 50 + [0.1] * 50)
@@ -188,18 +178,6 @@ class TestDerivedSeries:
         assert summary["count"] == 100
         assert summary["p50"] <= summary["p95"]
         assert histogram_quantiles(sample, "missing") is None
-
-    def test_histogram_windows_use_bucket_deltas(self):
-        fast = _sample(0.0, latencies=[0.001] * 100)
-        # Second sample adds 100 slow observations on top.
-        registry = _registry(latencies=[0.001] * 100 + [0.5] * 100)
-        later = make_sample(snapshot_registry(registry), 10.0)
-        windows = histogram_windows([fast, later], "run_seconds")
-        assert len(windows) == 1
-        window = windows[0]
-        assert window["ts"] == 10.0
-        assert window["count"] == 100  # only the delta
-        assert window["p50"] > 0.01    # the window is all-slow
 
 
 class TestMergeTimeseries:
