@@ -1156,7 +1156,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--shards", type=int, default=1,
-        help="worker processes the table is partitioned across by prefix range",
+        help="worker processes the table is bucketed across by attribute group",
     )
     p.add_argument(
         "--mrt", metavar="FILE", default=None,

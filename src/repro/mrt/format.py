@@ -10,18 +10,21 @@ a user drops in is equally loadable.
 Implemented records: PEER_INDEX_TABLE (subtype 1) and RIB_IPV4_UNICAST
 (subtype 2) of type 13 (TABLE_DUMP_V2).
 
-One walker, :func:`_rib_rows`, reads RIB records and hands attribute
-blocks out undecoded; :func:`read_table` decodes every block, the
-``repro.workload.mrt_io`` bridge each distinct one.  Error contract: a
-malformed record (truncated header, entry count or attribute length
-past the payload, bad prefix length, block cut mid-attribute) is an
-:class:`MrtError` naming its sequence number; none of it is returned.
+One walker, :func:`_walk_table`, reads records and their RIB entries in
+one loop and hands attribute blocks out undecoded; :func:`read_table`
+decodes every block, the ``repro.workload.mrt_io`` bridge each distinct
+one.  Error contract: a malformed record (truncated header, entry count
+or attribute length past the payload, bad prefix length, block cut
+mid-attribute) is an :class:`MrtError` naming its sequence number; none
+of it is returned.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import BinaryIO, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import (
+    BinaryIO, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar,
+)
 
 from ..bgp.attributes import (
     AttributeDecodeError,
@@ -29,13 +32,12 @@ from ..bgp.attributes import (
     decode_attributes,
     encode_attributes,
 )
-from ..bgp.prefix import Prefix, PrefixDecodeError
+from ..bgp.prefix import _MASK, _NBYTES, _SHIFT, Prefix
 
 __all__ = [
     "MrtError",
     "MrtPeer",
     "RibEntry",
-    "MrtRecord",
     "TABLE_DUMP_V2",
     "PEER_INDEX_TABLE",
     "RIB_IPV4_UNICAST",
@@ -50,6 +52,10 @@ RIB_IPV4_UNICAST = 2
 _HEADER = struct.Struct("!IHHI")
 #: RIB entry header: peer index, originated time, attribute length.
 _RIB_ENTRY = struct.Struct("!HIH")
+#: Bytes the reader asks the stream for at a time.
+_CHUNK = 1 << 16
+
+_T = TypeVar("_T")
 
 
 class MrtError(ValueError):
@@ -73,34 +79,9 @@ class RibEntry(NamedTuple):
     attributes: Tuple[PathAttribute, ...]
 
 
-class MrtRecord(NamedTuple):
-    timestamp: int
-    record_type: int
-    subtype: int
-    payload: bytes
-
-
-def _write_record(stream: BinaryIO, record: MrtRecord) -> None:
-    stream.write(
-        _HEADER.pack(
-            record.timestamp, record.record_type, record.subtype, len(record.payload)
-        )
-    )
-    stream.write(record.payload)
-
-
-def _read_records(stream: BinaryIO) -> Iterator[MrtRecord]:
-    while True:
-        header = stream.read(_HEADER.size)
-        if not header:
-            return
-        if len(header) < _HEADER.size:
-            raise MrtError("truncated MRT header")
-        timestamp, record_type, subtype, length = _HEADER.unpack(header)
-        payload = stream.read(length)
-        if len(payload) < length:
-            raise MrtError("truncated MRT payload")
-        yield MrtRecord(timestamp, record_type, subtype, payload)
+def _write_record(stream: BinaryIO, timestamp: int, subtype: int, payload: bytes) -> None:
+    stream.write(_HEADER.pack(timestamp, TABLE_DUMP_V2, subtype, len(payload)))
+    stream.write(payload)
 
 
 def _encode_peer_index(collector_id: int, peers: Sequence[MrtPeer]) -> bytes:
@@ -151,45 +132,91 @@ def _encode_rib_entry(sequence: int, entry: RibEntry) -> bytes:
     )
 
 
-def _rib_rows(payload: bytes) -> Tuple[int, List[Tuple[Prefix, int, int, bytes]]]:
-    """Walk one RIB_IPV4_UNICAST payload without decoding attributes.
+def _walk_table(
+    stream: BinaryIO,
+    peers: List[MrtPeer],
+    entry: Callable[[int, Prefix, int, int, bytes], Optional[_T]],
+) -> Iterator[_T]:
+    """The one TABLE_DUMP_V2 walker, shared by both readers.
 
-    Returns the record's sequence number and one ``(prefix, peer_index,
-    originated, attribute block bytes)`` row per RIB entry.  Every field
-    is checked against the payload before it is read, so a malformed
-    record raises :class:`MrtError` and contributes no row; a returned
-    block is always exactly the ``attr_length`` bytes the entry claims.
+    Reads ``stream`` in ``_CHUNK``-byte pieces (never the whole file),
+    fills ``peers`` from the PEER_INDEX_TABLE, and calls ``entry(sequence,
+    prefix, peer_index, originated, block)`` per RIB entry with its
+    attribute block undecoded, yielding each result that is not None.
+    Every field is checked against its record before it is read, and a
+    record's results are yielded only once all its entries are in, so a
+    malformed record raises :class:`MrtError` and yields nothing; a
+    block is always exactly the ``attr_length`` bytes its entry claims.
     """
-    size = len(payload)
-    if size < 4:
-        raise MrtError("RIB record too short for its sequence number")
-    sequence = int.from_bytes(payload[:4], "big")
-    try:
-        prefix, offset = Prefix.decode(payload, 4)
-    except PrefixDecodeError as exc:
-        raise MrtError(f"RIB record {sequence}: {exc}") from exc
-    if offset + 2 > size:
-        raise MrtError(f"RIB record {sequence}: truncated entry count")
-    count = (payload[offset] << 8) | payload[offset + 1]
-    offset += 2
-    rows: List[Tuple[Prefix, int, int, bytes]] = []
-    for _ in range(count):
-        if offset + _RIB_ENTRY.size > size:
-            raise MrtError(
-                f"RIB record {sequence}: {count} entries claimed, "
-                f"entry {len(rows)} header runs past the record"
-            )
-        peer_index, originated, attr_length = _RIB_ENTRY.unpack_from(payload, offset)
-        offset += _RIB_ENTRY.size
-        end = offset + attr_length
-        if end > size:
-            raise MrtError(
-                f"RIB record {sequence}: attribute block of {attr_length} "
-                f"bytes runs past the record"
-            )
-        rows.append((prefix, peer_index, originated, payload[offset:end]))
+    data = b""
+    offset = 0
+    saw_index = False
+    while True:
+        end = offset + _HEADER.size
+        if end <= len(data):
+            _, record_type, subtype, length = _HEADER.unpack_from(data, offset)
+            start, end = end, end + length
+        if end > len(data):
+            chunk = stream.read(max(_CHUNK, end - len(data)))
+            if not chunk:
+                if offset == len(data):
+                    break
+                if offset + _HEADER.size > len(data):
+                    raise MrtError("truncated MRT header")
+                raise MrtError("truncated MRT payload")
+            data = data[offset:] + chunk
+            offset = 0
+            continue
         offset = end
-    return sequence, rows
+        if record_type != TABLE_DUMP_V2:
+            continue  # tolerate other record types in real dumps
+        if subtype == PEER_INDEX_TABLE:
+            peers[:] = _decode_peer_index(data[start:end])[1]
+            saw_index = True
+            continue
+        if subtype != RIB_IPV4_UNICAST:
+            continue
+        if length < 4:
+            raise MrtError("RIB record too short for its sequence number")
+        sequence = int.from_bytes(data[start : start + 4], "big")
+        at = start + 4
+        if at >= end:
+            raise MrtError(f"RIB record {sequence}: truncated prefix: missing length octet")
+        bits = data[at]
+        if bits > 32:
+            raise MrtError(f"RIB record {sequence}: prefix length {bits} > 32")
+        size = _NBYTES[bits]
+        at += 1 + size
+        if at > end:
+            raise MrtError(f"RIB record {sequence}: truncated prefix body")
+        network = int.from_bytes(data[at - size : at], "big") << _SHIFT[bits]
+        # Prefix.decode's body, inline: masked here, so Prefix's own
+        # mask is skipped.
+        prefix = tuple.__new__(Prefix, (network & _MASK[bits], bits))
+        if at + 2 > end:
+            raise MrtError(f"RIB record {sequence}: truncated entry count")
+        count = (data[at] << 8) | data[at + 1]
+        at += 2
+        results = []
+        for index in range(count):
+            if at + _RIB_ENTRY.size > end:
+                raise MrtError(
+                    f"RIB record {sequence}: {count} entries claimed, "
+                    f"entry {index} header runs past the record"
+                )
+            peer_index, originated, attr_length = _RIB_ENTRY.unpack_from(data, at)
+            at += _RIB_ENTRY.size + attr_length
+            if at > end:
+                raise MrtError(
+                    f"RIB record {sequence}: attribute block of {attr_length} "
+                    f"bytes runs past the record"
+                )
+            result = entry(sequence, prefix, peer_index, originated, data[at - attr_length : at])
+            if result is not None:
+                results.append(result)
+        yield from results
+    if not saw_index:
+        raise MrtError("no PEER_INDEX_TABLE record")
 
 
 def _decode_block(sequence: int, block: bytes) -> Tuple[PathAttribute, ...]:
@@ -201,12 +228,10 @@ def _decode_block(sequence: int, block: bytes) -> Tuple[PathAttribute, ...]:
         raise MrtError(f"RIB record {sequence}: {exc}") from exc
 
 
-def _decode_rib(payload: bytes) -> List[RibEntry]:
-    sequence, rows = _rib_rows(payload)
-    return [
-        RibEntry(prefix, peer_index, originated, _decode_block(sequence, block))
-        for prefix, peer_index, originated, block in rows
-    ]
+def _rib_entry(
+    sequence: int, prefix: Prefix, peer_index: int, originated: int, block: bytes
+) -> RibEntry:
+    return RibEntry(prefix, peer_index, originated, _decode_block(sequence, block))
 
 
 def write_table(
@@ -217,34 +242,13 @@ def write_table(
     timestamp: int = 0,
 ) -> None:
     """Write a TABLE_DUMP_V2 file: peer index then one RIB record per entry."""
-    _write_record(
-        stream,
-        MrtRecord(
-            timestamp, TABLE_DUMP_V2, PEER_INDEX_TABLE, _encode_peer_index(collector_id, peers)
-        ),
-    )
+    _write_record(stream, timestamp, PEER_INDEX_TABLE, _encode_peer_index(collector_id, peers))
     for sequence, entry in enumerate(entries):
-        _write_record(
-            stream,
-            MrtRecord(
-                timestamp, TABLE_DUMP_V2, RIB_IPV4_UNICAST, _encode_rib_entry(sequence, entry)
-            ),
-        )
+        _write_record(stream, timestamp, RIB_IPV4_UNICAST, _encode_rib_entry(sequence, entry))
 
 
 def read_table(stream: BinaryIO) -> Tuple[List[MrtPeer], List[RibEntry]]:
     """Read a TABLE_DUMP_V2 file back into peers and RIB entries."""
     peers: List[MrtPeer] = []
-    entries: List[RibEntry] = []
-    saw_index = False
-    for record in _read_records(stream):
-        if record.record_type != TABLE_DUMP_V2:
-            continue  # tolerate other record types in real dumps
-        if record.subtype == PEER_INDEX_TABLE:
-            _, peers = _decode_peer_index(record.payload)
-            saw_index = True
-        elif record.subtype == RIB_IPV4_UNICAST:
-            entries.extend(_decode_rib(record.payload))
-    if not saw_index:
-        raise MrtError("no PEER_INDEX_TABLE record")
+    entries = list(_walk_table(stream, peers, _rib_entry))
     return peers, entries

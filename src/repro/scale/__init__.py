@@ -8,10 +8,11 @@ scope:
   attribute parse per distinct wire block, one VMM runner lookup per
   batch, one decision run per dirty prefix, bulk encode-cache hits on
   the export side).
-* :class:`ShardedReplay` — partitions a route workload across
-  ``multiprocessing`` workers by prefix range (a
-  :class:`~repro.bgp.trie.PrefixTrie`-backed :class:`PartitionMap`)
-  and merges per-shard Loc-RIB snapshots deterministically.
+* :class:`ShardedReplay` — buckets a route workload by attribute group
+  (each attribute set lands in one shard's feed), replays each bucket
+  in its own forked worker and merges per-shard Loc-RIB snapshots
+  deterministically.  Live feeds split by prefix range instead (a
+  :class:`~repro.bgp.trie.PrefixTrie`-backed :class:`PartitionMap`).
 
 Every DUT is built by :func:`build_scale_daemon` from one
 :class:`~repro.sim.testbed.RunSpec` and fed by :func:`replay_feed`, the

@@ -1,28 +1,38 @@
 """Sharded full-table replay.
 
-:class:`PartitionMap` splits the IPv4 space into contiguous address
-ranges balanced over the workload's prefixes and stores the range →
-shard assignment as aligned CIDR blocks in a
-:class:`~repro.bgp.trie.PrefixTrie`; any prefix — including ones never
-seen at build time, e.g. later withdrawals or more-specifics — maps to
-a shard by longest-prefix match on its lowest address.  Because BGP's
-decision process is independent per prefix, routing all routes of a
-prefix to the same worker makes the sharded outcome exactly the
-sequential one.
+:class:`ShardedReplay` buckets a :class:`RouteSpec` workload by
+attribute group — the ``(as_path, origin, med, communities)`` key
+``build_updates`` packs UPDATEs by — so each attribute set is decoded,
+interned, rewritten and encoded in one shard only.  Groups go to shards
+largest first, each to the least-loaded shard by route count (ties by
+shard index); a prefix seen twice stays on its first route's shard.
+Because BGP's decision process is independent per prefix, routing all
+routes of a prefix to the same worker makes the sharded outcome exactly
+the sequential one.  Each bucket replays through its own daemon in a
+forked worker (or inline, for debugging and the fuzz oracle), and the
+per-shard Loc-RIB snapshots merge deterministically (disjoint by
+construction, emitted in shard order with sorted keys).
 
-:class:`ShardedReplay` buckets a :class:`RouteSpec` workload with that
-map, replays each bucket through its own daemon in a
-``multiprocessing`` worker (or inline, for debugging and the fuzz
-oracle), and merges the per-shard Loc-RIB snapshots deterministically
-(disjoint by construction, emitted in shard order with sorted keys).
+:class:`PartitionMap` and :func:`split_update` serve live feeds instead,
+which must also place prefixes never seen at build time: the map splits
+the IPv4 space into contiguous address ranges balanced over the
+workload's prefixes and stores the range → shard assignment as aligned
+CIDR blocks in a :class:`~repro.bgp.trie.PrefixTrie`; any prefix —
+later withdrawals or more-specifics included — maps to a shard by
+longest-prefix match on its lowest address.
 """
 
 from __future__ import annotations
 
 import gc
-import multiprocessing
+import os
+import signal
+import sys
+import traceback
 from bisect import bisect_right
 from collections import Counter
+from heapq import heapreplace
+from multiprocessing.connection import Connection, Pipe, wait
 from time import perf_counter, time as wall_clock
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -181,29 +191,25 @@ class _ShardEvents:
         self._put({"event": event, "ts": wall_clock(), "shard": self._shard, **fields})
 
 
-def _replay_shard(payload) -> Dict[str, object]:
+def _replay_shard(
+    spec: RunSpec,
+    shard: int,
+    routes: Sequence[RouteSpec],
+    put: Optional[Callable[[Dict[str, object]], None]],
+) -> Dict[str, object]:
     """Worker: build a DUT, build + replay this shard's feed, return a
-    picklable report.
+    picklable report (run in a forked worker, or inline).
 
-    Module-level so ``multiprocessing`` can resolve it under any start
-    method; also called directly by the inline backend.
-
-    When the parent armed heartbeats (``heartbeat_every > 0`` and a
-    channel was installed, see ``_HEARTBEAT_PUT``), the worker announces
-    ``shard_start``, streams ``shard_progress`` every N updates, forwards
-    its DUT's ``quarantine`` transitions, and closes with
-    ``shard_finish`` — the raw feed behind live progress, ETA, and the
-    lifecycle event log.  When the daemon runs with telemetry on, the
-    full registry (mergeable snapshot), the breaker table and the
-    trace-ring tail ride back in the report.
+    When the parent armed heartbeats (``put`` is its channel), the
+    worker announces ``shard_start``, streams ``shard_progress`` every
+    ``heartbeat_every`` updates, forwards its DUT's ``quarantine``
+    transitions, and closes with ``shard_finish`` — the raw feed behind
+    live progress, ETA, and the lifecycle event log.  When the daemon
+    runs with telemetry on, the full registry (mergeable snapshot), the
+    breaker table and the trace-ring tail ride back in the report.
     """
-    spec, shard, routes = payload
     every = spec.heartbeat_every
-    events = (
-        _ShardEvents(_HEARTBEAT_PUT, shard)
-        if _HEARTBEAT_PUT is not None and every > 0
-        else None
-    )
+    events = _ShardEvents(put, shard) if put is not None else None
     if events is not None:
         events.emit("shard_start", routes=len(routes))
     # The replay allocates millions of acyclic objects (routes, attrs,
@@ -307,28 +313,31 @@ def _replay_shard(payload) -> Dict[str, object]:
     return report
 
 
-#: Payloads staged for fork-start workers (inherited, not pickled);
-#: set only for the duration of a process-backend run.
-_FORK_PAYLOADS: Optional[List[tuple]] = None
-
-#: Where the current worker puts its heartbeat events: the ``put`` of the
-#: ``multiprocessing`` queue the parent drains (installed by
-#: :func:`_init_worker`), the parent's own ``_emit`` for the inline
-#: backend, or None (heartbeats off — the default, and free).
-_HEARTBEAT_PUT: Optional[Callable[[Dict[str, object]], None]] = None
-
-
-def _init_worker(queue) -> None:
-    """Pool initializer: install the parent's heartbeat queue."""
-    global _HEARTBEAT_PUT
-    _HEARTBEAT_PUT = queue.put
-
-
-def _replay_shard_by_index(index: int) -> Dict[str, object]:
-    """Fork-backend worker entry: resolve the payload from the memory
-    inherited at fork time."""
-    assert _FORK_PAYLOADS is not None
-    return _replay_shard(_FORK_PAYLOADS[index])
+def _fork_shard(
+    spec: RunSpec, shard: int, routes: Sequence[RouteSpec], heartbeats: bool
+) -> Tuple[int, Connection]:
+    """Fork one worker for ``shard``; returns ``(pid, receiving end of
+    its pipe)``.  The child inherits its bucket with the parent's
+    memory, sends ``(kind, body)`` messages — ``event`` heartbeats, then
+    one ``report`` or ``error`` — and exits without running the parent's
+    exit handlers."""
+    receiver, sender = Pipe(duplex=False)
+    pid = os.fork()
+    if pid:
+        sender.close()
+        return pid, receiver
+    status = 1
+    try:
+        receiver.close()
+        put = (lambda event: sender.send(("event", event))) if heartbeats else None
+        try:
+            sender.send(("report", _replay_shard(spec, shard, routes, put)))
+            status = 0
+        except Exception:
+            sender.send(("error", traceback.format_exc()))
+    finally:
+        sys.stderr.flush()
+        os._exit(status)
 
 
 class ShardedResult:
@@ -485,30 +494,56 @@ class ShardedResult:
         )
 
 
+def _bucket(routes: Iterable[RouteSpec], shards: int) -> Tuple[Tuple[RouteSpec, ...], ...]:
+    """Attribute-group buckets of ``routes`` for up to ``shards``
+    workers (see the module docstring); never an empty bucket unless
+    the workload is empty."""
+    ordered = list(routes)
+    groups: Dict[tuple, int] = {}  # (as_path, origin, med, communities) -> id
+    first: Dict[Prefix, int] = {}  # prefix -> its first route's group
+    owners = [
+        first.setdefault(route[0], groups.setdefault(route[1:], len(groups)))
+        for route in ordered
+    ]
+    sizes = Counter(owners)
+    loads = [(0, shard) for shard in range(max(1, min(shards, len(sizes))))]
+    home = [0] * len(groups)
+    for group in sorted(sizes, key=lambda group: (-sizes[group], group)):
+        load, shard = loads[0]  # least loaded, lowest index on a tie
+        home[group] = shard
+        heapreplace(loads, (load + sizes[group], shard))
+    buckets: List[List[RouteSpec]] = [[] for _ in loads]
+    for route, group in zip(ordered, owners):
+        buckets[home[group]].append(route)
+    return tuple(map(tuple, buckets))
+
+
 class ShardedReplay:
-    """Partition a workload by prefix range and replay each bucket
+    """Bucket a workload by attribute group and replay each bucket
     through its own daemon.
 
     ``implementation`` plus :class:`~repro.sim.testbed.RunSpec` keywords
     (here ``shards`` defaults to 2, ``batch`` to 64), or a ready
     ``RunSpec`` in its place, describe the run; every worker builds its
-    DUT and feed from that one description.  ``events`` (an
+    DUT and feed from that one description.  ``shards`` is an upper
+    bound: never more shards than attribute groups.  ``events`` (an
     :class:`~repro.telemetry.EventLog`) and ``progress`` (a callable)
     are parent-side sinks for the workers' heartbeats: replay and shard
     lifecycle, progress, and the ``quarantine`` transitions of every
     worker DUT running with telemetry on, stamped with its ``shard``.
 
-    ``backend="process"`` runs one ``multiprocessing`` worker per shard
-    (start method: fork where available, never more worker processes
-    than cores); ``backend="inline"`` runs the same worker function
-    in-process — same code path minus the process boundary, used by the
-    fuzz oracle and for debugging.
+    ``backend="process"`` forks one worker per shard, never more at once
+    than cores, each reporting through its own pipe; a worker that dies
+    before reporting is a :class:`RuntimeError` naming its shard.
+    ``backend="inline"`` runs the same worker function in-process — same
+    code path minus the process boundary, used by the fuzz oracle and
+    for debugging.
     """
 
     def __init__(
         self,
         implementation: Union[str, RunSpec],
-        routes: Sequence[RouteSpec],
+        routes: Iterable[RouteSpec],
         *,
         backend: str = "process",
         progress: Optional[Callable[[Dict[str, object]], None]] = None,
@@ -526,22 +561,15 @@ class ShardedReplay:
             # default beats silently never hearing from the workers.
             spec = spec.replace(heartbeat_every=500)
         self.spec = spec
-        self.routes = list(routes)
         self.backend = backend
         self.progress = progress
         self.events = events
-        self.partition = PartitionMap(
-            (route.prefix for route in self.routes), spec.shards
-        )
+        self._buckets = _bucket(routes, spec.shards)
 
-    def _payloads(self) -> List[tuple]:
-        buckets: List[List[RouteSpec]] = [
-            [] for _ in range(self.partition.shards)
-        ]
-        shard_of = self.partition.shard_of
-        for route in self.routes:
-            buckets[shard_of(route.prefix)].append(route)
-        return [(self.spec, shard, bucket) for shard, bucket in enumerate(buckets)]
+    @property
+    def buckets(self) -> Tuple[Tuple[RouteSpec, ...], ...]:
+        """Each shard's routes, in input order."""
+        return self._buckets
 
     def _emit(self, event: Dict[str, object]) -> None:
         """Deliver one heartbeat to the attached sinks (parent side)."""
@@ -552,112 +580,72 @@ class ShardedReplay:
 
     def run(self) -> ShardedResult:
         started = perf_counter()
-        payloads = self._payloads()
+        shards = len(self.buckets)
+        routes = sum(map(len, self.buckets))
         self._emit(
-            {
-                "event": "replay_start",
-                "ts": wall_clock(),
-                "shards": self.partition.shards,
-                "routes": len(self.routes),
-            }
+            {"event": "replay_start", "ts": wall_clock(), "shards": shards, "routes": routes}
         )
-        if self.backend == "inline" or self.partition.shards == 1:
-            global _HEARTBEAT_PUT
-            saved = _HEARTBEAT_PUT
-            _HEARTBEAT_PUT = self._emit if self.spec.heartbeat_every > 0 else None
-            try:
-                reports = [_replay_shard(payload) for payload in payloads]
-            finally:
-                _HEARTBEAT_PUT = saved
+        if self.backend == "inline" or shards == 1:
+            put = self._emit if self.spec.heartbeat_every > 0 else None
+            reports = [
+                _replay_shard(self.spec, shard, bucket, put)
+                for shard, bucket in enumerate(self.buckets)
+            ]
         else:
-            reports = self._run_pool(payloads)
+            reports = self._run_forked()
         wall_seconds = perf_counter() - started
         self._emit(
             {
                 "event": "replay_finish",
                 "ts": wall_clock(),
-                "shards": self.partition.shards,
-                "routes": len(self.routes),
+                "shards": shards,
+                "routes": routes,
                 "wall_seconds": wall_seconds,
             }
         )
         return ShardedResult(reports, wall_seconds)
 
-    def _run_pool(self, payloads: List[tuple]) -> List[Dict[str, object]]:
-        import os
-        from queue import Empty
-
-        # Never oversubscribe: with more workers than cores the
-        # shards time-slice, and their large working sets thrash
-        # the caches against each other (measured ~2.3x per-shard
-        # inflation at 4 shards on 1 core).  Excess shards queue
-        # and run at solo speed instead.
-        processes = min(self.partition.shards, os.cpu_count() or 1)
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else None
-        context = multiprocessing.get_context(start_method)
-        manager = context.Manager() if self.spec.heartbeat_every > 0 else None
-        heartbeats = manager.Queue() if manager is not None else None
-        initializer = _init_worker if heartbeats is not None else None
-        initargs = (heartbeats,) if heartbeats is not None else ()
-
-        def drain(block: bool) -> None:
-            while True:
-                try:
-                    event = (
-                        heartbeats.get(timeout=0.2)
-                        if block
-                        else heartbeats.get_nowait()
-                    )
-                except Empty:
-                    return
-                self._emit(event)
-                block = False
-
-        def wait_and_drain(pending) -> List[Dict[str, object]]:
-            if heartbeats is None:
-                return pending.get()
-            while not pending.ready():
-                drain(block=True)
-            drain(block=False)
-            return pending.get()
-
+    def _run_forked(self) -> List[Dict[str, object]]:
+        # Never oversubscribe: with more workers than cores the shards
+        # time-slice, and their large working sets thrash the caches
+        # against each other (measured ~2.3x per-shard inflation at 4
+        # shards on 1 core).  Excess shards wait and run at solo speed.
+        limit = min(len(self.buckets), os.cpu_count() or 1)
+        waiting = list(enumerate(self.buckets))
+        heartbeats = self.spec.heartbeat_every > 0
+        running: Dict[Connection, Tuple[int, int]] = {}  # receiver -> shard, pid
+        reports: Dict[int, Dict[str, object]] = {}
+        sys.stdout.flush()
+        sys.stderr.flush()
         try:
-            if start_method == "fork":
-                # Forked workers inherit the parent's memory, so the
-                # payloads (181k RouteSpecs per shard at full-table
-                # scale) ride the fork for free instead of being
-                # pickled through the Pool's pipe; only the shard
-                # index crosses it.
-                global _FORK_PAYLOADS
-                _FORK_PAYLOADS = payloads
-                try:
-                    with context.Pool(
-                        processes=processes,
-                        maxtasksperchild=1,
-                        initializer=initializer,
-                        initargs=initargs,
-                    ) as pool:
-                        reports = wait_and_drain(
-                            pool.map_async(
-                                _replay_shard_by_index,
-                                range(len(payloads)),
-                                chunksize=1,
-                            )
-                        )
-                finally:
-                    _FORK_PAYLOADS = None
-            else:
-                with context.Pool(
-                    processes=processes,
-                    maxtasksperchild=1,
-                    initializer=initializer,
-                    initargs=initargs,
-                ) as pool:
-                    reports = wait_and_drain(
-                        pool.map_async(_replay_shard, payloads, chunksize=1)
-                    )
+            while waiting or running:
+                while waiting and len(running) < limit:
+                    shard, bucket = waiting.pop(0)
+                    pid, receiver = _fork_shard(self.spec, shard, bucket, heartbeats)
+                    running[receiver] = (shard, pid)
+                for receiver in wait(list(running)):
+                    shard, pid = running[receiver]
+                    try:
+                        kind, body = receiver.recv()
+                    except (EOFError, OSError):  # closed, or cut mid-message
+                        del running[receiver]
+                        receiver.close()
+                        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                        if shard not in reports:
+                            raise RuntimeError(
+                                f"shard {shard} worker exited with status {status} "
+                                "before reporting"
+                            ) from None
+                        continue
+                    if kind == "event":
+                        self._emit(body)
+                    elif kind == "report":
+                        reports[shard] = body
+                    else:
+                        raise RuntimeError(f"shard {shard} worker failed:\n{body}")
         finally:
-            if manager is not None:
-                manager.shutdown()
-        return reports
+            for receiver, (_, pid) in running.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                receiver.close()
+        return list(reports.values())

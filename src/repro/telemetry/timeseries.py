@@ -45,7 +45,7 @@ import json
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .aggregate import family_names, merge_into, select, snapshot_registry
+from .aggregate import _check_snapshot, family_names, merge_into, select, snapshot_registry
 from .metrics import MetricsRegistry, bucket_quantile
 from .records import JsonlSink, Ring, read_jsonl, write_jsonl
 
@@ -361,14 +361,14 @@ def load_snapshot_source(path: str) -> Dict[str, object]:
         raise ValueError(f"{path}: expected a JSON object")
     if "timeseries_version" in document:
         return validate_sample(document)["registry"]  # type: ignore[return-value]
-    if "families" in document:
-        return document
-    registry = document.get("registry")
-    if isinstance(registry, dict) and "families" in registry:
-        return registry
-    raise ValueError(
-        f"{path}: not a registry snapshot, stats document or time-series"
-    )
+    registry = document if "families" in document else document.get("registry")
+    if not isinstance(registry, dict) or "families" not in registry:
+        raise ValueError(f"{path}: not a registry snapshot, stats document or time-series")
+    try:
+        _check_snapshot(registry)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return registry
 
 
 def _keyed_rows(

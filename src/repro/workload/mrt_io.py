@@ -7,8 +7,8 @@ benchmarks can replay archived tables instead of generated ones.
 
 ``iter_routes_from_mrt`` is the streaming twin: it yields the same
 rows in file order without ever materializing the table, so a 724k-route
-full-table dump can be partitioned into shard buckets (or counted, or
-filtered) at a memory cost of one record plus a bounded memo: tables
+full-table dump can be bucketed into shards (or counted, or filtered)
+at a memory cost of one read chunk plus a bounded memo: tables
 share attribute sets heavily (4,136 distinct blocks in the 20k-route
 benchmark table), so each distinct attribute block is decoded once.
 """
@@ -19,15 +19,7 @@ from typing import BinaryIO, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 
 from ..bgp.attributes import PathAttribute
 from ..bgp.constants import AttrTypeCode, Origin
-from ..mrt.format import (
-    MrtError,
-    PEER_INDEX_TABLE,
-    RIB_IPV4_UNICAST,
-    TABLE_DUMP_V2,
-    _decode_block,
-    _read_records,
-    _rib_rows,
-)
+from ..mrt.format import _decode_block, _walk_table
 from .rib_gen import RouteSpec
 
 __all__ = ["iter_routes_from_mrt", "routes_from_mrt"]
@@ -77,8 +69,8 @@ def iter_routes_from_mrt(source: Union[str, BinaryIO]) -> Iterator[RouteSpec]:
 
     Same semantics as :func:`routes_from_mrt` — entries without an
     AS_PATH are skipped (without claiming their prefix), duplicate
-    prefixes keep the first entry — but one record is held at a time,
-    so the full table never materializes.
+    prefixes keep the first entry — but the file is read a chunk at a
+    time, so the full table never materializes.
 
     Attribute blocks are decoded once per distinct block: a
     ``block bytes → fields`` memo (cleared at ``_MEMO_CAP`` entries)
@@ -95,31 +87,20 @@ def iter_routes_from_mrt(source: Union[str, BinaryIO]) -> Iterator[RouteSpec]:
         return
     seen = set()
     memo: Dict[bytes, _Fields] = {}
-    saw_index = False
-    for record in _read_records(source):
-        if record.record_type != TABLE_DUMP_V2:
-            continue
-        if record.subtype == PEER_INDEX_TABLE:
-            saw_index = True
-            continue
-        if record.subtype != RIB_IPV4_UNICAST:
-            continue
-        sequence, rows = _rib_rows(record.payload)
-        specs = []
-        for prefix, _, _, block in rows:
-            fields = memo.get(block)
-            if fields is None:
-                fields = _fields_from_attributes(_decode_block(sequence, block))
-                if len(memo) >= _MEMO_CAP:
-                    memo.clear()
-                memo[block] = fields
-            if fields is _NO_AS_PATH or prefix in seen:
-                continue
-            seen.add(prefix)
-            specs.append(RouteSpec(prefix, *fields))
-        yield from specs
-    if not saw_index:
-        raise MrtError("no PEER_INDEX_TABLE record")
+
+    def route(sequence: int, prefix, _peer, _originated, block: bytes) -> Optional[RouteSpec]:
+        fields = memo.get(block)
+        if fields is None:
+            fields = _fields_from_attributes(_decode_block(sequence, block))
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            memo[block] = fields
+        if fields is _NO_AS_PATH or prefix in seen:
+            return None
+        seen.add(prefix)
+        return RouteSpec(prefix, *fields)
+
+    yield from _walk_table(source, [], route)
 
 
 def routes_from_mrt(source: Union[str, BinaryIO]) -> List[RouteSpec]:

@@ -231,12 +231,9 @@ def block_runs(replay):
     """Runs a block-pure code makes in ``replay``: one per distinct
     attribute block in each vector (``spec.batch`` UPDATEs) of each
     shard's feed."""
-    spec, partition = replay.spec, replay.partition
-    buckets = [[] for _ in range(partition.shards)]
-    for route in replay.routes:
-        buckets[partition.shard_of(route.prefix)].append(route)
+    spec = replay.spec
     runs = 0
-    for bucket in buckets:
+    for bucket in replay.buckets:
         updates = [decode_message(data)[0] for data in build_feed(spec, bucket)[0]]
         for start in range(0, len(updates), spec.batch):
             vector = updates[start : start + spec.batch]

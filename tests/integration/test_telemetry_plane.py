@@ -14,15 +14,14 @@ import urllib.request
 
 import pytest
 
-from repro.bgp.messages import decode_message, encode_attributes
 from repro.cli import main
 from repro.scale import ShardedReplay
 from repro.sim.harness import ConvergenceHarness
-from repro.sim.testbed import build_feed
 from repro.telemetry import EventLog, ReplayProgress, TelemetryExporter
 from repro.telemetry.events import validate_jsonl
 from repro.telemetry.metrics import MetricsRegistry
 from repro.workload import RibGenerator
+from test_batch_parity import block_runs
 
 
 def counter_values(registry, prefix="xbgp_extension"):
@@ -36,8 +35,8 @@ def counter_values(registry, prefix="xbgp_extension"):
 
 
 #: Counters of runs and of what runs do: a block-pure code runs once per
-#: attribute block of a vector, and a shard holds part of a block, so
-#: these depend on the partition; every other counter,
+#: attribute block of a vector, so these depend on how each shard's feed
+#: is cut into vectors; every other counter,
 #: ``xbgp_extension_routes`` included, does not.
 RUN_FAMILIES = (
     "xbgp_extension_executions",
@@ -65,24 +64,6 @@ def run_replay(implementation, routes, shards, **kwargs):
     return make_replay(implementation, routes, shards, **kwargs).run()
 
 
-def block_runs(implementation, routes, shards):
-    """Runs each (block-pure) RR code makes in a ``shards``-way replay:
-    one per distinct attribute block in each vector of each shard's
-    feed."""
-    replay = make_replay(implementation, routes, shards)
-    spec, partition = replay.spec, replay.partition
-    buckets = [[] for _ in range(shards)]
-    for route in routes:
-        buckets[partition.shard_of(route.prefix)].append(route)
-    runs = 0
-    for bucket in buckets:
-        updates = [decode_message(data)[0] for data in build_feed(spec, bucket)[0]]
-        for start in range(0, len(updates), spec.batch):
-            vector = updates[start : start + spec.batch]
-            runs += len({encode_attributes(update.attributes) for update in vector if update.nlri})
-    return runs
-
-
 @pytest.mark.parametrize("implementation", ["frr", "bird"])
 def test_merged_worker_counters_match_sequential(implementation):
     routes = RibGenerator(n_routes=240, seed=17).generate()
@@ -94,8 +75,8 @@ def test_merged_worker_counters_match_sequential(implementation):
     sharded_counts = counter_values(sharded.merged_registry(shard_labels=False))
     assert seq_counts  # the extension actually executed
     assert sharded_counts.keys() == seq_counts.keys()
-    runs = block_runs(implementation, routes, 3)
-    seq_runs = block_runs(implementation, routes, 1)
+    runs = block_runs(make_replay(implementation, routes, 3))
+    seq_runs = block_runs(make_replay(implementation, routes, 1))
     for (name, labels), value in sharded_counts.items():
         if name not in RUN_FAMILIES:
             assert value == seq_counts[(name, labels)], name
@@ -273,11 +254,12 @@ def test_merged_timeseries_final_sample_matches_sequential(implementation):
     from repro.telemetry.timeseries import counter_total
 
     routes = RibGenerator(n_routes=240, seed=37).generate()
+    # Cadence in UPDATEs: each shard's feed is 18 UPDATEs + End-of-RIB.
     sequential = run_replay(
-        implementation, routes, shards=1, timeseries_every=40
+        implementation, routes, shards=1, timeseries_every=10
     )
     sharded = run_replay(
-        implementation, routes, shards=3, timeseries_every=40
+        implementation, routes, shards=3, timeseries_every=10
     )
     assert sequential.shard_timeseries is not None
     assert sharded.shard_timeseries is not None
@@ -287,8 +269,8 @@ def test_merged_timeseries_final_sample_matches_sequential(implementation):
     merged = sharded.merged_timeseries()
     final = merged[-1]
     # Two RR codes, each running once per (block, shard) pair.
-    runs = 2 * block_runs(implementation, routes, 3)
-    seq_runs = 2 * block_runs(implementation, routes, 1)
+    runs = 2 * block_runs(make_replay(implementation, routes, 3))
+    seq_runs = 2 * block_runs(make_replay(implementation, routes, 1))
     assert counter_total(final, "xbgp_extension_executions") == runs
     assert counter_total(seq_final, "xbgp_extension_executions") == seq_runs
     for family in (

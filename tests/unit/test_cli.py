@@ -751,6 +751,22 @@ class TestStatsDiff:
         with pytest.raises(SystemExit, match="not a registry snapshot"):
             main(["stats", "--diff", str(junk), str(junk)])
 
+    @pytest.mark.parametrize("shape", ["raw", "stats"])
+    def test_diff_refuses_what_merge_refuses(self, tmp_path, capsys, shape):
+        """One version check for both readers: a snapshot ``--merge``
+        refuses is refused by ``--diff`` too."""
+        import json
+
+        good = self._record(tmp_path, capsys, "run.json", 60)
+        document = json.loads(good.read_text())
+        document["registry"]["snapshot_version"] = 99
+        future = tmp_path / "future.json"
+        future.write_text(json.dumps(document["registry"] if shape == "raw" else document))
+        with pytest.raises(SystemExit, match="snapshot_version 99, expected 1"):
+            main(["stats", "--merge", str(future)])
+        with pytest.raises(SystemExit, match=r"future\.json: snapshot_version 99, expected 1"):
+            main(["stats", "--diff", str(good), str(future)])
+
     def test_diff_names_the_broken_line_of_a_timeseries(self, tmp_path, capsys):
         # Only the final sample is diffed, but every line is checked,
         # the way read_timeseries checks it: a broken first line fails.
