@@ -32,7 +32,7 @@ from ..bgp.attributes import (
     decode_attributes,
     encode_attributes,
 )
-from ..bgp.prefix import _MASK, _NBYTES, _SHIFT, Prefix
+from ..bgp.prefix import Prefix, PrefixDecodeError
 
 __all__ = [
     "MrtError",
@@ -95,29 +95,30 @@ def _encode_peer_index(collector_id: int, peers: Sequence[MrtPeer]) -> bytes:
 
 
 def _decode_peer_index(payload: bytes) -> Tuple[int, List[MrtPeer]]:
-    if len(payload) < 6:
-        raise MrtError("short PEER_INDEX_TABLE")
-    collector_id, name_length = struct.unpack_from("!IH", payload)
-    offset = 6 + name_length
-    (count,) = struct.unpack_from("!H", payload, offset)
-    offset += 2
-    peers: List[MrtPeer] = []
-    for _ in range(count):
-        peer_type = payload[offset]
-        offset += 1
-        (bgp_id,) = struct.unpack_from("!I", payload, offset)
-        offset += 4
-        if peer_type & 0x01:  # IPv6 peer address
-            raise MrtError("IPv6 peers not supported")
-        (address,) = struct.unpack_from("!I", payload, offset)
-        offset += 4
-        if peer_type & 0x02:
-            (asn,) = struct.unpack_from("!I", payload, offset)
+    try:
+        collector_id, name_length = struct.unpack_from("!IH", payload)
+        offset = 6 + name_length
+        (count,) = struct.unpack_from("!H", payload, offset)
+        offset += 2
+        peers: List[MrtPeer] = []
+        for _ in range(count):
+            peer_type = payload[offset]
+            offset += 1
+            (bgp_id,) = struct.unpack_from("!I", payload, offset)
             offset += 4
-        else:
-            (asn,) = struct.unpack_from("!H", payload, offset)
-            offset += 2
-        peers.append(MrtPeer(bgp_id, address, asn))
+            if peer_type & 0x01:  # IPv6 peer address
+                raise MrtError("IPv6 peers not supported")
+            (address,) = struct.unpack_from("!I", payload, offset)
+            offset += 4
+            if peer_type & 0x02:
+                (asn,) = struct.unpack_from("!I", payload, offset)
+                offset += 4
+            else:
+                (asn,) = struct.unpack_from("!H", payload, offset)
+                offset += 2
+            peers.append(MrtPeer(bgp_id, address, asn))
+    except (struct.error, IndexError):
+        raise MrtError("short PEER_INDEX_TABLE") from None
     return collector_id, peers
 
 
@@ -134,15 +135,17 @@ def _encode_rib_entry(sequence: int, entry: RibEntry) -> bytes:
 
 def _walk_table(
     stream: BinaryIO,
-    peers: List[MrtPeer],
+    peers: Optional[List[MrtPeer]],
     entry: Callable[[int, Prefix, int, int, bytes], Optional[_T]],
 ) -> Iterator[_T]:
     """The one TABLE_DUMP_V2 walker, shared by both readers.
 
     Reads ``stream`` in ``_CHUNK``-byte pieces (never the whole file),
-    fills ``peers`` from the PEER_INDEX_TABLE, and calls ``entry(sequence,
-    prefix, peer_index, originated, block)`` per RIB entry with its
-    attribute block undecoded, yielding each result that is not None.
+    fills ``peers`` from the PEER_INDEX_TABLE, and calls
+    ``entry(sequence, prefix, peer_index, originated, block)`` per RIB
+    entry with its attribute block undecoded, yielding each result that
+    is not None.  With ``peers=None`` the index is noted, not decoded,
+    so a real dump whose index lists IPv6 peers still streams.
     Every field is checked against its record before it is read, and a
     record's results are yielded only once all its entries are in, so a
     malformed record raises :class:`MrtError` and yields nothing; a
@@ -171,7 +174,8 @@ def _walk_table(
         if record_type != TABLE_DUMP_V2:
             continue  # tolerate other record types in real dumps
         if subtype == PEER_INDEX_TABLE:
-            peers[:] = _decode_peer_index(data[start:end])[1]
+            if peers is not None:
+                peers[:] = _decode_peer_index(data[start:end])[1]
             saw_index = True
             continue
         if subtype != RIB_IPV4_UNICAST:
@@ -179,20 +183,16 @@ def _walk_table(
         if length < 4:
             raise MrtError("RIB record too short for its sequence number")
         sequence = int.from_bytes(data[start : start + 4], "big")
-        at = start + 4
-        if at >= end:
-            raise MrtError(f"RIB record {sequence}: truncated prefix: missing length octet")
-        bits = data[at]
-        if bits > 32:
-            raise MrtError(f"RIB record {sequence}: prefix length {bits} > 32")
-        size = _NBYTES[bits]
-        at += 1 + size
-        if at > end:
-            raise MrtError(f"RIB record {sequence}: truncated prefix body")
-        network = int.from_bytes(data[at - size : at], "big") << _SHIFT[bits]
-        # Prefix.decode's body, inline: masked here, so Prefix's own
-        # mask is skipped.
-        prefix = tuple.__new__(Prefix, (network & _MASK[bits], bits))
+        try:
+            if length >= 9:
+                # An IPv4 prefix takes at most 5 octets, so it cannot
+                # run past this record: decode it in place.
+                prefix, at = Prefix.decode(data, start + 4)
+            else:
+                prefix, at = Prefix.decode(data[start:end], 4)
+                at += start
+        except PrefixDecodeError as exc:
+            raise MrtError(f"RIB record {sequence}: {exc}") from exc
         if at + 2 > end:
             raise MrtError(f"RIB record {sequence}: truncated entry count")
         count = (data[at] << 8) | data[at + 1]

@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import gc
 import os
+import pickle
 import signal
 import sys
-import traceback
 from bisect import bisect_right
 from collections import Counter
 from heapq import heapreplace
-from multiprocessing.connection import Connection, Pipe, wait
 from time import perf_counter, time as wall_clock
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..bgp.messages import UpdateMessage
 from ..bgp.prefix import Prefix
@@ -56,6 +55,9 @@ from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.timeseries import TimeSeriesSampler, merge_timeseries
 from ..workload.rib_gen import RouteSpec
 from .batch import BatchProcessor
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 __all__ = [
     "PartitionMap",
@@ -319,8 +321,13 @@ def _fork_shard(
     """Fork one worker for ``shard``; returns ``(pid, receiving end of
     its pipe)``.  The child inherits its bucket with the parent's
     memory, sends ``(kind, body)`` messages — ``event`` heartbeats, then
-    one ``report`` or ``error`` — and exits without running the parent's
-    exit handlers."""
+    one ``report``, or an ``error`` carrying the exception (None when it
+    does not survive pickling) and its formatted traceback — and exits
+    without running the parent's exit handlers."""
+    # Imported here, not with the module: the sequential replays import
+    # this module too and never fork.
+    from multiprocessing.connection import Pipe
+
     receiver, sender = Pipe(duplex=False)
     pid = os.fork()
     if pid:
@@ -333,8 +340,15 @@ def _fork_shard(
         try:
             sender.send(("report", _replay_shard(spec, shard, routes, put)))
             status = 0
-        except Exception:
-            sender.send(("error", traceback.format_exc()))
+        except Exception as exc:
+            import traceback
+
+            trace = traceback.format_exc()
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = None
+            sender.send(("error", (exc, trace)))
     finally:
         sys.stderr.flush()
         os._exit(status)
@@ -534,7 +548,9 @@ class ShardedReplay:
 
     ``backend="process"`` forks one worker per shard, never more at once
     than cores, each reporting through its own pipe; a worker that dies
-    before reporting is a :class:`RuntimeError` naming its shard.
+    before reporting is a :class:`RuntimeError` naming its shard, and an
+    exception a worker raises is re-raised in the parent with such a
+    ``RuntimeError`` (carrying the worker's traceback) as its cause.
     ``backend="inline"`` runs the same worker function in-process — same
     code path minus the process boundary, used by the fuzz oracle and
     for debugging.
@@ -606,6 +622,8 @@ class ShardedReplay:
         return ShardedResult(reports, wall_seconds)
 
     def _run_forked(self) -> List[Dict[str, object]]:
+        from multiprocessing.connection import wait  # lazily, as in _fork_shard
+
         # Never oversubscribe: with more workers than cores the shards
         # time-slice, and their large working sets thrash the caches
         # against each other (measured ~2.3x per-shard inflation at 4
@@ -642,7 +660,13 @@ class ShardedReplay:
                     elif kind == "report":
                         reports[shard] = body
                     else:
-                        raise RuntimeError(f"shard {shard} worker failed:\n{body}")
+                        error, trace = body
+                        failure = RuntimeError(f"shard {shard} worker failed:\n{trace}")
+                        if error is None:
+                            raise failure
+                        # The worker's own exception, as the inline backend
+                        # raises it, caused by one naming the shard.
+                        raise error from failure
         finally:
             for receiver, (_, pid) in running.items():
                 os.kill(pid, signal.SIGKILL)

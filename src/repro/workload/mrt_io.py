@@ -100,7 +100,7 @@ def iter_routes_from_mrt(source: Union[str, BinaryIO]) -> Iterator[RouteSpec]:
         seen.add(prefix)
         return RouteSpec(prefix, *fields)
 
-    yield from _walk_table(source, [], route)
+    yield from _walk_table(source, None, route)
 
 
 def routes_from_mrt(source: Union[str, BinaryIO]) -> List[RouteSpec]:

@@ -10,6 +10,7 @@ the summary collect mode against full collection.
 
 import os
 import random
+import re
 import signal
 import time
 from collections import Counter
@@ -169,7 +170,8 @@ class TestForkedWorkers:
             signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - started < 10
 
-    def test_worker_exception_names_its_shard(self, monkeypatch):
+    @pytest.mark.parametrize("backend", ["process", "inline"])
+    def test_worker_exception_keeps_its_type(self, monkeypatch, backend):
         real = shard_module._replay_shard
 
         def failing(spec, shard, routes, put):
@@ -178,7 +180,24 @@ class TestForkedWorkers:
             return real(spec, shard, routes, put)
 
         monkeypatch.setattr(shard_module, "_replay_shard", failing)
-        with pytest.raises(RuntimeError, match="(?s)shard 0 worker failed.*ValueError: boom"):
+        replay = self._replay(2)
+        replay.backend = backend
+        with pytest.raises(ValueError, match="boom") as caught:
+            replay.run()
+        if backend == "process":
+            cause = caught.value.__cause__
+            assert isinstance(cause, RuntimeError)
+            assert re.search("(?s)shard 0 worker failed.*ValueError: boom", str(cause))
+
+    def test_unpicklable_worker_exception_names_its_shard(self, monkeypatch):
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        def failing(spec, shard, routes, put):
+            raise Local("boom")
+
+        monkeypatch.setattr(shard_module, "_replay_shard", failing)
+        with pytest.raises(RuntimeError, match="(?s)shard [01] worker failed.*Local: boom"):
             self._replay(2).run()
 
     @pytest.mark.parametrize("shards", [2, 3])

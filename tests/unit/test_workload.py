@@ -435,3 +435,70 @@ class TestMemoisedBridge:
         first, second = iter_routes_from_mrt(io.BytesIO(data))
         assert first.as_path is second.as_path
         assert first.communities is second.communities
+
+
+def _peer_index(*peers):
+    """A PEER_INDEX_TABLE record of raw ``(type, bgp_id, address bytes,
+    asn)`` peers."""
+    payload = struct.pack("!IHH", 7, 0, len(peers))
+    for peer_type, bgp_id, address, asn in peers:
+        payload += struct.pack("!BI", peer_type, bgp_id) + address
+        payload += struct.pack("!I" if peer_type & 0x02 else "!H", asn)
+    return struct.pack("!IHHI", 0, 13, 1, len(payload)) + payload
+
+
+def _rib_records(*rib_payloads):
+    return b"".join(struct.pack("!IHHI", 0, 13, 2, len(p)) + p for p in rib_payloads)
+
+
+class TestPeerIndex:
+    """The streaming reader notes the PEER_INDEX_TABLE without decoding
+    it; ``read_table``, which returns the peers, decodes it and reports
+    what it cannot represent as an ``MrtError``."""
+
+    IPV6_PEER = (0x03, 1, bytes(range(16)), 65001)  # IPv6 address, 4-octet AS
+    IPV4_PEER = (0x00, 2, bytes([10, 0, 0, 9]), 65100)  # IPv4 address, 2-octet AS
+    RIBS = _rib_records(
+        _rib(0, "10.1.0.0/16", _block()), _rib(1, "10.2.0.0/16", _block(med=4))
+    )
+
+    def test_ipv6_peer_streams(self):
+        data = _peer_index(self.IPV6_PEER, self.IPV4_PEER) + self.RIBS
+        routes = list(iter_routes_from_mrt(io.BytesIO(data)))
+        assert [str(route.prefix) for route in routes] == ["10.1.0.0/16", "10.2.0.0/16"]
+        assert routes[1].med == 4
+        with pytest.raises(MrtError, match="IPv6 peers not supported"):
+            read_table(io.BytesIO(data))
+
+    def test_two_octet_as_peer_decodes(self):
+        peers, entries = read_table(io.BytesIO(_peer_index(self.IPV4_PEER) + self.RIBS))
+        assert peers == [MrtPeer(2, parse_ipv4("10.0.0.9"), 65100)]
+        assert len(entries) == 2
+
+    def test_truncated_index(self):
+        data = _peer_index(self.IPV4_PEER)
+        cut = data[:4] + struct.pack("!HHI", 13, 1, len(data) - 12 - 3) + data[12:-3]
+        with pytest.raises(MrtError, match="short PEER_INDEX_TABLE"):
+            read_table(io.BytesIO(cut + self.RIBS))
+        assert len(list(iter_routes_from_mrt(io.BytesIO(cut + self.RIBS)))) == 2
+
+
+class TestCutPrefix:
+    """A RIB record too short for its prefix is an ``MrtError`` naming
+    the record, even when the next record's bytes follow it."""
+
+    GOOD = _rib(0, "10.1.0.0/16", _block())
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (struct.pack("!I", 7), "missing length octet"),
+            (struct.pack("!I", 7) + bytes([24, 10, 7]), "truncated prefix body"),
+        ],
+    )
+    def test_both_readers_raise(self, payload, message):
+        data = _mrt(self.GOOD, payload, self.GOOD)
+        with pytest.raises(MrtError, match=f"RIB record 7: .*{message}"):
+            read_table(io.BytesIO(data))
+        with pytest.raises(MrtError, match=f"RIB record 7: .*{message}"):
+            list(iter_routes_from_mrt(io.BytesIO(data)))
