@@ -9,11 +9,11 @@ old speakers.  Paths are sequences of segments; the common case is one
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .constants import AsPathSegmentType
 
-__all__ = ["AsPathSegment", "AsPath", "AsPathDecodeError"]
+__all__ = ["AsPathSegment", "AsPath", "AsPathDecodeError", "decode_segments", "encode_segments"]
 
 
 class AsPathDecodeError(ValueError):
@@ -144,44 +144,16 @@ class AsPath:
 
     def encode(self, four_octet: bool = True) -> bytes:
         """Encode the attribute value field."""
-        fmt = "!I" if four_octet else "!H"
-        out = bytearray()
-        for segment in self.segments:
-            if len(segment.asns) > 255:
-                raise ValueError("segment longer than 255 ASes")
-            out.append(segment.kind)
-            out.append(len(segment.asns))
-            for asn in segment.asns:
-                if not four_octet and asn > 0xFFFF:
-                    raise ValueError(f"AS {asn} needs 4-octet encoding")
-                out += struct.pack(fmt, asn)
-        return bytes(out)
+        return encode_segments(
+            ((segment.kind, segment.asns) for segment in self.segments), four_octet
+        )
 
     @classmethod
     def decode(cls, data: bytes, four_octet: bool = True) -> "AsPath":
         """Decode an attribute value field."""
-        size = 4 if four_octet else 2
-        fmt = "!I" if four_octet else "!H"
-        segments: List[AsPathSegment] = []
-        offset = 0
-        while offset < len(data):
-            if offset + 2 > len(data):
-                raise AsPathDecodeError("truncated segment header")
-            kind = _SEGMENT_TYPES.get(data[offset])
-            if kind is None:
-                raise AsPathDecodeError(f"bad segment type {data[offset]}")
-            count = data[offset + 1]
-            offset += 2
-            end = offset + count * size
-            if end > len(data):
-                raise AsPathDecodeError("truncated segment body")
-            asns = [
-                struct.unpack_from(fmt, data, offset + i * size)[0]
-                for i in range(count)
-            ]
-            segments.append(AsPathSegment(kind, asns))
-            offset = end
-        return cls(segments)
+        return cls(
+            AsPathSegment(kind, asns) for kind, asns in decode_segments(data, four_octet)
+        )
 
     # -- dunder ------------------------------------------------------
 
@@ -208,3 +180,45 @@ class AsPath:
             else:
                 parts.append(rendered)
         return " ".join(parts)
+
+
+def decode_segments(data: bytes, four_octet: bool = True) -> Tuple[Tuple[int, tuple], ...]:
+    """Walk an AS_PATH value field into ``(segment type, asns)`` pairs,
+    without building path objects (a host's parser reads these)."""
+    size = 4 if four_octet else 2
+    code = "I" if four_octet else "H"
+    segments = []
+    offset = 0
+    while offset < len(data):
+        if offset + 2 > len(data):
+            raise AsPathDecodeError("truncated segment header")
+        kind = data[offset]
+        if kind not in _SEGMENT_TYPES:
+            raise AsPathDecodeError(f"bad segment type {kind}")
+        count = data[offset + 1]
+        offset += 2
+        end = offset + count * size
+        if end > len(data):
+            raise AsPathDecodeError("truncated segment body")
+        segments.append((kind, struct.unpack_from(f"!{count}{code}", data, offset)))
+        offset = end
+    return tuple(segments)
+
+
+def encode_segments(
+    segments: Iterable[Tuple[int, Sequence[int]]], four_octet: bool = True
+) -> bytes:
+    """The AS_PATH value field of ``(segment type, asns)`` pairs."""
+    code = "I" if four_octet else "H"
+    out = bytearray()
+    for kind, asns in segments:
+        count = len(asns)
+        if count > 255:
+            raise ValueError("segment longer than 255 ASes")
+        wide = () if four_octet else [asn for asn in asns if asn > 0xFFFF]
+        if wide:
+            raise ValueError(f"AS {wide[0]} needs 4-octet encoding")
+        out.append(kind)
+        out.append(count)
+        out += struct.pack(f"!{count}{code}", *asns)
+    return bytes(out)

@@ -7,8 +7,9 @@ RFC 4271 §4.3 encodes each attribute as::
 :class:`PathAttribute` holds exactly that — flags, type code and the
 raw network-byte-order value — which is xBGP's *neutral representation*
 (§2.1 of the paper: "the xBGP functions that deal with BGP messages and
-attributes always manipulate them in network byte order").  Host
-implementations translate this form to and from their internal storage.
+attributes always manipulate them in network byte order").  A host reads
+and writes an UPDATE without them, through :func:`attribute_tlvs` and
+:func:`encode_attribute`, as FRR parses straight into ``struct attr``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from .prefix import format_ipv4
 __all__ = [
     "PathAttribute",
     "AttributeDecodeError",
+    "attribute_tlvs",
     "decode_attributes",
+    "encode_attribute",
     "encode_attributes",
     "make_origin",
     "make_as_path",
@@ -72,6 +75,8 @@ _WELL_KNOWN_FLAGS: Dict[int, int] = {
 #: Flags of an attribute code the table does not know.
 _UNKNOWN_FLAGS = int(AttrFlag.OPTIONAL | AttrFlag.TRANSITIVE)
 _EXTENDED_LENGTH = int(AttrFlag.EXTENDED_LENGTH)
+_SHORT_HEADER = struct.Struct("!BBB")
+_LONG_HEADER = struct.Struct("!BBH")
 
 
 class PathAttribute:
@@ -102,14 +107,7 @@ class PathAttribute:
 
     def encode(self) -> bytes:
         """Encode flags/type/length/value, choosing extended length as needed."""
-        flags = self.flags
-        length = len(self.value)
-        if length > 255:
-            # 0x10 = extended-length flag (plain int: hot path).
-            header = struct.pack("!BBH", flags | 0x10, self.type_code, length)
-        else:
-            header = struct.pack("!BBB", flags & 0xEF, self.type_code, length)
-        return header + self.value
+        return encode_attribute(self.flags, self.type_code, self.value)
 
     # -- typed views -------------------------------------------------
 
@@ -135,10 +133,7 @@ class PathAttribute:
     def as_cluster_list(self) -> Tuple[int, ...]:
         if len(self.value) % 4 != 0:
             raise AttributeDecodeError("CLUSTER_LIST not a multiple of 4")
-        return tuple(
-            struct.unpack_from("!I", self.value, i)[0]
-            for i in range(0, len(self.value), 4)
-        )
+        return struct.unpack(f"!{len(self.value) // 4}I", self.value)
 
     # -- dunder ------------------------------------------------------
 
@@ -162,36 +157,66 @@ class PathAttribute:
         return f"PathAttribute({name}, flags={self.flags:#04x}, {self.value.hex()})"
 
 
-def decode_attributes(data: bytes) -> List[PathAttribute]:
-    """Decode a packed path-attributes block (UPDATE field)."""
-    attributes: List[PathAttribute] = []
+def attribute_tlvs(data: bytes) -> List[Tuple[int, int, bytes]]:
+    """Walk a packed path-attributes block (UPDATE field) into
+    ``(flags, type code, value)`` triples, in block order; the whole
+    block is checked before a host parses any of them."""
+    if type(data) is not bytes:
+        data = bytes(data)  # values are slices: keep them hashable
+    tlvs: List[Tuple[int, int, bytes]] = []
+    append = tlvs.append
+    size = len(data)
     offset = 0
-    while offset < len(data):
-        if offset + 2 > len(data):
+    while offset < size:
+        if offset + 2 > size:
             raise AttributeDecodeError("truncated attribute header")
         flags = data[offset]
         type_code = data[offset + 1]
         offset += 2
         if flags & _EXTENDED_LENGTH:
-            if offset + 2 > len(data):
+            if offset + 2 > size:
                 raise AttributeDecodeError("truncated extended length")
-            (length,) = struct.unpack_from("!H", data, offset)
+            length = (data[offset] << 8) | data[offset + 1]
             offset += 2
         else:
-            if offset + 1 > len(data):
+            if offset + 1 > size:
                 raise AttributeDecodeError("truncated length")
             length = data[offset]
             offset += 1
         end = offset + length
-        if end > len(data):
+        if end > size:
             raise AttributeDecodeError(
                 f"attribute {type_code} body truncated ({length} bytes claimed)"
             )
         # EXTENDED_LENGTH is an encoding artifact, not a semantic flag:
         # normalize it away so attribute identity survives re-encoding.
-        attributes.append(PathAttribute(flags & 0xEF, type_code, data[offset:end]))
+        append((flags & 0xEF, type_code, data[offset:end]))
         offset = end
+    return tlvs
+
+
+def decode_attributes(data: bytes) -> List[PathAttribute]:
+    """Decode a packed path-attributes block (UPDATE field)."""
+    attributes: List[PathAttribute] = []
+    append = attributes.append
+    new = PathAttribute.__new__
+    for flags, type_code, value in attribute_tlvs(data):
+        # Already in range: skip __init__'s normalisation.
+        attribute = new(PathAttribute)
+        attribute.flags = flags
+        attribute.type_code = type_code
+        attribute.value = value
+        append(attribute)
     return attributes
+
+
+def encode_attribute(flags: int, type_code: int, value: bytes) -> bytes:
+    """One attribute on the wire, extended length iff the value needs it."""
+    length = len(value)
+    if length > 255:
+        header = _LONG_HEADER.pack((flags | _EXTENDED_LENGTH) & 0xFF, type_code & 0xFF, length)
+        return header + value
+    return _SHORT_HEADER.pack(flags & 0xEF, type_code & 0xFF, length) + value
 
 
 def encode_attributes(attributes: Iterable[PathAttribute]) -> bytes:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .attributes import PathAttribute, decode_attributes, encode_attributes
+from .attributes import PathAttribute, attribute_tlvs, decode_attributes, encode_attributes
 from .constants import (
     BGP_HEADER_SIZE,
     BGP_MARKER,
@@ -214,6 +214,14 @@ class UpdateMessage:
             self._attributes = attributes
         return attributes
 
+    def tlvs(self) -> List[Tuple[int, int, bytes]]:
+        """``(flags, type code, value)`` of each path attribute, walked
+        straight out of the received bytes when there are any."""
+        wire = self._attrs_wire
+        if wire is not None:
+            return attribute_tlvs(wire)
+        return [(a.flags, a.type_code, a.value) for a in self._attributes]
+
     def attribute(self, type_code: int) -> Optional[PathAttribute]:
         """Return the attribute with ``type_code`` or None."""
         for attribute in self.attributes:
@@ -261,13 +269,13 @@ class UpdateMessage:
         withdrawn_end = offset + withdrawn_len
         if withdrawn_end + 2 > len(body):
             raise MessageDecodeError("UPDATE withdrawn field truncated", subcode=1)
-        withdrawn = list(Prefix.decode_all(body[offset:withdrawn_end]))
+        withdrawn = Prefix.decode_all(body[offset:withdrawn_end])
         (attrs_len,) = struct.unpack_from("!H", body, withdrawn_end)
         attrs_start = withdrawn_end + 2
         attrs_end = attrs_start + attrs_len
         if attrs_end > len(body):
             raise MessageDecodeError("UPDATE attribute field truncated", subcode=1)
-        nlri = list(Prefix.decode_all(body[attrs_end:]))
+        nlri = Prefix.decode_all(body[attrs_end:])
         message = cls(withdrawn, (), nlri)
         if attrs_len:
             message._attributes = None

@@ -12,7 +12,7 @@ followed by ``ceil(length / 8)`` octets of the most significant bits.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterator, Tuple
+from typing import List, Tuple
 
 __all__ = [
     "Prefix",
@@ -122,12 +122,24 @@ class Prefix(tuple):
         return tuple.__new__(cls, (network & _MASK[length], length)), end
 
     @classmethod
-    def decode_all(cls, data: bytes) -> Iterator["Prefix"]:
-        """Decode a packed run of prefixes (an NLRI field)."""
+    def decode_all(cls, data: bytes) -> List["Prefix"]:
+        """Decode a packed run of prefixes (an NLRI field), in one loop."""
+        prefixes = []
+        append = prefixes.append
+        new = tuple.__new__
+        size = len(data)
         offset = 0
-        while offset < len(data):
-            prefix, offset = cls.decode(data, offset)
-            yield prefix
+        while offset < size:
+            length = data[offset]
+            if length > 32:
+                raise PrefixDecodeError(f"prefix length {length} > 32")
+            start = offset + 1
+            offset = start + _NBYTES[length]
+            if offset > size:
+                raise PrefixDecodeError("truncated prefix body")
+            network = int.from_bytes(data[start:offset], "big") << _SHIFT[length]
+            append(new(cls, (network & _MASK[length], length)))
+        return prefixes
 
     # -- set relations -----------------------------------------------
 

@@ -20,7 +20,10 @@ class attributes
 
 hooks
     ``_init_representation()``         host-private stores, before the glue is built
-    ``_decode_attrs(attributes)``      wire attributes -> host attributes
+    ``_decode_attrs(tlvs)``            ``(flags, code, value)`` triples -> host
+                                       attributes
+    ``_encode_attrs(route)``           the route's natively encoded attribute
+                                       block, from host attributes
     ``_receive_container(attrs)``      what BGP_RECEIVE_MESSAGE sees as ``route``
     ``_received_attrs(container)``     host attributes after that point ran
     ``_validate_origin(prefix, asn)``  native origin validation
@@ -45,7 +48,7 @@ import struct
 from collections import Counter, defaultdict
 from functools import partial
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.abi import FILTER_ACCEPT, FILTER_REJECT
 from ..core.context import ExecutionContext
@@ -213,9 +216,18 @@ class BgpSpeaker:
     def _init_representation(self) -> None:
         """Create host-private stores (runs before the glue is built)."""
 
-    def _decode_attrs(self, attributes: Sequence[PathAttribute]):
-        """Wire attributes -> the host's attribute representation."""
+    def _decode_attrs(self, tlvs: Sequence[Tuple[int, int, bytes]]):
+        """``(flags, code, value)`` triples -> host attributes."""
         raise NotImplementedError
+
+    def _encode_attrs(self, route) -> bytes:
+        """The wire block of ``route``'s attributes in ``NATIVE_ENCODABLE``
+        (default: through the neutral objects)."""
+        return b"".join(
+            attribute.encode()
+            for attribute in route.attribute_list()
+            if attribute.type_code in NATIVE_ENCODABLE
+        )
 
     def _receive_container(self, attrs):
         """The object BGP_RECEIVE_MESSAGE extensions see as ``route``.
@@ -423,7 +435,8 @@ class BgpSpeaker:
             # every router the advert reaches — hangs off this span.
             prov.begin_update(None, kind="originate", prefix=str(prefix))
         try:
-            route = self.route_class(prefix, None, self._decode_attrs(attributes))
+            tlvs = [(a.flags, a.type_code, a.value) for a in attributes]
+            route = self.route_class(prefix, None, self._decode_attrs(tlvs))
             self._local_routes[prefix] = route
             self._sweep((prefix,))
         finally:
@@ -559,7 +572,7 @@ class BgpSpeaker:
                 wire = update._attrs_wire if attr_memo is not None else None
                 block = attr_memo.get(wire) if wire is not None else None
                 if block is None:
-                    attrs = decode(update.attributes)
+                    attrs = decode(update.tlvs())
                     block = (attrs, receive_hot and self._looped(neighbor, attrs))
                     if wire is not None:
                         attr_memo[wire] = block
@@ -948,11 +961,7 @@ class BgpSpeaker:
 
         attrs = self._export_rewrite(route, neighbor, source_ebgp)
         sent = self._share_attrs(route, attrs)
-        blob = b"".join(
-            attribute.encode()
-            for attribute in sent.attribute_list()
-            if attribute.type_code in NATIVE_ENCODABLE
-        )
+        blob = self._encode_attrs(sent)
         if encode_ctx is not None:
             out_buffer = encode_ctx.out_buffer = bytearray()
             encode_ctx.neighbor = neighbor

@@ -17,18 +17,12 @@ module supplies the BIRD *representation* behind its host contract
 from __future__ import annotations
 
 import struct
-from typing import Sequence
+from typing import Sequence, Tuple
 
-from ..bgp.attributes import (
-    PathAttribute,
-    make_as_path,
-    make_cluster_list,
-    make_next_hop,
-    make_originator_id,
-)
+from ..bgp.attributes import _flags_for, encode_attribute
 from ..bgp.constants import AttrTypeCode
 from ..bgp.peer import Neighbor
-from ..bgp.speaker import BgpSpeaker
+from ..bgp.speaker import NATIVE_ENCODABLE, BgpSpeaker
 from .eattrs import EattrList
 from .rib import BirdRoute
 from .xbgp_glue import BirdHost
@@ -43,17 +37,23 @@ class BirdDaemon(BgpSpeaker):
     route_class = BirdRoute
     host_class = BirdHost
 
-    def _decode_attrs(self, attributes: Sequence[PathAttribute]) -> EattrList:
-        return EattrList.from_wire(attributes)
+    def _decode_attrs(self, tlvs: Sequence[Tuple[int, int, bytes]]) -> EattrList:
+        return EattrList.from_tlvs(tlvs)
+
+    def _encode_attrs(self, route: BirdRoute) -> bytes:
+        # The eattrs already hold wire values: only headers are written.
+        return b"".join(
+            encode_attribute(eattr.flags, eattr.code, eattr.data)
+            for eattr in route.eattrs
+            if eattr.code & 0xFF in NATIVE_ENCODABLE
+        )
 
     def _stamp_reflection(self, route: BirdRoute) -> BirdRoute:
         eattrs = route.eattrs.copy()
         if AttrTypeCode.ORIGINATOR_ID not in eattrs:
             originator = route.source.peer_router_id if route.source else self.router_id
-            attr = make_originator_id(originator)
-            eattrs.ea_set(attr.type_code, attr.flags, attr.value)
-        attr = make_cluster_list((self.cluster_id,) + route.cluster_list())
-        eattrs.ea_set(attr.type_code, attr.flags, attr.value)
+            _set_u32s(eattrs, AttrTypeCode.ORIGINATOR_ID, originator)
+        _set_u32s(eattrs, AttrTypeCode.CLUSTER_LIST, self.cluster_id, *route.cluster_list())
         return route.with_eattrs(eattrs)
 
     def _export_rewrite(
@@ -62,19 +62,15 @@ class BirdDaemon(BgpSpeaker):
         eattrs = route.eattrs.copy()
         if neighbor.is_ebgp():
             path = route.as_path().prepend(self.asn)
-            attr = make_as_path(path)
-            eattrs.ea_set(attr.type_code, attr.flags, attr.value)
-            next_hop = make_next_hop(self.local_address)
-            eattrs.ea_set(next_hop.type_code, next_hop.flags, next_hop.value)
+            eattrs.ea_set(AttrTypeCode.AS_PATH, _flags_for(AttrTypeCode.AS_PATH), path.encode())
+            _set_u32s(eattrs, AttrTypeCode.NEXT_HOP, self.local_address)
             eattrs.ea_unset(AttrTypeCode.LOCAL_PREF)
             eattrs.ea_unset(AttrTypeCode.MULTI_EXIT_DISC)
         else:
             if AttrTypeCode.LOCAL_PREF not in eattrs:
-                local_pref = PathAttribute(0x40, AttrTypeCode.LOCAL_PREF, struct.pack("!I", 100))
-                eattrs.ea_set(local_pref.type_code, local_pref.flags, local_pref.value)
+                _set_u32s(eattrs, AttrTypeCode.LOCAL_PREF, 100)
             if self.nexthop_self and source_ebgp:
-                next_hop = make_next_hop(self.local_address)
-                eattrs.ea_set(next_hop.type_code, next_hop.flags, next_hop.value)
+                _set_u32s(eattrs, AttrTypeCode.NEXT_HOP, self.local_address)
         return eattrs.seal()
 
     def _share_attrs(self, route: BirdRoute, eattrs: EattrList) -> BirdRoute:
@@ -82,3 +78,8 @@ class BirdDaemon(BgpSpeaker):
         # still in the receive point's hands is never shared: that point
         # has run on every list before its routes reach a memo.
         return route if eattrs is route.eattrs else route.with_eattrs(eattrs.seal())
+
+
+def _set_u32s(eattrs: EattrList, code: int, *values: int) -> None:
+    """Write attribute ``code`` as raw 32-bit words, with its usual flags."""
+    eattrs.ea_set(code, _flags_for(code), struct.pack(f"!{len(values)}I", *values))

@@ -79,14 +79,18 @@ class EattrList:
         self._write_cache: Dict[Tuple[int, int, bytes], "EattrList"] = {}
 
     @classmethod
+    def from_tlvs(cls, tlvs: Iterable[Tuple[int, int, bytes]]) -> "EattrList":
+        """Build from an attribute block's ``(flags, code, value)``
+        triples (keeps raw values; a repeated code keeps the last)."""
+        instance = cls()
+        for flags, code, value in tlvs:
+            instance._attrs[code] = Eattr(code, flags, value)
+        return instance
+
+    @classmethod
     def from_wire(cls, attributes: Iterable[PathAttribute]) -> "EattrList":
         """Build from decoded path attributes (keeps raw values)."""
-        instance = cls()
-        for attribute in attributes:
-            instance._attrs[attribute.type_code] = Eattr(
-                attribute.type_code, attribute.flags, attribute.value
-            )
-        return instance
+        return cls.from_tlvs((a.flags, a.type_code, a.value) for a in attributes)
 
     # -- the flexible attribute API --------------------------------------
 

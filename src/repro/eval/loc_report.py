@@ -7,7 +7,7 @@ the BGP data structures in memory."
 
 This module counts the equivalent lines in this repo — the xBGP glue
 module of each host plus, for PyFRR, the representation-conversion
-functions the glue depends on (``FrrAttrs.from_wire`` and friends),
+functions the glue depends on (``FrrAttrs.parse_field`` and friends),
 which is exactly the extra work the paper attributes to FRRouting.
 Absolute counts differ from C, but the claim under test is the
 *asymmetry*: FRR glue > BIRD glue.
@@ -24,9 +24,15 @@ __all__ = ["count_module_loc", "count_function_loc", "glue_report", "render_tabl
 
 #: FrrAttrs methods that exist purely to convert between the host
 #: representation and the neutral one (the paper's "several functions
-#: to do the conversion between the two representations").
+#: to do the conversion between the two representations"): the one
+#: field parser and the one field encoder, the block-level callers the
+#: UPDATE path uses, and the per-attribute ones the glue uses.
 _FRR_CONVERSION_FUNCTIONS = [
+    "parse_field",
+    "from_tlvs",
     "from_wire",
+    "encode_field",
+    "wire_tlvs",
     "to_wire",
     "attr_to_wire",
     "with_attr_wire",

@@ -4,37 +4,51 @@ Real FRRouting parses path attributes into ``struct attr`` — host
 byte order, fixed fields — and hash-conses them (``attrhash``).  The
 paper's FRR glue was the bigger one precisely because of this: every
 xBGP call crossing the API needs conversion between this parsed form
-and the neutral network-byte-order representation.  The conversion
-functions live here (:meth:`FrrAttrs.from_wire`, :meth:`FrrAttrs.to_wire`,
-:meth:`FrrAttrs.attr_to_wire`) and are exercised by the glue on every
-``get_attr``/``set_attr``.
+and the neutral network-byte-order representation.  It lives here: one
+field parser (:meth:`FrrAttrs.parse_field`) and one field encoder
+(:meth:`FrrAttrs.encode_field`), which an UPDATE's block goes through
+straight from and to the wire, and the glue one attribute at a time.
 """
 
 from __future__ import annotations
 
 import struct
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from ..bgp.aspath import AsPath, AsPathSegment
-from ..bgp.attributes import (
-    PathAttribute,
-    make_as_path,
-    make_atomic_aggregate,
-    make_aggregator,
-    make_cluster_list,
-    make_communities,
-    make_local_pref,
-    make_med,
-    make_next_hop,
-    make_origin,
-    make_originator_id,
-)
+from ..bgp.aspath import decode_segments, encode_segments
+from ..bgp.attributes import PathAttribute, _flags_for
+from ..bgp.communities import encode_communities
 from ..bgp.constants import AttrTypeCode, Origin
 
 __all__ = ["FrrAttrs", "AttrPool"]
 
 #: Parsed AS path in host form: tuple of (segment kind, tuple of ASNs).
 HostPath = Tuple[Tuple[int, Tuple[int, ...]], ...]
+
+#: Attribute code -> the field it is parsed into, in code order; every
+#: other code is carried raw in ``extra``.
+_FIELDS: Dict[int, str] = {
+    int(AttrTypeCode.ORIGIN): "origin",
+    int(AttrTypeCode.AS_PATH): "as_path",
+    int(AttrTypeCode.NEXT_HOP): "next_hop",
+    int(AttrTypeCode.MULTI_EXIT_DISC): "med",
+    int(AttrTypeCode.LOCAL_PREF): "local_pref",
+    int(AttrTypeCode.ATOMIC_AGGREGATE): "atomic_aggregate",
+    int(AttrTypeCode.AGGREGATOR): "aggregator",
+    int(AttrTypeCode.COMMUNITIES): "communities",
+    int(AttrTypeCode.ORIGINATOR_ID): "originator_id",
+    int(AttrTypeCode.CLUSTER_LIST): "cluster_list",
+}
+#: What ``FrrAttrs._key`` lists, in order.
+_KEY_FIELDS = (*_FIELDS.values(), "extra")
+#: (code, the flags FRR writes for it) of each field, in ``_key`` order.
+_FIELD_FLAGS = tuple((code, _flags_for(code)) for code in _FIELDS)
+#: Value of a field whose attribute is absent, where it is not None.
+_ABSENT = {"as_path": (), "atomic_aggregate": False}
+_U32 = struct.Struct("!I")
+_U32_PAIR = struct.Struct("!II")
+_code = itemgetter(1)
 
 
 class FrrAttrs:
@@ -60,7 +74,6 @@ class FrrAttrs:
         "extra",
         "_key",
         "_hash",
-        "_wire_cache",
         "_attr_cache",
         "_packed_cache",
         "_write_cache",
@@ -105,7 +118,6 @@ class FrrAttrs:
             self.extra,
         )
         self._hash = hash(self._key)
-        self._wire_cache: Optional[List[PathAttribute]] = None
         # Per-attribute neutral-form cache: FrrAttrs are immutable and
         # interned, so each host->wire conversion happens once (FRR
         # itself caches encoded attribute blobs the same way).
@@ -120,9 +132,6 @@ class FrrAttrs:
         # intern happens once per (set, write) pair.
         self._write_cache: Dict[Tuple[int, int, bytes], "FrrAttrs"] = {}
 
-    def key(self):
-        return self._key
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FrrAttrs):
             return NotImplemented
@@ -131,223 +140,135 @@ class FrrAttrs:
     def __hash__(self) -> int:
         return self._hash
 
-    # -- conversion: wire (neutral) -> host ------------------------------
+    # -- conversion: wire -> host ---------------------------------------
+
+    @staticmethod
+    def parse_field(code: int, value: bytes):
+        """The one wire -> host parser: the value of attribute ``code``
+        (a key of ``_FIELDS``) in host form, or None when a fixed-size
+        value has the wrong size.  A malformed AS_PATH raises
+        :class:`~repro.bgp.aspath.AsPathDecodeError`."""
+        length = len(value)
+        if code == 2:  # AS_PATH
+            return decode_segments(value)
+        if code == 1:  # ORIGIN
+            return value[0] if length == 1 else None
+        if code == 6:  # ATOMIC_AGGREGATE
+            return True
+        if code == 7:  # AGGREGATOR
+            return _U32_PAIR.unpack(value) if length == 8 else None
+        if code == 8 or code == 10:  # COMMUNITIES, CLUSTER_LIST
+            if length % 4:
+                return None
+            values = struct.unpack(f"!{length // 4}I", value)
+            return frozenset(values) if code == 8 else values
+        # NEXT_HOP, MED, LOCAL_PREF, ORIGINATOR_ID
+        return _U32.unpack(value)[0] if length == 4 else None
+
+    @classmethod
+    def from_tlvs(cls, tlvs: Iterable[Tuple[int, int, bytes]]) -> "FrrAttrs":
+        """Parse an attribute block's ``(flags, code, value)`` triples; a
+        wrong-size fixed field is kept raw in ``extra``, like any code
+        without a field."""
+        fields: Dict[str, object] = {}
+        extra: List[Tuple[int, int, bytes]] = []
+        for flags, code, value in tlvs:
+            field = _FIELDS.get(code)
+            parsed = None if field is None else cls.parse_field(code, value)
+            if parsed is None:
+                extra.append((code, flags, value))
+            else:
+                fields[field] = parsed
+        return cls(extra=extra, **fields)  # type: ignore[arg-type]
 
     @classmethod
     def from_wire(cls, attributes: Iterable[PathAttribute]) -> "FrrAttrs":
         """Parse neutral attributes into the host representation."""
-        fields: Dict[str, object] = {}
-        extra: List[Tuple[int, int, bytes]] = []
-        for attribute in attributes:
-            code = attribute.type_code
-            if code == AttrTypeCode.ORIGIN and len(attribute.value) == 1:
-                fields["origin"] = attribute.value[0]
-            elif code == AttrTypeCode.AS_PATH:
-                path = AsPath.decode(attribute.value)
-                fields["as_path"] = tuple(
-                    (int(segment.kind), segment.asns) for segment in path.segments
-                )
-            elif code == AttrTypeCode.NEXT_HOP and len(attribute.value) == 4:
-                fields["next_hop"] = struct.unpack("!I", attribute.value)[0]
-            elif code == AttrTypeCode.MULTI_EXIT_DISC and len(attribute.value) == 4:
-                fields["med"] = struct.unpack("!I", attribute.value)[0]
-            elif code == AttrTypeCode.LOCAL_PREF and len(attribute.value) == 4:
-                fields["local_pref"] = struct.unpack("!I", attribute.value)[0]
-            elif code == AttrTypeCode.ATOMIC_AGGREGATE:
-                fields["atomic_aggregate"] = True
-            elif code == AttrTypeCode.AGGREGATOR and len(attribute.value) == 8:
-                fields["aggregator"] = struct.unpack("!II", attribute.value)
-            elif code == AttrTypeCode.COMMUNITIES and len(attribute.value) % 4 == 0:
-                fields["communities"] = frozenset(
-                    struct.unpack_from("!I", attribute.value, i)[0]
-                    for i in range(0, len(attribute.value), 4)
-                )
-            elif code == AttrTypeCode.ORIGINATOR_ID and len(attribute.value) == 4:
-                fields["originator_id"] = struct.unpack("!I", attribute.value)[0]
-            elif code == AttrTypeCode.CLUSTER_LIST and len(attribute.value) % 4 == 0:
-                fields["cluster_list"] = tuple(
-                    struct.unpack_from("!I", attribute.value, i)[0]
-                    for i in range(0, len(attribute.value), 4)
-                )
-            else:
-                extra.append((code, attribute.flags, attribute.value))
-        return cls(extra=tuple(extra), **fields)  # type: ignore[arg-type]
+        return cls.from_tlvs((a.flags, a.type_code, a.value) for a in attributes)
 
-    # -- conversion: host -> wire (neutral) ----------------------------------
+    # -- conversion: host -> wire ---------------------------------------
+
+    def encode_field(self, code: int, value) -> Optional[bytes]:
+        """The one host -> wire encoder: the value bytes of field
+        ``code`` (a key of ``_FIELDS``) holding ``value``, None when the
+        attribute is absent.  An ORIGIN outside 0-2 raises ValueError."""
+        if value is None or value is False:
+            return None
+        if code == 2:  # AS_PATH: written empty beside an ORIGIN
+            return encode_segments(value) if value or self.origin is not None else None
+        if code == 1:  # ORIGIN
+            return bytes((Origin(value),))
+        if code == 6:  # ATOMIC_AGGREGATE
+            return b""
+        if code == 7:  # AGGREGATOR
+            return _U32_PAIR.pack(*value)
+        if code == 8:  # COMMUNITIES
+            return encode_communities(value)
+        if code == 10:  # CLUSTER_LIST
+            return struct.pack(f"!{len(value)}I", *value)
+        return _U32.pack(value)  # NEXT_HOP, MED, LOCAL_PREF, ORIGINATOR_ID
+
+    def wire_tlvs(self) -> List[Tuple[int, int, bytes]]:
+        """Every attribute as ``(flags, code, value)``, by type code;
+        FRR writes its own canonical flags for the fields."""
+        tlvs = []
+        for (code, flags), value in zip(_FIELD_FLAGS, self._key):
+            if value is not None:
+                value = self.encode_field(code, value)
+                if value is not None:
+                    tlvs.append((flags, code, value))
+        if self.extra:
+            tlvs += [(flags & 0xFF, code & 0xFF, value) for code, flags, value in self.extra]
+            tlvs.sort(key=_code)
+        return tlvs
 
     def to_wire(self) -> List[PathAttribute]:
         """Serialize the parsed set back to neutral attributes."""
-        if self._wire_cache is not None:
-            return list(self._wire_cache)
-        out: List[PathAttribute] = []
-        if self.origin is not None:
-            out.append(make_origin(Origin(self.origin)))
-        if self.as_path or self.origin is not None:
-            segments = [AsPathSegment(kind, asns) for kind, asns in self.as_path]
-            out.append(make_as_path(AsPath(segments)))
-        if self.next_hop is not None:
-            out.append(make_next_hop(self.next_hop))
-        if self.med is not None:
-            out.append(make_med(self.med))
-        if self.local_pref is not None:
-            out.append(make_local_pref(self.local_pref))
-        if self.atomic_aggregate:
-            out.append(make_atomic_aggregate())
-        if self.aggregator is not None:
-            out.append(make_aggregator(*self.aggregator))
-        if self.communities is not None:
-            out.append(make_communities(self.communities))
-        if self.originator_id is not None:
-            out.append(make_originator_id(self.originator_id))
-        if self.cluster_list is not None:
-            out.append(make_cluster_list(self.cluster_list))
-        for code, flags, value in self.extra:
-            out.append(PathAttribute(flags, code, value))
-        out.sort(key=lambda a: a.type_code)
-        self._wire_cache = out
-        return list(out)
+        return [PathAttribute(*tlv) for tlv in self.wire_tlvs()]
 
     def attr_to_wire(self, code: int) -> Optional[PathAttribute]:
         """Convert one attribute to neutral form (glue hot path, memoised)."""
         cache = self._attr_cache
         if code in cache:
             return cache[code]
-        result = self._attr_to_wire_uncached(code)
-        cache[code] = result
+        if code in _FIELDS:
+            value = self.encode_field(code, getattr(self, _FIELDS[code]))
+            tlv = None if value is None else (_flags_for(code), code, value)
+        else:
+            tlv = next(((f, code, v) for c, f, v in self.extra if c == code), None)
+        result = cache[code] = None if tlv is None else PathAttribute(*tlv)
         return result
-
-    def _attr_to_wire_uncached(self, code: int) -> Optional[PathAttribute]:
-        if code == AttrTypeCode.ORIGIN:
-            return make_origin(Origin(self.origin)) if self.origin is not None else None
-        if code == AttrTypeCode.AS_PATH:
-            if not self.as_path and self.origin is None:
-                return None
-            segments = [AsPathSegment(kind, asns) for kind, asns in self.as_path]
-            return make_as_path(AsPath(segments))
-        if code == AttrTypeCode.NEXT_HOP:
-            return make_next_hop(self.next_hop) if self.next_hop is not None else None
-        if code == AttrTypeCode.MULTI_EXIT_DISC:
-            return make_med(self.med) if self.med is not None else None
-        if code == AttrTypeCode.LOCAL_PREF:
-            return (
-                make_local_pref(self.local_pref)
-                if self.local_pref is not None
-                else None
-            )
-        if code == AttrTypeCode.ATOMIC_AGGREGATE:
-            return make_atomic_aggregate() if self.atomic_aggregate else None
-        if code == AttrTypeCode.AGGREGATOR:
-            return make_aggregator(*self.aggregator) if self.aggregator else None
-        if code == AttrTypeCode.COMMUNITIES:
-            return (
-                make_communities(self.communities)
-                if self.communities is not None
-                else None
-            )
-        if code == AttrTypeCode.ORIGINATOR_ID:
-            return (
-                make_originator_id(self.originator_id)
-                if self.originator_id is not None
-                else None
-            )
-        if code == AttrTypeCode.CLUSTER_LIST:
-            return (
-                make_cluster_list(self.cluster_list)
-                if self.cluster_list is not None
-                else None
-            )
-        for extra_code, flags, value in self.extra:
-            if extra_code == code:
-                return PathAttribute(flags, code, value)
-        return None
 
     # -- functional updates (new interned instance per change) -----------------
 
     def replaced(self, **changes) -> "FrrAttrs":
-        fields = {
-            "origin": self.origin,
-            "as_path": self.as_path,
-            "next_hop": self.next_hop,
-            "med": self.med,
-            "local_pref": self.local_pref,
-            "atomic_aggregate": self.atomic_aggregate,
-            "aggregator": self.aggregator,
-            "communities": self.communities,
-            "originator_id": self.originator_id,
-            "cluster_list": self.cluster_list,
-            "extra": self.extra,
-        }
+        fields = dict(zip(_KEY_FIELDS, self._key))
         fields.update(changes)
         return FrrAttrs(**fields)  # type: ignore[arg-type]
 
     def with_attr_wire(self, code: int, flags: int, value: bytes) -> "FrrAttrs":
         """Set one attribute from its neutral form (conversion in).
 
-        Parses the single attribute's wire bytes straight into the host
-        field (this is the glue hot path: the RR extension calls it for
-        every reflected route).
+        The glue hot path: the RR extension calls it for every reflected
+        route.  A value :meth:`parse_field` cannot parse raises
+        ValueError, so the write is refused.
         """
-        changes: Dict[str, object] = {}
-        if code == AttrTypeCode.ORIGIN:
-            if len(value) != 1:
-                raise ValueError("ORIGIN must be one byte")
-            changes["origin"] = value[0]
-        elif code == AttrTypeCode.AS_PATH:
-            path = AsPath.decode(value)
-            changes["as_path"] = tuple(
-                (int(segment.kind), segment.asns) for segment in path.segments
-            )
-        elif code == AttrTypeCode.NEXT_HOP:
-            changes["next_hop"] = struct.unpack("!I", value)[0]
-        elif code == AttrTypeCode.MULTI_EXIT_DISC:
-            changes["med"] = struct.unpack("!I", value)[0]
-        elif code == AttrTypeCode.LOCAL_PREF:
-            changes["local_pref"] = struct.unpack("!I", value)[0]
-        elif code == AttrTypeCode.ATOMIC_AGGREGATE:
-            changes["atomic_aggregate"] = True
-        elif code == AttrTypeCode.AGGREGATOR:
-            changes["aggregator"] = struct.unpack("!II", value)
-        elif code == AttrTypeCode.COMMUNITIES:
-            if len(value) % 4 != 0:
-                raise ValueError("COMMUNITIES not a multiple of 4")
-            changes["communities"] = frozenset(
-                struct.unpack_from("!I", value, i)[0] for i in range(0, len(value), 4)
-            )
-        elif code == AttrTypeCode.ORIGINATOR_ID:
-            changes["originator_id"] = struct.unpack("!I", value)[0]
-        elif code == AttrTypeCode.CLUSTER_LIST:
-            if len(value) % 4 != 0:
-                raise ValueError("CLUSTER_LIST not a multiple of 4")
-            changes["cluster_list"] = tuple(
-                struct.unpack_from("!I", value, i)[0] for i in range(0, len(value), 4)
-            )
-        else:
-            extra = tuple(
-                entry for entry in self.extra if entry[0] != code
-            ) + ((code, flags, bytes(value)),)
-            changes["extra"] = extra
-        return self.replaced(**changes)
+        field = _FIELDS.get(code)
+        if field is None:
+            extra = [entry for entry in self.extra if entry[0] != code]
+            return self.replaced(extra=extra + [(code, flags, bytes(value))])
+        parsed = self.parse_field(code, value)
+        if parsed is None:
+            raise ValueError(f"attribute {code} cannot be {len(value)} bytes")
+        return self.replaced(**{field: parsed})
 
     def without_attr(self, code: int) -> Tuple["FrrAttrs", bool]:
         """Remove one attribute; returns (new set, removed?)."""
-        mapping = {
-            AttrTypeCode.ORIGIN: ("origin", None),
-            AttrTypeCode.AS_PATH: ("as_path", ()),
-            AttrTypeCode.NEXT_HOP: ("next_hop", None),
-            AttrTypeCode.MULTI_EXIT_DISC: ("med", None),
-            AttrTypeCode.LOCAL_PREF: ("local_pref", None),
-            AttrTypeCode.ATOMIC_AGGREGATE: ("atomic_aggregate", False),
-            AttrTypeCode.AGGREGATOR: ("aggregator", None),
-            AttrTypeCode.COMMUNITIES: ("communities", None),
-            AttrTypeCode.ORIGINATOR_ID: ("originator_id", None),
-            AttrTypeCode.CLUSTER_LIST: ("cluster_list", None),
-        }
-        entry = mapping.get(code)
-        if entry is not None:
-            field, empty = entry
+        field = _FIELDS.get(code)
+        if field is not None:
             if getattr(self, field) in (None, (), False):
                 return self, False
-            return self.replaced(**{field: empty}), True
+            return self.replaced(**{field: _ABSENT.get(field)}), True
         extra = tuple(item for item in self.extra if item[0] != code)
         if len(extra) == len(self.extra):
             return self, False
@@ -364,18 +285,17 @@ class AttrPool:
     """FRR's ``attrhash``: hash-consing pool for attribute sets."""
 
     def __init__(self) -> None:
-        self._pool: Dict[tuple, FrrAttrs] = {}
+        self._pool: Dict[FrrAttrs, FrrAttrs] = {}
         self.hits = 0
         self.misses = 0
 
     def intern(self, attrs: FrrAttrs) -> FrrAttrs:
-        existing = self._pool.get(attrs.key())
-        if existing is not None:
+        existing = self._pool.setdefault(attrs, attrs)
+        if existing is attrs:
+            self.misses += 1
+        else:
             self.hits += 1
-            return existing
-        self.misses += 1
-        self._pool[attrs.key()] = attrs
-        return attrs
+        return existing
 
     def __len__(self) -> int:
         return len(self._pool)

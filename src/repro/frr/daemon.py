@@ -15,14 +15,14 @@ contract (mirroring what the paper ran into in FRRouting):
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
-from ..bgp.attributes import PathAttribute
+from ..bgp.attributes import encode_attribute
 from ..bgp.constants import RouteOriginValidity
 from ..bgp.peer import Neighbor
 from ..bgp.prefix import Prefix
 from ..bgp.roa import TrieRoaTable
-from ..bgp.speaker import BgpSpeaker
+from ..bgp.speaker import NATIVE_ENCODABLE, BgpSpeaker
 from .attrs_intern import AttrPool, FrrAttrs
 from .rib import FrrRoute
 from .xbgp_glue import FrrHost, _AttrsBox
@@ -43,9 +43,17 @@ class FrrDaemon(BgpSpeaker):
     def _init_representation(self) -> None:
         self.attr_pool = AttrPool()
 
-    def _decode_attrs(self, attributes: Sequence[PathAttribute]) -> FrrAttrs:
+    def _decode_attrs(self, tlvs: Sequence[Tuple[int, int, bytes]]) -> FrrAttrs:
         # FRR parses the whole attribute block into struct attr first.
-        return self.attr_pool.intern(FrrAttrs.from_wire(attributes))
+        return self.attr_pool.intern(FrrAttrs.from_tlvs(tlvs))
+
+    def _encode_attrs(self, route: FrrRoute) -> bytes:
+        # Written out of the struct fields, as bgp_packet_attribute does.
+        return b"".join(
+            encode_attribute(flags, code, value)
+            for flags, code, value in route.attrs.wire_tlvs()
+            if code in NATIVE_ENCODABLE
+        )
 
     def _receive_container(self, attrs: FrrAttrs) -> _AttrsBox:
         return _AttrsBox(attrs)

@@ -142,10 +142,5 @@ class FrrHost(HostImplementation):
         self.daemon.originate(prefix, next_hop=next_hop or None)
         return True
 
-    def encode_route_attributes(self, ctx: ExecutionContext, route) -> bytes:
-        from ..bgp.attributes import encode_attributes
-
-        return encode_attributes(route.attribute_list())
-
     def log(self, message: str) -> None:
         self.daemon.log(message)

@@ -219,11 +219,11 @@ def _walk_table(
         raise MrtError("no PEER_INDEX_TABLE record")
 
 
-def _decode_block(sequence: int, block: bytes) -> Tuple[PathAttribute, ...]:
-    """Decode one entry's attribute block; malformed bytes are the
+def _decode_block(sequence: int, block: bytes, decode=decode_attributes) -> tuple:
+    """``decode`` one entry's attribute block; malformed bytes are the
     record's fault, so they surface as :class:`MrtError`."""
     try:
-        return tuple(decode_attributes(block))
+        return tuple(decode(block))
     except AttributeDecodeError as exc:
         raise MrtError(f"RIB record {sequence}: {exc}") from exc
 

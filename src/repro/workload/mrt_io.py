@@ -15,9 +15,11 @@ benchmark table), so each distinct attribute block is decoded once.
 
 from __future__ import annotations
 
-from typing import BinaryIO, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from ..bgp.attributes import PathAttribute
+from ..bgp.aspath import decode_segments
+from ..bgp.attributes import PathAttribute, attribute_tlvs
+from ..bgp.communities import decode_communities
 from ..bgp.constants import AttrTypeCode, Origin
 from ..mrt.format import _decode_block, _walk_table
 from .rib_gen import RouteSpec
@@ -35,22 +37,22 @@ _Fields = Tuple[Tuple[int, ...], int, Optional[int], Tuple[int, ...]]
 _NO_AS_PATH: _Fields = ((), int(Origin.INCOMPLETE), None, ())
 
 
-def _fields_from_attributes(attributes: Sequence[PathAttribute]) -> _Fields:
-    """Decoded attributes → RouteSpec fields, or ``_NO_AS_PATH``."""
+def _fields_from_tlvs(tlvs: Iterable[Tuple[int, int, bytes]]) -> _Fields:
+    """An attribute block's ``(flags, code, value)`` triples → RouteSpec
+    fields, or ``_NO_AS_PATH``."""
     as_path = ()
     origin = int(Origin.INCOMPLETE)
     med = None
     communities = ()
-    for attribute in attributes:
-        code = attribute.type_code
+    for flags, code, value in tlvs:
         if code == AttrTypeCode.AS_PATH:
-            as_path = tuple(attribute.as_path().asn_iter())
-        elif code == AttrTypeCode.ORIGIN and attribute.value:
-            origin = attribute.value[0]
+            as_path = tuple(asn for _, asns in decode_segments(value) for asn in asns)
+        elif code == AttrTypeCode.ORIGIN and value:
+            origin = value[0]
         elif code == AttrTypeCode.MULTI_EXIT_DISC:
-            med = attribute.as_u32()
+            med = PathAttribute(flags, code, value).as_u32()
         elif code == AttrTypeCode.COMMUNITIES:
-            communities = tuple(sorted(int(c) for c in attribute.as_communities()))
+            communities = tuple(sorted(int(c) for c in decode_communities(value)))
     if not as_path:
         return _NO_AS_PATH
     return as_path, origin, med, communities
@@ -58,7 +60,7 @@ def _fields_from_attributes(attributes: Sequence[PathAttribute]) -> _Fields:
 
 def _spec_from_entry(entry) -> Optional[RouteSpec]:
     """One RIB entry → RouteSpec, or None when there is no AS_PATH."""
-    fields = _fields_from_attributes(entry.attributes)
+    fields = _fields_from_tlvs((a.flags, a.type_code, a.value) for a in entry.attributes)
     if fields is _NO_AS_PATH:
         return None
     return RouteSpec(entry.prefix, *fields)
@@ -91,7 +93,7 @@ def iter_routes_from_mrt(source: Union[str, BinaryIO]) -> Iterator[RouteSpec]:
     def route(sequence: int, prefix, _peer, _originated, block: bytes) -> Optional[RouteSpec]:
         fields = memo.get(block)
         if fields is None:
-            fields = _fields_from_attributes(_decode_block(sequence, block))
+            fields = _fields_from_tlvs(_decode_block(sequence, block, attribute_tlvs))
             if len(memo) >= _MEMO_CAP:
                 memo.clear()
             memo[block] = fields

@@ -203,6 +203,21 @@ class TestWire:
         with pytest.raises(PrefixDecodeError, match=r"^truncated prefix body$"):
             list(Prefix.decode_all(bytes([8, 10, 32, 192, 0, 2])))
 
+    def test_decode_all_rejects_a_bad_length_after_good_prefixes(self):
+        good = Prefix.parse("10.0.0.0/8").encode() + Prefix.parse("0.0.0.0/0").encode()
+        with pytest.raises(PrefixDecodeError, match=r"^prefix length 33 > 32$"):
+            Prefix.decode_all(good + bytes([33, 1, 2, 3, 4, 5]))
+
+    def test_decode_all_rejects_a_cut_last_prefix(self):
+        good = Prefix.parse("10.0.0.0/8").encode()
+        with pytest.raises(PrefixDecodeError, match=r"^truncated prefix body$"):
+            Prefix.decode_all(good + bytes([32, 192, 0, 2]))
+        with pytest.raises(PrefixDecodeError, match=r"^truncated prefix body$"):
+            Prefix.decode_all(good + bytes([1]))
+
+    def test_decode_all_of_an_empty_field_is_empty(self):
+        assert Prefix.decode_all(b"") == []
+
     def test_decode_rejects_empty(self):
         with pytest.raises(PrefixDecodeError):
             Prefix.decode(b"")

@@ -60,6 +60,7 @@ HOOKS = {
     "receive_isolates_writes",
     "_init_representation",
     "_decode_attrs",
+    "_encode_attrs",
     "_receive_container",
     "_received_attrs",
     "_validate_origin",
